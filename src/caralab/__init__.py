@@ -59,6 +59,7 @@ from .pencil import (
     OperatorPencil,
     contractivity_scan,
     i_y_derivative_at_tau,
+    i_y_diagonal,
     i_y_difference_at_tau,
     i_y_eval,
     i_y_spectral_form,

@@ -5,6 +5,11 @@ directional derivatives by two independent routes (spectral calculus on
 the ray limit of the model vector versus finite differences), the derived
 standard model, the Julia-quotient ray identity, and the regular /
 singular / purely-singular classification of a generalized model.
+
+Scans collect their points first and call ``phi`` once on a batch
+DiskPoint (array coordinates).  A callable that cannot take a batch, for
+instance one that branches in Python on a coordinate, raises ValueError
+or TypeError on it and is then evaluated point by point.
 """
 
 from __future__ import annotations
@@ -22,8 +27,11 @@ from .points import (
     BoundaryPoint,
     DiskPoint,
     as_pair,
+    batch_points,
     direction_entry_time,
+    is_batch,
     require_admissible,
+    stack_points,
 )
 from .realization import GeneralizedRealization, RAY_EXPONENTS
 from .scalar_family import phi_y_model_vector
@@ -144,10 +152,24 @@ def build_grid(tau, aperture: float = 2.0, depth: int = 12) -> NontangentialGrid
     return NontangentialGrid(tau, float(aperture), int(depth), tuple(families))
 
 
-def cara_quotient(phi: Callable[[DiskPoint], complex], lam) -> float:
-    """The Caratheodory quotient (1 - |phi(lam)|) / (1 - ||lam||_inf)."""
-    lam = lam if isinstance(lam, DiskPoint) else DiskPoint(*as_pair(lam))
-    return (1.0 - abs(phi(lam))) / (1.0 - lam.inf_norm)
+def _phi_on(phi: Callable[[DiskPoint], complex], lam: DiskPoint) -> np.ndarray:
+    """phi at every point of a batch, by one call when phi broadcasts."""
+    try:
+        values = phi(lam)
+    except (TypeError, ValueError):
+        values = [phi(DiskPoint(complex(a), complex(b))) for a, b in zip(lam.lam1, lam.lam2)]
+    return np.broadcast_to(np.asarray(values, dtype=complex), np.shape(lam.lam1))
+
+
+def cara_quotient(phi: Callable[[DiskPoint], complex], lam):
+    """The Caratheodory quotient (1 - |phi(lam)|) / (1 - ||lam||_inf).
+
+    A batch lam gives an array of quotients from one call of phi.
+    """
+    l1, l2 = (np.atleast_1d(np.asarray(z, dtype=complex)) for z in lam)
+    gap = 1.0 - np.maximum(np.abs(l1), np.abs(l2))
+    quotient = (1.0 - np.abs(_phi_on(phi, DiskPoint(l1, l2)))) / gap
+    return quotient if is_batch(lam) else float(quotient[0])
 
 
 @dataclass(frozen=True)
@@ -173,17 +195,13 @@ def detect_carapoint(
     the Richardson-extrapolated ray limit of the quotient, taken from the
     moderately deep ray samples where rounding is still negligible.
     """
-    quotients = [cara_quotient(phi, pt) for pt in grid.points]
-    by_exponent: dict[int, float] = {}
-    for k, (_, pt) in enumerate(grid.ray, start=1):
-        by_exponent[k] = cara_quotient(phi, pt)
-    for k in range(grid.depth + 1, max_exponent + 1):
-        by_exponent[k] = cara_quotient(phi, grid.tau.ray_point(2.0**-k))
-        quotients.append(by_exponent[k])
-    k_hi = min(ALPHA_EXPONENT, max(by_exponent))
-    tail = [by_exponent[k] for k in range(max(1, k_hi - 7), k_hi + 1)]
-    alpha, _ = richardson_limit(tail)
-    qmax, qmin = max(quotients), min(quotients)
+    # ray[k - 1] is the ray point at t = 2^-k; the grid's points follow it
+    ray = [pt for _, pt in grid.ray]
+    ray += [grid.tau.ray_point(2.0**-k) for k in range(grid.depth + 1, max_exponent + 1)]
+    quotients = cara_quotient(phi, batch_points(ray + grid.points))
+    k_hi = min(ALPHA_EXPONENT, len(ray))
+    alpha, _ = richardson_limit(quotients[max(1, k_hi - 7) - 1 : k_hi])
+    qmax, qmin = quotients.max(), quotients.min()
     return CarapointScan(bool(qmax < threshold), float(alpha), float(qmax), float(qmin))
 
 
@@ -205,9 +223,12 @@ def nt_limit_phi(
     Extrapolates every approach family and cross-checks the off-ray limits
     against the ray limit; disagreement beyond family_tol raises NoLimit.
     """
+    values = _phi_on(phi, batch_points(grid.points))
     limits = {}
+    start = 0
     for name, pts in grid.families:
-        limits[name], _ = richardson_limit([phi(pt) for _, pt in pts])
+        limits[name], _ = richardson_limit(values[start : start + len(pts)])
+        start += len(pts)
     ray_value = complex(limits["ray"])
     deviation = max(
         (abs(complex(v) - ray_value) for name, v in limits.items() if name != "ray"),
@@ -231,21 +252,19 @@ def derivative_fd(
 
     The step schedule is geometric inside the largest safe entry interval
     for the direction; phi(tau) defaults to the extrapolated radial limit.
+    All steps are evaluated by one call of phi on a batch.
     """
     tau = tau if isinstance(tau, BoundaryPoint) else BoundaryPoint(*as_pair(tau))
     require_admissible(tau, delta)
     d1, d2 = as_pair(delta)
     t0 = direction_entry_time(tau, delta) / 8.0
     if phi_tau is None:
-        ray_values = [phi(tau.ray_point(2.0**-k)) for k in range(8, 21)]
-        phi_tau = complex(richardson_limit(ray_values)[0])
+        ray = batch_points([tau.ray_point(2.0**-k) for k in range(8, 21)])
+        phi_tau = complex(richardson_limit(_phi_on(phi, ray))[0])
     t1, t2 = as_pair(tau)
-    quotients = []
-    for k in range(steps):
-        t = t0 * 2.0**-k
-        lam = DiskPoint(t1 + t * d1, t2 + t * d2)
-        quotients.append((phi(lam) - phi_tau) / t)
-    limit, residual = richardson_limit(quotients)
+    ts = t0 * 2.0 ** -np.arange(steps)
+    lam = DiskPoint(t1 + ts * d1, t2 + ts * d2)
+    limit, residual = richardson_limit((_phi_on(phi, lam) - phi_tau) / ts)
     if residual > 1e-4 * max(1.0, abs(complex(limit))):
         raise NoConvergenceError(
             f"difference quotients did not settle (residual {residual:.3e})"
@@ -381,44 +400,61 @@ def linearity_defect(
 # -- derived standard model ----------------------------------------------
 
 
+def _standard_rotated(model: GeneralizedRealization, points: np.ndarray):
+    """Standard model components in Y's eigenbasis, and phi, at (N, 2) points.
+
+    Each eigenvector column of v'(lam) is weighted by its eigenvalue's
+    pair: (1, 0) at 1, (0, 1) at 0, the scalar-family model components
+    in between.
+    """
+    dec = model.pencil.contraction.decomposition
+    _, v, phi = model.evaluate(points)
+    lam = DiskPoint(points[:, 0], points[:, 1])
+    w1 = np.zeros_like(v)
+    w2 = np.zeros_like(v)
+    for w in dec.eigenvalues:
+        cols = dec.weights == w
+        if w == 1.0:
+            w1[:, cols] = 1.0
+        elif w == 0.0:
+            w2[:, cols] = 1.0
+        else:
+            u = phi_y_model_vector(w, model.tau, lam)
+            w1[:, cols] = u.u1[:, None]
+            w2[:, cols] = u.u2[:, None]
+    return w1 * v, w2 * v, phi
+
+
 def standard_model_pair(model: GeneralizedRealization, lam) -> tuple[np.ndarray, np.ndarray]:
     """The two components of the derived standard model vector at lam.
 
     The pencil's spectral decomposition splits the state space; endpoint
     eigenvalues contribute the constant weights (1, 0) and (0, 1), interior
     eigenvalues the scalar-family model components, each multiplying the
-    corresponding eigenprojector applied to v(lam).
+    corresponding eigenspace component of v(lam).  A batch lam gives one
+    row per point.
     """
-    dec = model.pencil.contraction.decomposition
-    v = model.model_vector(lam)
-    n = model.dim
-    u1 = np.zeros(n, dtype=complex)
-    u2 = np.zeros(n, dtype=complex)
-    for w, proj in zip(dec.eigenvalues, dec.projectors):
-        if w == 1.0:
-            w1, w2 = 1.0 + 0j, 0j
-        elif w == 0.0:
-            w1, w2 = 0j, 1.0 + 0j
-        else:
-            u = phi_y_model_vector(w, model.tau, lam)
-            w1, w2 = u.u1, u.u2
-        pv = proj @ v
-        u1 += w1 * pv
-        u2 += w2 * pv
-    return u1, u2
+    u1, u2, _ = _standard_rotated(model, stack_points(lam))
+    ut = model.pencil.contraction.decomposition.eigenvectors.T
+    u1, u2 = u1 @ ut, u2 @ ut
+    return (u1, u2) if is_batch(lam) else (u1[0], u2[0])
 
 
-def standard_model_residual(model: GeneralizedRealization, lam, mu) -> float:
-    """Defect of the ordinary model identity for the derived standard model."""
-    l1, l2 = as_pair(lam)
-    m1, m2 = as_pair(mu)
-    u1_l, u2_l = standard_model_pair(model, lam)
-    u1_m, u2_m = standard_model_pair(model, mu)
-    lhs = 1.0 - np.conj(model.phi(mu)) * model.phi(lam)
-    rhs = (1.0 - m1.conjugate() * l1) * np.vdot(u1_m, u1_l) + (
-        1.0 - m2.conjugate() * l2
-    ) * np.vdot(u2_m, u2_l)
-    return float(abs(lhs - rhs))
+def standard_model_residual(model: GeneralizedRealization, lam, mu):
+    """Defect of the ordinary model identity for the derived standard model.
+
+    Inner products are invariant under the eigenbasis rotation, so they
+    are taken there.  Batches lam and mu give one residual per pair.
+    """
+    pl, pm = np.broadcast_arrays(stack_points(lam), stack_points(mu))
+    u1, u2, phi = _standard_rotated(model, np.concatenate([pl, pm]))
+    k = len(pl)
+    lhs = 1.0 - np.conj(phi[k:]) * phi[:k]
+    rhs = (1.0 - np.conj(pm[:, 0]) * pl[:, 0]) * np.sum(np.conj(u1[k:]) * u1[:k], axis=1) + (
+        1.0 - np.conj(pm[:, 1]) * pl[:, 1]
+    ) * np.sum(np.conj(u2[k:]) * u2[:k], axis=1)
+    residual = np.abs(lhs - rhs)
+    return residual if is_batch(lam) or is_batch(mu) else float(residual[0])
 
 
 # -- Julia quotient along the ray ----------------------------------------

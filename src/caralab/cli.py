@@ -36,7 +36,7 @@ from .errors import (
     UnconvergedError,
 )
 from .hermitian import DEFAULT_EIGTOL
-from .pencil import contractivity_scan, sample_bidisk
+from .pencil import contractivity_scan, sample_bidisk_pairs
 from .points import BoundaryPoint
 from .realization import DEFAULT_ISOTOL, load_model
 from .scalar_family import (
@@ -51,6 +51,9 @@ EXIT_NOT_ISOMETRIC = 3
 EXIT_SPECTRUM = 4
 EXIT_RESIDUAL = 5
 EXIT_UNCONVERGED = 6
+
+#: columns of every BASE.derivative.csv table
+DERIVATIVE_HEADER = ["re_d1", "im_d1", "re_d2", "im_d2", "re_D", "im_D", "method"]
 
 
 def _fmt(x: float) -> str:
@@ -150,12 +153,8 @@ def cmd_family(args) -> int:
 
     residual_max = None
     if not monomial:
-        residual_max = 0.0
-        for _ in range(args.pairs):
-            residual_max = max(
-                residual_max,
-                phi_y_model_residual(y, tau, sample_bidisk(rng), sample_bidisk(rng)),
-            )
+        lam, mu = sample_bidisk_pairs(rng, args.pairs)
+        residual_max = float(np.max(phi_y_model_residual(y, tau, lam, mu), initial=0.0))
 
     deltas = default_directions(tau)
     entries = []
@@ -205,10 +204,7 @@ def cmd_family(args) -> int:
         args,
         {
             "quotient": (["t", "quotient"], quotient_rows),
-            "derivative": (
-                ["re_d1", "im_d1", "re_d2", "im_d2", "re_D", "im_D", "method"],
-                deriv_rows,
-            ),
+            "derivative": (DERIVATIVE_HEADER, deriv_rows),
         },
     )
     return 0
@@ -222,11 +218,8 @@ def cmd_verify(args) -> int:
     seed = _resolve_seed(args)
     rng = np.random.default_rng(seed)
 
-    residual_max = 0.0
-    for _ in range(args.pairs):
-        residual_max = max(
-            residual_max, model.model_residual(sample_bidisk(rng), sample_bidisk(rng))
-        )
+    lam, mu = sample_bidisk_pairs(rng, args.pairs)
+    residual_max = float(model.model_residual(lam, mu).max(initial=0.0))
     scan = contractivity_scan(model.pencil, args.samples, seed=seed)
     rows = julia_quotient_ray(model, exponents=_parse_ray_exponents(args))
     julia_max = max(r.residual for r in rows)
@@ -283,16 +276,9 @@ def cmd_classify(args) -> int:
         **report.to_json(),
     }
     _emit_report(doc, args)
-    table = derivative_table(model)
-    _emit_tables(
-        args,
-        {
-            "derivative": (
-                ["re_d1", "im_d1", "re_d2", "im_d2", "re_D", "im_D", "method"],
-                _derivative_rows(table),
-            )
-        },
-    )
+    if args.csv:
+        table = derivative_table(model)
+        _emit_tables(args, {"derivative": (DERIVATIVE_HEADER, _derivative_rows(table))})
     return 0
 
 
@@ -320,15 +306,7 @@ def cmd_derivative(args) -> int:
         ],
     }
     _emit_report(doc, args)
-    _emit_tables(
-        args,
-        {
-            "derivative": (
-                ["re_d1", "im_d1", "re_d2", "im_d2", "re_D", "im_D", "method"],
-                _derivative_rows(table),
-            )
-        },
-    )
+    _emit_tables(args, {"derivative": (DERIVATIVE_HEADER, _derivative_rows(table))})
     return 0
 
 

@@ -74,10 +74,18 @@ def opnorm(a) -> float:
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Clustered eigenvalues with one orthogonal projector per cluster."""
+    """Clustered eigenvalues with one orthogonal projector per cluster.
+
+    ``eigenvectors`` is the unitary U of the eigensolver and ``weights``
+    holds the snapped cluster eigenvalue of each of its columns, so that
+    U diag(weights) U* is the same spectral reconstruction as the sum over
+    the projectors.
+    """
 
     eigenvalues: tuple[float, ...]
     projectors: tuple[np.ndarray, ...]
+    eigenvectors: np.ndarray
+    weights: np.ndarray
 
     @property
     def dim(self) -> int:
@@ -88,13 +96,6 @@ class SpectralDecomposition:
         total = np.zeros((self.dim, self.dim), dtype=complex)
         for w, p in zip(self.eigenvalues, self.projectors):
             total += w * p
-        return total
-
-    def apply(self, f: Callable[[float], complex]) -> np.ndarray:
-        """Sum of f(eigenvalue) * projector; caller guarantees f is finite."""
-        total = np.zeros((self.dim, self.dim), dtype=complex)
-        for w, p in zip(self.eigenvalues, self.projectors):
-            total += complex(f(w)) * p
         return total
 
 
@@ -130,6 +131,7 @@ def spectral_decompose(a, eigtol: float = DEFAULT_EIGTOL) -> SpectralDecompositi
 
     eigenvalues: list[float] = []
     projectors: list[np.ndarray] = []
+    weights = np.empty(w.size)
     for group in _cluster(w, eigtol):
         vg = v[:, group]
         proj = vg @ vg.conj().T
@@ -138,6 +140,7 @@ def spectral_decompose(a, eigtol: float = DEFAULT_EIGTOL) -> SpectralDecompositi
             value = 0.0
         elif abs(value - 1.0) <= eigtol:
             value = 1.0
+        weights[group] = value
         if eigenvalues and value == eigenvalues[-1]:
             # two clusters snapped onto the same endpoint: merge
             projectors[-1] = projectors[-1] + proj
@@ -145,7 +148,7 @@ def spectral_decompose(a, eigtol: float = DEFAULT_EIGTOL) -> SpectralDecompositi
             eigenvalues.append(value)
             projectors.append(proj)
     projectors = [(p + p.conj().T) / 2 for p in projectors]
-    return SpectralDecomposition(tuple(eigenvalues), tuple(projectors))
+    return SpectralDecomposition(tuple(eigenvalues), tuple(projectors), v, weights)
 
 
 @dataclass(frozen=True)
@@ -167,7 +170,7 @@ class PositiveContraction:
     def projectors(self) -> tuple[np.ndarray, ...]:
         return self.decomposition.projectors
 
-    def is_projection(self, eigtol: float = DEFAULT_EIGTOL) -> bool:
+    def is_projection(self) -> bool:
         """True when the spectrum touches only the endpoints 0 and 1."""
         return all(w in (0.0, 1.0) for w in self.eigenvalues)
 

@@ -62,7 +62,12 @@ class BoundaryPoint:
 
 @dataclass(frozen=True)
 class DiskPoint:
-    """Point of the (closed) bidisk."""
+    """Point of the (closed) bidisk.
+
+    ``lam1`` and ``lam2`` may also be equal-length 1-d complex arrays; such a
+    batch stands for one point per entry and is what the batched
+    evaluation routes pass to a callable ``phi``.
+    """
 
     lam1: complex
     lam2: complex
@@ -86,6 +91,33 @@ def as_pair(p) -> tuple[complex, complex]:
     """Coerce a 2-point (BoundaryPoint, DiskPoint, tuple, ...) to complex pair."""
     a, b = p
     return complex(a), complex(b)
+
+
+def is_batch(p) -> bool:
+    """True when the coordinates of p are arrays (a batch of points)."""
+    a, b = p
+    # getattr, not np.ndim: this runs on every scalar-path evaluation
+    return getattr(a, "ndim", 0) > 0 or getattr(b, "ndim", 0) > 0
+
+
+def as_coords(p):
+    """Complex pair for one point, a pair of complex arrays for a batch."""
+    a, b = p
+    if getattr(a, "ndim", 0) > 0 or getattr(b, "ndim", 0) > 0:
+        return np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    return complex(a), complex(b)
+
+
+def stack_points(p) -> np.ndarray:
+    """The (N, 2) complex array of one point (N = 1) or of a batch."""
+    a, b = np.broadcast_arrays(*(np.asarray(z, dtype=complex) for z in p))
+    return np.stack([a.ravel(), b.ravel()], axis=1)
+
+
+def batch_points(points) -> DiskPoint:
+    """One batch DiskPoint holding a sequence of points."""
+    arr = np.array([as_pair(p) for p in points], dtype=complex).reshape(-1, 2)
+    return DiskPoint(arr[:, 0], arr[:, 1])
 
 
 def is_admissible_direction(tau, delta) -> bool:

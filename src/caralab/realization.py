@@ -13,6 +13,11 @@ and the polarized isometry relation makes the generalized model identity
 hold by construction.  This inverts the usual direction of the theory: the
 function is produced from the model, giving a corpus whose boundary
 behavior at tau is known in advance.
+
+In double precision everything is evaluated in the eigenbasis U of Y,
+where the pencil is diagonal: with A' = U*AU, B' = U*B and C' = CU the
+model vector is v = U v' with v' = (1 - A' diag(s))^{-1} B', and
+phi = D + C' diag(s) v'.
 """
 
 from __future__ import annotations
@@ -33,8 +38,8 @@ from .hermitian import (
     opnorm,
     validate_positive_contraction,
 )
-from .pencil import SINGULAR_RTOL, OperatorPencil, i_y_eval
-from .points import BoundaryPoint, as_pair
+from .pencil import SINGULAR_RTOL, OperatorPencil, i_y_diagonal, stack_chunks
+from .points import BoundaryPoint, as_pair, is_batch, stack_points
 
 #: default isometry tolerance for colligation validation
 DEFAULT_ISOTOL = 1e-8
@@ -152,6 +157,11 @@ class GeneralizedRealization:
         self.isotol = isotol
         self.isometry_defect = colligation.isometry_defect()
         self.is_isometric = self.isometry_defect <= isotol
+        # the colligation rotated into Y's eigenbasis, for :meth:`evaluate`
+        u = pencil.contraction.decomposition.eigenvectors
+        self._a = u.conj().T @ colligation.a @ u
+        self._b = u.conj().T @ colligation.b
+        self._c = colligation.c @ u
         self._vtau_cache: dict[tuple[int, int], RayLimit] = {}
         self._ray_cache: dict[float, tuple[np.ndarray, np.clongdouble]] = {}
         self._ray_block = None
@@ -166,39 +176,62 @@ class GeneralizedRealization:
 
     # -- double-precision evaluation at general points ------------------
 
-    def _resolve(self, lam) -> tuple[np.ndarray, np.ndarray]:
-        """Pencil value and model vector at a point, by one resolvent solve."""
-        iy = i_y_eval(self.pencil, lam)
-        col = self.colligation
-        resolvent = np.eye(self.dim, dtype=complex) - col.a @ iy
-        sv = np.linalg.svd(resolvent, compute_uv=False)
-        if sv[-1] <= SINGULAR_RTOL * max(sv[0], 1.0):
-            raise SingularResolventError(
-                f"resolvent singular at lam={tuple(as_pair(lam))!r}"
-            )
-        v = np.linalg.solve(resolvent, col.b)
-        return iy, v
+    def evaluate(self, points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Pencil eigenvalues, rotated model vectors and phi at N points.
 
-    def phi(self, lam) -> complex:
-        """Value of the realized function."""
-        iy, v = self._resolve(lam)
-        col = self.colligation
-        return complex(col.d + col.c @ (iy @ v))
+        ``points`` is an (N, 2) complex array.  Returns s (N, n) from
+        :func:`i_y_diagonal`, v' = U* v (N, n) and phi (N,).  The
+        resolvents 1 - A' diag(s) are solved as stacks; a stack whose
+        smallest singular value falls below SINGULAR_RTOL times its largest
+        (or 1) raises SingularResolventError.  The rotation is unitary, so
+        these singular values are those of 1 - A I_Y(lam) itself.
+        """
+        pts = np.asarray(points, dtype=complex).reshape(-1, 2)
+        n = self.dim
+        s = np.empty((len(pts), n), dtype=complex)
+        v = np.empty((len(pts), n), dtype=complex)
+        eye = np.eye(n, dtype=complex)
+        for chunk in stack_chunks(len(pts), n * n):
+            s[chunk] = i_y_diagonal(self.pencil, pts[chunk])
+            resolvent = eye - self._a * s[chunk, None, :]
+            sv = np.linalg.svd(resolvent, compute_uv=False)
+            bad = np.flatnonzero(sv[:, -1] <= SINGULAR_RTOL * np.maximum(sv[:, 0], 1.0))
+            if bad.size:
+                lam = tuple(complex(z) for z in pts[chunk][bad[0]])
+                raise SingularResolventError(f"resolvent singular at lam={lam!r}")
+            rhs = np.broadcast_to(self._b[:, None], (len(resolvent), n, 1))
+            v[chunk] = np.linalg.solve(resolvent, rhs)[..., 0]
+        phi = self.colligation.d + np.sum(s * v * self._c, axis=1)
+        return s, v, phi
+
+    def _resolve(self, lam) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:meth:`evaluate` at one point, or at each point of a batch DiskPoint."""
+        return self.evaluate(stack_points(lam))
+
+    def phi(self, lam):
+        """Value of the realized function; a batch lam gives an array."""
+        phi = self._resolve(lam)[2]
+        return phi if is_batch(lam) else complex(phi[0])
 
     def model_vector(self, lam) -> np.ndarray:
-        """Model vector v(lam)."""
-        return self._resolve(lam)[1]
+        """Model vector v(lam); a batch lam gives one row per point."""
+        v = self._resolve(lam)[1] @ self.pencil.contraction.decomposition.eigenvectors.T
+        return v if is_batch(lam) else v[0]
 
-    def model_residual(self, lam, mu) -> float:
-        """Absolute defect of the generalized model identity at a pair of points."""
-        iy_l, v_l = self._resolve(lam)
-        iy_m, v_m = self._resolve(mu)
-        phi_l = self.colligation.d + self.colligation.c @ (iy_l @ v_l)
-        phi_m = self.colligation.d + self.colligation.c @ (iy_m @ v_m)
-        lhs = 1.0 - np.conj(phi_m) * phi_l
-        gram = np.eye(self.dim, dtype=complex) - iy_m.conj().T @ iy_l
-        rhs = np.vdot(v_m, gram @ v_l)
-        return float(abs(lhs - rhs))
+    def model_residual(self, lam, mu):
+        """Absolute defect of the generalized model identity at a pair of points.
+
+        In the eigenbasis the Gram operator 1 - I(mu)* I(lam) is diagonal.
+        Batches lam and mu give one residual per pair.
+        """
+        pl, pm = np.broadcast_arrays(stack_points(lam), stack_points(mu))
+        s, v, phi = self.evaluate(np.concatenate([pl, pm]))
+        k = len(pl)
+        lhs = 1.0 - np.conj(phi[k:]) * phi[:k]
+        gram = 1.0 - np.conj(s[k:]) * s[:k]
+        rhs = np.sum(np.conj(v[k:]) * gram * v[:k], axis=1)
+        residual = np.abs(lhs - rhs)
+        return residual if is_batch(lam) or is_batch(mu) else float(residual[0])
 
     # -- extended-precision evaluation along the radial ray -------------
 

@@ -24,7 +24,7 @@ from .errors import (
     PoleHitError,
     SingularCalculusError,
 )
-from .points import as_pair, require_admissible
+from .points import as_coords, as_pair, require_admissible
 
 #: denominators smaller than this are treated as poles (boundary zero set)
 POLE_TOL = 1e-14
@@ -37,25 +37,27 @@ def _check_y(y: float) -> float:
     return y
 
 
-def _pq(tau, lam) -> tuple[complex, complex]:
+def _pq(tau, lam):
     """The rotated coordinates p = conj(tau1) lam1, q = conj(tau2) lam2."""
     t1, t2 = as_pair(tau)
-    l1, l2 = as_pair(lam)
+    l1, l2 = as_coords(lam)
     return t1.conjugate() * l1, t2.conjugate() * l2
 
 
-def _denominator(y: float, p: complex, q: complex) -> complex:
+def _denominator(y: float, p, q):
     den = (1.0 - y) * (1.0 - p) + y * (1.0 - q)
-    if abs(den) < POLE_TOL:
-        raise PoleHitError(f"denominator {den!r} vanishes")
+    small = abs(den) < POLE_TOL
+    if small.any() if isinstance(small, np.ndarray) else small:
+        raise PoleHitError(f"denominator vanishes: |den| = {float(np.min(abs(den))):.3e}")
     return den
 
 
-def phi_y_eval(y: float, tau, lam) -> complex:
+def phi_y_eval(y: float, tau, lam):
     """Evaluate phi_y at a point of the closed bidisk.
 
     The endpoint parameters y = 0, 1 reduce to the coordinate monomials
     conj(tau2) lam2 and conj(tau1) lam1 and are short-circuited exactly.
+    A batch ``lam`` (array coordinates) gives an array of values.
     """
     y = _check_y(y)
     p, q = _pq(tau, lam)
@@ -111,7 +113,7 @@ def rotation_basis(y: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def phi_y_model_vector(y: float, tau, lam) -> ScalarModelVector:
-    """Model vector u_{y, lam} for y strictly inside (0, 1)."""
+    """Model vector u_{y, lam} for y strictly inside (0, 1); broadcasts over a batch lam."""
     y = _check_y(y)
     if y in (0.0, 1.0):
         raise DegenerateParameterError(
@@ -126,15 +128,15 @@ def phi_y_model_vector(y: float, tau, lam) -> ScalarModelVector:
     return ScalarModelVector(y, u1, u2, coef_plus, 1.0 + 0j)
 
 
-def phi_y_model_residual(y: float, tau, lam, mu) -> float:
+def phi_y_model_residual(y: float, tau, lam, mu):
     """Absolute defect of the two-variable model identity at a pair of points.
 
     The identity equates 1 - conj(phi(mu)) phi(lam) with the weighted inner
     products of the model vectors; it is algebraic, so the residual is
-    rounding noise.
+    rounding noise.  Batches lam and mu give one residual per pair.
     """
-    l1, l2 = as_pair(lam)
-    m1, m2 = as_pair(mu)
+    l1, l2 = as_coords(lam)
+    m1, m2 = as_coords(mu)
     ul = phi_y_model_vector(y, tau, lam)
     um = phi_y_model_vector(y, tau, mu)
     lhs = 1.0 - phi_y_eval(y, tau, mu).conjugate() * phi_y_eval(y, tau, lam)

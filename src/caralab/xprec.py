@@ -67,7 +67,6 @@ def nearest_unitary(v, steps: int = 8) -> np.ndarray:
     isometry defect of ~1e-8 down to the extended-precision floor.
     """
     x = asxp(v)
-    n = x.shape[0]
     for _ in range(steps):
         xn = (x + inv(x.conj().T)) / CDTYPE(2)
         if float(np.abs(xn - x).max()) < 8 * EPS:

@@ -122,6 +122,16 @@ class TestClassify:
         assert doc["cross_check_ok"] is True
         assert doc["v_tau"] == [pytest.approx([1.0, 0.0], abs=1e-10)]
 
+    def test_csv_table_leaves_report_unchanged(self, capsys, swap_spec, tmp_path):
+        assert main(["classify", swap_spec]) == 0
+        plain = capsys.readouterr().out
+        base = tmp_path / "tables"
+        assert main(["classify", swap_spec, "--csv", str(base)]) == 0
+        assert capsys.readouterr().out == plain
+        table = (tmp_path / "tables.derivative.csv").read_text().splitlines()
+        assert table[0] == "re_d1,im_d1,re_d2,im_d2,re_D,im_D,method"
+        assert len(table) == 25  # header + 12 directions x 2 methods
+
     def test_unconverged_exits_6(self, capsys, shear_spec):
         assert main(["classify", shear_spec, "--isotol", "10"]) == 6
 

@@ -1,0 +1,149 @@
+"""The batched eigenbasis kernel against the direct-solve routes."""
+
+import numpy as np
+import pytest
+
+from caralab import (
+    Colligation,
+    GeneralizedRealization,
+    OperatorPencil,
+    SingularDenominatorError,
+    SingularResolventError,
+    i_y_eval,
+    random_colligation,
+    random_positive_contraction,
+    validate_positive_contraction,
+)
+from caralab.pencil import (
+    SINGULAR_RTOL,
+    TAU_SNAP,
+    i_y_diagonal,
+    sample_bidisk,
+    sample_bidisk_batch,
+    sample_bidisk_pairs,
+)
+from conftest import TAU_11, TAUS, disk_point
+
+#: relative agreement between the kernel and the direct solves
+KERNEL_RTOL = 1e-12
+
+
+def reference_resolve(model, lam):
+    """Pencil, model vector and phi at one point by direct solves (the pre-kernel route)."""
+    iy = i_y_eval(model.pencil, lam)
+    col = model.colligation
+    resolvent = np.eye(model.dim) - col.a @ iy
+    sv = np.linalg.svd(resolvent, compute_uv=False)
+    if sv[-1] <= SINGULAR_RTOL * max(sv[0], 1.0):
+        raise SingularResolventError("resolvent singular")
+    v = np.linalg.solve(resolvent, col.b)
+    return iy, v, col.d + col.c @ (iy @ v)
+
+
+def relative_gap(got, want) -> float:
+    return float(np.linalg.norm(got - want) / max(1.0, np.linalg.norm(want)))
+
+
+def random_model(dim, tau, rng):
+    y = random_positive_contraction(dim, rng)
+    return GeneralizedRealization(OperatorPencil(y, tau), random_colligation(dim, rng))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 6, 7, 8, 24])
+def test_kernel_matches_direct_solves(dim, rng):
+    tau = TAUS[dim % len(TAUS)]
+    model = random_model(dim, tau, rng)
+    lams = [disk_point(rng) for _ in range(20)]
+    lams += [tau.ray_point(2.0**-20), (tau.tau1, tau.tau2)]  # near and at tau
+    pts = np.array([[complex(z) for z in lam] for lam in lams])
+    u = model.pencil.contraction.decomposition.eigenvectors
+    s, v_rot, phi = model.evaluate(pts)
+    assert np.array_equal(s, i_y_diagonal(model.pencil, pts))
+    np.testing.assert_array_equal(s[-1], np.ones(dim))  # TAU_SNAP identity
+    worst = 0.0
+    for k, lam in enumerate(lams):
+        iy, v, phi_ref = reference_resolve(model, lam)
+        worst = max(
+            worst,
+            relative_gap((u * s[k]) @ u.conj().T, iy),
+            relative_gap(u @ v_rot[k], v),
+            relative_gap(phi[k], phi_ref),
+        )
+    assert worst <= KERNEL_RTOL
+
+
+def test_tau_snap_window(rng):
+    pen = OperatorPencil(random_positive_contraction(3, rng), TAU_11)
+    inside = 1.0 - 0.5 * TAU_SNAP
+    s = i_y_diagonal(pen, np.array([[inside, inside]]))
+    np.testing.assert_array_equal(s, np.ones((1, 3)))
+
+
+def test_batch_points_through_phi_and_model_vector(rng):
+    model = random_model(4, TAUS[1], rng)
+    lam, mu = sample_bidisk_pairs(rng, 25)
+    phis = model.phi(lam)
+    vs = model.model_vector(lam)
+    residuals = model.model_residual(lam, mu)
+    assert phis.shape == (25,) and vs.shape == (25, 4) and residuals.shape == (25,)
+    for k in range(25):
+        one = (lam.lam1[k], lam.lam2[k])
+        assert relative_gap(model.phi(one), phis[k]) <= KERNEL_RTOL
+        assert relative_gap(model.model_vector(one), vs[k]) <= KERNEL_RTOL
+        assert abs(model.model_residual(one, (mu.lam1[k], mu.lam2[k])) - residuals[k]) <= 1e-15
+    assert residuals.max() <= 1e-9
+
+
+def test_batched_sampler_is_the_sequential_stream():
+    for n in (1, 2, 7, 400):
+        a, b = np.random.default_rng(n), np.random.default_rng(n)
+        batch = sample_bidisk_batch(a, n)
+        for k in range(n):
+            point = sample_bidisk(b)
+            assert (batch.lam1[k], batch.lam2[k]) == (point.lam1, point.lam2)
+        assert a.random() == b.random()  # both streams end at the same place
+
+
+def test_pair_sampler_interleaves_like_sequential_pairs():
+    a, b = np.random.default_rng(9), np.random.default_rng(9)
+    lam, mu = sample_bidisk_pairs(a, 50)
+    for k in range(50):
+        p, q = sample_bidisk(b), sample_bidisk(b)
+        assert (lam.lam1[k], lam.lam2[k], mu.lam1[k], mu.lam2[k]) == (
+            p.lam1, p.lam2, q.lam1, q.lam2,
+        )
+
+
+def outcome(fn):
+    try:
+        fn()
+    except (SingularDenominatorError, SingularResolventError) as exc:
+        return type(exc)
+    return None
+
+
+@pytest.mark.parametrize(
+    "diag,block",
+    [
+        # denominator loses rank where lam1 = tau1 on the 0-eigenspace
+        ([1.0, 0.0], None),
+        # the shear corner A = 1 makes 1 - A I_Y(lam) vanish where lam1 = tau1
+        ([1.0], [[1.0, 1.0], [0.0, 1.0]]),
+        ([0.5], [[1.0, 1.0], [0.0, 1.0]]),
+    ],
+)
+def test_singular_points_agree_with_one_point_path(diag, block, rng):
+    y = validate_positive_contraction(np.diag(diag))
+    pen = OperatorPencil(y, TAU_11)
+    col = random_colligation(len(diag), rng) if block is None else Colligation(np.array(block, dtype=complex))
+    model = GeneralizedRealization(pen, col)
+    good = [(0.2 + 0.1j, -0.3j), (0.5, 0.5), (-0.4, 0.1 + 0.6j)]
+    probes = good + [(1.0, 0.0), (1.0, 0.3), (1.0, 1.0), (1.0 - 1e-16, 1.0), (0.0, 1.0)]
+    seen = set()
+    for lam in probes:
+        expect = outcome(lambda: reference_resolve(model, lam))
+        seen.add(expect)
+        pts = np.array(good + [lam], dtype=complex)
+        assert outcome(lambda: model.evaluate(pts)) is expect, lam
+        assert outcome(lambda: model.phi(lam)) is expect, lam
+    assert len(seen) >= 2  # each case exercises a raising and a regular point

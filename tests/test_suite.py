@@ -52,3 +52,34 @@ class TestRun:
     def test_count_validated(self):
         with pytest.raises(ValueError):
             run_suite(SuiteConfig(count=0))
+
+
+#: every model runs these checks, in this order
+CHECK_NAMES = (
+    "model_identity", "pencil_cross_oracle", "pencil_contractivity", "schur_bound",
+    "julia_identity", "alpha_vs_vtau", "alpha_positive", "carapoint_detected",
+    "derivative_agreement", "derivative_homogeneity", "standard_model_identity",
+    "standard_model_bound", "classification_cross_check",
+)
+
+#: per seed: each model's classification (Regular, Singular, Purely singular)
+#: and the checks that fail, as recorded before the batched kernel.  Seed 14
+#: model 11 (linearity defect 7.1e-4 under the 1e-3 cutoff) and seed 40
+#: model 3 (derivative gap 1.5e-5 at alpha = 98 against an absolute 1e-5)
+#: fail on valid models; the kernel must not change either verdict.
+RECORDED_VERDICTS = {
+    7: ("RPSRPPRPSRPSRPPRPPRPSRPSRPSRPSRPSRPSRPSRPPRPSRPSRP", {}),
+    14: ("RPSRPSRPSRPPRPSRPSRPSRPPRPSRPSRPSRPSRPSRPPRPPRPSRP", {11: {"classification_cross_check"}}),
+    40: ("RPSRPSRPPRPSRPSRPSRPSRPSRPSRPSRPSRPPRPSRPSRPSRPSRP", {3: {"derivative_agreement"}}),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(RECORDED_VERDICTS))
+def test_verdicts_match_recorded(seed):
+    labels = {"regular": "R", "singular": "S", "purely_singular": "P", "indeterminate": "I"}
+    classes, failing = RECORDED_VERDICTS[seed]
+    report = run_suite(SuiteConfig(seed=seed, count=50))
+    assert "".join(labels[r.classification] for r in report.records) == classes
+    for record in report.records:
+        assert tuple(c.name for c in record.checks) == CHECK_NAMES
+        assert {c.name for c in record.checks if not c.passed} == failing.get(record.index, set())
