@@ -20,7 +20,13 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import BadApertureError, NoConvergenceError, NoLimitError, UnconvergedError
+from .errors import (
+    BadApertureError,
+    CaralabError,
+    NoConvergenceError,
+    NoLimitError,
+    UnconvergedError,
+)
 from .extrapolate import richardson_limit
 from .hermitian import apply_calculus
 from .points import (
@@ -110,8 +116,8 @@ def build_grid(tau, aperture: float = 2.0, depth: int = 12) -> NontangentialGrid
     angular detours; every stored point satisfies the aperture inequality
     exactly.
     """
-    if aperture < 1.0:
-        raise BadApertureError(f"aperture {aperture!r} < 1 leaves no room to approach")
+    if not (math.isfinite(aperture) and aperture >= 1.0):
+        raise BadApertureError(f"aperture {aperture!r} is not a finite number >= 1")
     if not 1 <= depth <= 48:
         # beyond 2^-48 the schedule is within a few ulp of the boundary
         raise ValueError("depth must lie in 1..48")
@@ -135,8 +141,9 @@ def build_grid(tau, aperture: float = 2.0, depth: int = 12) -> NontangentialGrid
         for r in ratios:
             makers.append((f"radial(1,{r:g})", lambda t, r=r: radial(1.0, r, t)))
             makers.append((f"radial({r:g},1)", lambda t, r=r: radial(r, 1.0, t)))
-        # safe angular speed: sqrt(1 + kappa^2) <= aperture with margin
-        kappa = 0.9 * math.sqrt(aperture**2 - 1.0)
+        # safe angular speed: sqrt(1 + kappa^2) <= aperture with margin;
+        # the aperture is not squared, so a huge one cannot overflow
+        kappa = 0.9 * math.sqrt(aperture - 1.0) * math.sqrt(aperture + 1.0)
         makers.append((f"angular(+{kappa:.3g},0)", lambda t: angular(kappa, 0.0, t)))
         makers.append((f"angular(0,-{kappa:.3g})", lambda t: angular(0.0, -kappa, t)))
 
@@ -146,7 +153,12 @@ def build_grid(tau, aperture: float = 2.0, depth: int = 12) -> NontangentialGrid
         for t in ts:
             pt = make(t)
             if not pt.in_open_bidisk() or not satisfies_aperture(tau, pt, aperture, slack=1e-12):
-                raise AssertionError(f"grid family {name!r} violated its cone at t={t!r}")
+                # happens only for huge apertures: the radial speed
+                # 1/aperture is then lost to rounding near the boundary
+                raise BadApertureError(
+                    f"grid family {name!r} leaves the open bidisk or its cone at t={t!r} "
+                    f"for aperture {aperture!r}"
+                )
             pts.append((t, pt))
         families.append((name, tuple(pts)))
     return NontangentialGrid(tau, float(aperture), int(depth), tuple(families))
@@ -247,29 +259,55 @@ def derivative_fd(
     delta,
     phi_tau: complex | None = None,
     steps: int = 15,
-) -> complex:
+) -> complex | np.ndarray:
     """Directional derivative at tau by extrapolated difference quotients.
 
     The step schedule is geometric inside the largest safe entry interval
     for the direction; phi(tau) defaults to the extrapolated radial limit.
-    All steps are evaluated by one call of phi on a batch.
+    A batch ``delta`` (array coordinates, as in a batch DiskPoint) gives an
+    array with one derivative per direction.  The steps of all directions
+    are evaluated by one call of phi.  A batch that fails is re-run one
+    direction at a time, so it raises what the first failing direction
+    raises on its own.
     """
     tau = tau if isinstance(tau, BoundaryPoint) else BoundaryPoint(*as_pair(tau))
-    require_admissible(tau, delta)
-    d1, d2 = as_pair(delta)
-    t0 = direction_entry_time(tau, delta) / 8.0
+    if not is_batch(delta):
+        return _fd_limits(phi, tau, [delta], phi_tau, steps)[0]
+    deltas = list(stack_points(delta))
+    if not deltas:
+        return np.empty(0, dtype=complex)
+    try:
+        return np.array(_fd_limits(phi, tau, deltas, phi_tau, steps))
+    except (CaralabError, ValueError):
+        for one in deltas:
+            _fd_limits(phi, tau, [one], phi_tau, steps)
+        raise
+
+
+def _fd_limits(phi, tau: BoundaryPoint, deltas, phi_tau, steps: int) -> list[complex]:
+    """Extrapolated difference quotients along each direction, from one call of phi."""
+    schedules = [
+        direction_entry_time(tau, delta) / 8.0 * 2.0 ** -np.arange(steps) for delta in deltas
+    ]
     if phi_tau is None:
         ray = batch_points([tau.ray_point(2.0**-k) for k in range(8, 21)])
         phi_tau = complex(richardson_limit(_phi_on(phi, ray))[0])
     t1, t2 = as_pair(tau)
-    ts = t0 * 2.0 ** -np.arange(steps)
-    lam = DiskPoint(t1 + ts * d1, t2 + ts * d2)
-    limit, residual = richardson_limit((_phi_on(phi, lam) - phi_tau) / ts)
-    if residual > 1e-4 * max(1.0, abs(complex(limit))):
-        raise NoConvergenceError(
-            f"difference quotients did not settle (residual {residual:.3e})"
-        )
-    return complex(limit)
+    lam1, lam2 = [], []
+    for ts, delta in zip(schedules, deltas):
+        d1, d2 = as_pair(delta)
+        lam1.append(t1 + ts * d1)
+        lam2.append(t2 + ts * d2)
+    values = _phi_on(phi, DiskPoint(np.concatenate(lam1), np.concatenate(lam2)))
+    limits = []
+    for ts, row in zip(schedules, values.reshape(len(deltas), steps)):
+        limit, residual = richardson_limit((row - phi_tau) / ts)
+        if residual > 1e-4 * max(1.0, abs(complex(limit))):
+            raise NoConvergenceError(
+                f"difference quotients did not settle (residual {residual:.3e})"
+            )
+        limits.append(complex(limit))
+    return limits
 
 
 def derivative_model(model: GeneralizedRealization, delta) -> complex:
@@ -366,20 +404,40 @@ def derivative_table(
     deltas: Sequence[tuple[complex, complex]] | None = None,
     methods: Iterable[str] = ("analytic", "finite_difference"),
 ) -> DerivativeTable:
-    """Tabulate directional derivatives of a realization at tau."""
+    """Tabulate directional derivatives of a realization at tau.
+
+    The finite differences of all directions come from one batched
+    :func:`derivative_fd` call.  If anything fails, the table is rebuilt
+    direction by direction, each method in the order given, so the error
+    raised is the first one that order meets.
+    """
     if deltas is None:
         deltas = default_directions(model.tau)
+    methods = tuple(methods)
     phi_tau = model.phi_at_tau()
-    entries = []
-    for delta in deltas:
-        for method in methods:
-            if method == "analytic":
-                value = derivative_model(model, delta)
-            elif method == "finite_difference":
-                value = derivative_fd(model.phi, model.tau, delta, phi_tau=phi_tau)
-            else:
-                raise ValueError(f"unknown method {method!r}")
-            entries.append(DerivativeEntry(as_pair(delta), value, method))
+
+    def value(delta, method: str, fd: complex | None = None) -> complex:
+        if method == "analytic":
+            return derivative_model(model, delta)
+        if method == "finite_difference":
+            return derivative_fd(model.phi, model.tau, delta, phi_tau=phi_tau) if fd is None else fd
+        raise ValueError(f"unknown method {method!r}")
+
+    try:
+        fds = [None] * len(deltas)
+        if "finite_difference" in methods:
+            batch = batch_points(deltas)
+            fds = derivative_fd(model.phi, model.tau, batch, phi_tau=phi_tau).tolist()
+        entries = [
+            DerivativeEntry(as_pair(delta), value(delta, method, fd), method)
+            for delta, fd in zip(deltas, fds)
+            for method in methods
+        ]
+    except (CaralabError, ValueError):
+        for delta in deltas:
+            for method in methods:
+                value(delta, method)
+        raise
     return DerivativeTable(tuple(entries))
 
 

@@ -37,7 +37,7 @@ from .errors import (
 )
 from .hermitian import DEFAULT_EIGTOL
 from .pencil import contractivity_scan, sample_bidisk_pairs
-from .points import BoundaryPoint
+from .points import BoundaryPoint, batch_points
 from .realization import DEFAULT_ISOTOL, load_model
 from .scalar_family import (
     phi_y_directional_derivative,
@@ -157,11 +157,10 @@ def cmd_family(args) -> int:
         residual_max = float(np.max(phi_y_model_residual(y, tau, lam, mu), initial=0.0))
 
     deltas = default_directions(tau)
+    fds = derivative_fd(phi, tau, batch_points(deltas), phi_tau=1.0 + 0j).tolist()
     entries = []
-    for delta in deltas:
-        analytic = phi_y_directional_derivative(y, tau, delta)
-        fd = derivative_fd(phi, tau, delta, phi_tau=1.0 + 0j)
-        entries.append((delta, analytic, "analytic"))
+    for delta, fd in zip(deltas, fds):
+        entries.append((delta, phi_y_directional_derivative(y, tau, delta), "analytic"))
         entries.append((delta, fd, "finite_difference"))
     defect = linearity_defect(
         lambda d: phi_y_directional_derivative(y, tau, d), default_direction_pairs(tau)

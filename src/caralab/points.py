@@ -28,6 +28,8 @@ class BoundaryPoint:
 
     def __post_init__(self):
         for z in (self.tau1, self.tau2):
+            if not cmath.isfinite(z):
+                raise ValueError(f"boundary coordinate {z!r} is not finite")
             if abs(abs(z) - 1.0) > UNIMODULAR_TOL:
                 raise ValueError(f"boundary coordinate {z!r} is not unimodular")
 

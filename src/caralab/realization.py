@@ -48,6 +48,10 @@ DEFAULT_ISOTOL = 1e-8
 #: blocks are never snapped to a unitary even if a loose isotol admits them
 SNAP_DEFECT_MAX = 1e-6
 
+#: relative padding of ||A|| in the resolvent certificate of ``evaluate``;
+#: far above the rounding error of the norm's SVD
+NORM_PAD = 1e-12
+
 #: default dyadic exponent range for ray limits, t = 2^-k
 RAY_EXPONENTS = (4, 20)
 
@@ -162,7 +166,11 @@ class GeneralizedRealization:
         self._a = u.conj().T @ colligation.a @ u
         self._b = u.conj().T @ colligation.b
         self._c = colligation.c @ u
+        # ||A'||, padded so that rounding in its SVD cannot certify a
+        # singular resolvent; see :meth:`evaluate`
+        self._a_norm = opnorm(self._a) * (1.0 + NORM_PAD)
         self._vtau_cache: dict[tuple[int, int], RayLimit] = {}
+        self._phitau_cache: dict[tuple[int, int], complex] = {}
         self._ray_cache: dict[float, tuple[np.ndarray, np.clongdouble]] = {}
         self._ray_block = None
 
@@ -181,10 +189,18 @@ class GeneralizedRealization:
 
         ``points`` is an (N, 2) complex array.  Returns s (N, n) from
         :func:`i_y_diagonal`, v' = U* v (N, n) and phi (N,).  The
-        resolvents 1 - A' diag(s) are solved as stacks; a stack whose
+        resolvents 1 - A' diag(s) are solved as stacks; a point whose
         smallest singular value falls below SINGULAR_RTOL times its largest
         (or 1) raises SingularResolventError.  The rotation is unitary, so
         these singular values are those of 1 - A I_Y(lam) itself.
+
+        With m = max_i |s_i|, Weyl's inequality bounds the singular values
+        of 1 - A' diag(s) by 1 - ||A'|| m from below and 1 + ||A'|| m from
+        above, so a point whose lower bound exceeds twice the rule's
+        threshold at the upper bound cannot raise.  Only the other points
+        (at or next to tau, or for ||A|| > 1) get the stacked SVD.  For an
+        isometric colligation ||A|| <= 1, so every point with m below
+        1 - 1e-11 is certified.
         """
         pts = np.asarray(points, dtype=complex).reshape(-1, 2)
         n = self.dim
@@ -194,11 +210,15 @@ class GeneralizedRealization:
         for chunk in stack_chunks(len(pts), n * n):
             s[chunk] = i_y_diagonal(self.pencil, pts[chunk])
             resolvent = eye - self._a * s[chunk, None, :]
-            sv = np.linalg.svd(resolvent, compute_uv=False)
-            bad = np.flatnonzero(sv[:, -1] <= SINGULAR_RTOL * np.maximum(sv[:, 0], 1.0))
-            if bad.size:
-                lam = tuple(complex(z) for z in pts[chunk][bad[0]])
-                raise SingularResolventError(f"resolvent singular at lam={lam!r}")
+            am = self._a_norm * np.abs(s[chunk]).max(axis=1)
+            # written as a negation so that a NaN bound goes to the SVD
+            check = np.flatnonzero(~(1.0 - am > 2.0 * SINGULAR_RTOL * (1.0 + am)))
+            if check.size:
+                sv = np.linalg.svd(resolvent[check], compute_uv=False)
+                bad = check[sv[:, -1] <= SINGULAR_RTOL * np.maximum(sv[:, 0], 1.0)]
+                if bad.size:
+                    lam = tuple(complex(z) for z in pts[chunk][bad[0]])
+                    raise SingularResolventError(f"resolvent singular at lam={lam!r}")
             rhs = np.broadcast_to(self._b[:, None], (len(resolvent), n, 1))
             v[chunk] = np.linalg.solve(resolvent, rhs)[..., 0]
         phi = self.colligation.d + np.sum(s * v * self._c, axis=1)
@@ -299,10 +319,12 @@ class GeneralizedRealization:
 
     def phi_at_tau(self, exponents: tuple[int, int] = RAY_EXPONENTS) -> complex:
         """Extrapolated boundary value of phi along the ray."""
-        ks = range(int(exponents[0]), int(exponents[1]) + 1)
-        phis = [self.ray_state(2.0 ** -k)[1] for k in ks]
-        limit, _ = richardson_limit(phis)
-        return complex(limit)
+        key = (int(exponents[0]), int(exponents[1]))
+        if key not in self._phitau_cache:
+            phis = [self.ray_state(2.0 ** -k)[1] for k in range(key[0], key[1] + 1)]
+            limit, _ = richardson_limit(phis)
+            self._phitau_cache[key] = complex(limit)
+        return self._phitau_cache[key]
 
     def __repr__(self) -> str:
         return (

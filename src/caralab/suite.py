@@ -230,18 +230,26 @@ def run_model_checks(
             record("alpha_positive", 0.0 if alpha_target > 1e-10 else 1.0, 0.5)
     record("carapoint_detected", 0.0 if report.carapoint else 1.0, 0.5)
 
-    # derivative routes agree, and both are homogeneous
-    phi_tau = model.phi_at_tau()
+    # derivative routes agree, and both are homogeneous; the finite
+    # differences of every direction and its rescalings are one batch
+    scales = (0.5, 2.0)
+    directions = default_directions(model.tau, config.n_directions)
+    deltas = []
+    for d1, d2 in directions:
+        deltas += [(d1, d2)] + [(s * d1, s * d2) for s in scales]
+    fds = derivative_fd(
+        model.phi, model.tau, batch_points(deltas), phi_tau=model.phi_at_tau()
+    ).tolist()
     worst = 0.0
     worst_h = 0.0
-    for delta in default_directions(model.tau, config.n_directions):
+    for k, delta in enumerate(directions):
         analytic = derivative_model(model, delta)
-        fd = derivative_fd(model.phi, model.tau, delta, phi_tau=phi_tau)
+        fd = fds[3 * k]
         worst = max(worst, abs(analytic - fd))
-        for s in (0.5, 2.0):
-            scaled = (s * delta[0], s * delta[1])
+        for j, s in enumerate(scales, start=1):
+            scaled, fd_scaled = deltas[3 * k + j], fds[3 * k + j]
             worst_h = max(worst_h, abs(derivative_model(model, scaled) - s * analytic))
-            worst_h = max(worst_h, abs(derivative_fd(model.phi, model.tau, scaled, phi_tau=phi_tau) - s * fd))
+            worst_h = max(worst_h, abs(fd_scaled - s * fd))
     record("derivative_agreement", worst, config.derivative_tol)
     record("derivative_homogeneity", worst_h, config.homogeneity_tol)
 

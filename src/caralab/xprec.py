@@ -41,10 +41,13 @@ def solve(m, b) -> np.ndarray:
             raise np.linalg.LinAlgError("singular matrix")
         if piv != col:
             aug[[col, piv]] = aug[[piv, col]]
-        aug[col] = aug[col] / aug[col, col]
-        for row in range(col + 1, n):
-            if aug[row, col] != 0:
-                aug[row] = aug[row] - aug[row, col] * aug[col]
+        # entries at and left of the pivot are never read again, so only
+        # the trailing block is updated; rows with a zero multiplier are
+        # skipped, which keeps the signs of zeros those rows hold
+        aug[col, col + 1:] /= aug[col, col]
+        factors = aug[col + 1:, col]
+        rows = slice(col + 1, n) if factors.all() else col + 1 + np.flatnonzero(factors)
+        aug[rows, col + 1:] -= aug[rows, col, None] * aug[col, col + 1:]
     x = np.zeros_like(aug[:, n:])
     for row in range(n - 1, -1, -1):
         x[row] = aug[row, n:]

@@ -5,6 +5,7 @@ from caralab import (
     BadApertureError,
     GeneralizedRealization,
     InadmissibleDirectionError,
+    NoConvergenceError,
     NoLimitError,
     OperatorPencil,
     UnconvergedError,
@@ -30,6 +31,7 @@ from caralab import (
     standard_model_residual,
     validate_positive_contraction,
 )
+from caralab.points import batch_points
 from caralab.realization import Colligation
 from conftest import TAU_11, TAUS, disk_point, scalar_model
 
@@ -68,6 +70,11 @@ class TestGrid:
     def test_bad_aperture(self):
         with pytest.raises(BadApertureError):
             build_grid(TAU_11, 0.5, 8)
+
+    @pytest.mark.parametrize("aperture", [float("nan"), float("inf"), 1e300])
+    def test_non_finite_or_huge_aperture(self, aperture):
+        with pytest.raises(BadApertureError):
+            build_grid(TAU_11, aperture, 12)
 
     def test_ray_points_present(self):
         grid = build_grid(TAUS[1], 2.0, 10)
@@ -186,6 +193,75 @@ class TestDerivativeFd:
             fd = derivative_fd(phi, tau, delta, phi_tau=1.0 + 0j)
             exact = phi_y_directional_derivative(0.3, tau, delta)
             assert abs(fd - exact) <= 1e-6
+
+
+class TestBatchDerivativeFd:
+    @staticmethod
+    def directions(tau):
+        deltas = default_directions(tau)
+        return deltas + [(0.5 * d1, 2.0 * d2) for d1, d2 in deltas]
+
+    @pytest.mark.parametrize("tau", TAUS)
+    def test_batch_equals_per_direction_calls(self, tau, rng):
+        model = model_over([0.0, 0.3, 1.0, 0.7], tau=tau, rng=rng)
+        deltas = self.directions(tau)
+        cases = [(model.phi, model.phi_at_tau()), (model.phi, None), (phi_y(0.3, tau), 1.0 + 0j)]
+        for phi, phi_tau in cases:
+            batch = derivative_fd(phi, tau, batch_points(deltas), phi_tau=phi_tau)
+            assert batch.shape == (len(deltas),)
+            single = [derivative_fd(phi, tau, d, phi_tau=phi_tau) for d in deltas]
+            assert all(type(v) is complex for v in single)
+            assert batch.tolist() == single
+
+    def test_empty_batch(self):
+        assert derivative_fd(phi_y(0.3, TAU_11), TAU_11, batch_points([])).shape == (0,)
+
+    @staticmethod
+    def kinked(lam):
+        # smooth along directions with delta1 = delta2 at tau = (1, 1),
+        # a square-root kink along all others
+        l1, l2 = lam
+        return l2 + np.sqrt(np.abs(l1 - l2))
+
+    @staticmethod
+    def first_error(phi, deltas):
+        for d in deltas:
+            try:
+                derivative_fd(phi, TAU_11, d, phi_tau=1.0 + 0j)
+            except Exception as exc:  # noqa: BLE001 - any error, compared below
+                return type(exc), str(exc)
+        return None
+
+    @pytest.mark.parametrize(
+        "deltas",
+        [
+            [(-1, -1), (-2, -1), (-1, -3)],
+            # the loop meets the unsettled direction before the inadmissible one
+            [(-1, -1), (-2, -1), (1, 1)],
+            [(-1, -1), (1, 1), (-2, -1)],
+        ],
+    )
+    def test_batch_raises_what_the_loop_raises_first(self, deltas):
+        expect = self.first_error(self.kinked, deltas)
+        assert expect is not None
+        with pytest.raises(expect[0]) as info:
+            derivative_fd(self.kinked, TAU_11, batch_points(deltas), phi_tau=1.0 + 0j)
+        assert str(info.value) == expect[1]
+
+    def test_unsettled_direction_is_no_convergence(self):
+        with pytest.raises(NoConvergenceError):
+            derivative_fd(self.kinked, TAU_11, (-2, -1), phi_tau=1.0 + 0j)
+        assert derivative_fd(self.kinked, TAU_11, (-1, -1), phi_tau=1.0 + 0j) == pytest.approx(-1.0)
+
+    def test_table_matches_per_direction_entries(self, rng):
+        model = model_over([0.0, 0.4, 1.0], tau=TAUS[2], rng=rng)
+        table = derivative_table(model)
+        phi_tau = model.phi_at_tau()
+        for e in table.entries:
+            if e.method == "finite_difference":
+                assert e.value == derivative_fd(model.phi, model.tau, e.delta, phi_tau=phi_tau)
+            else:
+                assert e.value == derivative_model(model, e.delta)
 
 
 class TestDerivativeModel:

@@ -188,6 +188,41 @@ class TestDerivative:
     def test_inadmissible_direction_exits_2(self, capsys, swap_spec):
         assert main(["derivative", swap_spec, "--delta=2,1"]) == 2
 
+    def test_later_inadmissible_direction_exits_2(self, capsys, swap_spec):
+        assert main(["derivative", swap_spec, "--delta=-1,-1", "--delta=2,1"]) == 2
+
+    def test_shear_exits_3(self, capsys, shear_spec):
+        assert main(["derivative", shear_spec]) == 3
+
+    def test_forced_shear_exits_6(self, capsys, shear_spec):
+        # the analytic derivative of the first direction needs the ray
+        # limit of v, which the shear does not have; that comes first
+        assert main(["derivative", shear_spec, "--isotol", "10"]) == 6
+        assert "no converged ray limit" in capsys.readouterr().err
+
+
+class TestNonFiniteGeometry:
+    DOCUMENTED = {2, 3, 4, 5, 6}
+
+    def test_nan_tau_in_model_file(self, capsys, tmp_path, swap_spec):
+        doc = json.loads((tmp_path / "swap.json").read_text())
+        doc["tau"][0][0] = float("nan")
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(doc))
+        for command in ("verify", "classify", "derivative"):
+            assert main([command, str(path)]) in self.DOCUMENTED
+        assert "not finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("aperture", ["nan", "inf", "-inf", "1e300", "1e10"])
+    def test_bad_aperture(self, capsys, swap_spec, aperture):
+        assert main(["classify", swap_spec, f"--aperture={aperture}"]) in self.DOCUMENTED
+        assert main(["family", "--y", "0.5", f"--aperture={aperture}"]) in self.DOCUMENTED
+        assert capsys.readouterr().out == ""
+
+    def test_nan_tau_flag(self, capsys):
+        assert main(["family", "--y", "0.5", "--tau", "nan,1"]) in self.DOCUMENTED
+        assert main(["family", "--y", "0.5", "--tau-angles", "nan,0"]) in self.DOCUMENTED
+
 
 class TestSuite:
     def test_small_run_passes(self, capsys):

@@ -14,6 +14,7 @@ from caralab import (
     random_positive_contraction,
     validate_positive_contraction,
 )
+from caralab.boundary import build_grid
 from caralab.pencil import (
     SINGULAR_RTOL,
     TAU_SNAP,
@@ -22,6 +23,8 @@ from caralab.pencil import (
     sample_bidisk_batch,
     sample_bidisk_pairs,
 )
+from caralab.points import batch_points, stack_points
+from caralab.suite import SuiteConfig, generate_model
 from conftest import TAU_11, TAUS, disk_point
 
 #: relative agreement between the kernel and the direct solves
@@ -147,3 +150,66 @@ def test_singular_points_agree_with_one_point_path(diag, block, rng):
         assert outcome(lambda: model.evaluate(pts)) is expect, lam
         assert outcome(lambda: model.phi(lam)) is expect, lam
     assert len(seen) >= 2  # each case exercises a raising and a regular point
+
+
+@pytest.fixture
+def svd_calls(monkeypatch):
+    """Number of matrices handed to np.linalg.svd since the fixture was set up."""
+    calls = [0]
+    svd = np.linalg.svd
+
+    def counting(a, *args, **kwargs):
+        calls[0] += 1 if np.ndim(a) == 2 else len(a)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    return calls
+
+
+def suite_models(count=12):
+    rng = np.random.default_rng(5)
+    config = SuiteConfig()
+    return [generate_model(index, rng, config)[0] for index in range(count)]
+
+
+def test_certificate_spares_the_svd_at_interior_points(svd_calls):
+    rng = np.random.default_rng(8)
+    for model in suite_models():
+        tau = model.tau
+        pts = np.concatenate(
+            [
+                stack_points(sample_bidisk_batch(rng, 300)),
+                stack_points(batch_points([tau.ray_point(2.0**-k) for k in range(1, 25)])),
+                stack_points(batch_points(build_grid(tau, 2.0, 12).points)),
+            ]
+        )
+        model.evaluate(pts)
+    assert svd_calls[0] == 0
+
+
+def test_svd_decides_at_tau(svd_calls):
+    for model in suite_models(4):
+        s, _, phi = model.evaluate(np.array([[model.tau.tau1, model.tau.tau2]]))
+        np.testing.assert_array_equal(s, np.ones((1, model.dim)))
+        assert phi[0] == model.phi((model.tau.tau1, model.tau.tau2))
+    assert svd_calls[0] >= 4
+
+
+def test_large_a_goes_to_the_svd_and_raises_where_the_direct_path_does(svd_calls):
+    # ||A|| = 2 > 1: 1 - 2 phi_{1/2}(lam) vanishes on the diagonal lam = (1/2, 1/2)
+    y = validate_positive_contraction([[0.5]])
+    model = GeneralizedRealization(
+        OperatorPencil(y, TAU_11), Colligation(np.array([[2.0, 1.0], [1.0, 0.0]], dtype=complex))
+    )
+    rng = np.random.default_rng(3)
+    probes = [tuple(p) for p in stack_points(sample_bidisk_batch(rng, 40))]
+    probes += [(0.5, 0.5), (0.5 + 0j, 0.5 + 1e-17j), (0.1, 0.1), (0.0, 0.0)]
+    raised = 0
+    for lam in probes:
+        expect = outcome(lambda: reference_resolve(model, lam))
+        calls = svd_calls[0]
+        assert outcome(lambda: model.evaluate(np.array([lam]))) is expect, lam
+        uncertified = 1.0 - 2.0 * abs(i_y_diagonal(model.pencil, np.array([lam]))).max() <= 1e-11
+        assert (svd_calls[0] > calls) == uncertified, lam
+        raised += expect is SingularResolventError
+    assert raised >= 2 and svd_calls[0] > raised

@@ -10,6 +10,13 @@ class TestBoundaryPoint:
         with pytest.raises(ValueError):
             BoundaryPoint(0.5 + 0j, 1 + 0j)
 
+    @pytest.mark.parametrize("z", [complex("nan"), complex(1.0, float("nan")), complex("inf")])
+    def test_non_finite_rejected(self, z):
+        with pytest.raises(ValueError):
+            BoundaryPoint(z, 1 + 0j)
+        with pytest.raises(ValueError):
+            BoundaryPoint(1 + 0j, z)
+
     def test_quarter_turns_are_exact(self):
         tau = BoundaryPoint.from_angles(0.0, 0.25)
         assert tau.tau1 == 1 + 0j
