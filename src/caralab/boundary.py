@@ -15,8 +15,8 @@ or TypeError on it and is then evaluated point by point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from dataclasses import dataclass, field
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -62,6 +62,16 @@ INDETERMINATE_TOL = 1e-3
 DEFECT_REGULAR_TOL = 1e-6
 DEFECT_SINGULAR_TOL = 1e-3
 
+#: largest spread between the extrapolated limits of two approach families
+FAMILY_TOL = 1e-5
+
+#: extrapolated difference steps per direction of a finite-difference derivative
+FD_STEPS = 15
+
+#: aperture of the nontangential cone and depth of its dyadic grid
+DEFAULT_APERTURE = 2.0
+DEFAULT_DEPTH = 12
+
 
 def satisfies_aperture(tau, lam, aperture: float, slack: float = 0.0) -> bool:
     """Check the nontangential inequality ||tau - lam||_inf <= c (1 - ||lam||_inf).
@@ -101,14 +111,10 @@ class NontangentialGrid:
                 return pts
         raise KeyError("grid has no ray family")
 
-    def family(self, name: str) -> tuple[tuple[float, DiskPoint], ...]:
-        for fam_name, pts in self.families:
-            if fam_name == name:
-                return pts
-        raise KeyError(name)
 
-
-def build_grid(tau, aperture: float = 2.0, depth: int = 12) -> NontangentialGrid:
+def build_grid(
+    tau, aperture: float = DEFAULT_APERTURE, depth: int = DEFAULT_DEPTH
+) -> NontangentialGrid:
     """Build a deterministic nontangential grid at tau.
 
     Contains the radial ray (1 - 2^-k) tau, radial scalings with per-
@@ -194,27 +200,22 @@ class CarapointScan:
     quotient_min: float
 
 
-def detect_carapoint(
-    phi: Callable[[DiskPoint], complex],
-    grid: NontangentialGrid,
-    threshold: float = QUOTIENT_BOUND,
-    max_exponent: int = DETECT_EXPONENT,
-) -> CarapointScan:
+def detect_carapoint(phi: Callable[[DiskPoint], complex], grid: NontangentialGrid) -> CarapointScan:
     """Decide boundedness of the Caratheodory quotient over the grid.
 
-    The radial ray is refined down to t = 2^-max_exponent, where a
-    quotient growing like 1/(1 - ||lam||_inf) crosses the ceiling; alpha is
+    The radial ray is refined down to t = 2^-DETECT_EXPONENT, where a
+    quotient growing like 1/(1 - ||lam||_inf) crosses QUOTIENT_BOUND; alpha is
     the Richardson-extrapolated ray limit of the quotient, taken from the
     moderately deep ray samples where rounding is still negligible.
     """
     # ray[k - 1] is the ray point at t = 2^-k; the grid's points follow it
     ray = [pt for _, pt in grid.ray]
-    ray += [grid.tau.ray_point(2.0**-k) for k in range(grid.depth + 1, max_exponent + 1)]
+    ray += [grid.tau.ray_point(2.0**-k) for k in range(grid.depth + 1, DETECT_EXPONENT + 1)]
     quotients = cara_quotient(phi, batch_points(ray + grid.points))
     k_hi = min(ALPHA_EXPONENT, len(ray))
     alpha, _ = richardson_limit(quotients[max(1, k_hi - 7) - 1 : k_hi])
     qmax, qmin = quotients.max(), quotients.min()
-    return CarapointScan(bool(qmax < threshold), float(alpha), float(qmax), float(qmin))
+    return CarapointScan(bool(qmax < QUOTIENT_BOUND), float(alpha), float(qmax), float(qmin))
 
 
 @dataclass(frozen=True)
@@ -225,15 +226,11 @@ class NontangentialLimit:
     max_deviation: float
 
 
-def nt_limit_phi(
-    phi: Callable[[DiskPoint], complex],
-    grid: NontangentialGrid,
-    family_tol: float = 1e-5,
-) -> NontangentialLimit:
+def nt_limit_phi(phi: Callable[[DiskPoint], complex], grid: NontangentialGrid) -> NontangentialLimit:
     """Nontangential limit of phi at the grid's boundary point.
 
     Extrapolates every approach family and cross-checks the off-ray limits
-    against the ray limit; disagreement beyond family_tol raises NoLimit.
+    against the ray limit; disagreement beyond FAMILY_TOL raises NoLimit.
     """
     values = _phi_on(phi, batch_points(grid.points))
     limits = {}
@@ -246,9 +243,9 @@ def nt_limit_phi(
         (abs(complex(v) - ray_value) for name, v in limits.items() if name != "ray"),
         default=0.0,
     )
-    if deviation > family_tol:
+    if deviation > FAMILY_TOL:
         raise NoLimitError(
-            f"approach families disagree by {deviation:.3e} (> {family_tol:.1e})"
+            f"approach families disagree by {deviation:.3e} (> {FAMILY_TOL:.1e})"
         )
     return NontangentialLimit(ray_value, float(deviation))
 
@@ -258,7 +255,6 @@ def derivative_fd(
     tau,
     delta,
     phi_tau: complex | None = None,
-    steps: int = 15,
 ) -> complex | np.ndarray:
     """Directional derivative at tau by extrapolated difference quotients.
 
@@ -272,22 +268,22 @@ def derivative_fd(
     """
     tau = tau if isinstance(tau, BoundaryPoint) else BoundaryPoint(*as_pair(tau))
     if not is_batch(delta):
-        return _fd_limits(phi, tau, [delta], phi_tau, steps)[0]
+        return _fd_limits(phi, tau, [delta], phi_tau)[0]
     deltas = list(stack_points(delta))
     if not deltas:
         return np.empty(0, dtype=complex)
     try:
-        return np.array(_fd_limits(phi, tau, deltas, phi_tau, steps))
+        return np.array(_fd_limits(phi, tau, deltas, phi_tau))
     except (CaralabError, ValueError):
         for one in deltas:
-            _fd_limits(phi, tau, [one], phi_tau, steps)
+            _fd_limits(phi, tau, [one], phi_tau)
         raise
 
 
-def _fd_limits(phi, tau: BoundaryPoint, deltas, phi_tau, steps: int) -> list[complex]:
+def _fd_limits(phi, tau: BoundaryPoint, deltas, phi_tau) -> list[complex]:
     """Extrapolated difference quotients along each direction, from one call of phi."""
     schedules = [
-        direction_entry_time(tau, delta) / 8.0 * 2.0 ** -np.arange(steps) for delta in deltas
+        direction_entry_time(tau, delta) / 8.0 * 2.0 ** -np.arange(FD_STEPS) for delta in deltas
     ]
     if phi_tau is None:
         ray = batch_points([tau.ray_point(2.0**-k) for k in range(8, 21)])
@@ -300,7 +296,7 @@ def _fd_limits(phi, tau: BoundaryPoint, deltas, phi_tau, steps: int) -> list[com
         lam2.append(t2 + ts * d2)
     values = _phi_on(phi, DiskPoint(np.concatenate(lam1), np.concatenate(lam2)))
     limits = []
-    for ts, row in zip(schedules, values.reshape(len(deltas), steps)):
+    for ts, row in zip(schedules, values.reshape(len(deltas), FD_STEPS)):
         limit, residual = richardson_limit((row - phi_tau) / ts)
         if residual > 1e-4 * max(1.0, abs(complex(limit))):
             raise NoConvergenceError(
@@ -400,43 +396,30 @@ def default_direction_pairs(tau) -> list[tuple[tuple[complex, complex], tuple[co
 
 
 def derivative_table(
-    model: GeneralizedRealization,
-    deltas: Sequence[tuple[complex, complex]] | None = None,
-    methods: Iterable[str] = ("analytic", "finite_difference"),
+    model: GeneralizedRealization, deltas: Sequence[tuple[complex, complex]] | None = None
 ) -> DerivativeTable:
     """Tabulate directional derivatives of a realization at tau.
 
-    The finite differences of all directions come from one batched
+    Each direction gets its analytic entry, then its finite-difference
+    entry.  The finite differences of all directions come from one batched
     :func:`derivative_fd` call.  If anything fails, the table is rebuilt
-    direction by direction, each method in the order given, so the error
-    raised is the first one that order meets.
+    direction by direction in that order, so the error raised is the
+    first one that order meets.
     """
     if deltas is None:
         deltas = default_directions(model.tau)
-    methods = tuple(methods)
     phi_tau = model.phi_at_tau()
-
-    def value(delta, method: str, fd: complex | None = None) -> complex:
-        if method == "analytic":
-            return derivative_model(model, delta)
-        if method == "finite_difference":
-            return derivative_fd(model.phi, model.tau, delta, phi_tau=phi_tau) if fd is None else fd
-        raise ValueError(f"unknown method {method!r}")
-
     try:
-        fds = [None] * len(deltas)
-        if "finite_difference" in methods:
-            batch = batch_points(deltas)
-            fds = derivative_fd(model.phi, model.tau, batch, phi_tau=phi_tau).tolist()
-        entries = [
-            DerivativeEntry(as_pair(delta), value(delta, method, fd), method)
-            for delta, fd in zip(deltas, fds)
-            for method in methods
-        ]
+        fds = derivative_fd(model.phi, model.tau, batch_points(deltas), phi_tau=phi_tau).tolist()
+        entries = []
+        for delta, fd in zip(deltas, fds):
+            pair = as_pair(delta)
+            entries.append(DerivativeEntry(pair, derivative_model(model, delta), "analytic"))
+            entries.append(DerivativeEntry(pair, fd, "finite_difference"))
     except (CaralabError, ValueError):
         for delta in deltas:
-            for method in methods:
-                value(delta, method)
+            derivative_model(model, delta)
+            derivative_fd(model.phi, model.tau, delta, phi_tau=phi_tau)
         raise
     return DerivativeTable(tuple(entries))
 
@@ -569,6 +552,7 @@ class BoundaryReport:
     kernel_part_norm: float  # ||P_N v_tau||
     cross_check_ok: bool
     quotient_max: float
+    grid: NontangentialGrid = field(repr=False, compare=False)  # the scanned grid, not reported
 
     def to_json(self) -> dict:
         return {
@@ -588,16 +572,15 @@ class BoundaryReport:
 def classify_model(
     model: GeneralizedRealization,
     class_tol: float = DEFAULT_CLASS_TOL,
-    indeterminate_tol: float = INDETERMINATE_TOL,
-    aperture: float = 2.0,
-    depth: int = 12,
+    aperture: float = DEFAULT_APERTURE,
+    depth: int = DEFAULT_DEPTH,
     ray_exponents: tuple[int, int] = RAY_EXPONENTS,
 ) -> BoundaryReport:
     """Classify a generalized model by the geometry of its ray limit.
 
     Regular when the component of v_tau outside ker Y(1-Y) vanishes,
     purely singular when the component inside vanishes instead, singular
-    otherwise; components between class_tol and indeterminate_tol are
+    otherwise; components between class_tol and INDETERMINATE_TOL are
     reported as indeterminate rather than silently classified.  The
     linearity defect of the directional derivative is recorded as an
     independent cross-check: it must vanish exactly for regular models.
@@ -612,7 +595,7 @@ def classify_model(
 
     if singular_part <= class_tol:
         classification = "regular"
-    elif singular_part <= indeterminate_tol:
+    elif singular_part <= INDETERMINATE_TOL:
         classification = "indeterminate"
     elif kernel_part <= class_tol:
         classification = "purely_singular"
@@ -644,4 +627,5 @@ def classify_model(
         kernel_part_norm=kernel_part,
         cross_check_ok=cross_check_ok,
         quotient_max=scan.quotient_max,
+        grid=grid,
     )

@@ -17,6 +17,10 @@ from pathlib import Path
 import numpy as np
 
 from .boundary import (
+    DEFAULT_APERTURE,
+    DEFAULT_CLASS_TOL,
+    DEFAULT_DEPTH,
+    DerivativeEntry,
     build_grid,
     cara_quotient,
     classify_model,
@@ -29,6 +33,7 @@ from .boundary import (
     linearity_defect,
 )
 from .errors import (
+    BadApertureError,
     CaralabError,
     InadmissibleDirectionError,
     NotIsometricError,
@@ -38,7 +43,7 @@ from .errors import (
 from .hermitian import DEFAULT_EIGTOL
 from .pencil import contractivity_scan, sample_bidisk_pairs
 from .points import BoundaryPoint, batch_points
-from .realization import DEFAULT_ISOTOL, load_model
+from .realization import DEFAULT_ISOTOL, RAY_EXPONENTS, load_model
 from .scalar_family import (
     phi_y_directional_derivative,
     phi_y_eval,
@@ -60,27 +65,23 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
+def _parse_pair(text: str, what: str) -> tuple[complex, complex]:
+    """A complex pair written as 're1,re2' or 're1,im1,re2,im2'."""
+    parts = [float(p) for p in text.split(",")]
+    if len(parts) == 2:
+        return complex(parts[0], 0.0), complex(parts[1], 0.0)
+    if len(parts) == 4:
+        return complex(parts[0], parts[1]), complex(parts[2], parts[3])
+    raise ValueError(f"{what} expects 're1,re2' or 're1,im1,re2,im2'")
+
+
 def _parse_tau(args) -> BoundaryPoint:
     if args.tau_angles is not None:
         parts = [float(p) for p in args.tau_angles.split(",")]
         if len(parts) != 2:
             raise ValueError("--tau-angles expects two angles in turns")
         return BoundaryPoint.from_angles(*parts)
-    parts = [float(p) for p in args.tau.split(",")]
-    if len(parts) == 2:
-        return BoundaryPoint(complex(parts[0], 0.0), complex(parts[1], 0.0))
-    if len(parts) == 4:
-        return BoundaryPoint(complex(parts[0], parts[1]), complex(parts[2], parts[3]))
-    raise ValueError("--tau expects 're1,re2' or 're1,im1,re2,im2'")
-
-
-def _parse_delta(text: str) -> tuple[complex, complex]:
-    parts = [float(p) for p in text.split(",")]
-    if len(parts) == 2:
-        return complex(parts[0], 0.0), complex(parts[1], 0.0)
-    if len(parts) == 4:
-        return complex(parts[0], parts[1]), complex(parts[2], parts[3])
-    raise ValueError("direction expects 're1,re2' or 're1,im1,re2,im2'")
+    return BoundaryPoint(*_parse_pair(args.tau, "--tau"))
 
 
 def _resolve_seed(args) -> int:
@@ -120,18 +121,20 @@ def _emit_tables(args, tables: dict[str, tuple[list[str], list[list]]]) -> None:
         _write_csv(base.with_name(base.name + f".{name}.csv"), header, rows)
 
 
-def _derivative_rows(table) -> list[list]:
-    rows = []
-    for e in table.entries:
-        d1, d2 = e.delta
-        rows.append(
-            [d1.real, d1.imag, d2.real, d2.imag, e.value.real, e.value.imag, e.method]
-        )
-    return rows
-
-
 def _complex_json(z: complex) -> list[float]:
     return [z.real, z.imag]
+
+
+def _derivative_entries(entries) -> tuple[list[dict], list[list]]:
+    """Derivative entries as JSON objects and as DERIVATIVE_HEADER rows."""
+    docs, rows = [], []
+    for e in entries:
+        (d1, d2), z = e.delta, e.value
+        docs.append(
+            {"delta": [_complex_json(d1), _complex_json(d2)], "value": _complex_json(z), "method": e.method}
+        )
+        rows.append([d1.real, d1.imag, d2.real, d2.imag, z.real, z.imag, e.method])
+    return docs, rows
 
 
 # -- family ---------------------------------------------------------------
@@ -160,8 +163,9 @@ def cmd_family(args) -> int:
     fds = derivative_fd(phi, tau, batch_points(deltas), phi_tau=1.0 + 0j).tolist()
     entries = []
     for delta, fd in zip(deltas, fds):
-        entries.append((delta, phi_y_directional_derivative(y, tau, delta), "analytic"))
-        entries.append((delta, fd, "finite_difference"))
+        entries.append(DerivativeEntry(delta, phi_y_directional_derivative(y, tau, delta), "analytic"))
+        entries.append(DerivativeEntry(delta, fd, "finite_difference"))
+    deriv_docs, deriv_rows = _derivative_entries(entries)
     defect = linearity_defect(
         lambda d: phi_y_directional_derivative(y, tau, d), default_direction_pairs(tau)
     )
@@ -184,21 +188,9 @@ def cmd_family(args) -> int:
         "linearity_defect": defect,
         "classification": "regular" if monomial else "purely_singular",
         "note": "monomial case" if monomial else "interior parameter",
-        "derivatives": [
-            {
-                "delta": [_complex_json(d[0]), _complex_json(d[1])],
-                "value": _complex_json(v),
-                "method": m,
-            }
-            for d, v, m in entries
-        ],
+        "derivatives": deriv_docs,
     }
     _emit_report(report, args)
-
-    deriv_rows = [
-        [d[0].real, d[0].imag, d[1].real, d[1].imag, v.real, v.imag, m]
-        for d, v, m in entries
-    ]
     _emit_tables(
         args,
         {
@@ -276,8 +268,8 @@ def cmd_classify(args) -> int:
     }
     _emit_report(doc, args)
     if args.csv:
-        table = derivative_table(model)
-        _emit_tables(args, {"derivative": (DERIVATIVE_HEADER, _derivative_rows(table))})
+        _, rows = _derivative_entries(derivative_table(model).entries)
+        _emit_tables(args, {"derivative": (DERIVATIVE_HEADER, rows)})
     return 0
 
 
@@ -287,25 +279,19 @@ def cmd_classify(args) -> int:
 def cmd_derivative(args) -> int:
     model = load_model(args.model, eigtol=args.eigtol, isotol=args.isotol)
     if args.delta:
-        deltas = [_parse_delta(d) for d in args.delta]
+        deltas = [_parse_pair(d, "direction") for d in args.delta]
     else:
         deltas = default_directions(model.tau)
     table = derivative_table(model, deltas)
+    docs, rows = _derivative_entries(table.entries)
     doc = {
         "command": "derivative",
         "model": str(args.model),
         "agreement": table.agreement(),
-        "entries": [
-            {
-                "delta": [_complex_json(e.delta[0]), _complex_json(e.delta[1])],
-                "value": _complex_json(e.value),
-                "method": e.method,
-            }
-            for e in table.entries
-        ],
+        "entries": docs,
     }
     _emit_report(doc, args)
-    _emit_tables(args, {"derivative": (DERIVATIVE_HEADER, _derivative_rows(table))})
+    _emit_tables(args, {"derivative": (DERIVATIVE_HEADER, rows)})
     return 0
 
 
@@ -334,21 +320,76 @@ def cmd_suite(args) -> int:
 # -- parser ---------------------------------------------------------------
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--out", help="write the JSON report here instead of stdout")
-    p.add_argument("--csv", help="base path for CSV tables (suffixes are appended)")
-    p.add_argument("--seed", type=int, default=7, help="seed for randomized checks")
-    p.add_argument("--eigtol", type=float, default=DEFAULT_EIGTOL)
-    p.add_argument("--isotol", type=float, default=DEFAULT_ISOTOL)
-    p.add_argument("--residual-tol", type=float, default=1e-9)
-    p.add_argument("--class-tol", type=float, default=1e-7)
-    p.add_argument("--aperture", "-c", type=float, default=2.0)
-    p.add_argument("--depth", type=int, default=12)
-    p.add_argument(
-        "--ray-exponents",
-        default="4,20",
-        help="dyadic ray schedule t = 2^-k for k in LO..HI, as 'LO,HI'",
-    )
+def _option(*flags, **kwargs):
+    return flags, kwargs
+
+
+# options of several subcommands; each default is the library value it overrides
+_MODEL = _option("model", help="path to the model JSON file")
+_OUT = _option("--out", help="write the JSON report here instead of stdout")
+_CSV = _option("--csv", help="base path for CSV tables (suffixes are appended)")
+_SEED = _option("--seed", type=int, default=SuiteConfig.seed, help="seed for randomized checks")
+_EIGTOL = _option("--eigtol", type=float, default=DEFAULT_EIGTOL)
+_ISOTOL = _option("--isotol", type=float, default=DEFAULT_ISOTOL)
+_RESIDUAL_TOL = _option("--residual-tol", type=float, default=SuiteConfig.residual_tol)
+_APERTURE = _option("--aperture", "-c", type=float, default=DEFAULT_APERTURE)
+_DEPTH = _option("--depth", type=int, default=DEFAULT_DEPTH)
+_RAY_EXPONENTS = _option(
+    "--ray-exponents",
+    default=",".join(map(str, RAY_EXPONENTS)),
+    help="dyadic ray schedule t = 2^-k for k in LO..HI, as 'LO,HI'",
+)
+
+#: subcommand -> (handler, help, the options the handler reads)
+COMMANDS = {
+    "family": (
+        cmd_family,
+        "analyze one member of the scalar family",
+        (
+            _option("--y", type=float, required=True, help="parameter in [0, 1]"),
+            _option("--tau", default="1,1", help="boundary point: 're1,re2' or 're1,im1,re2,im2'"),
+            _option("--tau-angles", default=None, help="boundary point as two angles in turns"),
+            _option("--pairs", type=int, default=200, help="random pairs for the model residual"),
+            _OUT, _CSV, _SEED, _APERTURE, _DEPTH,
+        ),
+    ),
+    "verify": (
+        cmd_verify,
+        "verify a model JSON spec",
+        (
+            _MODEL,
+            _option("--pairs", type=int, default=400),
+            _option("--samples", type=int, default=2000, help="contractivity scan points"),
+            _OUT, _CSV, _SEED, _EIGTOL, _ISOTOL, _RESIDUAL_TOL, _RAY_EXPONENTS,
+        ),
+    ),
+    "classify": (
+        cmd_classify,
+        "classify a model at its boundary point",
+        (
+            _MODEL, _OUT, _CSV, _EIGTOL, _ISOTOL,
+            _option("--class-tol", type=float, default=DEFAULT_CLASS_TOL),
+            _APERTURE, _DEPTH, _RAY_EXPONENTS,
+        ),
+    ),
+    "derivative": (
+        cmd_derivative,
+        "tabulate directional derivatives of a model",
+        (
+            _MODEL,
+            _option("--delta", action="append", help="direction 're1,re2' or 're1,im1,re2,im2'; repeatable"),
+            _OUT, _CSV, _EIGTOL, _ISOTOL,
+        ),
+    ),
+    "suite": (
+        cmd_suite,
+        "run the randomized verification suite",
+        (
+            _option("--count", type=int, default=SuiteConfig.count),
+            _OUT, _SEED, _RESIDUAL_TOL, _APERTURE, _DEPTH,
+        ),
+    ),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -357,42 +398,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Boundary-behavior laboratory for Schur-Agler functions on the bidisk",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("family", help="analyze one member of the scalar family")
-    p.add_argument("--y", type=float, required=True, help="parameter in [0, 1]")
-    p.add_argument("--tau", default="1,1", help="boundary point: 're1,re2' or 're1,im1,re2,im2'")
-    p.add_argument("--tau-angles", default=None, help="boundary point as two angles in turns")
-    p.add_argument("--pairs", type=int, default=200, help="random pairs for the model residual")
-    _add_common(p)
-    p.set_defaults(func=cmd_family)
-
-    p = sub.add_parser("verify", help="verify a model JSON spec")
-    p.add_argument("model", help="path to the model JSON file")
-    p.add_argument("--pairs", type=int, default=400)
-    p.add_argument("--samples", type=int, default=2000, help="contractivity scan points")
-    _add_common(p)
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("classify", help="classify a model at its boundary point")
-    p.add_argument("model", help="path to the model JSON file")
-    _add_common(p)
-    p.set_defaults(func=cmd_classify)
-
-    p = sub.add_parser("derivative", help="tabulate directional derivatives of a model")
-    p.add_argument("model", help="path to the model JSON file")
-    p.add_argument(
-        "--delta",
-        action="append",
-        help="direction 're1,re2' or 're1,im1,re2,im2'; repeatable",
-    )
-    _add_common(p)
-    p.set_defaults(func=cmd_derivative)
-
-    p = sub.add_parser("suite", help="run the randomized verification suite")
-    p.add_argument("--count", type=int, default=50)
-    _add_common(p)
-    p.set_defaults(func=cmd_suite)
-
+    for name, (func, text, options) in COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        for flags, kwargs in options:
+            p.add_argument(*flags, **kwargs)
+        p.set_defaults(func=func)
     return parser
 
 
@@ -411,7 +421,8 @@ def main(argv=None) -> int:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_UNCONVERGED
     except (
-        InadmissibleDirectionError,  # caller-supplied direction, so a parameter error
+        BadApertureError,  # caller-supplied aperture
+        InadmissibleDirectionError,  # caller-supplied direction
         ValueError,
         KeyError,
         OSError,

@@ -62,7 +62,7 @@ class NoLimitError(CaralabError):
 
 
 class BadApertureError(CaralabError):
-    """Nontangential aperture constant below 1."""
+    """Nontangential aperture that is not a finite number >= 1, or too large for its grid."""
 
 
 class UnconvergedError(CaralabError):

@@ -53,14 +53,6 @@ class BoundaryPoint:
         """The point (1-t) * tau on the radial ray into the bidisk."""
         return DiskPoint((1.0 - t) * self.tau1, (1.0 - t) * self.tau2)
 
-    def unit_extended(self) -> tuple[np.clongdouble, np.clongdouble]:
-        """Coordinates re-projected onto the unit circle in extended precision."""
-        out = []
-        for z in (self.tau1, self.tau2):
-            zx = np.clongdouble(z.real) + 1j * np.clongdouble(z.imag)
-            out.append(zx / np.abs(zx))
-        return out[0], out[1]
-
 
 @dataclass(frozen=True)
 class DiskPoint:
@@ -84,9 +76,6 @@ class DiskPoint:
 
     def in_open_bidisk(self) -> bool:
         return self.inf_norm < 1.0
-
-    def in_closed_bidisk(self, tol: float = UNIMODULAR_TOL) -> bool:
-        return self.inf_norm <= 1.0 + tol
 
 
 def as_pair(p) -> tuple[complex, complex]:

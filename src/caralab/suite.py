@@ -17,14 +17,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .boundary import (
+    DEFAULT_APERTURE,
+    DEFAULT_DEPTH,
     DEFECT_REGULAR_TOL,
     DEFECT_SINGULAR_TOL,
     BoundaryReport,
-    build_grid,
     classify_model,
     default_directions,
-    derivative_fd,
-    derivative_model,
+    derivative_table,
     julia_quotient_ray,
     standard_model_pair,
     standard_model_residual,
@@ -50,6 +50,21 @@ SUITE_TAUS = (
 )
 
 SPECTRUM_KINDS = ("projection", "interior", "mixed")
+
+#: bounds of the checks; SuiteConfig.residual_tol bounds the model identities
+CROSS_ORACLE_TOL = 1e-10
+CONTRACTIVITY_TOL = 1e-10
+JULIA_TOL = 1e-9
+ALPHA_TOL = 1e-6
+DERIVATIVE_TOL = 1e-5
+HOMOGENEITY_TOL = 1e-6
+
+#: random points and derivative directions per model
+IDENTITY_PAIRS = 400
+STANDARD_PAIRS = 30
+CROSS_ORACLE_SAMPLES = 40
+CONTRACTIVITY_SAMPLES = 200
+N_DIRECTIONS = 10
 
 
 @dataclass(frozen=True)
@@ -129,19 +144,8 @@ class SuiteConfig:
     count: int = 50
     max_dim: int = 8
     residual_tol: float = 1e-9
-    cross_oracle_tol: float = 1e-10
-    contractivity_tol: float = 1e-10
-    julia_tol: float = 1e-9
-    alpha_tol: float = 1e-6
-    derivative_tol: float = 1e-5
-    homogeneity_tol: float = 1e-6
-    identity_pairs: int = 400
-    standard_pairs: int = 30
-    cross_oracle_samples: int = 40
-    contractivity_samples: int = 200
-    n_directions: int = 10
-    aperture: float = 2.0
-    grid_depth: int = 12
+    aperture: float = DEFAULT_APERTURE
+    grid_depth: int = DEFAULT_DEPTH
 
 
 def _spectrum(kind: str, dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -189,8 +193,9 @@ def run_model_checks(
 ) -> list[CheckOutcome]:
     """All invariant checks for one validated model.
 
-    ``report`` is the model's :func:`classify_model` verdict on the same
-    grid; its carapoint scan backs the alpha and carapoint checks.
+    ``report`` is the model's :func:`classify_model` verdict; its carapoint
+    scan backs the alpha and carapoint checks, and its grid the standard
+    model bound.
     """
     checks: list[CheckOutcome] = []
 
@@ -198,66 +203,62 @@ def run_model_checks(
         checks.append(CheckOutcome(name, bool(worst <= bound), float(worst), float(bound)))
 
     # generalized model identity on random interior pairs
-    lam, mu = sample_bidisk_pairs(rng, config.identity_pairs)
+    lam, mu = sample_bidisk_pairs(rng, IDENTITY_PAIRS)
     record("model_identity", model.model_residual(lam, mu).max(initial=0.0), config.residual_tol)
 
     # two pencil evaluation routes agree
     worst = 0.0
-    pts = sample_bidisk_batch(rng, config.cross_oracle_samples)
+    pts = sample_bidisk_batch(rng, CROSS_ORACLE_SAMPLES)
     for lam in zip(pts.lam1, pts.lam2):
         worst = max(
             worst, opnorm(i_y_eval(model.pencil, lam) - i_y_spectral_form(model.pencil, lam))
         )
-    record("pencil_cross_oracle", worst, config.cross_oracle_tol)
+    record("pencil_cross_oracle", worst, CROSS_ORACLE_TOL)
 
     # contractivity of the pencil and of phi; the pencil is normal, so its
     # norm is the largest modulus of its eigenvalues
-    s, _, phi = model.evaluate(stack_points(sample_bidisk_batch(rng, config.contractivity_samples)))
-    record("pencil_contractivity", np.abs(s).max(initial=0.0), 1.0 + config.contractivity_tol)
-    record("schur_bound", np.abs(phi).max(initial=0.0), 1.0 + config.contractivity_tol)
+    s, _, phi = model.evaluate(stack_points(sample_bidisk_batch(rng, CONTRACTIVITY_SAMPLES)))
+    record("pencil_contractivity", np.abs(s).max(initial=0.0), 1.0 + CONTRACTIVITY_TOL)
+    record("schur_bound", np.abs(phi).max(initial=0.0), 1.0 + CONTRACTIVITY_TOL)
 
     # Julia quotient identity along the ray
     rows = julia_quotient_ray(model)
-    record("julia_identity", max(r.residual for r in rows), config.julia_tol)
+    record("julia_identity", max(r.residual for r in rows), JULIA_TOL)
 
     # extrapolated Caratheodory quotient against the ray limit of v
     ray = model.v_at_tau()
     if ray.converged:
         alpha_target = float(np.linalg.norm(ray.value)) ** 2
-        record("alpha_vs_vtau", abs(report.alpha - alpha_target), config.alpha_tol)
+        record("alpha_vs_vtau", abs(report.alpha - alpha_target), ALPHA_TOL)
         if not _is_constant(model):
             # nonconstant realizations must carry a genuine carapoint
             record("alpha_positive", 0.0 if alpha_target > 1e-10 else 1.0, 0.5)
     record("carapoint_detected", 0.0 if report.carapoint else 1.0, 0.5)
 
-    # derivative routes agree, and both are homogeneous; the finite
-    # differences of every direction and its rescalings are one batch
+    # derivative routes agree, and both are homogeneous: one table over
+    # every direction followed by its rescalings
     scales = (0.5, 2.0)
-    directions = default_directions(model.tau, config.n_directions)
     deltas = []
-    for d1, d2 in directions:
+    for d1, d2 in default_directions(model.tau, N_DIRECTIONS):
         deltas += [(d1, d2)] + [(s * d1, s * d2) for s in scales]
-    fds = derivative_fd(
-        model.phi, model.tau, batch_points(deltas), phi_tau=model.phi_at_tau()
-    ).tolist()
+    entries = derivative_table(model, deltas).entries
+    analytic = [e.value for e in entries[0::2]]
+    fd = [e.value for e in entries[1::2]]
     worst = 0.0
     worst_h = 0.0
-    for k, delta in enumerate(directions):
-        analytic = derivative_model(model, delta)
-        fd = fds[3 * k]
-        worst = max(worst, abs(analytic - fd))
-        for j, s in enumerate(scales, start=1):
-            scaled, fd_scaled = deltas[3 * k + j], fds[3 * k + j]
-            worst_h = max(worst_h, abs(derivative_model(model, scaled) - s * analytic))
-            worst_h = max(worst_h, abs(fd_scaled - s * fd))
-    record("derivative_agreement", worst, config.derivative_tol)
-    record("derivative_homogeneity", worst_h, config.homogeneity_tol)
+    for k in range(0, len(deltas), 1 + len(scales)):
+        worst = max(worst, abs(analytic[k] - fd[k]))
+        for j, s in enumerate(scales, start=k + 1):
+            worst_h = max(worst_h, abs(analytic[j] - s * analytic[k]))
+            worst_h = max(worst_h, abs(fd[j] - s * fd[k]))
+    record("derivative_agreement", worst, DERIVATIVE_TOL)
+    record("derivative_homogeneity", worst_h, HOMOGENEITY_TOL)
 
     # derived standard model: identity on random pairs, bound on the grid
-    lam, mu = sample_bidisk_pairs(rng, config.standard_pairs)
+    lam, mu = sample_bidisk_pairs(rng, STANDARD_PAIRS)
     worst = standard_model_residual(model, lam, mu).max(initial=0.0)
     record("standard_model_identity", worst, config.residual_tol)
-    pts = batch_points(build_grid(model.tau, config.aperture, config.grid_depth).points)
+    pts = batch_points(report.grid.points)
     u1, u2 = standard_model_pair(model, pts)
     bound = (config.aperture + 1.0) * np.linalg.norm(model.model_vector(pts), axis=1)
     excess = np.maximum(np.linalg.norm(u1, axis=1), np.linalg.norm(u2, axis=1)) - bound

@@ -16,6 +16,9 @@ CDTYPE = np.clongdouble
 #: machine epsilon of the extended type actually available on this platform
 EPS = float(np.finfo(np.longdouble).eps)
 
+#: most Newton steps of the polar snap in nearest_unitary
+POLAR_STEPS = 8
+
 
 def asxp(a) -> np.ndarray:
     """Cast to a clongdouble array."""
@@ -62,7 +65,7 @@ def inv(m) -> np.ndarray:
     return solve(m, np.eye(m.shape[0], dtype=CDTYPE))
 
 
-def nearest_unitary(v, steps: int = 8) -> np.ndarray:
+def nearest_unitary(v) -> np.ndarray:
     """Unitary polar factor of a near-unitary matrix, in extended precision.
 
     Newton iteration X <- (X + X^-*)/2 converges quadratically for
@@ -70,7 +73,7 @@ def nearest_unitary(v, steps: int = 8) -> np.ndarray:
     isometry defect of ~1e-8 down to the extended-precision floor.
     """
     x = asxp(v)
-    for _ in range(steps):
+    for _ in range(POLAR_STEPS):
         xn = (x + inv(x.conj().T)) / CDTYPE(2)
         if float(np.abs(xn - x).max()) < 8 * EPS:
             return xn

@@ -257,6 +257,10 @@ class TestBatchDerivativeFd:
         model = model_over([0.0, 0.4, 1.0], tau=TAUS[2], rng=rng)
         table = derivative_table(model)
         phi_tau = model.phi_at_tau()
+        # per direction: the analytic entry, then the finite-difference one
+        deltas = [tuple(d) for d in default_directions(model.tau)]
+        assert [e.delta for e in table.entries] == [d for d in deltas for _ in range(2)]
+        assert [e.method for e in table.entries] == ["analytic", "finite_difference"] * len(deltas)
         for e in table.entries:
             if e.method == "finite_difference":
                 assert e.value == derivative_fd(model.phi, model.tau, e.delta, phi_tau=phi_tau)

@@ -1,4 +1,7 @@
+import argparse
 import json
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +16,10 @@ from caralab import (
     validate_colligation,
     validate_positive_contraction,
 )
-from caralab.cli import main
+from caralab.boundary import DEFAULT_APERTURE, DEFAULT_CLASS_TOL, DEFAULT_DEPTH
+from caralab.cli import build_parser, main
+from caralab.realization import RAY_EXPONENTS
+from caralab.suite import SuiteConfig
 from conftest import TAU_11
 
 
@@ -213,10 +219,11 @@ class TestNonFiniteGeometry:
             assert main([command, str(path)]) in self.DOCUMENTED
         assert "not finite" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("aperture", ["nan", "inf", "-inf", "1e300", "1e10"])
+    @pytest.mark.parametrize("aperture", ["nan", "inf", "-inf", "1e300", "1e10", "0.5"])
     def test_bad_aperture(self, capsys, swap_spec, aperture):
-        assert main(["classify", swap_spec, f"--aperture={aperture}"]) in self.DOCUMENTED
-        assert main(["family", "--y", "0.5", f"--aperture={aperture}"]) in self.DOCUMENTED
+        # an aperture is a caller-supplied parameter
+        assert main(["classify", swap_spec, f"--aperture={aperture}"]) == 2
+        assert main(["family", "--y", "0.5", f"--aperture={aperture}"]) == 2
         assert capsys.readouterr().out == ""
 
     def test_nan_tau_flag(self, capsys):
@@ -248,15 +255,78 @@ class TestSuite:
         assert doc["seed"] == 99
 
 
+#: the options each subcommand takes, and nothing more: each is read by its handler
+COMMAND_OPTIONS = {
+    "family": {"--y", "--tau", "--tau-angles", "--pairs", "--out", "--csv", "--seed", "--aperture", "--depth"},
+    "verify": {
+        "model", "--pairs", "--samples", "--out", "--csv", "--seed", "--eigtol", "--isotol",
+        "--residual-tol", "--ray-exponents",
+    },
+    "classify": {
+        "model", "--out", "--csv", "--eigtol", "--isotol", "--class-tol", "--aperture", "--depth",
+        "--ray-exponents",
+    },
+    "derivative": {"model", "--delta", "--out", "--csv", "--eigtol", "--isotol"},
+    "suite": {"--count", "--out", "--seed", "--residual-tol", "--aperture", "--depth"},
+}
+
+
+class TestParser:
+    def test_each_subcommand_takes_exactly_its_options(self):
+        parser = build_parser()
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        assert set(sub.choices) == set(COMMAND_OPTIONS)
+        for name, subparser in sub.choices.items():
+            options = {
+                a.option_strings[0] if a.option_strings else a.dest
+                for a in subparser._actions
+                if a.dest != "help"
+            }
+            assert options == COMMAND_OPTIONS[name], name
+        assert sum(map(len, COMMAND_OPTIONS.values())) == 40
+
+    def test_defaults_mirror_the_library(self):
+        parser = build_parser()
+        classify = parser.parse_args(["classify", "m.json"])
+        assert classify.class_tol == DEFAULT_CLASS_TOL
+        assert classify.ray_exponents == "4,20" and RAY_EXPONENTS == (4, 20)
+        assert (classify.aperture, classify.depth) == (DEFAULT_APERTURE, DEFAULT_DEPTH)
+        suite = parser.parse_args(["suite"])
+        config = SuiteConfig()
+        assert (suite.seed, suite.count, suite.residual_tol) == (config.seed, config.count, config.residual_tol)
+        assert (suite.aperture, suite.depth) == (config.aperture, config.grid_depth)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["derivative", "m.json", "--ray-exponents", "4,16"],
+            ["suite", "--csv", "x"],
+            ["classify", "m.json", "--seed", "3"],
+            ["verify", "m.json", "--aperture", "3"],
+            ["family", "--y", "0.5", "--isotol", "1"],
+        ],
+    )
+    def test_removed_option_is_rejected(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
 class TestModuleEntry:
     def test_python_dash_m_works(self, swap_spec):
         import subprocess
         import sys
 
+        import caralab
+
+        # the child imports the caralab under test, not an installed one
+        env = dict(os.environ, PYTHONPATH=str(Path(caralab.__file__).resolve().parent.parent))
         proc = subprocess.run(
             [sys.executable, "-m", "caralab", "verify", swap_spec],
             capture_output=True,
             text=True,
+            env=env,
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["ok"] is True

@@ -33,14 +33,6 @@ class TestBoundaryPoint:
         lam = tau.ray_point(0.25)
         assert lam == DiskPoint(0.75 + 0j, -0.75 + 0j)
 
-    def test_unit_extended_reprojects(self):
-        import numpy as np
-
-        tau = BoundaryPoint.from_angles(1.0 / 7.0, 2.0 / 7.0)
-        t1, t2 = tau.unit_extended()
-        assert abs(float(np.abs(t1)) - 1.0) < 1e-18
-        assert abs(float(np.abs(t2)) - 1.0) < 1e-18
-
 
 class TestDiskPoint:
     def test_inf_norm(self):

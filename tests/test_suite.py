@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from caralab import boundary
 from caralab.suite import SUITE_TAUS, SuiteConfig, generate_model, run_suite
 
 
@@ -52,6 +55,23 @@ class TestRun:
     def test_count_validated(self):
         with pytest.raises(ValueError):
             run_suite(SuiteConfig(count=0))
+
+    def test_one_grid_per_model(self, monkeypatch):
+        calls = []
+        build_grid = boundary.build_grid
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return build_grid(*args, **kwargs)
+
+        monkeypatch.setattr(boundary, "build_grid", counting)
+        run_suite(SuiteConfig(seed=7, count=3))
+        assert len(calls) == 3
+
+
+def test_config_holds_only_what_callers_set():
+    names = [f.name for f in dataclasses.fields(SuiteConfig)]
+    assert names == ["seed", "count", "max_dim", "residual_tol", "aperture", "grid_depth"]
 
 
 #: every model runs these checks, in this order
