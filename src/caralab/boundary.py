@@ -28,7 +28,6 @@ from .errors import (
     UnconvergedError,
 )
 from .extrapolate import richardson_limit
-from .hermitian import apply_calculus
 from .points import (
     BoundaryPoint,
     DiskPoint,
@@ -311,7 +310,7 @@ def derivative_model(model: GeneralizedRealization, delta) -> complex:
 
     Evaluates phi(tau) * < g(Y) v_tau, v_tau > with
     g(y) = a b / (a (1-y) + b y), a = conj(tau1) delta1,
-    b = conj(tau2) delta2, by spectral calculus; g has no pole on [0, 1]
+    b = conj(tau2) delta2, in Y's eigenbasis; g has no pole on [0, 1]
     for admissible directions.  The unimodular prefactor phi(tau) comes
     from polarizing the model identity against the boundary value and is
     what makes this agree with the difference quotient for functions with
@@ -321,13 +320,18 @@ def derivative_model(model: GeneralizedRealization, delta) -> complex:
     ray = model.v_at_tau()
     if not ray.converged:
         raise UnconvergedError("model vector has no converged ray limit at tau")
+    return _eigenbasis_derivative(model, ray.value, model.phi_at_tau(), delta)
+
+
+def _eigenbasis_derivative(model: GeneralizedRealization, v_tau, phi_tau, delta) -> complex:
+    """phi_tau * sum_i g(w_i) |(U* v_tau)_i|^2, :func:`derivative_model` at given boundary data."""
     t1, t2 = as_pair(model.tau)
     d1, d2 = as_pair(delta)
     a = t1.conjugate() * d1
     b = t2.conjugate() * d2
-    g = apply_calculus(model.pencil.contraction, lambda y: a * b / (a * (1.0 - y) + b * y))
-    v = ray.value
-    return model.phi_at_tau() * complex(np.vdot(v, g @ v))
+    dec = model.pencil.contraction.decomposition
+    mass = np.abs(dec.eigenvectors.conj().T @ v_tau) ** 2
+    return phi_tau * complex(np.sum(a * b / (a * (1.0 - dec.weights) + b * dec.weights) * mass))
 
 
 @dataclass(frozen=True)
@@ -582,16 +586,19 @@ def classify_model(
     purely singular when the component inside vanishes instead, singular
     otherwise; components between class_tol and INDETERMINATE_TOL are
     reported as indeterminate rather than silently classified.  The
-    linearity defect of the directional derivative is recorded as an
-    independent cross-check: it must vanish exactly for regular models.
+    linearity defect of the directional derivative, taken from the same
+    v_tau and phi_tau, is recorded as an independent cross-check: it must
+    vanish exactly for regular models.
     """
     ray = model.v_at_tau(ray_exponents)
     if not ray.converged:
         raise UnconvergedError("ray limit of the model vector did not converge")
     v = ray.value
-    kernel = model.pencil.kernel
-    singular_part = float(np.linalg.norm(kernel.e @ v))
-    kernel_part = float(np.linalg.norm((kernel.e1 + kernel.e0) @ v))
+    dec = model.pencil.contraction.decomposition
+    v_rot = dec.eigenvectors.conj().T @ v
+    endpoint = (dec.weights == 0.0) | (dec.weights == 1.0)
+    singular_part = float(np.linalg.norm(v_rot[~endpoint]))
+    kernel_part = float(np.linalg.norm(v_rot[endpoint]))
 
     if singular_part <= class_tol:
         classification = "regular"
@@ -606,7 +613,8 @@ def classify_model(
     scan = detect_carapoint(model.phi, grid)
     phi_tau = model.phi_at_tau(ray_exponents)
     defect = linearity_defect(
-        lambda d: derivative_model(model, d), default_direction_pairs(model.tau)
+        lambda d: _eigenbasis_derivative(model, v, phi_tau, d),
+        default_direction_pairs(model.tau),
     )
 
     if classification == "regular":

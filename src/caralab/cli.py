@@ -402,13 +402,16 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=text)
         for flags, kwargs in options:
             p.add_argument(*flags, **kwargs)
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, parser=p)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args, extra = build_parser().parse_known_args(argv)
+    if extra:
+        # argparse hands a subcommand's unknown flags to the top-level
+        # parser; report them with the subcommand's usage instead
+        args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         return args.func(args)
     except NotIsometricError as exc:

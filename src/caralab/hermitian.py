@@ -3,7 +3,9 @@
 Spectral decompositions with eigenvalue clustering, positive-contraction
 validation, spectral functional calculus, and the three kernel projectors
 (eigenspace of 1, eigenspace of 0, and the rest) used by the boundary
-classification.
+classification.  A decomposition is held as the eigenbasis U alone, with
+the snapped eigenvalue of each column; eigenprojectors and functions of
+the matrix are built from U's columns when asked for.
 """
 
 from __future__ import annotations
@@ -53,7 +55,9 @@ def matrix_from_json(doc: dict) -> np.ndarray:
     if rows <= 0 or cols <= 0:
         raise ValueError("matrix dimensions must be positive")
     re = np.asarray(doc["re"], dtype=float)
-    im = np.asarray(doc.get("im", np.zeros(rows * cols)), dtype=float)
+    # zeros shaped like re, not rows * cols: a huge declared size must fail
+    # the count check below, not the allocation
+    im = np.asarray(doc["im"], dtype=float) if "im" in doc else np.zeros_like(re)
     if re.size != rows * cols or im.size != rows * cols:
         raise ValueError("entry count does not match rows * cols")
     return as_complex_matrix((re + 1j * im).reshape(rows, cols))
@@ -74,29 +78,38 @@ def opnorm(a) -> float:
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Clustered eigenvalues with one orthogonal projector per cluster.
+    """A Hermitian matrix as U diag(weights) U*, with clustered eigenvalues.
 
     ``eigenvectors`` is the unitary U of the eigensolver and ``weights``
-    holds the snapped cluster eigenvalue of each of its columns, so that
-    U diag(weights) U* is the same spectral reconstruction as the sum over
-    the projectors.
+    holds the snapped cluster eigenvalue of each of its columns; the
+    columns sharing a weight span that eigenvalue's eigenspace.
     """
 
-    eigenvalues: tuple[float, ...]
-    projectors: tuple[np.ndarray, ...]
     eigenvectors: np.ndarray
     weights: np.ndarray
 
     @property
     def dim(self) -> int:
-        return self.projectors[0].shape[0]
+        return self.eigenvectors.shape[0]
+
+    @property
+    def eigenvalues(self) -> tuple[float, ...]:
+        """The distinct weights, ascending."""
+        return tuple(sorted(set(self.weights.tolist())))
+
+    def compose(self, values) -> np.ndarray:
+        """U diag(values) U*; values of shape (..., n) give matrices (..., n, n)."""
+        u = self.eigenvectors
+        return (u * np.asarray(values)[..., None, :]) @ u.conj().T
+
+    def projector(self, w: float) -> np.ndarray:
+        """Orthogonal projector onto the eigenspace of weight w (zero if w is none)."""
+        u = self.eigenvectors[:, self.weights == w]
+        return u @ u.conj().T
 
     def reconstruct(self) -> np.ndarray:
-        """Sum of eigenvalue * projector."""
-        total = np.zeros((self.dim, self.dim), dtype=complex)
-        for w, p in zip(self.eigenvalues, self.projectors):
-            total += w * p
-        return total
+        """U diag(weights) U*."""
+        return self.compose(self.weights)
 
 
 def _cluster(values: np.ndarray, eigtol: float) -> list[list[int]]:
@@ -113,9 +126,10 @@ def _cluster(values: np.ndarray, eigtol: float) -> list[list[int]]:
 def spectral_decompose(a, eigtol: float = DEFAULT_EIGTOL) -> SpectralDecomposition:
     """Spectral decomposition of a Hermitian matrix with eigenvalue clustering.
 
-    Eigenvalues within ``eigtol`` of each other share a projector, and a
-    cluster value within ``eigtol`` of 0 or 1 is snapped to the exact
-    endpoint, so projections are recognized exactly.
+    Eigenvalues within ``eigtol`` of each other form one cluster and share
+    its mean as their weight, and a cluster value within ``eigtol`` of 0 or
+    1 is snapped to the exact endpoint, so projections are recognized
+    exactly.  Clusters snapped onto the same endpoint share its eigenspace.
     """
     arr = as_complex_matrix(a)
     if arr.shape[0] != arr.shape[1]:
@@ -129,26 +143,15 @@ def spectral_decompose(a, eigtol: float = DEFAULT_EIGTOL) -> SpectralDecompositi
     except np.linalg.LinAlgError as exc:
         raise NoConvergenceError(str(exc)) from exc
 
-    eigenvalues: list[float] = []
-    projectors: list[np.ndarray] = []
     weights = np.empty(w.size)
     for group in _cluster(w, eigtol):
-        vg = v[:, group]
-        proj = vg @ vg.conj().T
         value = float(np.mean(w[group]))
         if abs(value) <= eigtol:
             value = 0.0
         elif abs(value - 1.0) <= eigtol:
             value = 1.0
         weights[group] = value
-        if eigenvalues and value == eigenvalues[-1]:
-            # two clusters snapped onto the same endpoint: merge
-            projectors[-1] = projectors[-1] + proj
-        else:
-            eigenvalues.append(value)
-            projectors.append(proj)
-    projectors = [(p + p.conj().T) / 2 for p in projectors]
-    return SpectralDecomposition(tuple(eigenvalues), tuple(projectors), v, weights)
+    return SpectralDecomposition(v, weights)
 
 
 @dataclass(frozen=True)
@@ -166,10 +169,6 @@ class PositiveContraction:
     def eigenvalues(self) -> tuple[float, ...]:
         return self.decomposition.eigenvalues
 
-    @property
-    def projectors(self) -> tuple[np.ndarray, ...]:
-        return self.decomposition.projectors
-
     def is_projection(self) -> bool:
         """True when the spectrum touches only the endpoints 0 and 1."""
         return all(w in (0.0, 1.0) for w in self.eigenvalues)
@@ -178,7 +177,12 @@ class PositiveContraction:
 def validate_positive_contraction(
     a, eigtol: float = DEFAULT_EIGTOL
 ) -> PositiveContraction:
-    """Validate spectrum in [-eigtol, 1+eigtol] and clamp it into [0, 1]."""
+    """Accept a matrix whose spectrum lies in [-eigtol, 1+eigtol].
+
+    The decomposition's weights lie in [0, 1], since snapping moves
+    excursions within eigtol onto the endpoints.  ``matrix`` stores the
+    Hermitian part (A + A*)/2 as given, not clamped.
+    """
     dec = spectral_decompose(a, eigtol)
     for w in dec.eigenvalues:
         if w < 0.0 or w > 1.0:
@@ -189,21 +193,23 @@ def validate_positive_contraction(
 
 
 def apply_calculus(y: PositiveContraction, f: Callable[[float], complex]) -> np.ndarray:
-    """Evaluate f on the spectrum of a positive contraction.
+    """Evaluate f on the spectrum of a positive contraction: U diag(f(w)) U*.
 
-    Raises SingularCalculusError when f is undefined or non-finite at an
-    eigenvalue (a pole of the calculus).
+    f is called once per distinct eigenvalue.  Raises SingularCalculusError
+    when f is undefined or non-finite at an eigenvalue (a pole of the
+    calculus).
     """
-    total = np.zeros((y.dim, y.dim), dtype=complex)
-    for w, p in zip(y.eigenvalues, y.projectors):
+    dec = y.decomposition
+    values = np.empty(dec.weights.size, dtype=complex)
+    for w in dec.eigenvalues:
         try:
             value = complex(f(w))
         except ZeroDivisionError as exc:
             raise SingularCalculusError(f"function undefined at eigenvalue {w!r}") from exc
         if not (math.isfinite(value.real) and math.isfinite(value.imag)):
             raise SingularCalculusError(f"function non-finite at eigenvalue {w!r}")
-        total += value * p
-    return total
+        values[dec.weights == w] = value
+    return dec.compose(values)
 
 
 @dataclass(frozen=True)
@@ -223,20 +229,11 @@ class KernelProjectors:
         return self.e1.shape[0]
 
 
-def kernel_projectors(
-    y: PositiveContraction, eigtol: float = DEFAULT_EIGTOL
-) -> KernelProjectors:
+def kernel_projectors(y: PositiveContraction) -> KernelProjectors:
     """Split the identity along the endpoint eigenspaces of Y."""
-    n = y.dim
-    e1 = np.zeros((n, n), dtype=complex)
-    e0 = np.zeros((n, n), dtype=complex)
-    for w, p in zip(y.eigenvalues, y.projectors):
-        if abs(w - 1.0) <= eigtol:
-            e1 = e1 + p
-        elif abs(w) <= eigtol:
-            e0 = e0 + p
-    e = np.eye(n, dtype=complex) - e1 - e0
-    return KernelProjectors(e1, e0, e)
+    e1 = y.decomposition.projector(1.0)
+    e0 = y.decomposition.projector(0.0)
+    return KernelProjectors(e1, e0, np.eye(y.dim, dtype=complex) - e1 - e0)
 
 
 def random_positive_contraction(

@@ -10,9 +10,9 @@ diag-multiplication by (p, q) when Y is a projection.  Since I_Y is a
 function of Y, writing Y = U diag(w) U* gives I_Y(lam) = U diag(s) U* with
 s_i = phi_{w_i}(lam), the scalar family at the eigenvalues; the batched
 kernel :func:`i_y_diagonal` evaluates s at many points at once and is the
-route every heavy caller takes.  Two independent full-matrix routes are
-kept as cross-oracles: a direct linear solve and the spectral form summing
-scalar family values against the eigenprojectors.
+route every caller takes.  :func:`i_y_spectral_form` is that kernel's
+full-matrix view, and :func:`i_y_eval`, a stacked direct solve of the
+denominator operator, is its independent cross-oracle.
 """
 
 from __future__ import annotations
@@ -21,15 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PoleHitError, SingularCalculusError, SingularDenominatorError
-from .hermitian import (
-    DEFAULT_EIGTOL,
-    KernelProjectors,
-    PositiveContraction,
-    kernel_projectors,
-)
-from .points import BoundaryPoint, DiskPoint, as_pair, require_admissible
-from .scalar_family import phi_y_eval
+from .errors import SingularCalculusError, SingularDenominatorError
+from .hermitian import PositiveContraction
+from .points import BoundaryPoint, DiskPoint, as_pair, is_batch, require_admissible, stack_points
 
 #: relative singular-value floor below which a denominator counts as singular
 SINGULAR_RTOL = 1e-13
@@ -50,12 +44,11 @@ def stack_chunks(count: int, entries_per_point: int):
 
 
 class OperatorPencil:
-    """A positive contraction, a boundary point, and cached kernel projectors."""
+    """A positive contraction and a boundary point."""
 
-    def __init__(self, contraction: PositiveContraction, tau, eigtol: float = DEFAULT_EIGTOL):
+    def __init__(self, contraction: PositiveContraction, tau):
         self.contraction = contraction
         self.tau = tau if isinstance(tau, BoundaryPoint) else BoundaryPoint(*as_pair(tau))
-        self.kernel: KernelProjectors = kernel_projectors(contraction, eigtol)
 
     @property
     def dim(self) -> int:
@@ -65,34 +58,41 @@ class OperatorPencil:
         return f"OperatorPencil(dim={self.dim}, tau=({self.tau.tau1!r}, {self.tau.tau2!r}))"
 
 
-def _rotated(pencil: OperatorPencil, lam) -> tuple[complex, complex]:
+def _singular(mag: np.ndarray) -> np.ndarray:
+    """True where the smallest of the last axis is <= SINGULAR_RTOL times the largest (or 1)."""
+    return mag.min(axis=-1) <= SINGULAR_RTOL * np.maximum(mag.max(axis=-1), 1.0)
+
+
+def _offsets(pencil: OperatorPencil, pts: np.ndarray):
+    """Columns a = 1 - conj(tau1) lam1, b = 1 - conj(tau2) lam2, and the TAU_SNAP mask."""
     t1, t2 = as_pair(pencil.tau)
-    l1, l2 = as_pair(lam)
-    return t1.conjugate() * l1, t2.conjugate() * l2
+    a = 1.0 - t1.conjugate() * pts[:, :1]
+    b = 1.0 - t2.conjugate() * pts[:, 1:]
+    return a, b, (np.abs(a[:, 0]) < TAU_SNAP) & (np.abs(b[:, 0]) < TAU_SNAP)
 
 
 def i_y_eval(pencil: OperatorPencil, lam) -> np.ndarray:
-    """Evaluate the pencil by one linear solve.
+    """The pencil by stacked direct solves of (1-p)(1-Y) + (1-q)Y on the matrix Y.
 
-    Defined on the closed bidisk wherever the denominator operator is
-    invertible; the value at tau itself is the identity (the continuous
-    extension along rays), which is returned exactly.  This direct route
-    is kept as the cross-oracle of the eigenbasis kernel and of
-    :func:`i_y_spectral_form`.
+    One point gives (n, n), a batch DiskPoint (N, n, n).  A singular
+    denominator raises SingularDenominatorError by the SINGULAR_RTOL rule;
+    points within TAU_SNAP of tau give the identity exactly (the continuous
+    extension along rays).  Kept as the cross-oracle of the kernel.
     """
-    p, q = _rotated(pencil, lam)
-    n = pencil.dim
-    eye = np.eye(n, dtype=complex)
-    if abs(1.0 - p) < TAU_SNAP and abs(1.0 - q) < TAU_SNAP:
-        return eye
-    y = pencil.contraction.matrix
-    m = (1.0 - p) * (eye - y) + (1.0 - q) * y
-    sv = np.linalg.svd(m, compute_uv=False)
-    if sv[-1] <= SINGULAR_RTOL * max(sv[0], 1.0):
-        raise SingularDenominatorError(
-            f"pencil denominator singular at lam={tuple(as_pair(lam))!r}"
-        )
-    return eye - (1.0 - p) * (1.0 - q) * np.linalg.solve(m, eye)
+    pts = stack_points(lam)
+    a, b, at_tau = _offsets(pencil, pts)
+    eye = np.eye(pencil.dim, dtype=complex)
+    out = np.repeat(eye[None], len(pts), axis=0)
+    live = np.flatnonzero(~at_tau)
+    if live.size:
+        y = pencil.contraction.matrix
+        m = a[live, :, None] * (eye - y) + b[live, :, None] * y
+        bad = live[_singular(np.linalg.svd(m, compute_uv=False))]
+        if bad.size:
+            lam = tuple(complex(z) for z in pts[bad[0]])
+            raise SingularDenominatorError(f"pencil denominator singular at lam={lam!r}")
+        out[live] = eye - (a[live] * b[live])[:, :, None] * np.linalg.solve(m, eye)
+    return out if is_batch(lam) else out[0]
 
 
 def i_y_diagonal(pencil: OperatorPencil, points) -> np.ndarray:
@@ -107,15 +107,10 @@ def i_y_diagonal(pencil: OperatorPencil, points) -> np.ndarray:
     :func:`i_y_eval`, and points within TAU_SNAP of tau give exact ones.
     """
     pts = np.asarray(points, dtype=complex).reshape(-1, 2)
-    t1, t2 = as_pair(pencil.tau)
-    a = 1.0 - t1.conjugate() * pts[:, :1]
-    b = 1.0 - t2.conjugate() * pts[:, 1:]
+    a, b, at_tau = _offsets(pencil, pts)
     w = pencil.contraction.decomposition.weights
     den = a * (1.0 - w) + b * w
-    mag = np.abs(den)
-    at_tau = (np.abs(a[:, 0]) < TAU_SNAP) & (np.abs(b[:, 0]) < TAU_SNAP)
-    singular = mag.min(axis=1) <= SINGULAR_RTOL * np.maximum(mag.max(axis=1), 1.0)
-    bad = np.flatnonzero(singular & ~at_tau)
+    bad = np.flatnonzero(_singular(np.abs(den)) & ~at_tau)
     if bad.size:
         lam = tuple(complex(z) for z in pts[bad[0]])
         raise SingularDenominatorError(f"pencil denominator singular at lam={lam!r}")
@@ -126,20 +121,10 @@ def i_y_diagonal(pencil: OperatorPencil, points) -> np.ndarray:
 
 
 def i_y_spectral_form(pencil: OperatorPencil, lam) -> np.ndarray:
-    """Evaluate the pencil as the spectral sum of scalar family values.
-
-    Independent cross-check oracle for :func:`i_y_eval`.
-    """
-    p, q = _rotated(pencil, lam)
-    if abs(1.0 - p) < TAU_SNAP and abs(1.0 - q) < TAU_SNAP:
-        return np.eye(pencil.dim, dtype=complex)
-    total = np.zeros((pencil.dim, pencil.dim), dtype=complex)
-    for w, proj in zip(pencil.contraction.eigenvalues, pencil.contraction.projectors):
-        try:
-            total += phi_y_eval(w, pencil.tau, lam) * proj
-        except PoleHitError as exc:
-            raise SingularDenominatorError(str(exc)) from exc
-    return total
+    """The kernel's U diag(s) U*, s from :func:`i_y_diagonal`: (n, n) or, for a batch, (N, n, n)."""
+    s = i_y_diagonal(pencil, stack_points(lam))
+    out = pencil.contraction.decomposition.compose(s)
+    return out if is_batch(lam) else out[0]
 
 
 def i_y_difference_at_tau(pencil: OperatorPencil, delta, t: float) -> np.ndarray:
@@ -168,17 +153,15 @@ def i_y_derivative_at_tau(pencil: OperatorPencil, delta) -> np.ndarray:
 
 
 def _direction_calculus(pencil: OperatorPencil, d1: complex, d2: complex) -> np.ndarray:
+    """a b [a (1-Y) + b Y]^{-1} in Y's eigenbasis, a = conj(tau1) d1, b = conj(tau2) d2."""
     t1, t2 = as_pair(pencil.tau)
     a = t1.conjugate() * d1
     b = t2.conjugate() * d2
-    n = pencil.dim
-    eye = np.eye(n, dtype=complex)
-    y = pencil.contraction.matrix
-    m = a * (eye - y) + b * y
-    sv = np.linalg.svd(m, compute_uv=False)
-    if sv[-1] <= SINGULAR_RTOL * max(sv[0], 1.0):
+    dec = pencil.contraction.decomposition
+    den = a * (1.0 - dec.weights) + b * dec.weights
+    if _singular(np.abs(den)):
         raise SingularCalculusError("direction denominator operator is singular")
-    return a * b * np.linalg.solve(m, eye)
+    return dec.compose(a * b / den)
 
 
 @dataclass(frozen=True)

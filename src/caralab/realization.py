@@ -352,18 +352,24 @@ def load_model(
     eigtol: float = DEFAULT_EIGTOL,
     isotol: float = DEFAULT_ISOTOL,
 ) -> GeneralizedRealization:
-    """Build a validated realization from a JSON document, path, or dict."""
+    """Build a validated realization from a JSON document, path, or dict.
+
+    Fields of other types than :func:`dump_model` writes raise ValueError.
+    """
     if isinstance(doc, (str, Path)):
         doc = json.loads(Path(doc).read_text())
-    dim = int(doc["dim"])
-    (t1re, t1im), (t2re, t2im) = doc["tau"]
-    tau = BoundaryPoint(complex(t1re, t1im), complex(t2re, t2im))
-    y = matrix_from_json(doc["Y"])
+    try:
+        dim = int(doc["dim"])
+        (t1re, t1im), (t2re, t2im) = doc["tau"]
+        tau = BoundaryPoint(complex(t1re, t1im), complex(t2re, t2im))
+        y = matrix_from_json(doc["Y"])
+        v = matrix_from_json(doc["V"])
+    except (TypeError, OverflowError) as exc:
+        raise ValueError(f"malformed model document: {exc}") from exc
     if y.shape != (dim, dim):
         raise ValueError(f"Y has shape {y.shape}, expected {(dim, dim)}")
     contraction = validate_positive_contraction(y, eigtol)
-    v = matrix_from_json(doc["V"])
     if v.shape != (dim + 1, dim + 1):
         raise ValueError(f"V has shape {v.shape}, expected {(dim + 1, dim + 1)}")
     colligation = validate_colligation(v, isotol)
-    return GeneralizedRealization(OperatorPencil(contraction, tau, eigtol), colligation, isotol)
+    return GeneralizedRealization(OperatorPencil(contraction, tau), colligation, isotol)

@@ -9,6 +9,7 @@ from caralab import (
     NoLimitError,
     OperatorPencil,
     UnconvergedError,
+    apply_calculus,
     build_grid,
     cara_quotient,
     classify_model,
@@ -19,6 +20,7 @@ from caralab import (
     derivative_model,
     derivative_table,
     detect_carapoint,
+    kernel_projectors,
     julia_quotient_ray,
     linearity_defect,
     nt_limit_phi,
@@ -288,7 +290,7 @@ class TestDerivativeModel:
         # derivative splits along the endpoint eigenspaces, weighted by phi(tau)
         m = model_over([1.0, 0.0], rng=rng)
         v = m.v_at_tau().value
-        k = m.pencil.kernel
+        k = kernel_projectors(m.pencil.contraction)
         phi_tau = m.phi_at_tau()
         for delta in default_directions(TAU_11, 6):
             expect = phi_tau * (
@@ -299,11 +301,9 @@ class TestDerivativeModel:
     def test_mixed_spectrum_three_part_decomposition(self, rng):
         # the derivative splits into endpoint eigenspace terms (linear in
         # delta) plus the interior-block calculus applied to the rest
-        from caralab import apply_calculus
-
         m = model_over([1.0, 0.0, 0.4, 0.7], rng=rng)
         v = m.v_at_tau().value
-        k = m.pencil.kernel
+        k = kernel_projectors(m.pencil.contraction)
         phi_tau = m.phi_at_tau()
         y = m.pencil.contraction
         for delta in default_directions(TAU_11, 5):
@@ -362,7 +362,7 @@ class TestStandardModel:
 
     def test_projection_model_reduces_to_kernel_split(self, rng):
         m = model_over([1.0, 0.0], rng=rng)
-        k = m.pencil.kernel
+        k = kernel_projectors(m.pencil.contraction)
         for _ in range(10):
             lam = disk_point(rng)
             v = m.model_vector(lam)
@@ -475,6 +475,28 @@ class TestClassify:
         assert report.classification == "regular"
         assert report.alpha == pytest.approx(0.0, abs=1e-9)
         assert report.v_tau_norm <= 1e-10
+
+    def test_defect_follows_the_given_ray_window(self):
+        # a short window moves v_tau and phi_tau; the defect must be the one
+        # of the v_tau and phi_tau the report classifies.  For this model
+        # the defect at the default window differs by 9e-10 relative.
+        window = (4, 16)
+        rng = np.random.default_rng(24)
+        m = GeneralizedRealization(
+            OperatorPencil(random_positive_contraction(5, rng), TAUS[1]), random_colligation(5, rng)
+        )
+        report = classify_model(m, ray_exponents=window)
+        v, phi_tau = m.v_at_tau(window).value, m.phi_at_tau(window)
+        assert report.phi_tau == phi_tau
+
+        def derivative(delta):
+            a = TAUS[1].tau1.conjugate() * delta[0]
+            b = TAUS[1].tau2.conjugate() * delta[1]
+            g = apply_calculus(m.pencil.contraction, lambda t: a * b / (a * (1.0 - t) + b * t))
+            return phi_tau * np.vdot(v, g @ v)
+
+        want = linearity_defect(derivative, default_direction_pairs(TAUS[1]))
+        assert report.linearity_defect == pytest.approx(want, rel=1e-12)
 
     def test_report_serializes(self):
         doc = classify_model(scalar_model(0.5)).to_json()

@@ -1,10 +1,13 @@
 import argparse
+import copy
 import json
 import os
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from caralab import (
     GeneralizedRealization,
@@ -231,6 +234,94 @@ class TestNonFiniteGeometry:
         assert main(["family", "--y", "0.5", "--tau-angles", "nan,0"]) in self.DOCUMENTED
 
 
+#: the README swap model as a document, the base of the malformed ones
+SWAP_DOC = {
+    "dim": 1,
+    "tau": [[1.0, 0.0], [1.0, 0.0]],
+    "Y": {"rows": 1, "cols": 1, "re": [0.5], "im": [0.0]},
+    "V": {"rows": 2, "cols": 2, "re": [0.0, 1.0, 1.0, 0.0], "im": [0.0, 0.0, 0.0, 0.0]},
+}
+
+MODEL_COMMANDS = ("verify", "classify", "derivative")
+
+#: documented exit codes of the model subcommands
+EXIT_CODES = {0, 2, 3, 4, 5, 6}
+
+
+class TestMalformedModel:
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            dict(SWAP_DOC, tau=5),
+            dict(SWAP_DOC, dim=None),
+            dict(SWAP_DOC, Y=[[0.5]]),
+            [SWAP_DOC],
+            dict(SWAP_DOC, tau=[["a", "b"], [1, 0]]),
+            dict(SWAP_DOC, dim=float("inf")),
+            dict(SWAP_DOC, Y={"rows": 10**5, "cols": 10**5, "re": [0.5]}),
+        ],
+        ids=["tau-int", "dim-null", "Y-rows", "list", "tau-strings", "dim-inf", "Y-huge"],
+    )
+    @pytest.mark.parametrize("command", MODEL_COMMANDS)
+    def test_mistyped_field_exits_2(self, capsys, tmp_path, doc, command):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(doc))
+        assert main([command, str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_swap_document_is_valid(self, capsys, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(SWAP_DOC))
+        assert main(["classify", str(path)]) == 0
+
+
+#: JSON values a model field may be mistyped as
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 3) | st.floats() | st.text(max_size=2),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["rows", "cols", "re", "im", "dim"]), inner, max_size=4),
+    max_leaves=8,
+)
+
+#: where a document can be edited: a top-level field, or an entry below it
+_FIELD_PATHS = [
+    ("dim",), ("tau",), ("Y",), ("V",),
+    ("tau", 0), ("tau", 1, 0), ("Y", "rows"), ("Y", "re"), ("Y", "im"),
+    ("V", "cols"), ("V", "re"), ("V", "im"),
+]
+
+
+@st.composite
+def _model_documents(draw):
+    """The swap document with one to three fields replaced or deleted, or any JSON value."""
+    if draw(st.integers(0, 4)) == 0:
+        return draw(_json_values)
+    doc = copy.deepcopy(SWAP_DOC)
+    for path in draw(st.lists(st.sampled_from(_FIELD_PATHS), min_size=1, max_size=3)):
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if isinstance(parent, dict) and draw(st.booleans()):
+            parent.pop(path[-1], None)
+        else:
+            parent[path[-1]] = draw(_json_values)
+    return doc
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(doc=_model_documents())
+def test_any_model_document_gets_a_documented_exit_code(fuzz_dir, doc):
+    path = fuzz_dir / "m.json"
+    path.write_text(json.dumps(doc))
+    for command in MODEL_COMMANDS:
+        assert main([command, str(path), "--out", str(fuzz_dir / "out.json")]) in EXIT_CODES
+
+
 class TestSuite:
     def test_small_run_passes(self, capsys):
         code, doc = run(capsys, ["suite", "--count", "3", "--seed", "7"])
@@ -310,7 +401,10 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
-        assert "unrecognized arguments" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        # the usage line names the subcommand, whose options it lists
+        assert err.startswith(f"usage: caralab {argv[0]} ")
+        assert f"caralab {argv[0]}: error: unrecognized arguments" in err
 
 
 class TestModuleEntry:

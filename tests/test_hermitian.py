@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from caralab import (
     NotHermitianError,
     SingularCalculusError,
+    SpectralDecomposition,
     SpectrumOutOfRangeError,
     apply_calculus,
     kernel_projectors,
@@ -22,8 +25,8 @@ class TestSpectralDecompose:
     def test_diagonal_projection(self):
         dec = spectral_decompose(np.diag([1.0, 0.0]))
         assert dec.eigenvalues == (0.0, 1.0)
-        assert np.allclose(dec.projectors[0], np.diag([0.0, 1.0]))
-        assert np.allclose(dec.projectors[1], np.diag([1.0, 0.0]))
+        assert np.allclose(dec.projector(0.0), np.diag([0.0, 1.0]))
+        assert np.allclose(dec.projector(1.0), np.diag([1.0, 0.0]))
 
     def test_two_by_two_hand_solution(self):
         # characteristic polynomial of [[.5,.25],[.25,.5]] gives 0.25 and 0.75
@@ -31,18 +34,29 @@ class TestSpectralDecompose:
         assert dec.eigenvalues == pytest.approx((0.25, 0.75), abs=1e-12)
         lo = np.array([1.0, -1.0]) / np.sqrt(2.0)
         hi = np.array([1.0, 1.0]) / np.sqrt(2.0)
-        assert np.allclose(dec.projectors[0], np.outer(lo, lo), atol=1e-12)
-        assert np.allclose(dec.projectors[1], np.outer(hi, hi), atol=1e-12)
+        assert np.allclose(dec.projector(dec.eigenvalues[0]), np.outer(lo, lo), atol=1e-12)
+        assert np.allclose(dec.projector(dec.eigenvalues[1]), np.outer(hi, hi), atol=1e-12)
 
     def test_identity_single_cluster(self):
         dec = spectral_decompose(np.eye(5))
         assert dec.eigenvalues == (1.0,)
-        assert np.allclose(dec.projectors[0], np.eye(5))
+        assert np.allclose(dec.projector(1.0), np.eye(5))
 
     def test_near_degenerate_eigenvalues_cluster(self):
         a = np.diag([0.5, 0.5 + 1e-12, 0.9])
         dec = spectral_decompose(a, EIGTOL)
         assert len(dec.eigenvalues) == 2
+
+    def test_clusters_snapped_onto_one_endpoint_share_its_eigenspace(self):
+        # a gap of 1.8e-9 > eigtol makes two clusters; both snap to 0
+        dec = spectral_decompose(np.diag([9e-10, 0.5, -9e-10]), EIGTOL)
+        assert dec.eigenvalues == (0.0, 0.5)
+        assert np.allclose(dec.projector(0.0), np.diag([1.0, 0.0, 1.0]))
+        assert opnorm(dec.reconstruct() - np.diag([0.0, 0.5, 0.0])) <= 1e-15
+
+    def test_stores_only_the_eigenbasis(self):
+        names = [f.name for f in dataclasses.fields(SpectralDecomposition)]
+        assert names == ["eigenvectors", "weights"]
 
     def test_not_hermitian_rejected(self):
         with pytest.raises(NotHermitianError):
@@ -57,13 +71,14 @@ class TestSpectralDecompose:
         dec = spectral_decompose(a, EIGTOL)
         # reconstruction and resolution of the identity
         assert opnorm(dec.reconstruct() - a) <= 10 * EIGTOL * max(1.0, opnorm(a))
-        total = sum(dec.projectors)
+        projectors = [dec.projector(w) for w in dec.eigenvalues]
+        total = sum(projectors)
         assert opnorm(total - np.eye(n)) <= 10 * EIGTOL
         # projectors are Hermitian, idempotent, mutually orthogonal
-        for i, p in enumerate(dec.projectors):
+        for i, p in enumerate(projectors):
             assert opnorm(p - p.conj().T) <= 1e-12
             assert opnorm(p @ p - p) <= 1e-12
-            for q in dec.projectors[i + 1 :]:
+            for q in projectors[i + 1 :]:
                 assert opnorm(p @ q) <= 1e-12
         assert list(dec.eigenvalues) == sorted(dec.eigenvalues)
 

@@ -9,12 +9,14 @@ from caralab import (
     OperatorPencil,
     SingularDenominatorError,
     SingularResolventError,
+    apply_calculus,
+    i_y_derivative_at_tau,
     i_y_eval,
     random_colligation,
     random_positive_contraction,
     validate_positive_contraction,
 )
-from caralab.boundary import build_grid
+from caralab.boundary import build_grid, default_directions, derivative_model
 from caralab.pencil import (
     SINGULAR_RTOL,
     TAU_SNAP,
@@ -73,6 +75,58 @@ def test_kernel_matches_direct_solves(dim, rng):
             relative_gap(phi[k], phi_ref),
         )
     assert worst <= KERNEL_RTOL
+
+
+def test_direct_solve_batch_stacks_the_one_point_values(rng):
+    for dim in (1, 3, 8):
+        tau = TAUS[dim % len(TAUS)]
+        pen = OperatorPencil(random_positive_contraction(dim, rng), tau)
+        lams = [disk_point(rng) for _ in range(6)] + [(tau.tau1, tau.tau2)]
+        batch = i_y_eval(pen, batch_points(lams))
+        assert batch.shape == (len(lams), dim, dim)
+        for k, lam in enumerate(lams):
+            np.testing.assert_array_equal(batch[k], i_y_eval(pen, lam))
+        np.testing.assert_array_equal(batch[-1], np.eye(dim))  # TAU_SNAP identity
+    pen = OperatorPencil(validate_positive_contraction(np.diag([1.0, 0.0])), TAU_11)
+    with pytest.raises(SingularDenominatorError):
+        i_y_eval(pen, batch_points([(0.5, 0.5), (1.0, 0.0)]))
+
+
+def reference_calculus(y, f):
+    """f(Y) as the sum of f(w) times the eigenprojector P_w, one Hermitian
+    U_w U_w* per distinct weight: how functions of Y were formed when the
+    decomposition stored its projectors."""
+    dec = y.decomposition
+    total = np.zeros((y.dim, y.dim), dtype=complex)
+    for w in dec.eigenvalues:
+        cols = dec.eigenvectors[:, dec.weights == w]
+        p = cols @ cols.conj().T
+        total += complex(f(w)) * (p + p.conj().T) / 2
+    return total
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 6, 7, 8, 64])
+def test_eigenbasis_formulas_match_projector_sums(dim, rng):
+    tau = TAUS[dim % len(TAUS)]
+    # endpoints and a repeated interior eigenvalue, then distinct interior ones
+    vals = np.resize([1.0, 0.0, 0.4], (dim + 1) // 2)
+    vals = np.concatenate([vals, rng.uniform(0.05, 0.95, dim // 2)])
+    y = random_positive_contraction(dim, rng, eigenvalues=vals)
+    model = GeneralizedRealization(OperatorPencil(y, tau), random_colligation(dim, rng))
+    f = lambda t: np.exp(2j * t) / (1.5 - t)  # noqa: E731
+    assert relative_gap(apply_calculus(y, f), reference_calculus(y, f)) <= KERNEL_RTOL
+    v = model.v_at_tau().value
+    eye = np.eye(dim)
+    for d1, d2 in default_directions(tau, 4):
+        a, b = tau.tau1.conjugate() * d1, tau.tau2.conjugate() * d2
+        g = reference_calculus(y, lambda t: a * b / (a * (1.0 - t) + b * t))
+        analytic = model.phi_at_tau() * np.vdot(v, g @ v)
+        assert relative_gap(derivative_model(model, (d1, d2)), analytic) <= KERNEL_RTOL
+        pencil_derivative = i_y_derivative_at_tau(model.pencil, (d1, d2))
+        assert relative_gap(pencil_derivative, g) <= KERNEL_RTOL
+        # and the direct solve on the matrix Y that it replaced
+        direct = a * b * np.linalg.solve(a * (eye - y.matrix) + b * y.matrix, eye)
+        assert relative_gap(pencil_derivative, direct) <= KERNEL_RTOL
 
 
 def test_tau_snap_window(rng):

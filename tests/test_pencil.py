@@ -195,7 +195,7 @@ class TestRationality:
         z = [0.1 + 0.2j, -0.4j, 0.5, -0.3 + 0.3j]
         lam2 = 0.25 - 0.35j
         target = self.cross_ratio(*z)
-        for proj in y.projectors:
+        for proj in map(y.decomposition.projector, y.eigenvalues):
             # the pencil restricted to one eigenspace is a scalar multiple
             # of the projector; extract that scalar at the four points
             scalars = []

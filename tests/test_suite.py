@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from caralab import boundary
+from caralab import boundary, suite
 from caralab.suite import SUITE_TAUS, SuiteConfig, generate_model, run_suite
 
 
@@ -65,6 +65,18 @@ class TestRun:
             return build_grid(*args, **kwargs)
 
         monkeypatch.setattr(boundary, "build_grid", counting)
+        run_suite(SuiteConfig(seed=7, count=3))
+        assert len(calls) == 3
+
+    def test_one_direct_pencil_solve_per_model(self, monkeypatch):
+        calls = []
+        i_y_eval = suite.i_y_eval
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return i_y_eval(*args, **kwargs)
+
+        monkeypatch.setattr(suite, "i_y_eval", counting)
         run_suite(SuiteConfig(seed=7, count=3))
         assert len(calls) == 3
 
