@@ -306,32 +306,27 @@ def _fd_limits(phi, tau: BoundaryPoint, deltas, phi_tau) -> list[complex]:
 
 
 def derivative_model(model: GeneralizedRealization, delta) -> complex:
-    """Directional derivative at tau from the model's ray limit.
+    """Directional derivative at tau from the model's boundary data.
 
     Evaluates phi(tau) * < g(Y) v_tau, v_tau > with
     g(y) = a b / (a (1-y) + b y), a = conj(tau1) delta1,
-    b = conj(tau2) delta2, in Y's eigenbasis; g has no pole on [0, 1]
-    for admissible directions.  The unimodular prefactor phi(tau) comes
-    from polarizing the model identity against the boundary value and is
-    what makes this agree with the difference quotient for functions with
-    phi(tau) != 1.
+    b = conj(tau2) delta2, in Y's eigenbasis, where v_tau is cached as
+    U* v_tau; g has no pole on [0, 1] for admissible directions.  The
+    unimodular prefactor phi(tau) comes from polarizing the model identity
+    against the boundary value and is what makes this agree with the
+    difference quotient for functions with phi(tau) != 1.
     """
     require_admissible(model.tau, delta)
     ray = model.v_at_tau()
     if not ray.converged:
         raise UnconvergedError("model vector has no converged ray limit at tau")
-    return _eigenbasis_derivative(model, ray.value, model.phi_at_tau(), delta)
-
-
-def _eigenbasis_derivative(model: GeneralizedRealization, v_tau, phi_tau, delta) -> complex:
-    """phi_tau * sum_i g(w_i) |(U* v_tau)_i|^2, :func:`derivative_model` at given boundary data."""
     t1, t2 = as_pair(model.tau)
     d1, d2 = as_pair(delta)
     a = t1.conjugate() * d1
     b = t2.conjugate() * d2
-    dec = model.pencil.contraction.decomposition
-    mass = np.abs(dec.eigenvectors.conj().T @ v_tau) ** 2
-    return phi_tau * complex(np.sum(a * b / (a * (1.0 - dec.weights) + b * dec.weights) * mass))
+    w = model.pencil.contraction.decomposition.weights
+    g = a * b / (a * (1.0 - w) + b * w)
+    return model.phi_at_tau() * complex(np.sum(g * np.abs(ray.rotated) ** 2))
 
 
 @dataclass(frozen=True)
@@ -578,7 +573,6 @@ def classify_model(
     class_tol: float = DEFAULT_CLASS_TOL,
     aperture: float = DEFAULT_APERTURE,
     depth: int = DEFAULT_DEPTH,
-    ray_exponents: tuple[int, int] = RAY_EXPONENTS,
 ) -> BoundaryReport:
     """Classify a generalized model by the geometry of its ray limit.
 
@@ -586,19 +580,17 @@ def classify_model(
     purely singular when the component inside vanishes instead, singular
     otherwise; components between class_tol and INDETERMINATE_TOL are
     reported as indeterminate rather than silently classified.  The
-    linearity defect of the directional derivative, taken from the same
+    linearity defect of :func:`derivative_model`, which reads the same
     v_tau and phi_tau, is recorded as an independent cross-check: it must
     vanish exactly for regular models.
     """
-    ray = model.v_at_tau(ray_exponents)
+    ray = model.v_at_tau()
     if not ray.converged:
         raise UnconvergedError("ray limit of the model vector did not converge")
-    v = ray.value
-    dec = model.pencil.contraction.decomposition
-    v_rot = dec.eigenvectors.conj().T @ v
-    endpoint = (dec.weights == 0.0) | (dec.weights == 1.0)
-    singular_part = float(np.linalg.norm(v_rot[~endpoint]))
-    kernel_part = float(np.linalg.norm(v_rot[endpoint]))
+    weights = model.pencil.contraction.decomposition.weights
+    endpoint = (weights == 0.0) | (weights == 1.0)
+    singular_part = float(np.linalg.norm(ray.rotated[~endpoint]))
+    kernel_part = float(np.linalg.norm(ray.rotated[endpoint]))
 
     if singular_part <= class_tol:
         classification = "regular"
@@ -611,10 +603,8 @@ def classify_model(
 
     grid = build_grid(model.tau, aperture, depth)
     scan = detect_carapoint(model.phi, grid)
-    phi_tau = model.phi_at_tau(ray_exponents)
     defect = linearity_defect(
-        lambda d: _eigenbasis_derivative(model, v, phi_tau, d),
-        default_direction_pairs(model.tau),
+        lambda d: derivative_model(model, d), default_direction_pairs(model.tau)
     )
 
     if classification == "regular":
@@ -627,8 +617,8 @@ def classify_model(
     return BoundaryReport(
         carapoint=scan.carapoint,
         alpha=scan.alpha,
-        phi_tau=phi_tau,
-        v_tau_norm=float(np.linalg.norm(v)),
+        phi_tau=model.phi_at_tau(),
+        v_tau_norm=float(np.linalg.norm(ray.value)),
         classification=classification,
         linearity_defect=float(defect),
         singular_part_norm=singular_part,

@@ -250,15 +250,10 @@ def cmd_verify(args) -> int:
 
 def cmd_classify(args) -> int:
     model = load_model(args.model, eigtol=args.eigtol, isotol=args.isotol)
-    exponents = _parse_ray_exponents(args)
     report = classify_model(
-        model,
-        class_tol=args.class_tol,
-        aperture=args.aperture,
-        depth=args.depth,
-        ray_exponents=exponents,
+        model, class_tol=args.class_tol, aperture=args.aperture, depth=args.depth
     )
-    ray = model.v_at_tau(exponents)
+    ray = model.v_at_tau()
     doc = {
         "command": "classify",
         "model": str(args.model),
@@ -337,7 +332,7 @@ _DEPTH = _option("--depth", type=int, default=DEFAULT_DEPTH)
 _RAY_EXPONENTS = _option(
     "--ray-exponents",
     default=",".join(map(str, RAY_EXPONENTS)),
-    help="dyadic ray schedule t = 2^-k for k in LO..HI, as 'LO,HI'",
+    help="dyadic ray schedule t = 2^-k of the Julia rows, for k in LO..HI, as 'LO,HI'",
 )
 
 #: subcommand -> (handler, help, the options the handler reads)
@@ -369,7 +364,7 @@ COMMANDS = {
         (
             _MODEL, _OUT, _CSV, _EIGTOL, _ISOTOL,
             _option("--class-tol", type=float, default=DEFAULT_CLASS_TOL),
-            _APERTURE, _DEPTH, _RAY_EXPONENTS,
+            _APERTURE, _DEPTH,
         ),
     ),
     "derivative": (

@@ -14,6 +14,16 @@ hold by construction.  This inverts the usual direction of the theory: the
 function is produced from the model, giving a corpus whose boundary
 behavior at tau is known in advance.
 
+Along the radial ray into tau the pencil is (1-t) times the identity.  For
+an isometric colligation the unimodular eigenspace E = ker(1 - A) reduces
+A and B is orthogonal to E, so the boundary data are exactly
+
+    v_tau = (1 - A)|_{E-perp}^{-1} B,    phi_tau = D + C v_tau,
+
+one double-precision solve per model (:meth:`GeneralizedRealization.v_at_tau`).
+Only the Julia rows sample the ray itself, in extended precision
+(:meth:`GeneralizedRealization.ray_state`).
+
 In double precision everything is evaluated in the eigenbasis U of Y,
 where the pencil is diagonal: with A' = U*AU, B' = U*B and C' = CU the
 model vector is v = U v' with v' = (1 - A' diag(s))^{-1} B', and
@@ -30,7 +40,6 @@ import numpy as np
 
 from . import xprec
 from .errors import NotIsometricError, SingularResolventError
-from .extrapolate import richardson_limit
 from .hermitian import (
     DEFAULT_EIGTOL,
     matrix_from_json,
@@ -52,8 +61,12 @@ SNAP_DEFECT_MAX = 1e-6
 #: far above the rounding error of the norm's SVD
 NORM_PAD = 1e-12
 
-#: default dyadic exponent range for ray limits, t = 2^-k
+#: default dyadic exponent range of the ray samples of the Julia rows, t = 2^-k
 RAY_EXPONENTS = (4, 20)
+
+#: singular values of 1 - A at or below this multiple of the block's
+#: rounding level span E = ker(1 - A); see :meth:`GeneralizedRealization.v_at_tau`
+DEFLATION_FACTOR = 16.0
 
 
 @dataclass(frozen=True)
@@ -134,12 +147,23 @@ def colligation_with_ray_limit(direction, strength: float = 0.8) -> Colligation:
 
 @dataclass(frozen=True)
 class RayLimit:
-    """Extrapolated limit of a quantity along the radial ray into tau."""
+    """Boundary value v_tau of the model vector, from the deflated solve.
+
+    ``threshold`` is the singular-value cutoff of 1 - A that defines E,
+    and ``residual`` the solve residual ||(1 - A) v_tau - B||.  A part of B
+    in the left null space of 1 - A above the threshold makes the ray
+    states grow like 1/t and sets ``diverged``; for an isometric block it
+    vanishes.  ``converged`` also needs E to reduce A, as it does for every
+    contraction: otherwise v_tau is not the ray limit and no limit is
+    claimed.
+    """
 
     value: np.ndarray
+    rotated: np.ndarray  # U* v_tau, in Y's eigenbasis
     converged: bool
     residual: float
-    diverged: bool = False
+    diverged: bool
+    threshold: float
 
 
 class GeneralizedRealization:
@@ -169,9 +193,7 @@ class GeneralizedRealization:
         # ||A'||, padded so that rounding in its SVD cannot certify a
         # singular resolvent; see :meth:`evaluate`
         self._a_norm = opnorm(self._a) * (1.0 + NORM_PAD)
-        self._vtau_cache: dict[tuple[int, int], RayLimit] = {}
-        self._phitau_cache: dict[tuple[int, int], complex] = {}
-        self._ray_cache: dict[float, tuple[np.ndarray, np.clongdouble]] = {}
+        self._boundary: tuple[RayLimit, complex] | None = None
         self._ray_block = None
 
     @property
@@ -256,10 +278,10 @@ class GeneralizedRealization:
     # -- extended-precision evaluation along the radial ray -------------
 
     def _refined_block(self) -> np.ndarray:
-        """Extended-precision colligation block used on the ray paths.
+        """Extended-precision colligation block of the ray states.
 
         For an isometric colligation the stored double entries carry an
-        O(1e-16) defect, which ray quotients amplify by 1/t; snapping to
+        O(1e-16) defect, which the Julia quotients amplify by 1/t; snapping to
         the nearest unitary removes it.  Non-isometric blocks (negative
         controls) are used as-is.
         """
@@ -274,12 +296,11 @@ class GeneralizedRealization:
         """Model vector and phi at (1-t) tau, in extended precision.
 
         Along the radial ray the pencil is exactly (1-t) times the
-        identity, so the resolvent solve needs no pencil evaluation.
+        identity, so the resolvent solve needs no pencil evaluation.  Only
+        the Julia rows read these states.
         """
         if not 0.0 < t < 1.0:
             raise ValueError("t must lie in (0, 1)")
-        if t in self._ray_cache:
-            return self._ray_cache[t]
         block = self._refined_block()
         n = self.dim
         a = block[:n, :n]
@@ -291,40 +312,56 @@ class GeneralizedRealization:
         resolvent = np.eye(n, dtype=xprec.CDTYPE) - (one - tx) * a
         v = xprec.solve(resolvent, b)
         phi = d + (one - tx) * (c @ v)
-        self._ray_cache[t] = (v, phi)
         return v, phi
 
-    def v_at_tau(self, exponents: tuple[int, int] = RAY_EXPONENTS) -> RayLimit:
-        """Richardson-extrapolated limit of the model vector along the ray.
+    # -- boundary data at tau ----------------------------------------------
 
-        Divergence (possible only for non-isometric blocks) is reported on
-        the returned flag rather than raised.
+    def _boundary_data(self) -> tuple[RayLimit, complex]:
+        """v_tau and phi_tau from one SVD of 1 - A, computed once per model."""
+        if self._boundary is None:
+            col = self.colligation
+            n = self.dim
+            m = np.eye(n) - col.a
+            w, sv, zh = np.linalg.svd(m)
+            # the block's rounding level; a snap-eligible block's isometry
+            # defect is representation noise that blurs E by as much
+            level = (n + 1) * np.finfo(float).eps
+            if self.is_isometric and self.isometry_defect <= SNAP_DEFECT_MAX:
+                level = max(level, self.isometry_defect)
+            threshold = DEFLATION_FACTOR * float(level) * max(1.0, float(sv[0]))
+            k = int(np.count_nonzero(sv > threshold))
+            v = zh[:k].conj().T @ ((w[:, :k].conj().T @ col.b) / sv[:k])
+            diverged = bool(np.linalg.norm(w[:, k:].conj().T @ col.b) > threshold)
+            # E reduces A when it is also the left null space of 1 - A
+            reduces = bool(np.linalg.norm(m.conj().T @ zh[k:].conj().T) <= threshold)
+            u = self.pencil.contraction.decomposition.eigenvectors
+            ray = RayLimit(
+                value=v,
+                rotated=u.conj().T @ v,
+                converged=reduces and not diverged,
+                residual=float(np.linalg.norm(m @ v - col.b)),
+                diverged=diverged,
+                threshold=threshold,
+            )
+            self._boundary = (ray, complex(col.d + col.c @ v))
+        return self._boundary
+
+    def v_at_tau(self) -> RayLimit:
+        """Boundary value of the model vector, (1 - A)|_{E-perp}^{-1} B.
+
+        E is spanned by the right singular vectors of 1 - A whose singular
+        values fall at or below DEFLATION_FACTOR times the block's rounding
+        level times max(1, ||1 - A||).  The level is (n+1) eps, or the
+        isometry defect if larger for an isometric block whose defect is at
+        most SNAP_DEFECT_MAX, the blocks the ray states snap.  Divergence
+        (possible only for non-isometric blocks) is reported on the
+        returned flag rather than raised.
         """
-        key = (int(exponents[0]), int(exponents[1]))
-        if key in self._vtau_cache:
-            return self._vtau_cache[key]
-        ks = range(key[0], key[1] + 1)
-        vs = [self.ray_state(2.0 ** -k)[0] for k in ks]
-        norms = [float(np.linalg.norm(v.astype(complex))) for v in vs]
-        window = min(6, len(norms))
-        diverged = window >= 3 and all(
-            norms[i + 1] > norms[i] for i in range(len(norms) - window, len(norms) - 1)
-        ) and norms[-1] > 10.0 * norms[-window]
-        limit, residual = richardson_limit(vs)
-        value = limit.astype(complex)
-        converged = not diverged and residual <= 1e-8 * max(1.0, float(np.linalg.norm(value)))
-        result = RayLimit(value, converged, residual, diverged)
-        self._vtau_cache[key] = result
-        return result
+        return self._boundary_data()[0]
 
-    def phi_at_tau(self, exponents: tuple[int, int] = RAY_EXPONENTS) -> complex:
-        """Extrapolated boundary value of phi along the ray."""
-        key = (int(exponents[0]), int(exponents[1]))
-        if key not in self._phitau_cache:
-            phis = [self.ray_state(2.0 ** -k)[1] for k in range(key[0], key[1] + 1)]
-            limit, _ = richardson_limit(phis)
-            self._phitau_cache[key] = complex(limit)
-        return self._phitau_cache[key]
+    def phi_at_tau(self) -> complex:
+        """Boundary value D + C v_tau of phi."""
+        return self._boundary_data()[1]
 
     def __repr__(self) -> str:
         return (

@@ -1,9 +1,10 @@
 """Extended-precision complex linear algebra for small matrices.
 
-Quotients along rays into a boundary point divide by gaps as small as
-2^-20; double-precision backward error (~1e-16 * ||v||^2 / t) can then
-exceed 1e-9, so the ray paths run in ``numpy.clongdouble`` (80-bit
-extended on x86-64).  Matrices here never exceed a few dozen rows, so
+The Julia quotients along the ray into a boundary point divide by gaps
+as small as 2^-20; double-precision backward error (~1e-16 * ||v||^2 / t)
+can then exceed 1e-9, so the ray states behind them and the polar snap
+of the colligation run in ``numpy.clongdouble`` (80-bit extended on
+x86-64).  Matrices here never exceed a few dozen rows, so
 plain Gaussian elimination with partial pivoting is adequate.
 """
 

@@ -9,6 +9,8 @@ from caralab import (
     DiskPoint,
     GeneralizedRealization,
     OperatorPencil,
+    random_colligation,
+    random_positive_contraction,
     validate_colligation,
     validate_positive_contraction,
 )
@@ -42,6 +44,21 @@ def scalar_model(y: float = 0.5, tau: BoundaryPoint = TAU_11, block=None) -> Gen
         block = [[0, 1], [1, 0]]
     col = block if isinstance(block, Colligation) else validate_colligation(block)
     return GeneralizedRealization(pencil, col)
+
+
+def left_null_model(beta: float) -> GeneralizedRealization:
+    """Non-isometric model with A = diag(1, 0) and B = (beta, 1); E = span(e1)."""
+    pen = OperatorPencil(validate_positive_contraction(np.diag([0.5, 0.3])), TAU_11)
+    block = np.array([[1.0, 0.0, beta], [0.0, 0.0, 1.0], [0.0, 2.0, 0.0]])
+    return GeneralizedRealization(pen, Colligation(block))
+
+
+def desk_model(rng: np.random.Generator) -> GeneralizedRealization:
+    """Dim-64 model at (1, 1): 8 eigenvalues of Y at 1, 8 at 0, 48 interior."""
+    dim = 64
+    eigenvalues = np.concatenate([np.ones(8), np.zeros(8), rng.uniform(0.05, 0.95, dim - 16)])
+    y = random_positive_contraction(dim, rng, eigenvalues=eigenvalues)
+    return GeneralizedRealization(OperatorPencil(y, TAU_11), random_colligation(dim, rng))
 
 
 @pytest.fixture

@@ -476,18 +476,18 @@ class TestClassify:
         assert report.alpha == pytest.approx(0.0, abs=1e-9)
         assert report.v_tau_norm <= 1e-10
 
-    def test_defect_follows_the_given_ray_window(self):
-        # a short window moves v_tau and phi_tau; the defect must be the one
-        # of the v_tau and phi_tau the report classifies.  For this model
-        # the defect at the default window differs by 9e-10 relative.
-        window = (4, 16)
+    def test_defect_is_that_of_the_reported_boundary_data(self):
+        # the defect must be the one of the v_tau and phi_tau the report
+        # classifies: those of the deflated solve, here (1 - A) v_tau = B
         rng = np.random.default_rng(24)
-        m = GeneralizedRealization(
-            OperatorPencil(random_positive_contraction(5, rng), TAUS[1]), random_colligation(5, rng)
-        )
-        report = classify_model(m, ray_exponents=window)
-        v, phi_tau = m.v_at_tau(window).value, m.phi_at_tau(window)
-        assert report.phi_tau == phi_tau
+        y = random_positive_contraction(5, rng)
+        col = random_colligation(5, rng)
+        m = GeneralizedRealization(OperatorPencil(y, TAUS[1]), col)
+        report = classify_model(m)
+        v = np.linalg.solve(np.eye(5) - col.a, col.b)
+        phi_tau = col.d + col.c @ v
+        assert report.phi_tau == m.phi_at_tau()
+        assert report.phi_tau == pytest.approx(phi_tau, rel=1e-13)
 
         def derivative(delta):
             a = TAUS[1].tau1.conjugate() * delta[0]

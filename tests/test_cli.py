@@ -1,4 +1,5 @@
 import argparse
+import collections
 import copy
 import json
 import os
@@ -19,11 +20,12 @@ from caralab import (
     validate_colligation,
     validate_positive_contraction,
 )
+from caralab import xprec
 from caralab.boundary import DEFAULT_APERTURE, DEFAULT_CLASS_TOL, DEFAULT_DEPTH
 from caralab.cli import build_parser, main
 from caralab.realization import RAY_EXPONENTS
 from caralab.suite import SuiteConfig
-from conftest import TAU_11
+from conftest import TAU_11, left_null_model
 
 
 @pytest.fixture
@@ -121,6 +123,16 @@ class TestVerify:
         assert julia[0] == "t,lhs,rhs,residual"
         assert len(julia) == 18  # header + k = 4..20
 
+    def test_ray_exponents_accepted(self, capsys, swap_spec, tmp_path):
+        base = tmp_path / "tables"
+        code, doc = run(capsys, ["verify", swap_spec, "--ray-exponents", "4,16", "--csv", str(base)])
+        assert code == 0 and doc["ok"] is True
+        rows = (tmp_path / "tables.julia.csv").read_text().splitlines()
+        assert len(rows) == 1 + 13  # header + one row per k = 4..16
+
+    def test_bad_ray_exponents_exit_2(self, capsys, swap_spec):
+        assert main(["verify", swap_spec, "--ray-exponents", "9,3"]) == 2
+
 
 class TestClassify:
     def test_swap_report(self, capsys, swap_spec):
@@ -143,14 +155,6 @@ class TestClassify:
 
     def test_unconverged_exits_6(self, capsys, shear_spec):
         assert main(["classify", shear_spec, "--isotol", "10"]) == 6
-
-    def test_ray_exponents_accepted(self, capsys, swap_spec):
-        code, doc = run(capsys, ["classify", swap_spec, "--ray-exponents", "4,16"])
-        assert code == 0
-        assert doc["classification"] == "purely_singular"
-
-    def test_bad_ray_exponents_exit_2(self, capsys, swap_spec):
-        assert main(["classify", swap_spec, "--ray-exponents", "9,3"]) == 2
 
     def test_underflowing_depth_exit_2(self, capsys, swap_spec):
         assert main(["classify", swap_spec, "--depth", "60"]) == 2
@@ -208,6 +212,58 @@ class TestDerivative:
         # limit of v, which the shear does not have; that comes first
         assert main(["derivative", shear_spec, "--isotol", "10"]) == 6
         assert "no converged ray limit" in capsys.readouterr().err
+
+
+class TestRayPath:
+    """Only verify's Julia rows walk the extended-precision ray."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = collections.Counter()
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(xprec, "solve", counting("solve", xprec.solve))
+        monkeypatch.setattr(xprec, "nearest_unitary", counting("nearest_unitary", xprec.nearest_unitary))
+        ray_state = counting("ray_state", GeneralizedRealization.ray_state)
+        monkeypatch.setattr(GeneralizedRealization, "ray_state", ray_state)
+        return counts
+
+    @pytest.fixture
+    def mixed_spec(self, tmp_path):
+        rng = np.random.default_rng(5)
+        y = random_positive_contraction(4, rng, eigenvalues=[1.0, 0.0, 0.3, 0.8])
+        m = GeneralizedRealization(OperatorPencil(y, TAU_11), random_colligation(4, rng))
+        path = tmp_path / "mixed.json"
+        path.write_text(json.dumps(dump_model(m)))
+        return str(path)
+
+    @pytest.mark.parametrize("spec", ["swap_spec", "mixed_spec"])
+    def test_classify_and_derivative_skip_the_ray(self, capsys, calls, request, tmp_path, spec):
+        path = request.getfixturevalue(spec)
+        assert main(["classify", path, "--csv", str(tmp_path / "t")]) == 0
+        assert main(["derivative", path]) == 0
+        assert calls == {}
+        assert main(["verify", path]) == 0
+        assert calls["ray_state"] == 17 and calls["nearest_unitary"] == 1
+        assert calls["solve"] >= 17
+
+    @pytest.mark.parametrize("command", ["classify", "derivative"])
+    def test_part_of_b_in_e_exits_6(self, capsys, tmp_path, command):
+        # non-isometric: B has a part along E = span(e1) just above the
+        # threshold, so the ray states grow like 1/t
+        threshold = left_null_model(0.0).v_at_tau().threshold
+        model = left_null_model(2.0 * threshold)
+        assert model.v_at_tau().diverged
+        path = tmp_path / "leak.json"
+        path.write_text(json.dumps(dump_model(model)))
+        assert main([command, str(path), "--isotol", "10"]) == 6
+        assert "converge" in capsys.readouterr().err
 
 
 class TestNonFiniteGeometry:
@@ -355,7 +411,6 @@ COMMAND_OPTIONS = {
     },
     "classify": {
         "model", "--out", "--csv", "--eigtol", "--isotol", "--class-tol", "--aperture", "--depth",
-        "--ray-exponents",
     },
     "derivative": {"model", "--delta", "--out", "--csv", "--eigtol", "--isotol"},
     "suite": {"--count", "--out", "--seed", "--residual-tol", "--aperture", "--depth"},
@@ -374,13 +429,13 @@ class TestParser:
                 if a.dest != "help"
             }
             assert options == COMMAND_OPTIONS[name], name
-        assert sum(map(len, COMMAND_OPTIONS.values())) == 40
+        assert sum(map(len, COMMAND_OPTIONS.values())) == 39
 
     def test_defaults_mirror_the_library(self):
         parser = build_parser()
         classify = parser.parse_args(["classify", "m.json"])
         assert classify.class_tol == DEFAULT_CLASS_TOL
-        assert classify.ray_exponents == "4,20" and RAY_EXPONENTS == (4, 20)
+        assert parser.parse_args(["verify", "m.json"]).ray_exponents == "4,20" and RAY_EXPONENTS == (4, 20)
         assert (classify.aperture, classify.depth) == (DEFAULT_APERTURE, DEFAULT_DEPTH)
         suite = parser.parse_args(["suite"])
         config = SuiteConfig()
@@ -395,6 +450,7 @@ class TestParser:
             ["classify", "m.json", "--seed", "3"],
             ["verify", "m.json", "--aperture", "3"],
             ["family", "--y", "0.5", "--isotol", "1"],
+            ["classify", "m.json", "--ray-exponents", "4,16"],
         ],
     )
     def test_removed_option_is_rejected(self, capsys, argv):

@@ -3,28 +3,19 @@
 import numpy as np
 
 from caralab import (
-    GeneralizedRealization,
-    OperatorPencil,
     classify_model,
     julia_quotient_ray,
     opnorm,
     i_y_eval,
     i_y_spectral_form,
-    random_colligation,
-    random_positive_contraction,
 )
-from conftest import TAU_11, disk_point
+from conftest import desk_model, disk_point
 
 
 def test_dim_64_round_trip():
     rng = np.random.default_rng(64)
-    dim = 64
-    eigenvalues = np.concatenate(
-        [np.ones(8), np.zeros(8), rng.uniform(0.05, 0.95, dim - 16)]
-    )
-    y = random_positive_contraction(dim, rng, eigenvalues=eigenvalues)
-    pencil = OperatorPencil(y, TAU_11)
-    model = GeneralizedRealization(pencil, random_colligation(dim, rng))
+    model = desk_model(rng)
+    pencil = model.pencil
 
     lam = disk_point(rng)
     assert opnorm(i_y_eval(pencil, lam) - i_y_spectral_form(pencil, lam)) <= 1e-9

@@ -18,7 +18,7 @@ from caralab import (
     validate_colligation,
     validate_positive_contraction,
 )
-from conftest import TAU_11, TAUS, disk_point, scalar_model
+from conftest import TAU_11, TAUS, disk_point, left_null_model, scalar_model
 
 HOUSEHOLDER_1D = [[-0.6, 0.8], [0.8, 0.6]]  # reflection with B=4/5, D=3/5
 
@@ -159,12 +159,50 @@ class TestRayLimit:
         expect = (1.0 - d) * (0.8 * direction) / 0.8**2
         assert np.linalg.norm(ray.value - expect) <= 1e-9
 
+    def test_near_isometric_block_deflates_at_its_defect(self):
+        # entries perturbed by 1e-10 move the unimodular eigenvalues of the
+        # corner block by about that much; the threshold follows the
+        # isometry defect, so E is still found and v_tau stays within a
+        # few defects of the unperturbed limit (1 - D) B / ||B||^2
+        rng = np.random.default_rng(3)
+        direction = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        block = colligation_with_ray_limit(direction, strength=0.6).block
+        block = block + 1e-10 * (rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5)))
+        col = validate_colligation(block)
+        y = random_positive_contraction(4, rng)
+        m = GeneralizedRealization(OperatorPencil(y, TAU_11), col)
+        ray = m.v_at_tau()
+        assert ray.converged and ray.threshold >= m.isometry_defect > 1e-11
+        expect = (1.0 - 0.8) * (0.6 * direction / np.linalg.norm(direction)) / 0.6**2
+        assert np.linalg.norm(ray.value - expect) <= 10.0 * m.isometry_defect
+        assert abs(m.phi_at_tau() - 1.0) <= 10.0 * m.isometry_defect
+
     def test_divergence_flagged_for_defective_block(self):
         # non-isometric: corner block 1 with B = 1 makes v(t) = 1/t blow up
         pen = OperatorPencil(validate_positive_contraction([[0.5]]), TAU_11)
         m = GeneralizedRealization(pen, Colligation(np.array([[1.0, 1.0], [0.0, 1.0]])))
         ray = m.v_at_tau()
         assert ray.diverged and not ray.converged
+
+    def test_divergence_flagged_just_above_the_threshold(self):
+        # E = ker(1 - A) = span(e1); a part of B along E above the
+        # threshold makes the ray states grow like 1/t
+        threshold = left_null_model(0.0).v_at_tau().threshold
+        above = left_null_model(2.0 * threshold).v_at_tau()
+        assert above.diverged and not above.converged
+        assert above.threshold == threshold
+        assert above.residual == pytest.approx(2.0 * threshold)
+        below = left_null_model(0.5 * threshold).v_at_tau()
+        assert below.converged and not below.diverged
+        assert np.allclose(below.value, [0.0, 1.0], atol=1e-15)
+
+    def test_jordan_block_claims_no_limit(self):
+        # B lies in the range of 1 - A, but E does not reduce A: the
+        # deflated solve is not the ray limit (the ray states (1/t, 0)
+        # diverge), so it is not reported as converged
+        pen = OperatorPencil(validate_positive_contraction(np.diag([0.5, 0.3])), TAU_11)
+        block = np.array([[1.0, 1.0, 1.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        assert not GeneralizedRealization(pen, Colligation(block)).v_at_tau().converged
 
     def test_ray_state_consistent_with_general_path(self, rng):
         y = random_positive_contraction(5, rng)
