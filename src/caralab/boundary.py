@@ -232,11 +232,9 @@ def nt_limit_phi(phi: Callable[[DiskPoint], complex], grid: NontangentialGrid) -
     against the ray limit; disagreement beyond FAMILY_TOL raises NoLimit.
     """
     values = _phi_on(phi, batch_points(grid.points))
-    limits = {}
-    start = 0
-    for name, pts in grid.families:
-        limits[name], _ = richardson_limit(values[start : start + len(pts)])
-        start += len(pts)
+    # every family samples the same schedule: one column per family
+    columns, _ = richardson_limit(values.reshape(len(grid.families), -1).T)
+    limits = {name: value for (name, _), value in zip(grid.families, columns)}
     ray_value = complex(limits["ray"])
     deviation = max(
         (abs(complex(v) - ray_value) for name, v in limits.items() if name != "ray"),
@@ -281,28 +279,23 @@ def derivative_fd(
 
 def _fd_limits(phi, tau: BoundaryPoint, deltas, phi_tau) -> list[complex]:
     """Extrapolated difference quotients along each direction, from one call of phi."""
-    schedules = [
-        direction_entry_time(tau, delta) / 8.0 * 2.0 ** -np.arange(FD_STEPS) for delta in deltas
-    ]
+    schedules = np.array(
+        [direction_entry_time(tau, delta) / 8.0 * 2.0 ** -np.arange(FD_STEPS) for delta in deltas]
+    )
     if phi_tau is None:
         ray = batch_points([tau.ray_point(2.0**-k) for k in range(8, 21)])
         phi_tau = complex(richardson_limit(_phi_on(phi, ray))[0])
     t1, t2 = as_pair(tau)
-    lam1, lam2 = [], []
-    for ts, delta in zip(schedules, deltas):
-        d1, d2 = as_pair(delta)
-        lam1.append(t1 + ts * d1)
-        lam2.append(t2 + ts * d2)
-    values = _phi_on(phi, DiskPoint(np.concatenate(lam1), np.concatenate(lam2)))
-    limits = []
-    for ts, row in zip(schedules, values.reshape(len(deltas), FD_STEPS)):
-        limit, residual = richardson_limit((row - phi_tau) / ts)
+    d1, d2 = np.array([as_pair(delta) for delta in deltas]).T[..., None]
+    values = _phi_on(phi, DiskPoint((t1 + schedules * d1).ravel(), (t2 + schedules * d2).ravel()))
+    quotients = (values.reshape(schedules.shape) - phi_tau) / schedules
+    limits, residuals = richardson_limit(quotients.T)  # one column per direction
+    for limit, residual in zip(limits, residuals):
         if residual > 1e-4 * max(1.0, abs(complex(limit))):
             raise NoConvergenceError(
                 f"difference quotients did not settle (residual {residual:.3e})"
             )
-        limits.append(complex(limit))
-    return limits
+    return [complex(limit) for limit in limits]
 
 
 def derivative_model(model: GeneralizedRealization, delta) -> complex:
@@ -521,17 +514,13 @@ def julia_quotient_ray(
     Evaluated in extended precision: the denominators shrink to 2^-20 and
     double rounding would swamp the 1e-9 identity budget.
     """
-    rows = []
-    one = np.longdouble(1.0)
-    for k in range(int(exponents[0]), int(exponents[1]) + 1):
-        t = 2.0**-k
-        v, phi = model.ray_state(t)
-        tx = np.longdouble(t)
-        lhs = np.vdot(v, v).real
-        num = one - (phi * np.conj(phi)).real
-        den = tx * (np.longdouble(2.0) - tx)  # 1 - (1-t)^2, exactly
-        rows.append(JuliaRow(t, float(lhs), float(num / den)))
-    return rows
+    ts = 2.0 ** -np.arange(int(exponents[0]), int(exponents[1]) + 1)
+    v, phi = model.ray_state(ts)
+    lhs = (v * v.conj()).real.sum(axis=1)
+    num = 1 - (phi * phi.conj()).real
+    tx = ts.astype(np.longdouble)
+    rhs = num / (tx * (2 - tx))  # 1 - (1-t)^2, exactly
+    return [JuliaRow(float(t), float(l), float(r)) for t, l, r in zip(ts, lhs, rhs)]
 
 
 # -- classification -------------------------------------------------------

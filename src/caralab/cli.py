@@ -9,6 +9,7 @@ CARALAB_SEED environment variable overrides the configured seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -387,6 +388,7 @@ COMMANDS = {
 }
 
 
+@functools.cache  # built once per process; parsing does not change it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="caralab",

@@ -11,7 +11,8 @@ def richardson_limit(values, ratio: float = 2.0, levels: int = 2):
     Assumes an expansion value(t) = L + c1 t + c2 t^2 + ...; each level
     cancels one power.  Returns (limit, residual) where the residual is the
     distance between the last two accelerated entries, a convergence
-    proxy.  Works elementwise on scalars or arrays of any float dtype.
+    proxy.  Works elementwise on scalars or arrays of any float dtype; array
+    entries (one sequence per column) give an elementwise residual array.
     """
     seq = [np.asarray(v) for v in values]
     if len(seq) < 2:
@@ -26,5 +27,6 @@ def richardson_limit(values, ratio: float = 2.0, levels: int = 2):
     # convergence proxy: spread of the last accelerated entries, falling
     # back to the step from the previous level when only one survives
     reference = seq[-2] if len(seq) >= 2 else prev_last
-    residual = float(np.linalg.norm((limit - reference).astype(complex)))
-    return limit, residual
+    gap = (limit - reference).astype(complex)
+    residual = np.sqrt(gap.real * gap.real + gap.imag * gap.imag)
+    return limit, residual if residual.ndim else float(residual)

@@ -21,8 +21,8 @@ A and B is orthogonal to E, so the boundary data are exactly
     v_tau = (1 - A)|_{E-perp}^{-1} B,    phi_tau = D + C v_tau,
 
 one double-precision solve per model (:meth:`GeneralizedRealization.v_at_tau`).
-Only the Julia rows sample the ray itself, in extended precision
-(:meth:`GeneralizedRealization.ray_state`).
+Only the Julia rows sample the ray itself, in extended precision and from
+one stacked solve (:meth:`GeneralizedRealization.ray_state`).
 
 In double precision everything is evaluated in the eigenbasis U of Y,
 where the pencil is diagonal: with A' = U*AU, B' = U*B and C' = CU the
@@ -292,27 +292,24 @@ class GeneralizedRealization:
                 self._ray_block = xprec.asxp(self.colligation.block)
         return self._ray_block
 
-    def ray_state(self, t: float) -> tuple[np.ndarray, np.clongdouble]:
-        """Model vector and phi at (1-t) tau, in extended precision.
+    def ray_state(self, t) -> tuple[np.ndarray, np.ndarray]:
+        """Model vectors and phi at (1-t) tau, in extended precision.
 
         Along the radial ray the pencil is exactly (1-t) times the
-        identity, so the resolvent solve needs no pencil evaluation.  Only
-        the Julia rows read these states.
+        identity, so the resolvents are the shifted systems 1 - (1-t) A of
+        one block, solved together by :func:`xprec.solve`.  An array of K
+        values of t gives (K, n) states and (K,) phis; one t gives (n,) and
+        a scalar.  Only the Julia rows read these states.
         """
-        if not 0.0 < t < 1.0:
+        ts = np.asarray(t, dtype=float)
+        if not np.all((ts > 0.0) & (ts < 1.0)):
             raise ValueError("t must lie in (0, 1)")
         block = self._refined_block()
         n = self.dim
-        a = block[:n, :n]
-        b = block[:n, n]
-        c = block[n, :n]
-        d = block[n, n]
-        tx = xprec.CDTYPE(t)
-        one = xprec.CDTYPE(1)
-        resolvent = np.eye(n, dtype=xprec.CDTYPE) - (one - tx) * a
-        v = xprec.solve(resolvent, b)
-        phi = d + (one - tx) * (c @ v)
-        return v, phi
+        s = xprec.CDTYPE(1) - ts.reshape(-1).astype(xprec.CDTYPE)
+        v = xprec.solve(block[:n, :n], block[:n, n], shifts=s)
+        phi = block[n, n] + s * (v @ block[n, :n])
+        return (v, phi) if ts.ndim else (v[0], phi[0])
 
     # -- boundary data at tau ----------------------------------------------
 

@@ -250,8 +250,8 @@ class TestRayPath:
         assert main(["derivative", path]) == 0
         assert calls == {}
         assert main(["verify", path]) == 0
-        assert calls["ray_state"] == 17 and calls["nearest_unitary"] == 1
-        assert calls["solve"] >= 17
+        # the 17 Julia rows come from one stacked, refined solve
+        assert calls == {"ray_state": 1, "nearest_unitary": 1, "solve": 1}
 
     @pytest.mark.parametrize("command", ["classify", "derivative"])
     def test_part_of_b_in_e_exits_6(self, capsys, tmp_path, command):
@@ -461,6 +461,27 @@ class TestParser:
         # the usage line names the subcommand, whose options it lists
         assert err.startswith(f"usage: caralab {argv[0]} ")
         assert f"caralab {argv[0]}: error: unrecognized arguments" in err
+
+    def test_cached_parser_answers_as_a_fresh_one(self, capsys, monkeypatch, swap_spec):
+        from caralab import cli
+
+        def outcome(argv):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            return code, capsys.readouterr()
+
+        argvs = [
+            ["classify", swap_spec],
+            ["derivative", swap_spec],
+            ["derivative", swap_spec, "--ray-exponents", "4,16"],
+        ]
+        cached = [outcome(argv) for argv in argvs]
+        assert build_parser() is build_parser()
+        monkeypatch.setattr(cli, "build_parser", build_parser.__wrapped__)
+        assert [outcome(argv) for argv in argvs] == cached
+        assert [code for code, _ in cached] == [0, 0, 2]
 
 
 class TestModuleEntry:

@@ -32,7 +32,21 @@ class TestRichardson:
         samples = geometric_samples(lambda t: np.array([1.0 + t, 2.0 - 3.0 * t]))
         limit, residual = richardson_limit(samples)
         assert np.allclose(limit, [1.0, 2.0], atol=1e-12)
-        assert residual <= 1e-11
+        assert residual.shape == (2,) and np.all(residual <= 1e-11)
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_columns_equal_per_column_calls_bit_for_bit(self, dtype, rng):
+        # the finite-difference quotients of a batch of directions: one column each
+        values = rng.standard_normal((15, 40)).astype(dtype)
+        if dtype is complex:
+            values += 1j * rng.standard_normal((15, 40))
+        limits, residuals = richardson_limit(values)
+        assert limits.shape == residuals.shape == (40,)
+        for col, limit, residual in zip(values.T, limits, residuals):
+            one_limit, one_residual = richardson_limit(list(col))
+            assert type(one_residual) is float
+            assert np.asarray(limit).tobytes() == np.asarray(one_limit).tobytes()
+            assert residual == one_residual
 
     def test_constant_sequence(self):
         limit, residual = richardson_limit([5.0, 5.0, 5.0])
