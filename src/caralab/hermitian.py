@@ -135,7 +135,8 @@ def spectral_decompose(a, eigtol: float = DEFAULT_EIGTOL) -> SpectralDecompositi
     if arr.shape[0] != arr.shape[1]:
         raise ValueError("matrix must be square")
     defect = hermitian_defect(arr)
-    if defect > max(eigtol, 1e-14 * max(1.0, opnorm(arr))):
+    # the norm only matters for a defect above eigtol
+    if defect > eigtol and defect > 1e-14 * max(1.0, opnorm(arr)):
         raise NotHermitianError(defect)
     herm = (arr + arr.conj().T) / 2
     try:

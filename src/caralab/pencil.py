@@ -31,9 +31,11 @@ SINGULAR_RTOL = 1e-13
 #: points closer to tau than this evaluate to the identity exactly
 TAU_SNAP = 1e-15
 
-#: most matrix entries held in one stacked evaluation; bounds the working
-#: set of batched kernels at large dimensions
-STACK_ENTRIES = 2**12
+#: most complex entries (points times entries per point) in one stack of the
+#: batched kernels: 1 MiB of complex128, so 16 points per LAPACK call at dim
+#: 64.  Fewer calls stop paying past about 2**15, while each doubling doubles
+#: the largest temporary and so the peak memory
+STACK_ENTRIES = 2**16
 
 
 def stack_chunks(count: int, entries_per_point: int):

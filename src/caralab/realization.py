@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -97,6 +98,11 @@ class Colligation:
         return complex(self.block[self.dim, self.dim])
 
     def isometry_defect(self) -> float:
+        """||V*V - 1||; the SVD behind it runs once per colligation."""
+        return self._isometry_defect
+
+    @cached_property
+    def _isometry_defect(self) -> float:
         n = self.block.shape[0]
         return opnorm(self.block.conj().T @ self.block - np.eye(n))
 
@@ -228,10 +234,11 @@ class GeneralizedRealization:
         n = self.dim
         s = np.empty((len(pts), n), dtype=complex)
         v = np.empty((len(pts), n), dtype=complex)
-        eye = np.eye(n, dtype=complex)
         for chunk in stack_chunks(len(pts), n * n):
             s[chunk] = i_y_diagonal(self.pencil, pts[chunk])
-            resolvent = eye - self._a * s[chunk, None, :]
+            # 1 - A' diag(s), built in place: one (N, n, n) temporary
+            resolvent = self._a * -s[chunk, None, :]
+            resolvent.reshape(len(resolvent), -1)[:, :: n + 1] += 1.0
             am = self._a_norm * np.abs(s[chunk]).max(axis=1)
             # written as a negation so that a NaN bound goes to the SVD
             check = np.flatnonzero(~(1.0 - am > 2.0 * SINGULAR_RTOL * (1.0 + am)))

@@ -29,6 +29,7 @@ from .boundary import (
     standard_model_pair,
     standard_model_residual,
 )
+from .errors import CaralabError
 from .hermitian import random_positive_contraction
 from .pencil import (
     OperatorPencil,
@@ -91,13 +92,15 @@ class ModelRecord:
     tau_label: str
     classification: str
     checks: list[CheckOutcome] = field(default_factory=list)
+    #: "<error class>: <message>" of a CaralabError that stopped the model's checks
+    error: str | None = None
 
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
     def to_json(self) -> dict:
-        return {
+        doc = {
             "index": self.index,
             "dim": self.dim,
             "spectrum_kind": self.spectrum_kind,
@@ -106,6 +109,9 @@ class ModelRecord:
             "passed": self.passed,
             "checks": [c.to_json() for c in self.checks],
         }
+        if self.error is not None:
+            doc["error"] = self.error
+        return doc
 
 
 @dataclass
@@ -264,31 +270,44 @@ def run_model_checks(
 
 
 def run_suite(config: SuiteConfig) -> SuiteReport:
-    """Generate `count` models and run every check; deterministic in the seed."""
+    """Generate `count` models and run every check; deterministic in the seed.
+
+    A CaralabError raised while classifying or checking one model becomes
+    that model's one failing check, ``model_error`` (worst 1, bound 0.5,
+    the 0/1 convention of ``carapoint_detected``), with the error named on
+    its record; the run goes on with the next model.
+    """
     if config.count < 1:
         raise ValueError("count must be >= 1")
     rng = np.random.default_rng(config.seed)
     records: list[ModelRecord] = []
     for index in range(config.count):
         model, kind, tau_label = generate_model(index, rng, config)
-        report = classify_model(model, aperture=config.aperture, depth=config.grid_depth)
-        checks = run_model_checks(model, rng, config, report)
-        # geometric classification must match the derivative's linearity defect
-        if report.classification == "regular":
-            agree = report.linearity_defect <= DEFECT_REGULAR_TOL
-            threshold = DEFECT_REGULAR_TOL
-        elif report.classification == "indeterminate":
-            agree = False  # gray zone: surfaced as a failure, never silently passed
-            threshold = DEFECT_REGULAR_TOL
+        classification, error = "unclassified", None
+        try:
+            report = classify_model(model, aperture=config.aperture, depth=config.grid_depth)
+            classification = report.classification
+            checks = run_model_checks(model, rng, config, report)
+        except CaralabError as exc:
+            error = f"{type(exc).__name__}: {exc}"
+            checks = [CheckOutcome("model_error", False, 1.0, 0.5)]
         else:
-            agree = report.linearity_defect > DEFECT_SINGULAR_TOL
-            threshold = DEFECT_SINGULAR_TOL
-        checks.append(
-            CheckOutcome(
-                "classification_cross_check", bool(agree), report.linearity_defect, threshold
+            # geometric classification must match the derivative's linearity defect
+            if report.classification == "regular":
+                agree = report.linearity_defect <= DEFECT_REGULAR_TOL
+                threshold = DEFECT_REGULAR_TOL
+            elif report.classification == "indeterminate":
+                agree = False  # gray zone: surfaced as a failure, never silently passed
+                threshold = DEFECT_REGULAR_TOL
+            else:
+                agree = report.linearity_defect > DEFECT_SINGULAR_TOL
+                threshold = DEFECT_SINGULAR_TOL
+            checks.append(
+                CheckOutcome(
+                    "classification_cross_check", bool(agree), report.linearity_defect, threshold
+                )
             )
-        )
         records.append(
-            ModelRecord(index, model.dim, kind, tau_label, report.classification, checks)
+            ModelRecord(index, model.dim, kind, tau_label, classification, checks, error)
         )
     return SuiteReport(config.seed, config.count, records)

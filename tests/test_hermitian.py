@@ -3,12 +3,14 @@ import dataclasses
 import numpy as np
 import pytest
 
+from caralab import hermitian
 from caralab import (
     NotHermitianError,
     SingularCalculusError,
     SpectralDecomposition,
     SpectrumOutOfRangeError,
     apply_calculus,
+    hermitian_defect,
     kernel_projectors,
     matrix_from_json,
     matrix_to_json,
@@ -61,6 +63,37 @@ class TestSpectralDecompose:
     def test_not_hermitian_rejected(self):
         with pytest.raises(NotHermitianError):
             spectral_decompose([[0.0, 1.0], [0.0, 0.0]])
+
+    @pytest.mark.parametrize("scale", [1.0, 1e6])
+    @pytest.mark.parametrize("skew", [0.0, 5e-10, 2e-9, 1e-7])
+    def test_rejection_rule(self, scale, skew):
+        # a defect is rejected when it exceeds max(eigtol, 1e-14 max(1, ||A||)):
+        # at scale 1e6 the norm term admits a skew of 2e-9 that eigtol alone would not
+        rng = np.random.default_rng(7)
+        g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        a = scale * (g + g.conj().T) / 2
+        a[0, 1] += skew
+        defect = hermitian_defect(a)
+        if defect > max(EIGTOL, 1e-14 * max(1.0, opnorm(a))):
+            with pytest.raises(NotHermitianError) as err:
+                spectral_decompose(a, EIGTOL)
+            assert err.value.defect == defect
+        else:
+            spectral_decompose(a, EIGTOL)
+
+    def test_norm_skipped_within_eigtol(self, monkeypatch):
+        calls = []
+
+        def counting(a):
+            calls.append(a)
+            return opnorm(a)
+
+        monkeypatch.setattr(hermitian, "opnorm", counting)
+        spectral_decompose(np.diag([0.2, 0.7]), EIGTOL)
+        assert calls == []
+        with pytest.raises(NotHermitianError):
+            spectral_decompose([[0.0, 1.0], [0.0, 0.0]], EIGTOL)
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     @pytest.mark.parametrize("n", [2, 5, 8])

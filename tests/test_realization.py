@@ -1,24 +1,32 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
+from caralab import pencil, realization
 from caralab import (
     Colligation,
     GeneralizedRealization,
     NotIsometricError,
     OperatorPencil,
+    SingularResolventError,
     colligation_with_ray_limit,
     dump_model,
     i_y_eval,
     load_model,
+    opnorm,
     phi_y_eval,
     random_colligation,
     random_positive_contraction,
     validate_colligation,
     validate_positive_contraction,
 )
-from conftest import TAU_11, TAUS, disk_point, left_null_model, scalar_model
+from caralab.pencil import sample_bidisk_batch, sample_bidisk_pairs
+from caralab.points import stack_points
+from caralab.realization import DEFAULT_ISOTOL
+from caralab.suite import SuiteConfig, generate_model
+from conftest import TAU_11, TAUS, desk_model, disk_point, left_null_model, scalar_model
 
 HOUSEHOLDER_1D = [[-0.6, 0.8], [0.8, 0.6]]  # reflection with B=4/5, D=3/5
 
@@ -49,6 +57,32 @@ class TestColligation:
         pen = OperatorPencil(validate_positive_contraction([[0.5]]), TAU_11)
         with pytest.raises(ValueError):
             GeneralizedRealization(pen, validate_colligation(np.eye(3)))
+
+    @pytest.mark.parametrize("size", [0.0, 1e-9, 1e-7])
+    def test_rejection_at_isotol(self, size):
+        block = random_colligation(3, np.random.default_rng(2)).block + size * np.eye(4)
+        defect = opnorm(block.conj().T @ block - np.eye(4))
+        if defect > DEFAULT_ISOTOL:
+            with pytest.raises(NotIsometricError) as err:
+                validate_colligation(block)
+            assert err.value.defect == defect
+        else:
+            assert validate_colligation(block).isometry_defect() == defect
+
+    def test_defect_computed_once_per_colligation(self, monkeypatch, rng):
+        y = random_positive_contraction(3, rng)
+        calls = []
+
+        def counting(a):
+            calls.append(a)
+            return opnorm(a)
+
+        monkeypatch.setattr(realization, "opnorm", counting)
+        col = validate_colligation(random_colligation(3, rng).block)
+        m = GeneralizedRealization(OperatorPencil(y, TAU_11), col)
+        assert m.isometry_defect == col.isometry_defect()
+        # one SVD for the isometry defect, one for ||A'||
+        assert len(calls) == 2
 
 
 class TestSwapColligation:
@@ -251,3 +285,58 @@ class TestJsonInterchange:
         doc["dim"] = 3
         with pytest.raises(ValueError):
             load_model(doc)
+
+
+class TestStackBudget:
+    """Stacks sized by pencil.STACK_ENTRIES; LAPACK solves each matrix on its own."""
+
+    @staticmethod
+    def models():
+        model, _, _ = generate_model(0, np.random.default_rng(3), SuiteConfig())
+        return [desk_model(np.random.default_rng(64)), model]
+
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_results_independent_of_budget(self, monkeypatch, which):
+        model = self.models()[which]
+        n = model.dim
+        rng = np.random.default_rng(9)
+        pts = stack_points(sample_bidisk_batch(rng, 48))
+        # tau and a point next to it take the SVD branch of the certificate
+        t1, t2 = model.tau
+        pts = np.concatenate([pts, [[t1, t2], [(1 - 1e-12) * t1, (1 - 1e-12) * t2]]])
+        lam, mu = sample_bidisk_pairs(rng, 30)
+        results = []
+        # one point per stack, the default, and a stack size that divides neither count
+        for entries in (n * n, pencil.STACK_ENTRIES, 7 * n * n):
+            monkeypatch.setattr(pencil, "STACK_ENTRIES", entries)
+            results.append((*model.evaluate(pts), model.model_residual(lam, mu)))
+        for other in results[1:]:
+            for a, b in zip(results[0], other):
+                assert np.array_equal(a, b)
+
+    def test_singular_error_names_the_first_point(self, monkeypatch):
+        # A = 2 over the projection Y = 1: s = lam1, so 1 - 2 lam1 is singular at lam1 = 1/2
+        pen = OperatorPencil(validate_positive_contraction([[1.0]]), TAU_11)
+        m = GeneralizedRealization(pen, Colligation(np.array([[2.0, 0.0], [0.0, 1.0]])))
+        pts = np.array([[0.1, 0], [0.2, 0], [0.3, 0], [0.5, 0.1j], [0.2, 0.2], [0.5, -0.3j]])
+        for entries in (2, pencil.STACK_ENTRIES):
+            monkeypatch.setattr(pencil, "STACK_ENTRIES", entries)
+            with pytest.raises(SingularResolventError, match=r"lam=\(\(0\.5\+0j\), 0\.1j\)"):
+                m.evaluate(pts)
+
+    def test_desk_identity_solve_count(self, monkeypatch):
+        calls = []
+        solve = np.linalg.solve
+
+        def counting(a, b):
+            calls.append(len(a))
+            return solve(a, b)
+
+        model = desk_model(np.random.default_rng(64))
+        lam, mu = sample_bidisk_pairs(np.random.default_rng(5), 400)
+        monkeypatch.setattr(np.linalg, "solve", counting)
+        model.model_residual(lam, mu)
+        per_stack = pencil.STACK_ENTRIES // 64**2
+        assert per_stack == 16  # 1 MiB of complex128 per stack
+        assert len(calls) == math.ceil(800 / per_stack)
+        assert max(calls) == per_stack

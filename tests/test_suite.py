@@ -3,7 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from caralab import boundary, suite
+from caralab import UnconvergedError, boundary, suite
+from caralab.cli import EXIT_RESIDUAL, main
 from caralab.suite import SUITE_TAUS, SuiteConfig, generate_model, run_suite
 
 
@@ -79,6 +80,45 @@ class TestRun:
         monkeypatch.setattr(suite, "i_y_eval", counting)
         run_suite(SuiteConfig(seed=7, count=3))
         assert len(calls) == 3
+
+
+def failing_on_model(monkeypatch, index):
+    """Make run_model_checks raise UnconvergedError on the model of this index."""
+    calls = []
+    run_model_checks = suite.run_model_checks
+
+    def failing(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == index + 1:
+            raise UnconvergedError("ray solve left 1 of 17 systems unsettled")
+        return run_model_checks(*args, **kwargs)
+
+    monkeypatch.setattr(suite, "run_model_checks", failing)
+
+
+class TestModelError:
+    def test_one_model_error_does_not_abort_the_run(self, monkeypatch):
+        clean = run_suite(SuiteConfig(seed=7)).to_json()
+        failing_on_model(monkeypatch, 3)
+        report = run_suite(SuiteConfig(seed=7))
+        doc = report.to_json()
+        assert len(report.records) == 50
+        assert doc["models"][:3] == clean["models"][:3]
+        bad = doc["models"][3]
+        assert bad["error"] == "UnconvergedError: ray solve left 1 of 17 systems unsettled"
+        assert bad["checks"] == [{"name": "model_error", "passed": False, "worst": 1.0, "bound": 0.5}]
+        assert bad["classification"] == clean["models"][3]["classification"]
+        assert not report.passed
+        assert doc["totals"]["model_error"] == {"passed": 0, "total": 1}
+        # the run goes on: every later model carries its full list of checks
+        assert all("error" not in m and len(m["checks"]) == len(CHECK_NAMES) for m in doc["models"][4:])
+
+    def test_suite_command_exits_5(self, monkeypatch, capsys, tmp_path):
+        failing_on_model(monkeypatch, 1)
+        out = tmp_path / "suite.json"
+        assert main(["suite", "--seed", "7", "--count", "2", "--out", str(out)]) == EXIT_RESIDUAL == 5
+        assert "model_error: 0/1" in capsys.readouterr().err
+        assert "UnconvergedError" in out.read_text()
 
 
 def test_config_holds_only_what_callers_set():
