@@ -23,6 +23,7 @@ from .boundary import (
     satisfies_aperture,
     standard_model_pair,
     standard_model_residual,
+    standard_model_rotated,
 )
 from .errors import (
     BadApertureError,

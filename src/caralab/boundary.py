@@ -31,15 +31,17 @@ from .extrapolate import richardson_limit
 from .points import (
     BoundaryPoint,
     DiskPoint,
+    as_coords,
     as_pair,
     batch_points,
     direction_entry_time,
     is_batch,
+    modulus,
     require_admissible,
     stack_points,
 )
 from .realization import GeneralizedRealization, RAY_EXPONENTS
-from .scalar_family import phi_y_model_vector
+from .scalar_family import phi_y_model_components
 
 #: quotient ceiling above which an approach to the boundary counts as unbounded
 QUOTIENT_BOUND = 1e6
@@ -72,32 +74,46 @@ DEFAULT_APERTURE = 2.0
 DEFAULT_DEPTH = 12
 
 
-def satisfies_aperture(tau, lam, aperture: float, slack: float = 0.0) -> bool:
+def satisfies_aperture(tau, lam, aperture: float, slack: float = 0.0):
     """Check the nontangential inequality ||tau - lam||_inf <= c (1 - ||lam||_inf).
 
     ``slack`` absorbs representation noise: the radial ray sits exactly on
     the aperture-1 cone boundary, where the ~1e-16 modulus error of a
-    stored boundary point would otherwise flip the comparison.
+    stored boundary point would otherwise flip the comparison.  A batch
+    lam (array coordinates) gives one flag per point.
     """
-    t1, t2 = as_pair(tau)
-    l1, l2 = as_pair(lam)
-    gap = max(abs(t1 - l1), abs(t2 - l2))
-    return gap <= aperture * (1.0 - max(abs(l1), abs(l2))) + slack
+    (t1, t2), (l1, l2) = as_pair(tau), as_coords(lam)
+    gap = np.maximum(modulus(t1 - l1), modulus(t2 - l2))
+    ok = gap <= aperture * (1.0 - np.maximum(modulus(l1), modulus(l2))) + slack
+    return ok if is_batch(lam) else bool(ok)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NontangentialGrid:
     """Points approaching tau inside an aperture cone, grouped by family.
 
     Each family follows one approach geometry (the radial ray, skewed
     radial scalings, small angular detours) sampled along the dyadic
-    schedule t = 2^-k, k = 1..depth.
+    schedule t = 2^-k, k = 1..depth: ``coords[f, k - 1]`` is the point of
+    family ``names[f]`` at t = 2^-k.  ``batch`` holds every point as one
+    batch DiskPoint; ``families``, ``points`` and ``ray`` are views.
     """
 
     tau: BoundaryPoint
     aperture: float
     depth: int
-    families: tuple[tuple[str, tuple[tuple[float, DiskPoint], ...]], ...]
+    names: tuple[str, ...]
+    coords: np.ndarray  # (len(names), depth, 2) complex
+
+    @property
+    def batch(self) -> DiskPoint:
+        return DiskPoint(*self.coords.reshape(-1, 2).T)
+
+    @property
+    def families(self) -> tuple[tuple[str, tuple[tuple[float, DiskPoint], ...]], ...]:
+        ts = np.ldexp(1.0, -np.arange(1, self.depth + 1)).tolist()
+        rows = [tuple((t, DiskPoint(a, b)) for t, (a, b) in zip(ts, c.tolist())) for c in self.coords]
+        return tuple(zip(self.names, rows))
 
     @property
     def points(self) -> list[DiskPoint]:
@@ -105,10 +121,7 @@ class NontangentialGrid:
 
     @property
     def ray(self) -> tuple[tuple[float, DiskPoint], ...]:
-        for name, pts in self.families:
-            if name == "ray":
-                return pts
-        raise KeyError("grid has no ray family")
+        return dict(self.families)["ray"]
 
 
 def build_grid(
@@ -128,45 +141,45 @@ def build_grid(
         raise ValueError("depth must lie in 1..48")
     tau = tau if isinstance(tau, BoundaryPoint) else BoundaryPoint(*as_pair(tau))
     t1, t2 = as_pair(tau)
-    ts = [2.0**-k for k in range(1, depth + 1)]
+    ts = np.ldexp(1.0, -np.arange(1, depth + 1))  # exactly 2^-k
 
-    def radial(u1: float, u2: float, t: float) -> DiskPoint:
-        return DiskPoint((1.0 - t * u1) * t1, (1.0 - t * u2) * t2)
+    def radial(u1: float, u2: float) -> np.ndarray:
+        return np.stack([(1.0 - ts * u1) * t1, (1.0 - ts * u2) * t2], axis=1)
 
-    def angular(theta1: float, theta2: float, t: float) -> DiskPoint:
-        w1 = complex(math.cos(theta1 * t), math.sin(theta1 * t))
-        w2 = complex(math.cos(theta2 * t), math.sin(theta2 * t))
-        return DiskPoint((1.0 - t) * w1 * t1, (1.0 - t) * w2 * t2)
+    def angular(theta1: float, theta2: float) -> np.ndarray:
+        # math.cos/sin and Python complex products, for the scalar rounding
+        return np.array([
+            [(1.0 - t) * complex(math.cos(theta * t), math.sin(theta * t)) * tz
+             for theta, tz in ((theta1, t1), (theta2, t2))]
+            for t in ts.tolist()
+        ])
 
-    makers: list[tuple[str, Callable[[float], DiskPoint]]] = [
-        ("ray", lambda t: radial(1.0, 1.0, t))
-    ]
+    families = [("ray", radial(1.0, 1.0))]
     if aperture > 1.0:
         ratios = sorted({1.0 / aperture, (1.0 + 1.0 / aperture) / 2.0})
         for r in ratios:
-            makers.append((f"radial(1,{r:g})", lambda t, r=r: radial(1.0, r, t)))
-            makers.append((f"radial({r:g},1)", lambda t, r=r: radial(r, 1.0, t)))
+            families.append((f"radial(1,{r:g})", radial(1.0, r)))
+            families.append((f"radial({r:g},1)", radial(r, 1.0)))
         # safe angular speed: sqrt(1 + kappa^2) <= aperture with margin;
         # the aperture is not squared, so a huge one cannot overflow
         kappa = 0.9 * math.sqrt(aperture - 1.0) * math.sqrt(aperture + 1.0)
-        makers.append((f"angular(+{kappa:.3g},0)", lambda t: angular(kappa, 0.0, t)))
-        makers.append((f"angular(0,-{kappa:.3g})", lambda t: angular(0.0, -kappa, t)))
+        families.append((f"angular(+{kappa:.3g},0)", angular(kappa, 0.0)))
+        families.append((f"angular(0,-{kappa:.3g})", angular(0.0, -kappa)))
 
-    families = []
-    for name, make in makers:
-        pts = []
-        for t in ts:
-            pt = make(t)
-            if not pt.in_open_bidisk() or not satisfies_aperture(tau, pt, aperture, slack=1e-12):
-                # happens only for huge apertures: the radial speed
-                # 1/aperture is then lost to rounding near the boundary
-                raise BadApertureError(
-                    f"grid family {name!r} leaves the open bidisk or its cone at t={t!r} "
-                    f"for aperture {aperture!r}"
-                )
-            pts.append((t, pt))
-        families.append((name, tuple(pts)))
-    return NontangentialGrid(tau, float(aperture), int(depth), tuple(families))
+    names, coords = zip(*families)
+    coords = np.stack(coords)
+    coords.flags.writeable = False
+    lam = (coords[..., 0], coords[..., 1])
+    ok = (np.maximum(*map(modulus, lam)) < 1.0) & satisfies_aperture(tau, lam, aperture, slack=1e-12)
+    if not ok.all():
+        # happens only for huge apertures: the radial speed 1/aperture is
+        # then lost to rounding near the boundary
+        f, k = np.unravel_index(np.argmin(ok), ok.shape)
+        raise BadApertureError(
+            f"grid family {names[f]!r} leaves the open bidisk or its cone at t={float(ts[k])!r} "
+            f"for aperture {aperture!r}"
+        )
+    return NontangentialGrid(tau, float(aperture), int(depth), names, coords)
 
 
 def _phi_on(phi: Callable[[DiskPoint], complex], lam: DiskPoint) -> np.ndarray:
@@ -208,9 +221,10 @@ def detect_carapoint(phi: Callable[[DiskPoint], complex], grid: NontangentialGri
     moderately deep ray samples where rounding is still negligible.
     """
     # ray[k - 1] is the ray point at t = 2^-k; the grid's points follow it
-    ray = [pt for _, pt in grid.ray]
-    ray += [grid.tau.ray_point(2.0**-k) for k in range(grid.depth + 1, DETECT_EXPONENT + 1)]
-    quotients = cara_quotient(phi, batch_points(ray + grid.points))
+    deeper = grid.tau.ray_point(np.ldexp(1.0, -np.arange(grid.depth + 1, DETECT_EXPONENT + 1)))
+    ray = np.concatenate([grid.coords[grid.names.index("ray")], stack_points(deeper)])
+    pts = np.concatenate([ray, grid.coords.reshape(-1, 2)])
+    quotients = cara_quotient(phi, DiskPoint(*pts.T))
     k_hi = min(ALPHA_EXPONENT, len(ray))
     alpha, _ = richardson_limit(quotients[max(1, k_hi - 7) - 1 : k_hi])
     qmax, qmin = quotients.max(), quotients.min()
@@ -231,19 +245,13 @@ def nt_limit_phi(phi: Callable[[DiskPoint], complex], grid: NontangentialGrid) -
     Extrapolates every approach family and cross-checks the off-ray limits
     against the ray limit; disagreement beyond FAMILY_TOL raises NoLimit.
     """
-    values = _phi_on(phi, batch_points(grid.points))
+    values = _phi_on(phi, grid.batch)
     # every family samples the same schedule: one column per family
-    columns, _ = richardson_limit(values.reshape(len(grid.families), -1).T)
-    limits = {name: value for (name, _), value in zip(grid.families, columns)}
-    ray_value = complex(limits["ray"])
-    deviation = max(
-        (abs(complex(v) - ray_value) for name, v in limits.items() if name != "ray"),
-        default=0.0,
-    )
+    columns, _ = richardson_limit(values.reshape(len(grid.names), -1).T)
+    ray_value = complex(columns[grid.names.index("ray")])
+    deviation = float(modulus(columns - ray_value).max())
     if deviation > FAMILY_TOL:
-        raise NoLimitError(
-            f"approach families disagree by {deviation:.3e} (> {FAMILY_TOL:.1e})"
-        )
+        raise NoLimitError(f"approach families disagree by {deviation:.3e} (> {FAMILY_TOL:.1e})")
     return NontangentialLimit(ray_value, float(deviation))
 
 
@@ -264,41 +272,35 @@ def derivative_fd(
     raises on its own.
     """
     tau = tau if isinstance(tau, BoundaryPoint) else BoundaryPoint(*as_pair(tau))
-    if not is_batch(delta):
-        return _fd_limits(phi, tau, [delta], phi_tau)[0]
-    deltas = list(stack_points(delta))
-    if not deltas:
-        return np.empty(0, dtype=complex)
+    deltas = stack_points(delta)
     try:
-        return np.array(_fd_limits(phi, tau, deltas, phi_tau))
+        limits = _fd_limits(phi, tau, deltas, phi_tau)
     except (CaralabError, ValueError):
         for one in deltas:
-            _fd_limits(phi, tau, [one], phi_tau)
+            _fd_limits(phi, tau, one[None], phi_tau)
         raise
+    return limits if is_batch(delta) else complex(limits[0])
 
 
-def _fd_limits(phi, tau: BoundaryPoint, deltas, phi_tau) -> list[complex]:
-    """Extrapolated difference quotients along each direction, from one call of phi."""
-    schedules = np.array(
-        [direction_entry_time(tau, delta) / 8.0 * 2.0 ** -np.arange(FD_STEPS) for delta in deltas]
-    )
+def _fd_limits(phi, tau: BoundaryPoint, deltas: np.ndarray, phi_tau) -> np.ndarray:
+    """Extrapolated difference quotients along (K, 2) directions, from one call of phi."""
+    entry = direction_entry_time(tau, DiskPoint(*deltas.T))
+    schedules = entry[:, None] / 8.0 * 2.0 ** -np.arange(FD_STEPS)
     if phi_tau is None:
-        ray = batch_points([tau.ray_point(2.0**-k) for k in range(8, 21)])
+        ray = tau.ray_point(np.ldexp(1.0, -np.arange(8, 21)))
         phi_tau = complex(richardson_limit(_phi_on(phi, ray))[0])
-    t1, t2 = as_pair(tau)
-    d1, d2 = np.array([as_pair(delta) for delta in deltas]).T[..., None]
-    values = _phi_on(phi, DiskPoint((t1 + schedules * d1).ravel(), (t2 + schedules * d2).ravel()))
+    steps = stack_points(tau)[:, None, :] + schedules[..., None] * deltas[:, None, :]
+    values = _phi_on(phi, DiskPoint(*steps.reshape(-1, 2).T))
     quotients = (values.reshape(schedules.shape) - phi_tau) / schedules
     limits, residuals = richardson_limit(quotients.T)  # one column per direction
-    for limit, residual in zip(limits, residuals):
-        if residual > 1e-4 * max(1.0, abs(complex(limit))):
-            raise NoConvergenceError(
-                f"difference quotients did not settle (residual {residual:.3e})"
-            )
-    return [complex(limit) for limit in limits]
+    unsettled = residuals > 1e-4 * np.maximum(1.0, modulus(limits))
+    if unsettled.any():
+        residual = residuals[np.argmax(unsettled)]
+        raise NoConvergenceError(f"difference quotients did not settle (residual {residual:.3e})")
+    return limits
 
 
-def derivative_model(model: GeneralizedRealization, delta) -> complex:
+def derivative_model(model: GeneralizedRealization, delta):
     """Directional derivative at tau from the model's boundary data.
 
     Evaluates phi(tau) * < g(Y) v_tau, v_tau > with
@@ -307,19 +309,18 @@ def derivative_model(model: GeneralizedRealization, delta) -> complex:
     U* v_tau; g has no pole on [0, 1] for admissible directions.  The
     unimodular prefactor phi(tau) comes from polarizing the model identity
     against the boundary value and is what makes this agree with the
-    difference quotient for functions with phi(tau) != 1.
+    difference quotient for functions with phi(tau) != 1.  A batch delta
+    (array coordinates) gives one derivative per direction from one (K, n) expression.
     """
     require_admissible(model.tau, delta)
     ray = model.v_at_tau()
     if not ray.converged:
         raise UnconvergedError("model vector has no converged ray limit at tau")
-    t1, t2 = as_pair(model.tau)
-    d1, d2 = as_pair(delta)
-    a = t1.conjugate() * d1
-    b = t2.conjugate() * d2
+    a, b = (np.conj(stack_points(model.tau)) * stack_points(delta)).T[..., None]
     w = model.pencil.contraction.decomposition.weights
     g = a * b / (a * (1.0 - w) + b * w)
-    return model.phi_at_tau() * complex(np.sum(g * np.abs(ray.rotated) ** 2))
+    values = model.phi_at_tau() * np.sum(g * np.abs(ray.rotated) ** 2, axis=1)
+    return values if is_batch(delta) else complex(values[0])
 
 
 @dataclass(frozen=True)
@@ -393,26 +394,26 @@ def derivative_table(
     """Tabulate directional derivatives of a realization at tau.
 
     Each direction gets its analytic entry, then its finite-difference
-    entry.  The finite differences of all directions come from one batched
-    :func:`derivative_fd` call.  If anything fails, the table is rebuilt
-    direction by direction in that order, so the error raised is the
-    first one that order meets.
+    entry.  Each column comes from one batched call, of
+    :func:`derivative_model` and of :func:`derivative_fd`.  If anything
+    fails, the table is rebuilt direction by direction in that order, so
+    the error raised is the first one that order meets.
     """
     if deltas is None:
         deltas = default_directions(model.tau)
+    batch = batch_points(deltas)
     phi_tau = model.phi_at_tau()
     try:
-        fds = derivative_fd(model.phi, model.tau, batch_points(deltas), phi_tau=phi_tau).tolist()
-        entries = []
-        for delta, fd in zip(deltas, fds):
-            pair = as_pair(delta)
-            entries.append(DerivativeEntry(pair, derivative_model(model, delta), "analytic"))
-            entries.append(DerivativeEntry(pair, fd, "finite_difference"))
+        analytic = derivative_model(model, batch).tolist()
+        fds = derivative_fd(model.phi, model.tau, batch, phi_tau=phi_tau).tolist()
     except (CaralabError, ValueError):
         for delta in deltas:
             derivative_model(model, delta)
             derivative_fd(model.phi, model.tau, delta, phi_tau=phi_tau)
         raise
+    entries = []
+    for pair, an, fd in zip(map(tuple, stack_points(batch).tolist()), analytic, fds):
+        entries += [DerivativeEntry(pair, an, "analytic"), DerivativeEntry(pair, fd, "finite_difference")]
     return DerivativeTable(tuple(entries))
 
 
@@ -420,42 +421,43 @@ def linearity_defect(
     derivative: Callable[[tuple[complex, complex]], complex],
     pairs: Sequence[tuple[tuple[complex, complex], tuple[complex, complex]]],
 ) -> float:
-    """Largest additivity defect |D(a+b) - D(a) - D(b)| over direction pairs."""
-    worst = 0.0
-    for da, db in pairs:
-        a1, a2 = as_pair(da)
-        b1, b2 = as_pair(db)
-        joint = derivative((a1 + b1, a2 + b2))
-        worst = max(worst, abs(joint - derivative(da) - derivative(db)))
-    return worst
+    """Largest additivity defect |D(a+b) - D(a) - D(b)| over direction pairs.
+
+    The directions a+b, a, b of every pair, in that order, go to one call
+    of ``derivative`` as a batch (array coordinates); a callable that
+    cannot take one is called once per direction with a complex pair.
+    """
+    a, b = (np.array([as_pair(p[i]) for p in pairs], dtype=complex).reshape(-1, 2) for i in (0, 1))
+    dirs = np.stack([a + b, a, b], axis=1).reshape(-1, 2)
+    try:
+        values = np.asarray(derivative(DiskPoint(*dirs.T)), dtype=complex).reshape(len(dirs))
+    except (TypeError, ValueError):
+        values = np.array([derivative(tuple(d)) for d in dirs.tolist()], dtype=complex)
+    joint, da, db = values.reshape(-1, 3).T
+    return float(modulus(joint - da - db).max(initial=0.0))
 
 
 # -- derived standard model ----------------------------------------------
 
 
-def _standard_rotated(model: GeneralizedRealization, points: np.ndarray):
-    """Standard model components in Y's eigenbasis, and phi, at (N, 2) points.
+def standard_model_rotated(model: GeneralizedRealization, lam):
+    """Standard model components u1', u2', model vector v' and phi at lam, from one evaluation.
 
-    Each eigenvector column of v'(lam) is weighted by its eigenvalue's
-    pair: (1, 0) at 1, (0, 1) at 0, the scalar-family model components
-    in between.
+    The vectors are in Y's eigenbasis (v = U v'), which keeps norms and
+    inner products; a batch lam gives one row per point.  Column i of v'
+    is weighted by (1, 0) at eigenvalue 1, (0, 1) at 0, and the
+    scalar-family model components in between, all from one expression.
     """
-    dec = model.pencil.contraction.decomposition
+    w = model.pencil.contraction.decomposition.weights
+    points = stack_points(lam)
     _, v, phi = model.evaluate(points)
-    lam = DiskPoint(points[:, 0], points[:, 1])
     w1 = np.zeros_like(v)
     w2 = np.zeros_like(v)
-    for w in dec.eigenvalues:
-        cols = dec.weights == w
-        if w == 1.0:
-            w1[:, cols] = 1.0
-        elif w == 0.0:
-            w2[:, cols] = 1.0
-        else:
-            u = phi_y_model_vector(w, model.tau, lam)
-            w1[:, cols] = u.u1[:, None]
-            w2[:, cols] = u.u2[:, None]
-    return w1 * v, w2 * v, phi
+    w1[:, w == 1.0] = 1.0
+    w2[:, w == 0.0] = 1.0
+    inner = (w > 0.0) & (w < 1.0)
+    w1[:, inner], w2[:, inner] = phi_y_model_components(w[inner], model.tau, DiskPoint(*points.T))
+    return w1 * v, w2 * v, v, phi
 
 
 def standard_model_pair(model: GeneralizedRealization, lam) -> tuple[np.ndarray, np.ndarray]:
@@ -467,7 +469,7 @@ def standard_model_pair(model: GeneralizedRealization, lam) -> tuple[np.ndarray,
     corresponding eigenspace component of v(lam).  A batch lam gives one
     row per point.
     """
-    u1, u2, _ = _standard_rotated(model, stack_points(lam))
+    u1, u2, _, _ = standard_model_rotated(model, lam)
     ut = model.pencil.contraction.decomposition.eigenvectors.T
     u1, u2 = u1 @ ut, u2 @ ut
     return (u1, u2) if is_batch(lam) else (u1[0], u2[0])
@@ -480,7 +482,7 @@ def standard_model_residual(model: GeneralizedRealization, lam, mu):
     are taken there.  Batches lam and mu give one residual per pair.
     """
     pl, pm = np.broadcast_arrays(stack_points(lam), stack_points(mu))
-    u1, u2, phi = _standard_rotated(model, np.concatenate([pl, pm]))
+    u1, u2, _, phi = standard_model_rotated(model, DiskPoint(*np.concatenate([pl, pm]).T))
     k = len(pl)
     lhs = 1.0 - np.conj(phi[k:]) * phi[:k]
     rhs = (1.0 - np.conj(pm[:, 0]) * pl[:, 0]) * np.sum(np.conj(u1[k:]) * u1[:k], axis=1) + (
@@ -592,9 +594,7 @@ def classify_model(
 
     grid = build_grid(model.tau, aperture, depth)
     scan = detect_carapoint(model.phi, grid)
-    defect = linearity_defect(
-        lambda d: derivative_model(model, d), default_direction_pairs(model.tau)
-    )
+    defect = linearity_defect(lambda d: derivative_model(model, d), default_direction_pairs(model.tau))
 
     if classification == "regular":
         cross_check_ok = defect <= DEFECT_REGULAR_TOL

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -49,8 +48,8 @@ class BoundaryPoint:
         yield self.tau1
         yield self.tau2
 
-    def ray_point(self, t: float) -> "DiskPoint":
-        """The point (1-t) * tau on the radial ray into the bidisk."""
+    def ray_point(self, t) -> "DiskPoint":
+        """The point (1-t) * tau on the radial ray into the bidisk; an array t gives a batch."""
         return DiskPoint((1.0 - t) * self.tau1, (1.0 - t) * self.tau2)
 
 
@@ -111,32 +110,52 @@ def batch_points(points) -> DiskPoint:
     return DiskPoint(arr[:, 0], arr[:, 1])
 
 
-def is_admissible_direction(tau, delta) -> bool:
+def modulus(z):
+    """|z| by libm's hypot, rounded as abs() rounds it for a Python complex."""
+    return np.hypot(np.real(z), np.imag(z))
+
+
+def _inward(tau, d: np.ndarray) -> np.ndarray:
+    """Re(conj(tau_i) d_i) for (N, 2) directions, rounded as Python rounds it.
+
+    Written in real arithmetic: NumPy's complex product may fuse the
+    multiply and the add, which moves the last bit.
+    """
+    t = stack_points(tau)
+    return t.real * d.real + t.imag * d.imag
+
+
+def is_admissible_direction(tau, delta):
     """True when the direction points into the bidisk at tau.
 
     The rotation-covariant condition Re(conj(tau_i) * delta_i) < 0 in both
     coordinates guarantees tau + t*delta lies in the open bidisk for small
-    t > 0.
+    t > 0.  A batch delta (array coordinates) gives one flag per direction.
     """
-    t1, t2 = as_pair(tau)
-    d1, d2 = as_pair(delta)
-    return (t1.conjugate() * d1).real < 0.0 and (t2.conjugate() * d2).real < 0.0
+    ok = (_inward(tau, stack_points(delta)) < 0.0).all(axis=1)
+    return ok if is_batch(delta) else bool(ok[0])
 
 
 def require_admissible(tau, delta) -> None:
-    if not is_admissible_direction(tau, delta):
+    """Raise for the first direction of delta (one, or a batch) that is not admissible."""
+    ok = np.atleast_1d(is_admissible_direction(tau, delta))
+    if not ok.all():
+        first = stack_points(delta)[np.argmin(ok)]
         raise InadmissibleDirectionError(
-            f"direction {tuple(as_pair(delta))!r} does not point into the bidisk at "
+            f"direction {tuple(as_pair(first))!r} does not point into the bidisk at "
             f"{tuple(as_pair(tau))!r}"
         )
 
 
-def direction_entry_time(tau, delta) -> float:
-    """Largest t0 such that tau + t*delta stays in the open bidisk for 0 < t < t0."""
+def direction_entry_time(tau, delta):
+    """Largest t0 such that tau + t*delta stays in the open bidisk for 0 < t < t0.
+
+    A batch delta gives one time per direction.
+    """
     require_admissible(tau, delta)
-    t_max = math.inf
-    for tz, dz in zip(as_pair(tau), as_pair(delta)):
-        a = (tz.conjugate() * dz).real
-        # |tau + t delta|^2 = |tau|^2 + 2 t a + t^2 |delta|^2 < 1
-        t_max = min(t_max, -2.0 * a / abs(dz) ** 2)
-    return t_max
+    d = stack_points(delta)
+    # |tau + t delta|^2 = |tau|^2 + 2 t a + t^2 |delta|^2 < 1, with |delta|^2
+    # by hypot and pow, as abs(z) ** 2 computes it for a Python complex
+    a = _inward(tau, d)
+    times = (-2.0 * a / np.float_power(modulus(d), 2.0)).min(axis=1)
+    return times if is_batch(delta) else float(times[0])

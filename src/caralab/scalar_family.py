@@ -128,6 +128,18 @@ def phi_y_model_vector(y: float, tau, lam) -> ScalarModelVector:
     return ScalarModelVector(y, u1, u2, coef_plus, 1.0 + 0j)
 
 
+def phi_y_model_components(ys, tau, lam) -> tuple[np.ndarray, np.ndarray]:
+    """Components u1, u2 of the model vectors of phi_y for an array of y in (0, 1).
+
+    A batch lam of N points gives two (N, len(ys)) arrays, one column per
+    parameter, each rounded as :func:`phi_y_model_vector` rounds it.
+    """
+    ys = np.asarray(ys, dtype=float)
+    p, q = (np.asarray(z)[..., None] for z in _pq(tau, lam))
+    den = _denominator(ys, p, q)
+    return np.sqrt(ys) * (1.0 - q) / den, np.sqrt(1.0 - ys) * (1.0 - p) / den
+
+
 def phi_y_model_residual(y: float, tau, lam, mu):
     """Absolute defect of the two-variable model identity at a pair of points.
 

@@ -26,7 +26,7 @@ from .boundary import (
     default_directions,
     derivative_table,
     julia_quotient_ray,
-    standard_model_pair,
+    standard_model_rotated,
     standard_model_residual,
 )
 from .errors import CaralabError
@@ -260,9 +260,9 @@ def run_model_checks(
     lam, mu = sample_bidisk_pairs(rng, STANDARD_PAIRS)
     worst = standard_model_residual(model, lam, mu).max(initial=0.0)
     record("standard_model_identity", worst, config.residual_tol)
-    pts = batch_points(report.grid.points)
-    u1, u2 = standard_model_pair(model, pts)
-    bound = (config.aperture + 1.0) * np.linalg.norm(model.model_vector(pts), axis=1)
+    # norms are those of the eigenbasis components: one evaluation, no rotation
+    u1, u2, v, _ = standard_model_rotated(model, report.grid.batch)
+    bound = (config.aperture + 1.0) * np.linalg.norm(v, axis=1)
     excess = np.maximum(np.linalg.norm(u1, axis=1), np.linalg.norm(u2, axis=1)) - bound
     record("standard_model_bound", excess.max(initial=0.0), 1e-12)
 

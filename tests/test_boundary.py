@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -31,9 +33,10 @@ from caralab import (
     satisfies_aperture,
     standard_model_pair,
     standard_model_residual,
+    standard_model_rotated,
     validate_positive_contraction,
 )
-from caralab.points import batch_points
+from caralab.points import as_pair, batch_points, require_admissible
 from caralab.realization import Colligation
 from conftest import TAU_11, TAUS, disk_point, scalar_model
 
@@ -92,6 +95,66 @@ class TestGrid:
         for pt in grid.points:
             assert pt.in_open_bidisk()
             assert satisfies_aperture(tau, pt, aperture, slack=1e-12)
+
+    @staticmethod
+    def scalar_reference(tau, aperture, depth):
+        """The grid point by point, by the scalar formulas of the per-point builder."""
+        t1, t2 = as_pair(tau)
+
+        def radial(u1, u2, t):
+            return ((1.0 - t * u1) * t1, (1.0 - t * u2) * t2)
+
+        def angular(theta1, theta2, t):
+            w1 = complex(math.cos(theta1 * t), math.sin(theta1 * t))
+            w2 = complex(math.cos(theta2 * t), math.sin(theta2 * t))
+            return ((1.0 - t) * w1 * t1, (1.0 - t) * w2 * t2)
+
+        makers = [("ray", lambda t: radial(1.0, 1.0, t))]
+        if aperture > 1.0:
+            for r in sorted({1.0 / aperture, (1.0 + 1.0 / aperture) / 2.0}):
+                makers.append((f"radial(1,{r:g})", lambda t, r=r: radial(1.0, r, t)))
+                makers.append((f"radial({r:g},1)", lambda t, r=r: radial(r, 1.0, t)))
+            kappa = 0.9 * math.sqrt(aperture - 1.0) * math.sqrt(aperture + 1.0)
+            makers.append((f"angular(+{kappa:.3g},0)", lambda t: angular(kappa, 0.0, t)))
+            makers.append((f"angular(0,-{kappa:.3g})", lambda t: angular(0.0, -kappa, t)))
+        ts = [2.0**-k for k in range(1, depth + 1)]
+        return [(name, [(t, make(t)) for t in ts]) for name, make in makers]
+
+    @pytest.mark.parametrize("aperture", [1.0, 2.0, 5.0])
+    @pytest.mark.parametrize("tau", TAUS)
+    def test_coordinates_are_bit_identical_to_the_scalar_formulas(self, tau, aperture):
+        grid = build_grid(tau, aperture, 12)
+        reference = self.scalar_reference(tau, aperture, 12)
+        assert grid.names == tuple(name for name, _ in reference)
+        want = np.array([[pt for _, pt in pts] for _, pts in reference], dtype=complex)
+        assert grid.coords.shape == want.shape
+        # bit for bit, signed zeros included
+        assert grid.coords.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+        # the per-point views carry the same numbers as Python scalars
+        for (name, pts), (ref_name, ref_pts) in zip(grid.families, reference):
+            assert name == ref_name
+            for (t, pt), (ref_t, ref_pt) in zip(pts, ref_pts):
+                assert type(t) is float and t == ref_t
+                assert type(pt.lam1) is complex and (pt.lam1, pt.lam2) == ref_pt
+        assert grid.ray == grid.families[0][1]
+        assert grid.points == [pt for _, pts in grid.families for _, pt in pts]
+
+    @pytest.mark.parametrize(
+        "aperture, family, t",
+        [(1e300, "radial(1,1e-300)", "0.5"), (3e15, "radial(1,3.33333e-16)", "0.125")],
+    )
+    def test_bad_aperture_names_the_first_failing_point(self, aperture, family, t):
+        with pytest.raises(BadApertureError) as info:
+            build_grid(TAU_11, aperture, 12)
+        assert str(info.value) == (
+            f"grid family {family!r} leaves the open bidisk or its cone at t={t} "
+            f"for aperture {aperture!r}"
+        )
+
+    def test_grid_arrays_are_read_only(self):
+        grid = build_grid(TAU_11, 2.0, 6)
+        with pytest.raises(ValueError):
+            grid.coords[0, 0, 0] = 0.0
 
     def test_off_ray_families_exist_for_wide_cones(self):
         grid = build_grid(TAU_11, 2.0, 6)
@@ -336,7 +399,101 @@ class TestDerivativeModel:
             derivative_model(m, (-1, -1))
 
 
+class TestBatchDerivativeModel:
+    @staticmethod
+    def directions(tau):
+        deltas = default_directions(tau)
+        return deltas + [(0.5 * d1, 2.0 * d2) for d1, d2 in deltas]
+
+    @pytest.mark.parametrize("tau", TAUS)
+    def test_batch_equals_per_direction_calls(self, tau, rng):
+        model = model_over([0.0, 0.3, 1.0, 0.7, 0.3], tau=tau, rng=rng)
+        deltas = self.directions(tau)
+        batch = derivative_model(model, batch_points(deltas))
+        assert batch.shape == (len(deltas),)
+        single = [derivative_model(model, d) for d in deltas]
+        assert all(type(v) is complex for v in single)
+        assert batch.tolist() == single
+
+    def test_empty_batch(self):
+        assert derivative_model(scalar_model(0.5), batch_points([])).shape == (0,)
+
+    def test_inadmissible_batch_names_its_first_bad_direction(self):
+        model = scalar_model(0.5)
+        deltas = [(-1, -1), (1, -1), (-2, -1), (1j, -1)]
+        with pytest.raises(InadmissibleDirectionError) as one:
+            require_admissible(TAU_11, (1, -1))
+        with pytest.raises(InadmissibleDirectionError) as info:
+            derivative_model(model, batch_points(deltas))
+        assert str(info.value) == str(one.value)
+        assert "(1+0j), (-1+0j)" in str(info.value)
+
+    kinked = staticmethod(TestBatchDerivativeFd.kinked)  # 1 at (1, 1)
+
+    def test_table_raises_the_first_error_of_the_loop(self):
+        # the batched analytic column fails on (1, 1), but the loop meets
+        # the unsettled finite difference of (-2, -1) first
+        model = scalar_model(0.5)
+        model.phi = self.kinked
+        deltas = [(-1, -1), (-2, -1), (1, 1)]
+        with pytest.raises(NoConvergenceError) as want:
+            derivative_fd(self.kinked, TAU_11, (-2, -1), phi_tau=model.phi_at_tau())
+        with pytest.raises(NoConvergenceError) as info:
+            derivative_table(model, deltas)
+        assert str(info.value) == str(want.value)
+
+    def test_table_raises_the_analytic_error_before_the_finite_difference_one(self):
+        model = scalar_model(0.5, block=Colligation(np.array([[1.0, 1.0], [0.0, 1.0]])))
+        model.phi = self.kinked  # every finite difference off the diagonal fails too
+        with pytest.raises(UnconvergedError):
+            derivative_table(model, [(-2, -1)])
+
+
 class TestLinearityDefect:
+    def test_batch_equals_the_per_direction_loop(self, rng):
+        model = model_over([0.0, 0.4, 1.0], rng=rng)
+        pairs = default_direction_pairs(TAU_11)
+        worst = 0.0
+        for da, db in pairs:
+            joint = (da[0] + db[0], da[1] + db[1])
+            one = derivative_model(model, joint) - derivative_model(model, da) - derivative_model(model, db)
+            worst = max(worst, abs(one))
+        calls = []
+
+        def derivative(delta):
+            calls.append(delta)
+            return derivative_model(model, delta)
+
+        assert linearity_defect(derivative, pairs) == worst
+        assert len(calls) == 1
+
+    def test_callable_that_cannot_take_a_batch(self):
+        calls = []
+
+        def derivative(delta):
+            # subscripting and complex(): one direction at a time only
+            calls.append(delta)
+            return phi_y_directional_derivative(0.5, TAU_11, (complex(delta[0]), complex(delta[1])))
+
+        pairs = [((-2, -1), (-1, -2)), ((-1, -1), (-1, -2))]
+        assert linearity_defect(derivative, pairs) == pytest.approx(1.0 / 3.0, abs=1e-12)
+        # one failed batch call, then each direction on its own, a + b first
+        assert calls[1:] == [(-3 + 0j, -3 + 0j), (-2 + 0j, -1 + 0j), (-1 + 0j, -2 + 0j)] + [
+            (-2 + 0j, -3 + 0j), (-1 + 0j, -1 + 0j), (-1 + 0j, -2 + 0j)
+        ]
+
+    def test_callable_returning_one_value_for_a_batch(self):
+        # a linear functional written for one direction; on a batch it
+        # returns a single number, which must not be taken for every direction
+        def first_coordinate(delta):
+            return np.sum(np.asarray(list(delta)[0]))
+
+        pairs = default_direction_pairs(TAU_11)
+        assert linearity_defect(first_coordinate, pairs) == 0.0
+
+    def test_no_pairs(self):
+        assert linearity_defect(lambda d: derivative_model(scalar_model(0.5), d), []) == 0.0
+
     def test_family_hand_value(self):
         pairs = [((-2, -1), (-1, -2))]
         defect = linearity_defect(
@@ -380,6 +537,17 @@ class TestStandardModel:
                 for _ in range(40)
             )
             assert worst <= 1e-9
+
+    def test_rotated_components_keep_norms_and_inner_products(self, rng):
+        m = model_over([1.0, 0.0, 0.4, 0.4, 0.8], rng=rng)
+        grid = build_grid(TAU_11, 2.0, 12)
+        u1r, u2r, vr, phi = standard_model_rotated(m, grid.batch)
+        u1, u2 = standard_model_pair(m, grid.batch)
+        v = m.model_vector(grid.batch)
+        for rotated, plain in ((u1r, u1), (u2r, u2), (vr, v)):
+            assert np.allclose(np.linalg.norm(rotated, axis=1), np.linalg.norm(plain, axis=1), rtol=1e-14)
+        assert np.allclose(np.sum(u1r.conj() * u2r, axis=1), np.sum(u1.conj() * u2, axis=1), atol=1e-13)
+        assert np.array_equal(phi, m.phi(grid.batch))
 
     def test_nontangential_bound(self, rng):
         aperture = 2.0

@@ -512,3 +512,31 @@ class TestJsonRoundTrip:
         code, doc = run(capsys, ["verify", str(path)])
         assert code == 0
         assert doc["dim"] == 3
+
+
+class TestDispatch:
+    def test_main_calls_the_handler_bound_at_call_time(self, capsys, monkeypatch, swap_spec):
+        from caralab import cli
+
+        calls = []
+        handler = cli.cmd_classify
+
+        def wrapped(args):
+            calls.append(args.command)
+            return handler(args)
+
+        monkeypatch.setattr(cli, "cmd_classify", wrapped)
+        code, doc = run(capsys, ["classify", swap_spec])
+        assert (code, calls) == (0, ["classify"])
+        assert doc["classification"] == "purely_singular"
+
+    def test_exit_code_of_a_rebound_handler_is_kept(self, capsys, monkeypatch, swap_spec, shear_spec):
+        from caralab import cli
+
+        monkeypatch.setattr(cli, "cmd_derivative", lambda args: cli.EXIT_UNCONVERGED)
+        assert main(["derivative", swap_spec]) == 6
+        monkeypatch.undo()
+        # the handlers' own codes are unchanged: not isometric 3, bad direction or aperture 2
+        assert main(["derivative", shear_spec]) == 3
+        assert main(["derivative", swap_spec, "--delta", "1,1"]) == 2
+        assert main(["classify", swap_spec, "--aperture", "0.5"]) == 2

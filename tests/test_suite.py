@@ -1,9 +1,11 @@
+import collections
 import dataclasses
+import importlib
 
 import numpy as np
 import pytest
 
-from caralab import UnconvergedError, boundary, suite
+from caralab import GeneralizedRealization, UnconvergedError, boundary, points, suite
 from caralab.cli import EXIT_RESIDUAL, main
 from caralab.suite import SUITE_TAUS, SuiteConfig, generate_model, run_suite
 
@@ -80,6 +82,45 @@ class TestRun:
         monkeypatch.setattr(suite, "i_y_eval", counting)
         run_suite(SuiteConfig(seed=7, count=3))
         assert len(calls) == 3
+
+
+#: per-model call ceilings of run_suite(seed=7); the point-by-point code made
+#: 8 evaluations, 39 analytic derivatives and about 754 as_pair coercions
+EVALUATIONS_PER_MODEL = 7
+DERIVATIVE_MODEL_CALLS_MAX = 2
+AS_PAIR_CALLS_MAX = 60
+
+
+def count_calls(monkeypatch, counts, fn):
+    """Count calls of fn through every caralab module that binds it."""
+
+    def counting(*args, **kwargs):
+        counts[fn.__name__] += 1
+        return fn(*args, **kwargs)
+
+    for name in ("", ".points", ".boundary", ".pencil", ".realization", ".scalar_family", ".suite", ".cli"):
+        module = importlib.import_module(f"caralab{name}")
+        if getattr(module, fn.__name__, None) is fn:
+            monkeypatch.setattr(module, fn.__name__, counting)
+
+
+def test_calls_per_model_do_not_grow_with_directions_or_points(monkeypatch):
+    counts = collections.Counter()
+    count_calls(monkeypatch, counts, points.as_pair)
+    count_calls(monkeypatch, counts, boundary.derivative_model)
+    evaluate = GeneralizedRealization.evaluate
+
+    def counting_evaluate(self, pts):
+        counts["evaluate"] += 1
+        return evaluate(self, pts)
+
+    monkeypatch.setattr(GeneralizedRealization, "evaluate", counting_evaluate)
+    report = run_suite(SuiteConfig(seed=7))
+    models = len(report.records)
+    assert models == 50 and report.passed
+    assert counts["evaluate"] == EVALUATIONS_PER_MODEL * models
+    assert counts["derivative_model"] <= DERIVATIVE_MODEL_CALLS_MAX * models
+    assert counts["as_pair"] <= AS_PAIR_CALLS_MAX * models
 
 
 def failing_on_model(monkeypatch, index):
