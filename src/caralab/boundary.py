@@ -73,6 +73,12 @@ FD_STEPS = 15
 DEFAULT_APERTURE = 2.0
 DEFAULT_DEPTH = 12
 
+#: most grids :func:`build_grid` keeps; the oldest is dropped first
+GRID_MEMO_SIZE = 16
+
+#: built grids, keyed on the exact bits of (tau, aperture) and the depth
+_GRIDS: dict[tuple, NontangentialGrid] = {}
+
 
 def satisfies_aperture(tau, lam, aperture: float, slack: float = 0.0):
     """Check the nontangential inequality ||tau - lam||_inf <= c (1 - ||lam||_inf).
@@ -132,14 +138,28 @@ def build_grid(
     Contains the radial ray (1 - 2^-k) tau, radial scalings with per-
     coordinate speed ratios down to 1/aperture, and (for aperture > 1)
     angular detours; every stored point satisfies the aperture inequality
-    exactly.
+    exactly.  The grid is read-only, so equal arguments share one: it is
+    memoized on the exact bits of tau and aperture (0.0 and -0.0 differ)
+    and on the depth, for the last GRID_MEMO_SIZE arguments.
     """
     if not (math.isfinite(aperture) and aperture >= 1.0):
         raise BadApertureError(f"aperture {aperture!r} is not a finite number >= 1")
     if not 1 <= depth <= 48:
         # beyond 2^-48 the schedule is within a few ulp of the boundary
         raise ValueError("depth must lie in 1..48")
-    tau = tau if isinstance(tau, BoundaryPoint) else BoundaryPoint(*as_pair(tau))
+    t1, t2 = as_pair(tau)
+    key = (np.array([t1, t2, aperture], dtype=complex).tobytes(), type(depth), depth)
+    grid = _GRIDS.get(key)
+    if grid is None:
+        tau = tau if isinstance(tau, BoundaryPoint) else BoundaryPoint(t1, t2)
+        grid = _build_grid(tau, aperture, depth)
+        if len(_GRIDS) >= GRID_MEMO_SIZE:
+            del _GRIDS[next(iter(_GRIDS))]
+        _GRIDS[key] = grid
+    return grid
+
+
+def _build_grid(tau: BoundaryPoint, aperture: float, depth: int) -> NontangentialGrid:
     t1, t2 = as_pair(tau)
     ts = np.ldexp(1.0, -np.arange(1, depth + 1))  # exactly 2^-k
 
@@ -210,6 +230,7 @@ class CarapointScan:
     alpha: float
     quotient_max: float
     quotient_min: float
+    alpha_residual: float  # Richardson residual of the alpha extrapolation
 
 
 def detect_carapoint(phi: Callable[[DiskPoint], complex], grid: NontangentialGrid) -> CarapointScan:
@@ -220,15 +241,18 @@ def detect_carapoint(phi: Callable[[DiskPoint], complex], grid: NontangentialGri
     the Richardson-extrapolated ray limit of the quotient, taken from the
     moderately deep ray samples where rounding is still negligible.
     """
-    # ray[k - 1] is the ray point at t = 2^-k; the grid's points follow it
+    # one evaluation of the grid followed by the deeper ray points; the ray
+    # quotients are the grid's ray family (t = 2^-k at k - 1) and the tail
     deeper = grid.tau.ray_point(np.ldexp(1.0, -np.arange(grid.depth + 1, DETECT_EXPONENT + 1)))
-    ray = np.concatenate([grid.coords[grid.names.index("ray")], stack_points(deeper)])
-    pts = np.concatenate([ray, grid.coords.reshape(-1, 2)])
+    grid_points = grid.coords.reshape(-1, 2)
+    pts = np.concatenate([grid_points, stack_points(deeper)])
     quotients = cara_quotient(phi, DiskPoint(*pts.T))
+    families = quotients[: len(grid_points)].reshape(len(grid.names), grid.depth)
+    ray = np.concatenate([families[grid.names.index("ray")], quotients[len(grid_points) :]])
     k_hi = min(ALPHA_EXPONENT, len(ray))
-    alpha, _ = richardson_limit(quotients[max(1, k_hi - 7) - 1 : k_hi])
+    alpha, residual = richardson_limit(ray[max(1, k_hi - 7) - 1 : k_hi])
     qmax, qmin = quotients.max(), quotients.min()
-    return CarapointScan(bool(qmax < QUOTIENT_BOUND), float(alpha), float(qmax), float(qmin))
+    return CarapointScan(bool(qmax < QUOTIENT_BOUND), float(alpha), float(qmax), float(qmin), float(residual))
 
 
 @dataclass(frozen=True)
@@ -283,14 +307,22 @@ def derivative_fd(
 
 
 def _fd_limits(phi, tau: BoundaryPoint, deltas: np.ndarray, phi_tau) -> np.ndarray:
-    """Extrapolated difference quotients along (K, 2) directions, from one call of phi."""
+    """Extrapolated difference quotients along (K, 2) directions, from one call of phi.
+
+    phi sees each distinct step point once, in order of first appearance.
+    Points are equal when their bits are: directions that differ by a power
+    of two share their steps, since the entry time scales exactly with them.
+    """
     entry = direction_entry_time(tau, DiskPoint(*deltas.T))
     schedules = entry[:, None] / 8.0 * 2.0 ** -np.arange(FD_STEPS)
     if phi_tau is None:
         ray = tau.ray_point(np.ldexp(1.0, -np.arange(8, 21)))
         phi_tau = complex(richardson_limit(_phi_on(phi, ray))[0])
-    steps = stack_points(tau)[:, None, :] + schedules[..., None] * deltas[:, None, :]
-    values = _phi_on(phi, DiskPoint(*steps.reshape(-1, 2).T))
+    steps = (stack_points(tau)[:, None, :] + schedules[..., None] * deltas[:, None, :]).reshape(-1, 2)
+    rows = steps.view(np.dtype((np.void, 2 * steps.itemsize))).ravel()
+    _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
+    keep = np.sort(first)
+    values = _phi_on(phi, DiskPoint(*steps[keep].T))[np.searchsorted(keep, first)[inverse]]
     quotients = (values.reshape(schedules.shape) - phi_tau) / schedules
     limits, residuals = richardson_limit(quotients.T)  # one column per direction
     unsettled = residuals > 1e-4 * np.maximum(1.0, modulus(limits))
@@ -312,11 +344,11 @@ def derivative_model(model: GeneralizedRealization, delta):
     difference quotient for functions with phi(tau) != 1.  A batch delta
     (array coordinates) gives one derivative per direction from one (K, n) expression.
     """
-    require_admissible(model.tau, delta)
+    d = require_admissible(model.tau, delta)
     ray = model.v_at_tau()
     if not ray.converged:
         raise UnconvergedError("model vector has no converged ray limit at tau")
-    a, b = (np.conj(stack_points(model.tau)) * stack_points(delta)).T[..., None]
+    a, b = (np.conj(stack_points(model.tau)) * d).T[..., None]
     w = model.pencil.contraction.decomposition.weights
     g = a * b / (a * (1.0 - w) + b * w)
     values = model.phi_at_tau() * np.sum(g * np.abs(ray.rotated) ** 2, axis=1)
@@ -444,13 +476,21 @@ def standard_model_rotated(model: GeneralizedRealization, lam):
     """Standard model components u1', u2', model vector v' and phi at lam, from one evaluation.
 
     The vectors are in Y's eigenbasis (v = U v'), which keeps norms and
-    inner products; a batch lam gives one row per point.  Column i of v'
-    is weighted by (1, 0) at eigenvalue 1, (0, 1) at 0, and the
-    scalar-family model components in between, all from one expression.
+    inner products; a batch lam gives one row per point.  See
+    :func:`standard_model_components`.
+    """
+    points = stack_points(lam)
+    return standard_model_components(model, points, model.evaluate(points))
+
+
+def standard_model_components(model: GeneralizedRealization, points: np.ndarray, evaluation):
+    """u1', u2', v' and phi at (N, 2) points, from ``evaluation = model.evaluate(points)``.
+
+    Column i of v' is weighted by (1, 0) at eigenvalue 1, (0, 1) at 0, and
+    the scalar-family model components in between, all from one expression.
     """
     w = model.pencil.contraction.decomposition.weights
-    points = stack_points(lam)
-    _, v, phi = model.evaluate(points)
+    _, v, phi = evaluation
     w1 = np.zeros_like(v)
     w2 = np.zeros_like(v)
     w1[:, w == 1.0] = 1.0
@@ -478,18 +518,30 @@ def standard_model_pair(model: GeneralizedRealization, lam) -> tuple[np.ndarray,
 def standard_model_residual(model: GeneralizedRealization, lam, mu):
     """Defect of the ordinary model identity for the derived standard model.
 
-    Inner products are invariant under the eigenbasis rotation, so they
-    are taken there.  Batches lam and mu give one residual per pair.
+    Batches lam and mu give one residual per pair; see
+    :func:`standard_identity_defect`.
     """
-    pl, pm = np.broadcast_arrays(stack_points(lam), stack_points(mu))
-    u1, u2, _, phi = standard_model_rotated(model, DiskPoint(*np.concatenate([pl, pm]).T))
-    k = len(pl)
+    points = np.concatenate(np.broadcast_arrays(stack_points(lam), stack_points(mu)))
+    u1, u2, _, phi = standard_model_components(model, points, model.evaluate(points))
+    residual = standard_identity_defect(points, u1, u2, phi)
+    return residual if is_batch(lam) or is_batch(mu) else float(residual[0])
+
+
+def standard_identity_defect(points: np.ndarray, u1: np.ndarray, u2: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """Defects of 1 - conj(phi(mu)) phi(lam) = sum_j (1 - conj(mu_j) lam_j) < u_j(lam), u_j(mu) >.
+
+    ``points`` holds K points lam followed by K points mu, and u1, u2, phi
+    are taken there (:func:`standard_model_components`); one defect per
+    pair.  Inner products are invariant under the eigenbasis rotation, so
+    they are taken there.
+    """
+    k = len(points) // 2
+    pl, pm = points[:k], points[k:]
     lhs = 1.0 - np.conj(phi[k:]) * phi[:k]
     rhs = (1.0 - np.conj(pm[:, 0]) * pl[:, 0]) * np.sum(np.conj(u1[k:]) * u1[:k], axis=1) + (
         1.0 - np.conj(pm[:, 1]) * pl[:, 1]
     ) * np.sum(np.conj(u2[k:]) * u2[:k], axis=1)
-    residual = np.abs(lhs - rhs)
-    return residual if is_batch(lam) or is_batch(mu) else float(residual[0])
+    return np.abs(lhs - rhs)
 
 
 # -- Julia quotient along the ray ----------------------------------------

@@ -100,8 +100,15 @@ def as_coords(p):
 
 def stack_points(p) -> np.ndarray:
     """The (N, 2) complex array of one point (N = 1) or of a batch."""
-    a, b = np.broadcast_arrays(*(np.asarray(z, dtype=complex) for z in p))
-    return np.stack([a.ravel(), b.ravel()], axis=1)
+    a, b = p
+    if getattr(a, "ndim", 0) == 0 and getattr(b, "ndim", 0) == 0:
+        return np.array([[a, b]], dtype=complex)
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    if a.shape != b.shape:
+        a, b = np.broadcast_arrays(a, b)
+    out = np.empty((a.size, 2), dtype=complex)
+    out[:, 0], out[:, 1] = a.ravel(), b.ravel()
+    return out
 
 
 def batch_points(points) -> DiskPoint:
@@ -115,14 +122,26 @@ def modulus(z):
     return np.hypot(np.real(z), np.imag(z))
 
 
-def _inward(tau, d: np.ndarray) -> np.ndarray:
-    """Re(conj(tau_i) d_i) for (N, 2) directions, rounded as Python rounds it.
+def _inward(t: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Re(conj(t_i) d_i) for a stacked point t and (N, 2) directions, rounded as Python rounds it.
 
     Written in real arithmetic: NumPy's complex product may fuse the
     multiply and the add, which moves the last bit.
     """
-    t = stack_points(tau)
     return t.real * d.real + t.imag * d.imag
+
+
+def _checked_inward(tau, d: np.ndarray) -> np.ndarray:
+    """:func:`_inward` at tau, raising for the first of the (N, 2) directions d that is not admissible."""
+    a = _inward(stack_points(tau), d)
+    ok = (a < 0.0).all(axis=1)
+    if not ok.all():
+        first = d[np.argmin(ok)]
+        raise InadmissibleDirectionError(
+            f"direction {tuple(as_pair(first))!r} does not point into the bidisk at "
+            f"{tuple(as_pair(tau))!r}"
+        )
+    return a
 
 
 def is_admissible_direction(tau, delta):
@@ -132,19 +151,18 @@ def is_admissible_direction(tau, delta):
     coordinates guarantees tau + t*delta lies in the open bidisk for small
     t > 0.  A batch delta (array coordinates) gives one flag per direction.
     """
-    ok = (_inward(tau, stack_points(delta)) < 0.0).all(axis=1)
+    ok = (_inward(stack_points(tau), stack_points(delta)) < 0.0).all(axis=1)
     return ok if is_batch(delta) else bool(ok[0])
 
 
-def require_admissible(tau, delta) -> None:
-    """Raise for the first direction of delta (one, or a batch) that is not admissible."""
-    ok = np.atleast_1d(is_admissible_direction(tau, delta))
-    if not ok.all():
-        first = stack_points(delta)[np.argmin(ok)]
-        raise InadmissibleDirectionError(
-            f"direction {tuple(as_pair(first))!r} does not point into the bidisk at "
-            f"{tuple(as_pair(tau))!r}"
-        )
+def require_admissible(tau, delta) -> np.ndarray:
+    """Raise for the first direction of delta (one, or a batch) that is not admissible.
+
+    Returns the (N, 2) array of the directions.
+    """
+    d = stack_points(delta)
+    _checked_inward(tau, d)
+    return d
 
 
 def direction_entry_time(tau, delta):
@@ -152,10 +170,9 @@ def direction_entry_time(tau, delta):
 
     A batch delta gives one time per direction.
     """
-    require_admissible(tau, delta)
     d = stack_points(delta)
     # |tau + t delta|^2 = |tau|^2 + 2 t a + t^2 |delta|^2 < 1, with |delta|^2
     # by hypot and pow, as abs(z) ** 2 computes it for a Python complex
-    a = _inward(tau, d)
+    a = _checked_inward(tau, d)
     times = (-2.0 * a / np.float_power(modulus(d), 2.0)).min(axis=1)
     return times if is_batch(delta) else float(times[0])

@@ -33,6 +33,7 @@ phi = D + C' diag(s) v'.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -156,12 +157,13 @@ class RayLimit:
     """Boundary value v_tau of the model vector, from the deflated solve.
 
     ``threshold`` is the singular-value cutoff of 1 - A that defines E,
-    and ``residual`` the solve residual ||(1 - A) v_tau - B||.  A part of B
-    in the left null space of 1 - A above the threshold makes the ray
-    states grow like 1/t and sets ``diverged``; for an isometric block it
-    vanishes.  ``converged`` also needs E to reduce A, as it does for every
-    contraction: otherwise v_tau is not the ray limit and no limit is
-    claimed.
+    ``sigma_min`` the smallest singular value of 1 - A on E-perp (inf when
+    E is everything), and ``residual`` the solve residual
+    ||(1 - A) v_tau - B||.  A part of B in the left null space of 1 - A
+    above the threshold makes the ray states grow like 1/t and sets
+    ``diverged``; for an isometric block it vanishes.  ``converged`` also
+    needs E to reduce A, as it does for every contraction: otherwise v_tau
+    is not the ray limit and no limit is claimed.
     """
 
     value: np.ndarray
@@ -170,6 +172,7 @@ class RayLimit:
     residual: float
     diverged: bool
     threshold: float
+    sigma_min: float
 
 
 class GeneralizedRealization:
@@ -270,16 +273,11 @@ class GeneralizedRealization:
     def model_residual(self, lam, mu):
         """Absolute defect of the generalized model identity at a pair of points.
 
-        In the eigenbasis the Gram operator 1 - I(mu)* I(lam) is diagonal.
-        Batches lam and mu give one residual per pair.
+        Batches lam and mu give one residual per pair; see
+        :func:`model_identity_defect`.
         """
         pl, pm = np.broadcast_arrays(stack_points(lam), stack_points(mu))
-        s, v, phi = self.evaluate(np.concatenate([pl, pm]))
-        k = len(pl)
-        lhs = 1.0 - np.conj(phi[k:]) * phi[:k]
-        gram = 1.0 - np.conj(s[k:]) * s[:k]
-        rhs = np.sum(np.conj(v[k:]) * gram * v[:k], axis=1)
-        residual = np.abs(lhs - rhs)
+        residual = model_identity_defect(*self.evaluate(np.concatenate([pl, pm])))
         return residual if is_batch(lam) or is_batch(mu) else float(residual[0])
 
     # -- extended-precision evaluation along the radial ray -------------
@@ -346,6 +344,7 @@ class GeneralizedRealization:
                 residual=float(np.linalg.norm(m @ v - col.b)),
                 diverged=diverged,
                 threshold=threshold,
+                sigma_min=float(sv[k - 1]) if k else math.inf,
             )
             self._boundary = (ray, complex(col.d + col.c @ v))
         return self._boundary
@@ -372,6 +371,20 @@ class GeneralizedRealization:
             f"GeneralizedRealization(dim={self.dim}, tau=({self.tau.tau1!r}, "
             f"{self.tau.tau2!r}), isometric={self.is_isometric})"
         )
+
+
+def model_identity_defect(s: np.ndarray, v: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """Defects |1 - conj(phi(mu)) phi(lam) - < (1 - I(mu)* I(lam)) v(lam), v(mu) >|.
+
+    ``(s, v, phi)`` is an evaluation (:meth:`GeneralizedRealization.evaluate`)
+    at K points lam followed by K points mu; one defect per pair.  In the
+    eigenbasis the Gram operator 1 - I(mu)* I(lam) is diagonal.
+    """
+    k = len(phi) // 2
+    lhs = 1.0 - np.conj(phi[k:]) * phi[:k]
+    gram = 1.0 - np.conj(s[k:]) * s[:k]
+    rhs = np.sum(np.conj(v[k:]) * gram * v[:k], axis=1)
+    return np.abs(lhs - rhs)
 
 
 # -- JSON model interchange ---------------------------------------------

@@ -26,8 +26,8 @@ from .boundary import (
     default_directions,
     derivative_table,
     julia_quotient_ray,
-    standard_model_rotated,
-    standard_model_residual,
+    standard_identity_defect,
+    standard_model_components,
 )
 from .errors import CaralabError
 from .hermitian import random_positive_contraction
@@ -38,8 +38,8 @@ from .pencil import (
     sample_bidisk_batch,
     sample_bidisk_pairs,
 )
-from .points import BoundaryPoint, batch_points, stack_points
-from .realization import GeneralizedRealization, random_colligation
+from .points import BoundaryPoint, stack_points
+from .realization import GeneralizedRealization, model_identity_defect, random_colligation
 
 #: exactly representable boundary points cycled through by the generator;
 #: ray arithmetic at these points is exact in floating point
@@ -185,9 +185,12 @@ def generate_model(index: int, rng: np.random.Generator, config: SuiteConfig) ->
     return model, kind, tau_label
 
 
-def _is_constant(model: GeneralizedRealization) -> bool:
-    probes = [(0j, 0j), (0.3 + 0.1j, -0.2j), (-0.5, 0.4 + 0.2j)]
-    values = model.phi(batch_points(probes))
+#: interior points at which a constant realization shows equal values
+CONSTANT_PROBES = np.array([(0j, 0j), (0.3 + 0.1j, -0.2j), (-0.5, 0.4 + 0.2j)])
+
+
+def _is_constant(values: np.ndarray) -> bool:
+    """Whether phi's values at CONSTANT_PROBES agree."""
     return np.abs(values - values[0]).max() < 1e-12
 
 
@@ -202,26 +205,39 @@ def run_model_checks(
     ``report`` is the model's :func:`classify_model` verdict; its carapoint
     scan backs the alpha and carapoint checks, and its grid the standard
     model bound.
+
+    Every point is evaluated once, in two batches besides the finite
+    differences: the model-identity pairs, the contractivity sample and the
+    constancy probes; then the standard-model pairs and the grid.  The
+    draws keep their order: the standard-model pairs come after the
+    derivative table, so a model whose table raises leaves the random
+    stream where it was.
     """
     checks: list[CheckOutcome] = []
 
     def record(name: str, worst: float, bound: float):
         checks.append(CheckOutcome(name, bool(worst <= bound), float(worst), float(bound)))
 
-    # generalized model identity on random interior pairs
     lam, mu = sample_bidisk_pairs(rng, IDENTITY_PAIRS)
-    record("model_identity", model.model_residual(lam, mu).max(initial=0.0), config.residual_tol)
+    oracle_pts = sample_bidisk_batch(rng, CROSS_ORACLE_SAMPLES)
+    scan_pts = sample_bidisk_batch(rng, CONTRACTIVITY_SAMPLES)
+    batch = [stack_points(lam), stack_points(mu), stack_points(scan_pts), CONSTANT_PROBES]
+    s, v, phi = model.evaluate(np.concatenate(batch))
+    pairs = 2 * IDENTITY_PAIRS
+    scan = slice(pairs, pairs + CONTRACTIVITY_SAMPLES)
+
+    # generalized model identity on random interior pairs
+    worst = model_identity_defect(s[:pairs], v[:pairs], phi[:pairs]).max(initial=0.0)
+    record("model_identity", worst, config.residual_tol)
 
     # the kernel's pencil agrees with a direct solve of its denominator
-    pts = sample_bidisk_batch(rng, CROSS_ORACLE_SAMPLES)
-    gap = i_y_spectral_form(model.pencil, pts) - i_y_eval(model.pencil, pts)
+    gap = i_y_spectral_form(model.pencil, oracle_pts) - i_y_eval(model.pencil, oracle_pts)
     record("pencil_cross_oracle", np.linalg.norm(gap, 2, axis=(1, 2)).max(), CROSS_ORACLE_TOL)
 
     # contractivity of the pencil and of phi; the pencil is normal, so its
     # norm is the largest modulus of its eigenvalues
-    s, _, phi = model.evaluate(stack_points(sample_bidisk_batch(rng, CONTRACTIVITY_SAMPLES)))
-    record("pencil_contractivity", np.abs(s).max(initial=0.0), 1.0 + CONTRACTIVITY_TOL)
-    record("schur_bound", np.abs(phi).max(initial=0.0), 1.0 + CONTRACTIVITY_TOL)
+    record("pencil_contractivity", np.abs(s[scan]).max(initial=0.0), 1.0 + CONTRACTIVITY_TOL)
+    record("schur_bound", np.abs(phi[scan]).max(initial=0.0), 1.0 + CONTRACTIVITY_TOL)
 
     # Julia quotient identity along the ray
     rows = julia_quotient_ray(model)
@@ -232,7 +248,7 @@ def run_model_checks(
     if ray.converged:
         alpha_target = float(np.linalg.norm(ray.value)) ** 2
         record("alpha_vs_vtau", abs(report.alpha - alpha_target), ALPHA_TOL)
-        if not _is_constant(model):
+        if not _is_constant(phi[scan.stop :]):
             # nonconstant realizations must carry a genuine carapoint
             record("alpha_positive", 0.0 if alpha_target > 1e-10 else 1.0, 0.5)
     record("carapoint_detected", 0.0 if report.carapoint else 1.0, 0.5)
@@ -256,12 +272,15 @@ def run_model_checks(
     record("derivative_agreement", worst, DERIVATIVE_TOL)
     record("derivative_homogeneity", worst_h, HOMOGENEITY_TOL)
 
-    # derived standard model: identity on random pairs, bound on the grid
+    # derived standard model: identity on random pairs, bound on the grid;
+    # norms are those of the eigenbasis components, so nothing is rotated
     lam, mu = sample_bidisk_pairs(rng, STANDARD_PAIRS)
-    worst = standard_model_residual(model, lam, mu).max(initial=0.0)
+    points = np.concatenate([stack_points(lam), stack_points(mu), report.grid.coords.reshape(-1, 2)])
+    u1, u2, v, phi = standard_model_components(model, points, model.evaluate(points))
+    pairs = 2 * STANDARD_PAIRS
+    worst = standard_identity_defect(points[:pairs], u1[:pairs], u2[:pairs], phi[:pairs]).max(initial=0.0)
     record("standard_model_identity", worst, config.residual_tol)
-    # norms are those of the eigenbasis components: one evaluation, no rotation
-    u1, u2, v, _ = standard_model_rotated(model, report.grid.batch)
+    u1, u2, v = u1[pairs:], u2[pairs:], v[pairs:]
     bound = (config.aperture + 1.0) * np.linalg.norm(v, axis=1)
     excess = np.maximum(np.linalg.norm(u1, axis=1), np.linalg.norm(u2, axis=1)) - bound
     record("standard_model_bound", excess.max(initial=0.0), 1e-12)

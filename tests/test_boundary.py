@@ -5,6 +5,9 @@ import pytest
 
 from caralab import (
     BadApertureError,
+    BoundaryPoint,
+    CarapointScan,
+    DiskPoint,
     GeneralizedRealization,
     InadmissibleDirectionError,
     NoConvergenceError,
@@ -36,7 +39,10 @@ from caralab import (
     standard_model_rotated,
     validate_positive_contraction,
 )
-from caralab.points import as_pair, batch_points, require_admissible
+from caralab import boundary
+from caralab.boundary import ALPHA_EXPONENT, DETECT_EXPONENT, FD_STEPS, GRID_MEMO_SIZE, QUOTIENT_BOUND
+from caralab.extrapolate import richardson_limit
+from caralab.points import as_pair, batch_points, require_admissible, stack_points
 from caralab.realization import Colligation
 from conftest import TAU_11, TAUS, disk_point, scalar_model
 
@@ -163,6 +169,62 @@ class TestGrid:
         assert len(names) >= 5
 
 
+class TestGridMemo:
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """Empty the memo and count the grids actually built."""
+        monkeypatch.setattr(boundary, "_GRIDS", {})
+        calls = []
+        build = boundary._build_grid
+
+        def counting(*args):
+            calls.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(boundary, "_build_grid", counting)
+        return calls
+
+    def test_equal_arguments_share_one_grid(self, builds):
+        grid = build_grid(TAU_11, 2.0, 12)
+        assert build_grid(BoundaryPoint(1 + 0j, 1 + 0j), 2, 12) is grid
+        assert build_grid((1.0, 1.0), np.float64(2.0), 12) is grid
+        assert len(builds) == 1
+        assert build_grid(TAU_11, 2.0, 11) is not grid
+        assert build_grid(TAU_11, 3.0, 12) is not grid
+        assert len(builds) == 3
+
+    def test_a_signed_zero_gives_another_grid(self, builds):
+        tau = BoundaryPoint(1 + 0j, 1j)
+        flipped = BoundaryPoint(complex(1.0, -0.0), 1j)
+        assert tau == flipped  # 0.0 == -0.0: equality cannot key the memo
+        grid, other = build_grid(tau, 2.0, 12), build_grid(flipped, 2.0, 12)
+        assert other is not grid and len(builds) == 2
+        assert math.copysign(1.0, grid.tau.tau1.imag) == 1.0
+        assert math.copysign(1.0, other.tau.tau1.imag) == -1.0
+
+    @pytest.mark.parametrize(
+        "aperture, depth, error",
+        [(0.5, 12, BadApertureError), (float("nan"), 12, BadApertureError), (1e300, 12, BadApertureError),
+         (2.0, 0, ValueError), (2.0, 49, ValueError)],
+    )
+    def test_invalid_arguments_raise_on_every_call(self, builds, aperture, depth, error):
+        for _ in range(3):
+            with pytest.raises(error):
+                build_grid(TAU_11, aperture, depth)
+        assert boundary._GRIDS == {}
+
+    def test_memo_stays_bounded(self, builds):
+        apertures = [1.0 + k for k in range(2 * GRID_MEMO_SIZE)]
+        grids = [build_grid(TAU_11, a, 4) for a in apertures]
+        assert len(boundary._GRIDS) == GRID_MEMO_SIZE
+        assert len(builds) == len(apertures)
+        # the newest grids are kept, the oldest dropped first
+        assert build_grid(TAU_11, apertures[-1], 4) is grids[-1]
+        assert build_grid(TAU_11, apertures[0], 4) is not grids[0]
+        assert len(builds) == len(apertures) + 1
+        assert len(boundary._GRIDS) == GRID_MEMO_SIZE
+
+
 class TestCaraQuotient:
     def test_family_on_ray_is_one(self):
         phi = phi_y(0.5, TAU_11)
@@ -202,6 +264,41 @@ class TestDetect:
         grid = build_grid(TAUS[1], 2.0, 12)
         scan = detect_carapoint(lambda lam: 0.5 + 0j, grid)
         assert not scan.carapoint
+
+    @staticmethod
+    def two_copy_scan(phi, grid):
+        """The scan as built before: the ray (the grid's ray family, then the deeper
+        points) followed by the whole grid, so the ray family is evaluated twice."""
+        deeper = grid.tau.ray_point(np.ldexp(1.0, -np.arange(grid.depth + 1, DETECT_EXPONENT + 1)))
+        ray = np.concatenate([grid.coords[grid.names.index("ray")], stack_points(deeper)])
+        pts = np.concatenate([ray, grid.coords.reshape(-1, 2)])
+        quotients = cara_quotient(phi, DiskPoint(*pts.T))
+        k_hi = min(ALPHA_EXPONENT, len(ray))
+        alpha, residual = richardson_limit(quotients[max(1, k_hi - 7) - 1 : k_hi])
+        qmax, qmin = quotients.max(), quotients.min()
+        return CarapointScan(bool(qmax < QUOTIENT_BOUND), float(alpha), float(qmax), float(qmin), float(residual))
+
+    @pytest.mark.parametrize("tau", TAUS)
+    @pytest.mark.parametrize("aperture, depth", [(1.0, 12), (2.0, 12), (5.0, 9)])
+    def test_scan_equals_the_two_copy_construction(self, tau, aperture, depth, rng):
+        model = model_over([0.0, 0.3, 1.0, 0.7], tau=tau, rng=rng)
+        grid = build_grid(tau, aperture, depth)
+        for phi in (model.phi, phi_y(0.3, tau), lambda lam: lam.lam1 * lam.lam2):
+            sizes = []
+
+            def counting(lam, phi=phi):
+                sizes.append(len(lam.lam1))
+                return phi(lam)
+
+            scan = detect_carapoint(counting, grid)
+            assert scan == self.two_copy_scan(phi, grid)
+            # one call, every point once: the grid and the deeper ray points
+            assert sizes == [grid.coords.shape[0] * depth + DETECT_EXPONENT - depth]
+
+    def test_alpha_residual_is_reported(self):
+        scan = detect_carapoint(scalar_model(0.5, block=HOUSEHOLDER).phi, build_grid(TAU_11, 2.0, 12))
+        assert scan.alpha == pytest.approx(4.0, abs=1e-6)
+        assert 0.0 <= scan.alpha_residual <= 1e-6
 
 
 class TestNtLimit:
@@ -280,6 +377,27 @@ class TestBatchDerivativeFd:
 
     def test_empty_batch(self):
         assert derivative_fd(phi_y(0.3, TAU_11), TAU_11, batch_points([])).shape == (0,)
+
+    @pytest.mark.parametrize("tau", TAUS)
+    def test_rescaled_directions_share_their_steps(self, tau, rng):
+        model = model_over([0.0, 0.3, 1.0, 0.7], tau=tau, rng=rng)
+        phi_tau = model.phi_at_tau()
+        # the suite's batch: every direction followed by its halving and doubling
+        deltas = [(s * d1, s * d2) for d1, d2 in default_directions(tau, 10) for s in (1.0, 0.5, 2.0)]
+        seen = []
+
+        def recording(lam):
+            seen.append(stack_points(lam))
+            return model.phi(lam)
+
+        batch = derivative_fd(recording, tau, batch_points(deltas), phi_tau=phi_tau)
+        single = np.array([derivative_fd(model.phi, tau, d, phi_tau=phi_tau) for d in deltas])
+        assert batch.view(np.uint64).tolist() == single.view(np.uint64).tolist()
+        (points,) = seen
+        assert len({p.tobytes() for p in points}) == len(points)
+        # a step of delta / 2 or 2 delta is a step of delta, bit for bit, and
+        # (-0.5, -1.5), (-1.5, -0.5) are halves of (-1, -3), (-3, -1)
+        assert len(points) == FD_STEPS * 8
 
     @staticmethod
     def kinked(lam):

@@ -1,8 +1,9 @@
+import numpy as np
 import pytest
 
-from caralab import BoundaryPoint, DiskPoint, direction_entry_time, is_admissible_direction
+from caralab import BoundaryPoint, DiskPoint, direction_entry_time, is_admissible_direction, points
 from caralab.errors import InadmissibleDirectionError
-from caralab.points import require_admissible
+from caralab.points import batch_points, require_admissible, stack_points
 
 
 class TestBoundaryPoint:
@@ -75,3 +76,41 @@ class TestAdmissibility:
         t = 1.01 * t_max
         lam = DiskPoint(tau.tau1 + t * delta[0], tau.tau2 + t * delta[1])
         assert not lam.in_open_bidisk()
+
+    def test_require_returns_the_stacked_directions(self):
+        deltas = batch_points([(-1, -1), (-2 - 1j, -0.5 + 3j)])
+        assert require_admissible((1 + 0j, 1 + 0j), deltas).tolist() == stack_points(deltas).tolist()
+
+    @pytest.mark.parametrize(
+        "check", [is_admissible_direction, require_admissible, direction_entry_time]
+    )
+    @pytest.mark.parametrize("delta", [(-1, -1), batch_points([(-1, -1), (-2 - 1j, -0.5 + 3j)])])
+    def test_each_point_is_stacked_once(self, monkeypatch, check, delta):
+        stacked = []
+        stack = points.stack_points
+
+        def counting(p):
+            stacked.append(p)
+            return stack(p)
+
+        monkeypatch.setattr(points, "stack_points", counting)
+        tau = BoundaryPoint(1 + 0j, 1 + 0j)
+        check(tau, delta)
+        assert len(stacked) == 2 and tau in stacked
+
+
+class TestStackPoints:
+    @pytest.mark.parametrize(
+        "p, want",
+        [
+            ((1, -0.5j), [[1 + 0j, -0.5j]]),
+            (BoundaryPoint(1j, -1 + 0j), [[1j, -1 + 0j]]),
+            ((np.array([0.5, 0.25j]), 0.5j), [[0.5, 0.5j], [0.25j, 0.5j]]),
+            ((np.array([0.5, 0.25j]), np.array([0.1, -0.0])), [[0.5, 0.1], [0.25j, -0.0]]),
+            ((np.zeros(0), np.zeros(0)), []),
+        ],
+    )
+    def test_rows_are_the_points(self, p, want):
+        got = stack_points(p)
+        assert got.dtype == complex and got.shape == (len(want), 2)
+        assert got.tobytes() == np.array(want, dtype=complex).reshape(-1, 2).tobytes()

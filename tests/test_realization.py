@@ -238,6 +238,18 @@ class TestRayLimit:
         block = np.array([[1.0, 1.0, 1.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
         assert not GeneralizedRealization(pen, Colligation(block)).v_at_tau().converged
 
+    def test_sigma_min_is_taken_on_the_complement_of_e(self, rng):
+        # A = diag(1, 0): 1 - A = diag(0, 1), E = span(e1)
+        assert left_null_model(0.0).v_at_tau().sigma_min == 1.0
+        # Householder corner A = 0.6
+        assert scalar_model(0.5, block=[[0.6, 0.8], [0.8, -0.6]]).v_at_tau().sigma_min == pytest.approx(0.4, abs=1e-15)
+        # A = 1: E is the whole space and 1 - A has no singular value off it
+        assert scalar_model(0.5, block=np.eye(2)).v_at_tau().sigma_min == math.inf
+        model, _, _ = generate_model(0, rng, SuiteConfig())
+        ray = model.v_at_tau()
+        sv = np.linalg.svd(np.eye(model.dim) - model.colligation.a, compute_uv=False)
+        assert ray.sigma_min == pytest.approx(sv[sv > ray.threshold].min(), rel=1e-12)
+
     def test_ray_state_consistent_with_general_path(self, rng):
         y = random_positive_contraction(5, rng)
         m = GeneralizedRealization(OperatorPencil(y, TAUS[1]), random_colligation(5, rng))

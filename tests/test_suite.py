@@ -5,8 +5,18 @@ import importlib
 import numpy as np
 import pytest
 
-from caralab import GeneralizedRealization, UnconvergedError, boundary, points, suite
+from caralab import (
+    GeneralizedRealization,
+    UnconvergedError,
+    boundary,
+    build_grid,
+    points,
+    standard_model_residual,
+    standard_model_rotated,
+    suite,
+)
 from caralab.cli import EXIT_RESIDUAL, main
+from caralab.pencil import sample_bidisk_batch, sample_bidisk_pairs
 from caralab.suite import SUITE_TAUS, SuiteConfig, generate_model, run_suite
 
 
@@ -85,8 +95,10 @@ class TestRun:
 
 
 #: per-model call ceilings of run_suite(seed=7); the point-by-point code made
-#: 8 evaluations, 39 analytic derivatives and about 754 as_pair coercions
-EVALUATIONS_PER_MODEL = 7
+#: 8 evaluations, 39 analytic derivatives and about 754 as_pair coercions,
+#: and evaluating repeated points too took 7 evaluations of 1,705 points
+EVALUATIONS_PER_MODEL = 4
+EVALUATED_POINTS_MAX = 1363
 DERIVATIVE_MODEL_CALLS_MAX = 2
 AS_PAIR_CALLS_MAX = 60
 
@@ -112,6 +124,7 @@ def test_calls_per_model_do_not_grow_with_directions_or_points(monkeypatch):
 
     def counting_evaluate(self, pts):
         counts["evaluate"] += 1
+        counts["points"] += len(pts)
         return evaluate(self, pts)
 
     monkeypatch.setattr(GeneralizedRealization, "evaluate", counting_evaluate)
@@ -119,8 +132,62 @@ def test_calls_per_model_do_not_grow_with_directions_or_points(monkeypatch):
     models = len(report.records)
     assert models == 50 and report.passed
     assert counts["evaluate"] == EVALUATIONS_PER_MODEL * models
+    assert counts["points"] <= EVALUATED_POINTS_MAX * models
     assert counts["derivative_model"] <= DERIVATIVE_MODEL_CALLS_MAX * models
     assert counts["as_pair"] <= AS_PAIR_CALLS_MAX * models
+
+
+def test_one_grid_build_per_boundary_point(monkeypatch):
+    monkeypatch.setattr(boundary, "_GRIDS", {})
+    builds = []
+    build = boundary._build_grid
+    monkeypatch.setattr(boundary, "_build_grid", lambda *args: builds.append(args) or build(*args))
+    run_suite(SuiteConfig(seed=7, count=12))
+    assert len(builds) == len(SUITE_TAUS)
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_batched_checks_equal_the_public_routes(monkeypatch):
+    """The suite's batched arrays and worst values are those of the public functions on the same draws."""
+    seen = collections.defaultdict(list)
+    for name in ("model_identity_defect", "standard_identity_defect", "standard_model_components"):
+
+        def recording(*args, fn=getattr(suite, name), name=name):
+            seen[name].append(fn(*args))
+            return seen[name][-1]
+
+        monkeypatch.setattr(suite, name, recording)
+    config = SuiteConfig(seed=7, count=6)
+    report = run_suite(config)
+    rng = np.random.default_rng(config.seed)
+    pairs = 2 * suite.STANDARD_PAIRS
+    for record in report.records:
+        # run_model_checks draws these, in this order, and classify_model draws nothing
+        model, _, _ = generate_model(record.index, rng, config)
+        lam, mu = sample_bidisk_pairs(rng, suite.IDENTITY_PAIRS)
+        sample_bidisk_batch(rng, suite.CROSS_ORACLE_SAMPLES)
+        scan = sample_bidisk_batch(rng, suite.CONTRACTIVITY_SAMPLES)
+        std_lam, std_mu = sample_bidisk_pairs(rng, suite.STANDARD_PAIRS)
+        grid = build_grid(model.tau, config.aperture, config.grid_depth)
+        worst = {c.name: c.worst for c in record.checks}
+
+        residual = model.model_residual(lam, mu)
+        assert same_bits(seen["model_identity_defect"][record.index], residual)
+        assert worst["model_identity"] == residual.max()
+        assert worst["schur_bound"] == np.abs(model.phi(scan)).max()
+        residual = standard_model_residual(model, std_lam, std_mu)
+        assert same_bits(seen["standard_identity_defect"][record.index], residual)
+        assert worst["standard_model_identity"] == residual.max()
+        u1, u2, v, _ = standard_model_rotated(model, grid.batch)
+        batched = seen["standard_model_components"][record.index][:3]
+        assert all(same_bits(x[pairs:], y) for x, y in zip(batched, (u1, u2, v)))
+        bound = (config.aperture + 1.0) * np.linalg.norm(v, axis=1)
+        excess = np.maximum(np.linalg.norm(u1, axis=1), np.linalg.norm(u2, axis=1)) - bound
+        assert worst["standard_model_bound"] == excess.max(initial=0.0)
 
 
 def failing_on_model(monkeypatch, index):
