@@ -7,7 +7,6 @@ from .boundary import (
     DerivativeTable,
     JuliaRow,
     NontangentialGrid,
-    NontangentialLimit,
     build_grid,
     cara_quotient,
     classify_model,
@@ -19,9 +18,7 @@ from .boundary import (
     detect_carapoint,
     julia_quotient_ray,
     linearity_defect,
-    nt_limit_phi,
     satisfies_aperture,
-    standard_model_pair,
     standard_model_residual,
     standard_model_rotated,
 )
@@ -31,7 +28,6 @@ from .errors import (
     DegenerateParameterError,
     InadmissibleDirectionError,
     NoConvergenceError,
-    NoLimitError,
     NotHermitianError,
     NotIsometricError,
     PoleHitError,
@@ -42,12 +38,10 @@ from .errors import (
     UnconvergedError,
 )
 from .hermitian import (
-    KernelProjectors,
     PositiveContraction,
     SpectralDecomposition,
     apply_calculus,
     hermitian_defect,
-    kernel_projectors,
     matrix_from_json,
     matrix_to_json,
     opnorm,
@@ -59,9 +53,7 @@ from .pencil import (
     ContractivityScan,
     OperatorPencil,
     contractivity_scan,
-    i_y_derivative_at_tau,
     i_y_diagonal,
-    i_y_difference_at_tau,
     i_y_eval,
     i_y_spectral_form,
 )

@@ -6,10 +6,9 @@ the ray limit of the model vector versus finite differences), the derived
 standard model, the Julia-quotient ray identity, and the regular /
 singular / purely-singular classification of a generalized model.
 
-Scans collect their points first and call ``phi`` once on a batch
-DiskPoint (array coordinates).  A callable that cannot take a batch, for
-instance one that branches in Python on a coordinate, raises ValueError
-or TypeError on it and is then evaluated point by point.
+Scans collect their points first and call ``phi`` once, on the (N, 2)
+array of all of them (see :func:`points.as_points`); ``phi`` returns the N
+values.
 """
 
 from __future__ import annotations
@@ -20,26 +19,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import (
-    BadApertureError,
-    CaralabError,
-    NoConvergenceError,
-    NoLimitError,
-    UnconvergedError,
-)
+from .errors import BadApertureError, CaralabError, NoConvergenceError, UnconvergedError
 from .extrapolate import richardson_limit
-from .points import (
-    BoundaryPoint,
-    DiskPoint,
-    as_coords,
-    as_pair,
-    batch_points,
-    direction_entry_time,
-    is_batch,
-    modulus,
-    require_admissible,
-    stack_points,
-)
+from .points import BoundaryPoint, as_points, direction_entry_time, modulus, require_admissible
 from .realization import GeneralizedRealization, RAY_EXPONENTS
 from .scalar_family import phi_y_model_components
 
@@ -63,9 +45,6 @@ INDETERMINATE_TOL = 1e-3
 DEFECT_REGULAR_TOL = 1e-6
 DEFECT_SINGULAR_TOL = 1e-3
 
-#: largest spread between the extrapolated limits of two approach families
-FAMILY_TOL = 1e-5
-
 #: extrapolated difference steps per direction of a finite-difference derivative
 FD_STEPS = 15
 
@@ -85,13 +64,15 @@ def satisfies_aperture(tau, lam, aperture: float, slack: float = 0.0):
 
     ``slack`` absorbs representation noise: the radial ray sits exactly on
     the aperture-1 cone boundary, where the ~1e-16 modulus error of a
-    stored boundary point would otherwise flip the comparison.  A batch
-    lam (array coordinates) gives one flag per point.
+    stored boundary point would otherwise flip the comparison.  An (N, 2)
+    array of points gives one flag per point.
     """
-    (t1, t2), (l1, l2) = as_pair(tau), as_coords(lam)
+    t1, t2 = tau
+    points, single = as_points(lam)
+    l1, l2 = points[:, 0], points[:, 1]
     gap = np.maximum(modulus(t1 - l1), modulus(t2 - l2))
     ok = gap <= aperture * (1.0 - np.maximum(modulus(l1), modulus(l2))) + slack
-    return ok if is_batch(lam) else bool(ok)
+    return bool(ok[0]) if single else ok
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,8 +82,8 @@ class NontangentialGrid:
     Each family follows one approach geometry (the radial ray, skewed
     radial scalings, small angular detours) sampled along the dyadic
     schedule t = 2^-k, k = 1..depth: ``coords[f, k - 1]`` is the point of
-    family ``names[f]`` at t = 2^-k.  ``batch`` holds every point as one
-    batch DiskPoint; ``families``, ``points`` and ``ray`` are views.
+    family ``names[f]`` at t = 2^-k.  Family 0 is the radial ray, and
+    ``coords.reshape(-1, 2)`` holds every point.
     """
 
     tau: BoundaryPoint
@@ -110,24 +91,6 @@ class NontangentialGrid:
     depth: int
     names: tuple[str, ...]
     coords: np.ndarray  # (len(names), depth, 2) complex
-
-    @property
-    def batch(self) -> DiskPoint:
-        return DiskPoint(*self.coords.reshape(-1, 2).T)
-
-    @property
-    def families(self) -> tuple[tuple[str, tuple[tuple[float, DiskPoint], ...]], ...]:
-        ts = np.ldexp(1.0, -np.arange(1, self.depth + 1)).tolist()
-        rows = [tuple((t, DiskPoint(a, b)) for t, (a, b) in zip(ts, c.tolist())) for c in self.coords]
-        return tuple(zip(self.names, rows))
-
-    @property
-    def points(self) -> list[DiskPoint]:
-        return [pt for _, pts in self.families for _, pt in pts]
-
-    @property
-    def ray(self) -> tuple[tuple[float, DiskPoint], ...]:
-        return dict(self.families)["ray"]
 
 
 def build_grid(
@@ -147,11 +110,10 @@ def build_grid(
     if not 1 <= depth <= 48:
         # beyond 2^-48 the schedule is within a few ulp of the boundary
         raise ValueError("depth must lie in 1..48")
-    t1, t2 = as_pair(tau)
-    key = (np.array([t1, t2, aperture], dtype=complex).tobytes(), type(depth), depth)
+    tau = BoundaryPoint(*tau)
+    key = (np.array([tau.tau1, tau.tau2, aperture], dtype=complex).tobytes(), type(depth), depth)
     grid = _GRIDS.get(key)
     if grid is None:
-        tau = tau if isinstance(tau, BoundaryPoint) else BoundaryPoint(t1, t2)
         grid = _build_grid(tau, aperture, depth)
         if len(_GRIDS) >= GRID_MEMO_SIZE:
             del _GRIDS[next(iter(_GRIDS))]
@@ -160,7 +122,7 @@ def build_grid(
 
 
 def _build_grid(tau: BoundaryPoint, aperture: float, depth: int) -> NontangentialGrid:
-    t1, t2 = as_pair(tau)
+    t1, t2 = tau
     ts = np.ldexp(1.0, -np.arange(1, depth + 1))  # exactly 2^-k
 
     def radial(u1: float, u2: float) -> np.ndarray:
@@ -189,8 +151,8 @@ def _build_grid(tau: BoundaryPoint, aperture: float, depth: int) -> Nontangentia
     names, coords = zip(*families)
     coords = np.stack(coords)
     coords.flags.writeable = False
-    lam = (coords[..., 0], coords[..., 1])
-    ok = (np.maximum(*map(modulus, lam)) < 1.0) & satisfies_aperture(tau, lam, aperture, slack=1e-12)
+    inside = satisfies_aperture(tau, coords.reshape(-1, 2), aperture, slack=1e-12)
+    ok = (modulus(coords).max(axis=-1) < 1.0) & inside.reshape(coords.shape[:2])
     if not ok.all():
         # happens only for huge apertures: the radial speed 1/aperture is
         # then lost to rounding near the boundary
@@ -202,24 +164,18 @@ def _build_grid(tau: BoundaryPoint, aperture: float, depth: int) -> Nontangentia
     return NontangentialGrid(tau, float(aperture), int(depth), names, coords)
 
 
-def _phi_on(phi: Callable[[DiskPoint], complex], lam: DiskPoint) -> np.ndarray:
-    """phi at every point of a batch, by one call when phi broadcasts."""
-    try:
-        values = phi(lam)
-    except (TypeError, ValueError):
-        values = [phi(DiskPoint(complex(a), complex(b))) for a, b in zip(lam.lam1, lam.lam2)]
-    return np.broadcast_to(np.asarray(values, dtype=complex), np.shape(lam.lam1))
-
-
-def cara_quotient(phi: Callable[[DiskPoint], complex], lam):
+def cara_quotient(phi: Callable[[np.ndarray], np.ndarray], lam):
     """The Caratheodory quotient (1 - |phi(lam)|) / (1 - ||lam||_inf).
 
-    A batch lam gives an array of quotients from one call of phi.
+    phi gets the (N, 2) array of the points and returns their N values (a
+    constant may return one value); an (N, 2) array lam gives an array of
+    quotients from that one call.
     """
-    l1, l2 = (np.atleast_1d(np.asarray(z, dtype=complex)) for z in lam)
-    gap = 1.0 - np.maximum(np.abs(l1), np.abs(l2))
-    quotient = (1.0 - np.abs(_phi_on(phi, DiskPoint(l1, l2)))) / gap
-    return quotient if is_batch(lam) else float(quotient[0])
+    points, single = as_points(lam)
+    gap = 1.0 - np.maximum(np.abs(points[:, 0]), np.abs(points[:, 1]))
+    values = np.broadcast_to(np.asarray(phi(points), dtype=complex), gap.shape)
+    quotient = (1.0 - np.abs(values)) / gap
+    return float(quotient[0]) if single else quotient
 
 
 @dataclass(frozen=True)
@@ -233,7 +189,7 @@ class CarapointScan:
     alpha_residual: float  # Richardson residual of the alpha extrapolation
 
 
-def detect_carapoint(phi: Callable[[DiskPoint], complex], grid: NontangentialGrid) -> CarapointScan:
+def detect_carapoint(phi: Callable[[np.ndarray], np.ndarray], grid: NontangentialGrid) -> CarapointScan:
     """Decide boundedness of the Caratheodory quotient over the grid.
 
     The radial ray is refined down to t = 2^-DETECT_EXPONENT, where a
@@ -242,45 +198,19 @@ def detect_carapoint(phi: Callable[[DiskPoint], complex], grid: NontangentialGri
     moderately deep ray samples where rounding is still negligible.
     """
     # one evaluation of the grid followed by the deeper ray points; the ray
-    # quotients are the grid's ray family (t = 2^-k at k - 1) and the tail
+    # quotients are the grid's ray family 0 (t = 2^-k at k - 1) and the tail
     deeper = grid.tau.ray_point(np.ldexp(1.0, -np.arange(grid.depth + 1, DETECT_EXPONENT + 1)))
     grid_points = grid.coords.reshape(-1, 2)
-    pts = np.concatenate([grid_points, stack_points(deeper)])
-    quotients = cara_quotient(phi, DiskPoint(*pts.T))
-    families = quotients[: len(grid_points)].reshape(len(grid.names), grid.depth)
-    ray = np.concatenate([families[grid.names.index("ray")], quotients[len(grid_points) :]])
+    quotients = cara_quotient(phi, np.concatenate([grid_points, deeper]))
+    ray = np.concatenate([quotients[: grid.depth], quotients[len(grid_points) :]])
     k_hi = min(ALPHA_EXPONENT, len(ray))
     alpha, residual = richardson_limit(ray[max(1, k_hi - 7) - 1 : k_hi])
     qmax, qmin = quotients.max(), quotients.min()
     return CarapointScan(bool(qmax < QUOTIENT_BOUND), float(alpha), float(qmax), float(qmin), float(residual))
 
 
-@dataclass(frozen=True)
-class NontangentialLimit:
-    """Extrapolated boundary value with the spread across approach families."""
-
-    value: complex
-    max_deviation: float
-
-
-def nt_limit_phi(phi: Callable[[DiskPoint], complex], grid: NontangentialGrid) -> NontangentialLimit:
-    """Nontangential limit of phi at the grid's boundary point.
-
-    Extrapolates every approach family and cross-checks the off-ray limits
-    against the ray limit; disagreement beyond FAMILY_TOL raises NoLimit.
-    """
-    values = _phi_on(phi, grid.batch)
-    # every family samples the same schedule: one column per family
-    columns, _ = richardson_limit(values.reshape(len(grid.names), -1).T)
-    ray_value = complex(columns[grid.names.index("ray")])
-    deviation = float(modulus(columns - ray_value).max())
-    if deviation > FAMILY_TOL:
-        raise NoLimitError(f"approach families disagree by {deviation:.3e} (> {FAMILY_TOL:.1e})")
-    return NontangentialLimit(ray_value, float(deviation))
-
-
 def derivative_fd(
-    phi: Callable[[DiskPoint], complex],
+    phi: Callable[[np.ndarray], np.ndarray],
     tau,
     delta,
     phi_tau: complex | None = None,
@@ -289,21 +219,20 @@ def derivative_fd(
 
     The step schedule is geometric inside the largest safe entry interval
     for the direction; phi(tau) defaults to the extrapolated radial limit.
-    A batch ``delta`` (array coordinates, as in a batch DiskPoint) gives an
-    array with one derivative per direction.  The steps of all directions
-    are evaluated by one call of phi.  A batch that fails is re-run one
-    direction at a time, so it raises what the first failing direction
-    raises on its own.
+    An (N, 2) array of directions gives one derivative per direction.  The
+    steps of all directions go to one call of phi, as one (M, 2) array.  A
+    batch that fails is re-run one direction at a time, so it raises what
+    the first failing direction raises on its own.
     """
-    tau = tau if isinstance(tau, BoundaryPoint) else BoundaryPoint(*as_pair(tau))
-    deltas = stack_points(delta)
+    tau = BoundaryPoint(*tau)
+    deltas, single = as_points(delta)
     try:
         limits = _fd_limits(phi, tau, deltas, phi_tau)
     except (CaralabError, ValueError):
         for one in deltas:
             _fd_limits(phi, tau, one[None], phi_tau)
         raise
-    return limits if is_batch(delta) else complex(limits[0])
+    return complex(limits[0]) if single else limits
 
 
 def _fd_limits(phi, tau: BoundaryPoint, deltas: np.ndarray, phi_tau) -> np.ndarray:
@@ -313,16 +242,16 @@ def _fd_limits(phi, tau: BoundaryPoint, deltas: np.ndarray, phi_tau) -> np.ndarr
     Points are equal when their bits are: directions that differ by a power
     of two share their steps, since the entry time scales exactly with them.
     """
-    entry = direction_entry_time(tau, DiskPoint(*deltas.T))
+    entry = direction_entry_time(tau, deltas)
     schedules = entry[:, None] / 8.0 * 2.0 ** -np.arange(FD_STEPS)
     if phi_tau is None:
         ray = tau.ray_point(np.ldexp(1.0, -np.arange(8, 21)))
-        phi_tau = complex(richardson_limit(_phi_on(phi, ray))[0])
-    steps = (stack_points(tau)[:, None, :] + schedules[..., None] * deltas[:, None, :]).reshape(-1, 2)
+        phi_tau = complex(richardson_limit(np.asarray(phi(ray), dtype=complex))[0])
+    steps = (as_points(tau)[0][:, None, :] + schedules[..., None] * deltas[:, None, :]).reshape(-1, 2)
     rows = steps.view(np.dtype((np.void, 2 * steps.itemsize))).ravel()
     _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
     keep = np.sort(first)
-    values = _phi_on(phi, DiskPoint(*steps[keep].T))[np.searchsorted(keep, first)[inverse]]
+    values = np.asarray(phi(steps[keep]), dtype=complex)[np.searchsorted(keep, first)[inverse]]
     quotients = (values.reshape(schedules.shape) - phi_tau) / schedules
     limits, residuals = richardson_limit(quotients.T)  # one column per direction
     unsettled = residuals > 1e-4 * np.maximum(1.0, modulus(limits))
@@ -341,18 +270,19 @@ def derivative_model(model: GeneralizedRealization, delta):
     U* v_tau; g has no pole on [0, 1] for admissible directions.  The
     unimodular prefactor phi(tau) comes from polarizing the model identity
     against the boundary value and is what makes this agree with the
-    difference quotient for functions with phi(tau) != 1.  A batch delta
-    (array coordinates) gives one derivative per direction from one (K, n) expression.
+    difference quotient for functions with phi(tau) != 1.  A (K, 2) array
+    of directions gives one derivative per direction from one (K, n) expression.
     """
-    d = require_admissible(model.tau, delta)
+    d, single = as_points(delta)
+    require_admissible(model.tau, d)
     ray = model.v_at_tau()
     if not ray.converged:
         raise UnconvergedError("model vector has no converged ray limit at tau")
-    a, b = (np.conj(stack_points(model.tau)) * d).T[..., None]
+    a, b = (np.conj(as_points(model.tau)[0]) * d).T[..., None]
     w = model.pencil.contraction.decomposition.weights
     g = a * b / (a * (1.0 - w) + b * w)
     values = model.phi_at_tau() * np.sum(g * np.abs(ray.rotated) ** 2, axis=1)
-    return values if is_batch(delta) else complex(values[0])
+    return complex(values[0]) if single else values
 
 
 @dataclass(frozen=True)
@@ -397,7 +327,7 @@ def default_directions(tau, count: int = 12) -> list[tuple[complex, complex]]:
         (-2.5 + 0.5j, -1.0),
         (-1.0, -2.5 - 0.5j),
     ]
-    t1, t2 = as_pair(tau)
+    t1, t2 = tau
     return [(s1 * t1, s2 * t2) for s1, s2 in scales[:count]]
 
 
@@ -408,7 +338,7 @@ def default_direction_pairs(tau) -> list[tuple[tuple[complex, complex], tuple[co
     at the midpoint parameter); the others probe asymmetric and complex
     combinations.
     """
-    t1, t2 = as_pair(tau)
+    t1, t2 = tau
 
     def d(s1, s2):
         return (s1 * t1, s2 * t2)
@@ -433,38 +363,35 @@ def derivative_table(
     """
     if deltas is None:
         deltas = default_directions(model.tau)
-    batch = batch_points(deltas)
+    batch = np.array(deltas, dtype=complex).reshape(-1, 2)
     phi_tau = model.phi_at_tau()
     try:
         analytic = derivative_model(model, batch).tolist()
         fds = derivative_fd(model.phi, model.tau, batch, phi_tau=phi_tau).tolist()
     except (CaralabError, ValueError):
-        for delta in deltas:
-            derivative_model(model, delta)
-            derivative_fd(model.phi, model.tau, delta, phi_tau=phi_tau)
+        for one in batch:
+            derivative_model(model, one[None])
+            derivative_fd(model.phi, model.tau, one[None], phi_tau=phi_tau)
         raise
     entries = []
-    for pair, an, fd in zip(map(tuple, stack_points(batch).tolist()), analytic, fds):
+    for pair, an, fd in zip(map(tuple, batch.tolist()), analytic, fds):
         entries += [DerivativeEntry(pair, an, "analytic"), DerivativeEntry(pair, fd, "finite_difference")]
     return DerivativeTable(tuple(entries))
 
 
 def linearity_defect(
-    derivative: Callable[[tuple[complex, complex]], complex],
+    derivative: Callable[[np.ndarray], np.ndarray],
     pairs: Sequence[tuple[tuple[complex, complex], tuple[complex, complex]]],
 ) -> float:
     """Largest additivity defect |D(a+b) - D(a) - D(b)| over direction pairs.
 
     The directions a+b, a, b of every pair, in that order, go to one call
-    of ``derivative`` as a batch (array coordinates); a callable that
-    cannot take one is called once per direction with a complex pair.
+    of ``derivative`` as one (3 len(pairs), 2) array, which must return
+    one value per direction.
     """
-    a, b = (np.array([as_pair(p[i]) for p in pairs], dtype=complex).reshape(-1, 2) for i in (0, 1))
+    a, b = np.array(pairs, dtype=complex).reshape(-1, 2, 2).transpose(1, 0, 2)
     dirs = np.stack([a + b, a, b], axis=1).reshape(-1, 2)
-    try:
-        values = np.asarray(derivative(DiskPoint(*dirs.T)), dtype=complex).reshape(len(dirs))
-    except (TypeError, ValueError):
-        values = np.array([derivative(tuple(d)) for d in dirs.tolist()], dtype=complex)
+    values = np.asarray(derivative(dirs), dtype=complex).reshape(len(dirs))
     joint, da, db = values.reshape(-1, 3).T
     return float(modulus(joint - da - db).max(initial=0.0))
 
@@ -476,10 +403,10 @@ def standard_model_rotated(model: GeneralizedRealization, lam):
     """Standard model components u1', u2', model vector v' and phi at lam, from one evaluation.
 
     The vectors are in Y's eigenbasis (v = U v'), which keeps norms and
-    inner products; a batch lam gives one row per point.  See
-    :func:`standard_model_components`.
+    inner products; one row per point of lam (one point, or an (N, 2)
+    array).  See :func:`standard_model_components`.
     """
-    points = stack_points(lam)
+    points, _ = as_points(lam)
     return standard_model_components(model, points, model.evaluate(points))
 
 
@@ -496,35 +423,21 @@ def standard_model_components(model: GeneralizedRealization, points: np.ndarray,
     w1[:, w == 1.0] = 1.0
     w2[:, w == 0.0] = 1.0
     inner = (w > 0.0) & (w < 1.0)
-    w1[:, inner], w2[:, inner] = phi_y_model_components(w[inner], model.tau, DiskPoint(*points.T))
+    w1[:, inner], w2[:, inner] = phi_y_model_components(w[inner], model.tau, points)
     return w1 * v, w2 * v, v, phi
-
-
-def standard_model_pair(model: GeneralizedRealization, lam) -> tuple[np.ndarray, np.ndarray]:
-    """The two components of the derived standard model vector at lam.
-
-    The pencil's spectral decomposition splits the state space; endpoint
-    eigenvalues contribute the constant weights (1, 0) and (0, 1), interior
-    eigenvalues the scalar-family model components, each multiplying the
-    corresponding eigenspace component of v(lam).  A batch lam gives one
-    row per point.
-    """
-    u1, u2, _, _ = standard_model_rotated(model, lam)
-    ut = model.pencil.contraction.decomposition.eigenvectors.T
-    u1, u2 = u1 @ ut, u2 @ ut
-    return (u1, u2) if is_batch(lam) else (u1[0], u2[0])
 
 
 def standard_model_residual(model: GeneralizedRealization, lam, mu):
     """Defect of the ordinary model identity for the derived standard model.
 
-    Batches lam and mu give one residual per pair; see
+    (N, 2) arrays lam and mu give one residual per pair; see
     :func:`standard_identity_defect`.
     """
-    points = np.concatenate(np.broadcast_arrays(stack_points(lam), stack_points(mu)))
+    (pl, one_lam), (pm, one_mu) = as_points(lam), as_points(mu)
+    points = np.concatenate(np.broadcast_arrays(pl, pm))
     u1, u2, _, phi = standard_model_components(model, points, model.evaluate(points))
     residual = standard_identity_defect(points, u1, u2, phi)
-    return residual if is_batch(lam) or is_batch(mu) else float(residual[0])
+    return float(residual[0]) if one_lam and one_mu else residual
 
 
 def standard_identity_defect(points: np.ndarray, u1: np.ndarray, u2: np.ndarray, phi: np.ndarray) -> np.ndarray:

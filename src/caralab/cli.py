@@ -43,7 +43,7 @@ from .errors import (
 )
 from .hermitian import DEFAULT_EIGTOL
 from .pencil import contractivity_scan, sample_bidisk_pairs
-from .points import BoundaryPoint, batch_points
+from .points import BoundaryPoint
 from .realization import DEFAULT_ISOTOL, RAY_EXPONENTS, load_model
 from .scalar_family import (
     phi_y_directional_derivative,
@@ -153,7 +153,9 @@ def cmd_family(args) -> int:
     grid = build_grid(tau, args.aperture, args.depth)
     phi = lambda lam: phi_y_eval(y, tau, lam)  # noqa: E731
     scan = detect_carapoint(phi, grid)
-    quotient_rows = [[t, cara_quotient(phi, pt)] for t, pt in grid.ray]
+    # the radial ray is the grid's family 0, at t = 2^-k
+    ts = np.ldexp(1.0, -np.arange(1, grid.depth + 1)).tolist()
+    quotient_rows = [[t, q] for t, q in zip(ts, cara_quotient(phi, grid.coords[0]).tolist())]
 
     residual_max = None
     if not monomial:
@@ -161,11 +163,12 @@ def cmd_family(args) -> int:
         residual_max = float(np.max(phi_y_model_residual(y, tau, lam, mu), initial=0.0))
 
     deltas = default_directions(tau)
-    fds = derivative_fd(phi, tau, batch_points(deltas), phi_tau=1.0 + 0j).tolist()
+    batch = np.array(deltas, dtype=complex)
+    fds = derivative_fd(phi, tau, batch, phi_tau=1.0 + 0j).tolist()
+    analytic = phi_y_directional_derivative(y, tau, batch).tolist()
     entries = []
-    for delta, fd in zip(deltas, fds):
-        entries.append(DerivativeEntry(delta, phi_y_directional_derivative(y, tau, delta), "analytic"))
-        entries.append(DerivativeEntry(delta, fd, "finite_difference"))
+    for delta, an, fd in zip(deltas, analytic, fds):
+        entries += [DerivativeEntry(delta, an, "analytic"), DerivativeEntry(delta, fd, "finite_difference")]
     deriv_docs, deriv_rows = _derivative_entries(entries)
     defect = linearity_defect(
         lambda d: phi_y_directional_derivative(y, tau, d), default_direction_pairs(tau)

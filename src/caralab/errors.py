@@ -57,10 +57,6 @@ class SingularResolventError(CaralabError):
     """The realization resolvent is numerically singular."""
 
 
-class NoLimitError(CaralabError):
-    """Nontangential approach families disagree; no limit within tolerance."""
-
-
 class BadApertureError(CaralabError):
     """Nontangential aperture that is not a finite number >= 1, or too large for its grid."""
 

@@ -1,11 +1,10 @@
 """Dense complex Hermitian linear algebra.
 
 Spectral decompositions with eigenvalue clustering, positive-contraction
-validation, spectral functional calculus, and the three kernel projectors
-(eigenspace of 1, eigenspace of 0, and the rest) used by the boundary
-classification.  A decomposition is held as the eigenbasis U alone, with
-the snapped eigenvalue of each column; eigenprojectors and functions of
-the matrix are built from U's columns when asked for.
+validation and spectral functional calculus.  A decomposition is held as
+the eigenbasis U alone, with the snapped eigenvalue of each column;
+eigenprojectors and functions of the matrix are built from U's columns
+when asked for.
 """
 
 from __future__ import annotations
@@ -211,30 +210,6 @@ def apply_calculus(y: PositiveContraction, f: Callable[[float], complex]) -> np.
             raise SingularCalculusError(f"function non-finite at eigenvalue {w!r}")
         values[dec.weights == w] = value
     return dec.compose(values)
-
-
-@dataclass(frozen=True)
-class KernelProjectors:
-    """Orthogonal projectors onto the 1-eigenspace, 0-eigenspace, and the rest.
-
-    e1 + e0 + e is the identity; e projects onto the orthogonal complement
-    of ker Y(1-Y).
-    """
-
-    e1: np.ndarray
-    e0: np.ndarray
-    e: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.e1.shape[0]
-
-
-def kernel_projectors(y: PositiveContraction) -> KernelProjectors:
-    """Split the identity along the endpoint eigenspaces of Y."""
-    e1 = y.decomposition.projector(1.0)
-    e0 = y.decomposition.projector(0.0)
-    return KernelProjectors(e1, e0, np.eye(y.dim, dtype=complex) - e1 - e0)
 
 
 def random_positive_contraction(

@@ -6,7 +6,12 @@ Given a positive contraction Y and a boundary point tau, the pencil
 
 with p = conj(tau1) lam1 and q = conj(tau2) lam2, is contractive and
 analytic on the bidisk, takes the value 1 at tau, and reduces to
-diag-multiplication by (p, q) when Y is a projection.  Since I_Y is a
+diag-multiplication by (p, q) when Y is a projection.  Along a direction
+delta into the bidisk it is exactly affine,
+
+    I_Y(tau + t delta) - 1 = t a b [a (1-Y) + b Y]^{-1},
+
+with a = conj(tau1) delta1 and b = conj(tau2) delta2.  Since I_Y is a
 function of Y, writing Y = U diag(w) U* gives I_Y(lam) = U diag(s) U* with
 s_i = phi_{w_i}(lam), the scalar family at the eigenvalues; the batched
 kernel :func:`i_y_diagonal` evaluates s at many points at once and is the
@@ -21,9 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SingularCalculusError, SingularDenominatorError
+from .errors import SingularDenominatorError
 from .hermitian import PositiveContraction
-from .points import BoundaryPoint, DiskPoint, as_pair, is_batch, require_admissible, stack_points
+from .points import BoundaryPoint, DiskPoint, as_points
 
 #: relative singular-value floor below which a denominator counts as singular
 SINGULAR_RTOL = 1e-13
@@ -50,7 +55,7 @@ class OperatorPencil:
 
     def __init__(self, contraction: PositiveContraction, tau):
         self.contraction = contraction
-        self.tau = tau if isinstance(tau, BoundaryPoint) else BoundaryPoint(*as_pair(tau))
+        self.tau = BoundaryPoint(*tau)
 
     @property
     def dim(self) -> int:
@@ -67,7 +72,7 @@ def _singular(mag: np.ndarray) -> np.ndarray:
 
 def _offsets(pencil: OperatorPencil, pts: np.ndarray):
     """Columns a = 1 - conj(tau1) lam1, b = 1 - conj(tau2) lam2, and the TAU_SNAP mask."""
-    t1, t2 = as_pair(pencil.tau)
+    t1, t2 = pencil.tau
     a = 1.0 - t1.conjugate() * pts[:, :1]
     b = 1.0 - t2.conjugate() * pts[:, 1:]
     return a, b, (np.abs(a[:, 0]) < TAU_SNAP) & (np.abs(b[:, 0]) < TAU_SNAP)
@@ -76,12 +81,12 @@ def _offsets(pencil: OperatorPencil, pts: np.ndarray):
 def i_y_eval(pencil: OperatorPencil, lam) -> np.ndarray:
     """The pencil by stacked direct solves of (1-p)(1-Y) + (1-q)Y on the matrix Y.
 
-    One point gives (n, n), a batch DiskPoint (N, n, n).  A singular
+    One point gives (n, n), an (N, 2) array gives (N, n, n).  A singular
     denominator raises SingularDenominatorError by the SINGULAR_RTOL rule;
     points within TAU_SNAP of tau give the identity exactly (the continuous
     extension along rays).  Kept as the cross-oracle of the kernel.
     """
-    pts = stack_points(lam)
+    pts, single = as_points(lam)
     a, b, at_tau = _offsets(pencil, pts)
     eye = np.eye(pencil.dim, dtype=complex)
     out = np.repeat(eye[None], len(pts), axis=0)
@@ -94,7 +99,7 @@ def i_y_eval(pencil: OperatorPencil, lam) -> np.ndarray:
             lam = tuple(complex(z) for z in pts[bad[0]])
             raise SingularDenominatorError(f"pencil denominator singular at lam={lam!r}")
         out[live] = eye - (a[live] * b[live])[:, :, None] * np.linalg.solve(m, eye)
-    return out if is_batch(lam) else out[0]
+    return out[0] if single else out
 
 
 def i_y_diagonal(pencil: OperatorPencil, points) -> np.ndarray:
@@ -108,7 +113,7 @@ def i_y_diagonal(pencil: OperatorPencil, points) -> np.ndarray:
     SingularDenominatorError by the same SINGULAR_RTOL rule as
     :func:`i_y_eval`, and points within TAU_SNAP of tau give exact ones.
     """
-    pts = np.asarray(points, dtype=complex).reshape(-1, 2)
+    pts = np.asarray(points, dtype=complex)
     a, b, at_tau = _offsets(pencil, pts)
     w = pencil.contraction.decomposition.weights
     den = a * (1.0 - w) + b * w
@@ -123,47 +128,10 @@ def i_y_diagonal(pencil: OperatorPencil, points) -> np.ndarray:
 
 
 def i_y_spectral_form(pencil: OperatorPencil, lam) -> np.ndarray:
-    """The kernel's U diag(s) U*, s from :func:`i_y_diagonal`: (n, n) or, for a batch, (N, n, n)."""
-    s = i_y_diagonal(pencil, stack_points(lam))
-    out = pencil.contraction.decomposition.compose(s)
-    return out if is_batch(lam) else out[0]
-
-
-def i_y_difference_at_tau(pencil: OperatorPencil, delta, t: float) -> np.ndarray:
-    """The exact difference I(tau + t delta) - identity.
-
-    Equals t * a * b * [a (1-Y) + b Y]^{-1} with a = conj(tau1) delta1 and
-    b = conj(tau2) delta2, for every t small enough that tau + t delta stays
-    in the bidisk; this is an algebraic identity, not a first-order
-    approximation.
-    """
-    if t <= 0:
-        raise ValueError("t must be positive")
-    t1, t2 = as_pair(pencil.tau)
-    d1, d2 = as_pair(delta)
-    lam_t = DiskPoint(t1 + t * d1, t2 + t * d2)
-    if not lam_t.in_open_bidisk():
-        raise ValueError(f"tau + t*delta = {tuple(lam_t)!r} leaves the open bidisk")
-    return t * _direction_calculus(pencil, d1, d2)
-
-
-def i_y_derivative_at_tau(pencil: OperatorPencil, delta) -> np.ndarray:
-    """Directional derivative of the pencil at tau for an admissible direction."""
-    require_admissible(pencil.tau, delta)
-    d1, d2 = as_pair(delta)
-    return _direction_calculus(pencil, d1, d2)
-
-
-def _direction_calculus(pencil: OperatorPencil, d1: complex, d2: complex) -> np.ndarray:
-    """a b [a (1-Y) + b Y]^{-1} in Y's eigenbasis, a = conj(tau1) d1, b = conj(tau2) d2."""
-    t1, t2 = as_pair(pencil.tau)
-    a = t1.conjugate() * d1
-    b = t2.conjugate() * d2
-    dec = pencil.contraction.decomposition
-    den = a * (1.0 - dec.weights) + b * dec.weights
-    if _singular(np.abs(den)):
-        raise SingularCalculusError("direction denominator operator is singular")
-    return dec.compose(a * b / den)
+    """The kernel's U diag(s) U*, s from :func:`i_y_diagonal`: (n, n) or, for an (N, 2) array, (N, n, n)."""
+    pts, single = as_points(lam)
+    out = pencil.contraction.decomposition.compose(i_y_diagonal(pencil, pts))
+    return out[0] if single else out
 
 
 @dataclass(frozen=True)
@@ -191,16 +159,15 @@ def _sample_coords(rng: np.random.Generator, n: int) -> np.ndarray:
     return np.sqrt(u[:, :2]) * np.exp(1j * (2.0 * np.pi * u[:, 2:]))
 
 
-def sample_bidisk_batch(rng: np.random.Generator, n: int) -> DiskPoint:
-    """The points of n successive :func:`sample_bidisk` calls, as one batch."""
-    z = _sample_coords(rng, n)
-    return DiskPoint(z[:, 0], z[:, 1])
+def sample_bidisk_batch(rng: np.random.Generator, n: int) -> np.ndarray:
+    """The points of n successive :func:`sample_bidisk` calls, as an (n, 2) array."""
+    return _sample_coords(rng, n)
 
 
-def sample_bidisk_pairs(rng: np.random.Generator, n: int) -> tuple[DiskPoint, DiskPoint]:
-    """Batches (lam, mu) drawn as n successive pairs (sample_bidisk, sample_bidisk)."""
+def sample_bidisk_pairs(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(n, 2) arrays lam, mu drawn as n successive pairs (sample_bidisk, sample_bidisk)."""
     z = _sample_coords(rng, 2 * n)
-    return DiskPoint(z[0::2, 0], z[0::2, 1]), DiskPoint(z[1::2, 0], z[1::2, 1])
+    return z[0::2], z[1::2]
 
 
 def contractivity_scan(

@@ -1,4 +1,9 @@
-"""Points of the bidisk and its distinguished boundary, and directions into it."""
+"""Points of the bidisk and its distinguished boundary, and directions into it.
+
+Inside caralab a set of N points (or directions) is an (N, 2) complex
+array, one row per point.  :func:`as_points` is the one conversion from a
+caller's argument to that form.
+"""
 
 from __future__ import annotations
 
@@ -20,17 +25,22 @@ _QUARTER = {0: 1 + 0j, 1: 1j, 2: -1 + 0j, 3: -1j}
 
 @dataclass(frozen=True)
 class BoundaryPoint:
-    """Point of the two-torus, stored as a pair of unimodular coordinates."""
+    """Point of the two-torus, stored as a pair of unimodular complex coordinates.
+
+    ``BoundaryPoint(*tau)`` turns any pair, a BoundaryPoint included, into one.
+    """
 
     tau1: complex
     tau2: complex
 
     def __post_init__(self):
-        for z in (self.tau1, self.tau2):
+        for name in ("tau1", "tau2"):
+            z = getattr(self, name)
             if not cmath.isfinite(z):
                 raise ValueError(f"boundary coordinate {z!r} is not finite")
             if abs(abs(z) - 1.0) > UNIMODULAR_TOL:
                 raise ValueError(f"boundary coordinate {z!r} is not unimodular")
+            object.__setattr__(self, name, complex(z))
 
     @classmethod
     def from_angles(cls, turns1: float, turns2: float) -> "BoundaryPoint":
@@ -48,19 +58,19 @@ class BoundaryPoint:
         yield self.tau1
         yield self.tau2
 
-    def ray_point(self, t) -> "DiskPoint":
-        """The point (1-t) * tau on the radial ray into the bidisk; an array t gives a batch."""
+    def ray_point(self, t):
+        """The point (1-t) * tau on the radial ray into the bidisk.
+
+        An array of N values of t gives the (N, 2) array of the points.
+        """
+        if np.ndim(t):
+            return np.stack([(1.0 - t) * self.tau1, (1.0 - t) * self.tau2], axis=1)
         return DiskPoint((1.0 - t) * self.tau1, (1.0 - t) * self.tau2)
 
 
 @dataclass(frozen=True)
 class DiskPoint:
-    """Point of the (closed) bidisk.
-
-    ``lam1`` and ``lam2`` may also be equal-length 1-d complex arrays; such a
-    batch stands for one point per entry and is what the batched
-    evaluation routes pass to a callable ``phi``.
-    """
+    """One point of the (closed) bidisk."""
 
     lam1: complex
     lam2: complex
@@ -77,44 +87,26 @@ class DiskPoint:
         return self.inf_norm < 1.0
 
 
-def as_pair(p) -> tuple[complex, complex]:
-    """Coerce a 2-point (BoundaryPoint, DiskPoint, tuple, ...) to complex pair."""
-    a, b = p
-    return complex(a), complex(b)
+def as_points(p) -> tuple[np.ndarray, bool]:
+    """The (N, 2) complex array of p, and whether p was one point.
 
-
-def is_batch(p) -> bool:
-    """True when the coordinates of p are arrays (a batch of points)."""
-    a, b = p
-    # getattr, not np.ndim: this runs on every scalar-path evaluation
-    return getattr(a, "ndim", 0) > 0 or getattr(b, "ndim", 0) > 0
-
-
-def as_coords(p):
-    """Complex pair for one point, a pair of complex arrays for a batch."""
-    a, b = p
-    if getattr(a, "ndim", 0) > 0 or getattr(b, "ndim", 0) > 0:
-        return np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
-    return complex(a), complex(b)
-
-
-def stack_points(p) -> np.ndarray:
-    """The (N, 2) complex array of one point (N = 1) or of a batch."""
-    a, b = p
-    if getattr(a, "ndim", 0) == 0 and getattr(b, "ndim", 0) == 0:
-        return np.array([[a, b]], dtype=complex)
-    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
-    if a.shape != b.shape:
-        a, b = np.broadcast_arrays(a, b)
-    out = np.empty((a.size, 2), dtype=complex)
-    out[:, 0], out[:, 1] = a.ravel(), b.ravel()
-    return out
-
-
-def batch_points(points) -> DiskPoint:
-    """One batch DiskPoint holding a sequence of points."""
-    arr = np.array([as_pair(p) for p in points], dtype=complex).reshape(-1, 2)
-    return DiskPoint(arr[:, 0], arr[:, 1])
+    An ndarray must have shape (N, 2) and stands for N points.  Anything
+    else must unpack into exactly two scalar coordinates (a DiskPoint, a
+    BoundaryPoint, a tuple) and stands for one point.  Every other input
+    raises ValueError.
+    """
+    if isinstance(p, np.ndarray):
+        if p.ndim != 2 or p.shape[1] != 2:
+            raise ValueError(f"an array of points must have shape (N, 2), not {p.shape}")
+        return p.astype(complex, copy=False), False
+    try:
+        a, b = p
+        out = np.array([[a, b]], dtype=complex)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{p!r} is not a point: expected two scalar coordinates") from exc
+    if out.shape != (1, 2):
+        raise ValueError(f"{p!r} is not a point: expected two scalar coordinates")
+    return out, True
 
 
 def modulus(z):
@@ -133,13 +125,14 @@ def _inward(t: np.ndarray, d: np.ndarray) -> np.ndarray:
 
 def _checked_inward(tau, d: np.ndarray) -> np.ndarray:
     """:func:`_inward` at tau, raising for the first of the (N, 2) directions d that is not admissible."""
-    a = _inward(stack_points(tau), d)
+    t, _ = as_points(tau)
+    a = _inward(t, d)
     ok = (a < 0.0).all(axis=1)
     if not ok.all():
         first = d[np.argmin(ok)]
         raise InadmissibleDirectionError(
-            f"direction {tuple(as_pair(first))!r} does not point into the bidisk at "
-            f"{tuple(as_pair(tau))!r}"
+            f"direction {tuple(map(complex, first))!r} does not point into the bidisk at "
+            f"{tuple(map(complex, t[0]))!r}"
         )
     return a
 
@@ -149,18 +142,19 @@ def is_admissible_direction(tau, delta):
 
     The rotation-covariant condition Re(conj(tau_i) * delta_i) < 0 in both
     coordinates guarantees tau + t*delta lies in the open bidisk for small
-    t > 0.  A batch delta (array coordinates) gives one flag per direction.
+    t > 0.  An (N, 2) array of directions gives one flag per direction.
     """
-    ok = (_inward(stack_points(tau), stack_points(delta)) < 0.0).all(axis=1)
-    return ok if is_batch(delta) else bool(ok[0])
+    d, single = as_points(delta)
+    ok = (_inward(as_points(tau)[0], d) < 0.0).all(axis=1)
+    return bool(ok[0]) if single else ok
 
 
 def require_admissible(tau, delta) -> np.ndarray:
-    """Raise for the first direction of delta (one, or a batch) that is not admissible.
+    """Raise for the first direction of delta (one, or an (N, 2) array) that is not admissible.
 
     Returns the (N, 2) array of the directions.
     """
-    d = stack_points(delta)
+    d, _ = as_points(delta)
     _checked_inward(tau, d)
     return d
 
@@ -168,11 +162,11 @@ def require_admissible(tau, delta) -> np.ndarray:
 def direction_entry_time(tau, delta):
     """Largest t0 such that tau + t*delta stays in the open bidisk for 0 < t < t0.
 
-    A batch delta gives one time per direction.
+    An (N, 2) array of directions gives one time per direction.
     """
-    d = stack_points(delta)
+    d, single = as_points(delta)
     # |tau + t delta|^2 = |tau|^2 + 2 t a + t^2 |delta|^2 < 1, with |delta|^2
     # by hypot and pow, as abs(z) ** 2 computes it for a Python complex
     a = _checked_inward(tau, d)
     times = (-2.0 * a / np.float_power(modulus(d), 2.0)).min(axis=1)
-    return times if is_batch(delta) else float(times[0])
+    return float(times[0]) if single else times

@@ -50,7 +50,7 @@ from .hermitian import (
     validate_positive_contraction,
 )
 from .pencil import SINGULAR_RTOL, OperatorPencil, i_y_diagonal, stack_chunks
-from .points import BoundaryPoint, as_pair, is_batch, stack_points
+from .points import BoundaryPoint, as_points
 
 #: default isometry tolerance for colligation validation
 DEFAULT_ISOTOL = 1e-8
@@ -233,7 +233,7 @@ class GeneralizedRealization:
         isometric colligation ||A|| <= 1, so every point with m below
         1 - 1e-11 is certified.
         """
-        pts = np.asarray(points, dtype=complex).reshape(-1, 2)
+        pts = np.asarray(points, dtype=complex)
         n = self.dim
         s = np.empty((len(pts), n), dtype=complex)
         v = np.empty((len(pts), n), dtype=complex)
@@ -256,29 +256,32 @@ class GeneralizedRealization:
         phi = self.colligation.d + np.sum(s * v * self._c, axis=1)
         return s, v, phi
 
-    def _resolve(self, lam) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """:meth:`evaluate` at one point, or at each point of a batch DiskPoint."""
-        return self.evaluate(stack_points(lam))
+    def _resolve(self, lam):
+        """:meth:`evaluate` at the points of lam (one, or an (N, 2) array), and whether lam was one point."""
+        points, single = as_points(lam)
+        return self.evaluate(points), single
 
     def phi(self, lam):
-        """Value of the realized function; a batch lam gives an array."""
-        phi = self._resolve(lam)[2]
-        return phi if is_batch(lam) else complex(phi[0])
+        """Value of the realized function; an (N, 2) array of points gives an array."""
+        (_, _, phi), single = self._resolve(lam)
+        return complex(phi[0]) if single else phi
 
     def model_vector(self, lam) -> np.ndarray:
-        """Model vector v(lam); a batch lam gives one row per point."""
-        v = self._resolve(lam)[1] @ self.pencil.contraction.decomposition.eigenvectors.T
-        return v if is_batch(lam) else v[0]
+        """Model vector v(lam); an (N, 2) array of points gives one row per point."""
+        (_, v, _), single = self._resolve(lam)
+        v = v @ self.pencil.contraction.decomposition.eigenvectors.T
+        return v[0] if single else v
 
     def model_residual(self, lam, mu):
         """Absolute defect of the generalized model identity at a pair of points.
 
-        Batches lam and mu give one residual per pair; see
+        (N, 2) arrays lam and mu give one residual per pair; see
         :func:`model_identity_defect`.
         """
-        pl, pm = np.broadcast_arrays(stack_points(lam), stack_points(mu))
+        (pl, one_lam), (pm, one_mu) = as_points(lam), as_points(mu)
+        pl, pm = np.broadcast_arrays(pl, pm)
         residual = model_identity_defect(*self.evaluate(np.concatenate([pl, pm])))
-        return residual if is_batch(lam) or is_batch(mu) else float(residual[0])
+        return float(residual[0]) if one_lam and one_mu else residual
 
     # -- extended-precision evaluation along the radial ray -------------
 
@@ -392,7 +395,7 @@ def model_identity_defect(s: np.ndarray, v: np.ndarray, phi: np.ndarray) -> np.n
 
 def dump_model(model: GeneralizedRealization) -> dict:
     """Serialize a realization to the canonical JSON document."""
-    t1, t2 = as_pair(model.tau)
+    t1, t2 = model.tau
     return {
         "dim": model.dim,
         "tau": [[t1.real, t1.imag], [t2.real, t2.imag]],

@@ -24,7 +24,7 @@ from .errors import (
     PoleHitError,
     SingularCalculusError,
 )
-from .points import as_coords, as_pair, require_admissible
+from .points import as_points, require_admissible
 
 #: denominators smaller than this are treated as poles (boundary zero set)
 POLE_TOL = 1e-14
@@ -37,37 +37,37 @@ def _check_y(y: float) -> float:
     return y
 
 
-def _pq(tau, lam):
-    """The rotated coordinates p = conj(tau1) lam1, q = conj(tau2) lam2."""
-    t1, t2 = as_pair(tau)
-    l1, l2 = as_coords(lam)
-    return t1.conjugate() * l1, t2.conjugate() * l2
+def _pq(tau, points: np.ndarray):
+    """The rotated coordinates p = conj(tau1) lam1, q = conj(tau2) lam2 of (N, 2) points."""
+    t1, t2 = tau
+    return t1.conjugate() * points[:, 0], t2.conjugate() * points[:, 1]
 
 
-def _denominator(y: float, p, q):
+def _denominator(y, p, q):
     den = (1.0 - y) * (1.0 - p) + y * (1.0 - q)
     small = abs(den) < POLE_TOL
-    if small.any() if isinstance(small, np.ndarray) else small:
+    if small.any():
         raise PoleHitError(f"denominator vanishes: |den| = {float(np.min(abs(den))):.3e}")
     return den
 
 
 def phi_y_eval(y: float, tau, lam):
-    """Evaluate phi_y at a point of the closed bidisk.
+    """Evaluate phi_y at a point of the closed bidisk; an (N, 2) array of points gives an array.
 
     The endpoint parameters y = 0, 1 reduce to the coordinate monomials
     conj(tau2) lam2 and conj(tau1) lam1 and are short-circuited exactly.
-    A batch ``lam`` (array coordinates) gives an array of values.
     """
     y = _check_y(y)
-    p, q = _pq(tau, lam)
+    points, single = as_points(lam)
+    p, q = _pq(tau, points)
     if y == 1.0:
-        return p
-    if y == 0.0:
-        return q
-    den = _denominator(y, p, q)
-    num = y * p * (1.0 - q) + (1.0 - y) * q * (1.0 - p)
-    return num / den
+        value = p
+    elif y == 0.0:
+        value = q
+    else:
+        den = _denominator(y, p, q)
+        value = (y * p * (1.0 - q) + (1.0 - y) * q * (1.0 - p)) / den
+    return complex(value[0]) if single else value
 
 
 @dataclass(frozen=True)
@@ -113,31 +113,37 @@ def rotation_basis(y: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def phi_y_model_vector(y: float, tau, lam) -> ScalarModelVector:
-    """Model vector u_{y, lam} for y strictly inside (0, 1); broadcasts over a batch lam."""
+    """Model vector u_{y, lam} for y strictly inside (0, 1); an (N, 2) array of points gives array fields."""
     y = _check_y(y)
     if y in (0.0, 1.0):
         raise DegenerateParameterError(
             "model vector formula degenerates at y in {0, 1}; "
             "the endpoint functions are plain monomials"
         )
-    p, q = _pq(tau, lam)
+    points, single = as_points(lam)
+    p, q = _pq(tau, points)
     den = _denominator(y, p, q)
     u1 = math.sqrt(y) * (1.0 - q) / den
     u2 = math.sqrt(1.0 - y) * (1.0 - p) / den
     coef_plus = math.sqrt(y * (1.0 - y)) * (p - q) / den
+    if single:
+        u1, u2, coef_plus = complex(u1[0]), complex(u2[0]), complex(coef_plus[0])
     return ScalarModelVector(y, u1, u2, coef_plus, 1.0 + 0j)
 
 
 def phi_y_model_components(ys, tau, lam) -> tuple[np.ndarray, np.ndarray]:
     """Components u1, u2 of the model vectors of phi_y for an array of y in (0, 1).
 
-    A batch lam of N points gives two (N, len(ys)) arrays, one column per
-    parameter, each rounded as :func:`phi_y_model_vector` rounds it.
+    An (N, 2) array of points gives two (N, len(ys)) arrays, one column per
+    parameter, each rounded as :func:`phi_y_model_vector` rounds it; one
+    point gives two (len(ys),) arrays.
     """
     ys = np.asarray(ys, dtype=float)
-    p, q = (np.asarray(z)[..., None] for z in _pq(tau, lam))
+    points, single = as_points(lam)
+    p, q = (z[:, None] for z in _pq(tau, points))
     den = _denominator(ys, p, q)
-    return np.sqrt(ys) * (1.0 - q) / den, np.sqrt(1.0 - ys) * (1.0 - p) / den
+    u1, u2 = np.sqrt(ys) * (1.0 - q) / den, np.sqrt(1.0 - ys) * (1.0 - p) / den
+    return (u1[0], u2[0]) if single else (u1, u2)
 
 
 def phi_y_model_residual(y: float, tau, lam, mu):
@@ -145,33 +151,37 @@ def phi_y_model_residual(y: float, tau, lam, mu):
 
     The identity equates 1 - conj(phi(mu)) phi(lam) with the weighted inner
     products of the model vectors; it is algebraic, so the residual is
-    rounding noise.  Batches lam and mu give one residual per pair.
+    rounding noise.  (N, 2) arrays lam and mu give one residual per pair.
     """
-    l1, l2 = as_coords(lam)
-    m1, m2 = as_coords(mu)
-    ul = phi_y_model_vector(y, tau, lam)
-    um = phi_y_model_vector(y, tau, mu)
-    lhs = 1.0 - phi_y_eval(y, tau, mu).conjugate() * phi_y_eval(y, tau, lam)
-    rhs = (1.0 - m1.conjugate() * l1) * ul.u1 * um.u1.conjugate() + (
-        1.0 - m2.conjugate() * l2
+    (pl, one_lam), (pm, one_mu) = as_points(lam), as_points(mu)
+    pl, pm = np.broadcast_arrays(pl, pm)
+    ul = phi_y_model_vector(y, tau, pl)
+    um = phi_y_model_vector(y, tau, pm)
+    lhs = 1.0 - phi_y_eval(y, tau, pm).conjugate() * phi_y_eval(y, tau, pl)
+    rhs = (1.0 - pm[:, 0].conjugate() * pl[:, 0]) * ul.u1 * um.u1.conjugate() + (
+        1.0 - pm[:, 1].conjugate() * pl[:, 1]
     ) * ul.u2 * um.u2.conjugate()
-    return abs(lhs - rhs)
+    residual = abs(lhs - rhs)
+    return float(residual[0]) if one_lam and one_mu else residual
 
 
-def phi_y_directional_derivative(y: float, tau, delta) -> complex:
+def phi_y_directional_derivative(y: float, tau, delta):
     """Directional derivative of phi_y at tau along an admissible direction.
 
     Closed form a*b / (a*(1-y) + b*y) with a = conj(tau1) delta1 and
     b = conj(tau2) delta2; degree-1 homogeneous in delta, and linear in
-    delta only at the endpoint parameters.
+    delta only at the endpoint parameters.  An (N, 2) array of directions
+    gives one derivative per direction.
     """
     y = _check_y(y)
-    require_admissible(tau, delta)
-    a, b = _pq(tau, delta)
+    d, single = as_points(delta)
+    require_admissible(tau, d)
+    a, b = _pq(tau, d)
     den = a * (1.0 - y) + b * y
-    if abs(den) < POLE_TOL:
+    if (abs(den) < POLE_TOL).any():
         raise SingularCalculusError("derivative denominator vanishes")
-    return a * b / den
+    value = a * b / den
+    return complex(value[0]) if single else value
 
 
 def model_vector_bound(y: float, aperture: float) -> float:

@@ -38,7 +38,7 @@ from .pencil import (
     sample_bidisk_batch,
     sample_bidisk_pairs,
 )
-from .points import BoundaryPoint, stack_points
+from .points import BoundaryPoint
 from .realization import GeneralizedRealization, model_identity_defect, random_colligation
 
 #: exactly representable boundary points cycled through by the generator;
@@ -221,8 +221,7 @@ def run_model_checks(
     lam, mu = sample_bidisk_pairs(rng, IDENTITY_PAIRS)
     oracle_pts = sample_bidisk_batch(rng, CROSS_ORACLE_SAMPLES)
     scan_pts = sample_bidisk_batch(rng, CONTRACTIVITY_SAMPLES)
-    batch = [stack_points(lam), stack_points(mu), stack_points(scan_pts), CONSTANT_PROBES]
-    s, v, phi = model.evaluate(np.concatenate(batch))
+    s, v, phi = model.evaluate(np.concatenate([lam, mu, scan_pts, CONSTANT_PROBES]))
     pairs = 2 * IDENTITY_PAIRS
     scan = slice(pairs, pairs + CONTRACTIVITY_SAMPLES)
 
@@ -275,7 +274,7 @@ def run_model_checks(
     # derived standard model: identity on random pairs, bound on the grid;
     # norms are those of the eigenbasis components, so nothing is rotated
     lam, mu = sample_bidisk_pairs(rng, STANDARD_PAIRS)
-    points = np.concatenate([stack_points(lam), stack_points(mu), report.grid.coords.reshape(-1, 2)])
+    points = np.concatenate([lam, mu, report.grid.coords.reshape(-1, 2)])
     u1, u2, v, phi = standard_model_components(model, points, model.evaluate(points))
     pairs = 2 * STANDARD_PAIRS
     worst = standard_identity_defect(points[:pairs], u1[:pairs], u2[:pairs], phi[:pairs]).max(initial=0.0)

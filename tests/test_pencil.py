@@ -6,8 +6,8 @@ from caralab import (
     OperatorPencil,
     SingularDenominatorError,
     contractivity_scan,
-    i_y_derivative_at_tau,
-    i_y_difference_at_tau,
+    direction_entry_time,
+    i_y_diagonal,
     i_y_eval,
     i_y_spectral_form,
     opnorm,
@@ -86,22 +86,47 @@ class TestSpectralForm:
             assert opnorm(i_y_eval(pen, lam) - i_y_spectral_form(pen, lam)) <= 1e-10
 
 
+def closed_form(pen, delta):
+    """a b [a (1-Y) + b Y]^{-1} with a = conj(tau1) delta1, b = conj(tau2) delta2, from Y's eigenbasis."""
+    a = pen.tau.tau1.conjugate() * delta[0]
+    b = pen.tau.tau2.conjugate() * delta[1]
+    w, u = np.linalg.eigh(pen.contraction.matrix)
+    return (u * (a * b / (a * (1.0 - w) + b * w))) @ u.conj().T
+
+
+def difference(pen, delta, t):
+    """I_Y(tau + t delta) - 1 from the kernel's full-matrix view."""
+    lam = (pen.tau.tau1 + t * delta[0], pen.tau.tau2 + t * delta[1])
+    return i_y_spectral_form(pen, lam) - np.eye(pen.dim)
+
+
+def diagonal_difference(pen, delta, t):
+    """I_Y(tau + t delta) - 1 in Y's eigenbasis, from the kernel itself."""
+    lam = np.array([[pen.tau.tau1 + t * delta[0], pen.tau.tau2 + t * delta[1]]])
+    return i_y_diagonal(pen, lam)[0] - 1.0
+
+
 class TestDifferenceAndDerivative:
+    """I_Y(tau + t delta) - 1 = t a b [a (1-Y) + b Y]^{-1}, exactly, for admissible delta."""
+
     def test_ray_difference_is_scalar(self, rng):
         y = random_positive_contraction(4, rng)
         pen = OperatorPencil(y, TAU_11)
-        d = i_y_difference_at_tau(pen, (-1, -1), 0.125)
+        d = difference(pen, (-1, -1), 0.125)
         assert opnorm(d + 0.125 * np.eye(4)) <= 1e-12
+        assert opnorm(0.125 * closed_form(pen, (-1, -1)) + 0.125 * np.eye(4)) <= 1e-12
 
     def test_scalar_hand_value(self):
         pen = pencil_of([0.5])
-        d = i_y_difference_at_tau(pen, (-1, -1), 0.1)
+        d = difference(pen, (-1, -1), 0.1)
         assert complex(d[0, 0]) == pytest.approx(-0.1, abs=1e-14)
+        assert complex(0.1 * closed_form(pen, (-1, -1))[0, 0]) == pytest.approx(-0.1, abs=1e-14)
 
     def test_projection_case_is_linear_per_block(self):
         pen = pencil_of([1.0, 0.0])
-        d = i_y_difference_at_tau(pen, (-2, -1), 0.01)
+        d = difference(pen, (-2, -1), 0.01)
         assert np.allclose(d, np.diag([-0.02, -0.01]), atol=1e-13)
+        assert np.allclose(0.01 * closed_form(pen, (-2, -1)), np.diag([-0.02, -0.01]), atol=1e-13)
 
     def test_difference_matches_eval_exactly(self, rng):
         # the closed form is algebraic, not a first-order approximation
@@ -112,39 +137,46 @@ class TestDifferenceAndDerivative:
             for t in (0.3, 0.01, 0.0005):
                 lam = (tau.tau1 + t * delta[0], tau.tau2 + t * delta[1])
                 direct = i_y_eval(pen, lam) - np.eye(5)
-                closed = i_y_difference_at_tau(pen, delta, t)
+                closed = t * closed_form(pen, delta)
                 assert opnorm(direct - closed) <= 1e-9
+                assert opnorm(difference(pen, delta, t) - closed) <= 1e-9
 
     def test_derivative_along_minus_tau(self, rng):
         y = random_positive_contraction(3, rng)
         for tau in TAUS:
             pen = OperatorPencil(y, tau)
-            d = i_y_derivative_at_tau(pen, (-tau.tau1, -tau.tau2))
-            assert opnorm(d + np.eye(3)) <= 1e-12
+            delta = (-tau.tau1, -tau.tau2)
+            assert opnorm(closed_form(pen, delta) + np.eye(3)) <= 1e-12
+            assert opnorm(difference(pen, delta, 0.5) / 0.5 + np.eye(3)) <= 1e-12
 
     def test_projection_derivative_diagonal(self):
         pen = pencil_of([1.0, 0.0])
-        d = i_y_derivative_at_tau(pen, (-2, -1))
-        assert np.allclose(d, np.diag([-2.0, -1.0]), atol=1e-13)
+        assert np.allclose(closed_form(pen, (-2, -1)), np.diag([-2.0, -1.0]), atol=1e-13)
+        # the eigenbasis of diag(1, 0) is the standard one up to order
+        w = pen.contraction.decomposition.weights
+        slopes = diagonal_difference(pen, (-2, -1), 2.0**-4) / 2.0**-4
+        assert np.allclose(slopes, np.where(w == 1.0, -2.0, -1.0), atol=1e-13)
 
     def test_scalar_matches_family_derivative(self):
         pen = pencil_of([0.5])
-        d = i_y_derivative_at_tau(pen, (-2, -1))
         expect = phi_y_directional_derivative(0.5, TAU_11, (-2, -1))
-        assert complex(d[0, 0]) == pytest.approx(expect, abs=1e-14)
+        assert complex(closed_form(pen, (-2, -1))[0, 0]) == pytest.approx(expect, abs=1e-14)
+        assert complex(diagonal_difference(pen, (-2, -1), 0.25)[0] / 0.25) == pytest.approx(expect, abs=1e-14)
 
     def test_homogeneity(self, rng):
         y = random_positive_contraction(4, rng)
         pen = OperatorPencil(y, TAUS[2])
         delta = (-2.0 * TAUS[2].tau1, (-1 - 1j) * TAUS[2].tau2)
-        d1 = i_y_derivative_at_tau(pen, delta)
-        d2 = i_y_derivative_at_tau(pen, (3.0 * delta[0], 3.0 * delta[1]))
-        assert opnorm(d2 - 3.0 * d1) <= 1e-10
+        tripled = (3.0 * delta[0], 3.0 * delta[1])
+        assert opnorm(closed_form(pen, tripled) - 3.0 * closed_form(pen, delta)) <= 1e-10
+        t = 0.5 * direction_entry_time(pen.tau, tripled)
+        assert opnorm(difference(pen, tripled, t) - 3.0 * difference(pen, delta, t)) <= 1e-10
 
     def test_inadmissible_rejected(self):
+        # no t > 0 keeps tau + t delta in the bidisk, so the identity has no range
         pen = pencil_of([0.5])
         with pytest.raises(InadmissibleDirectionError):
-            i_y_derivative_at_tau(pen, (1, -1))
+            direction_entry_time(pen.tau, (1, -1))
 
 
 class TestContractivity:

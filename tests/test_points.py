@@ -1,9 +1,32 @@
 import numpy as np
 import pytest
 
-from caralab import BoundaryPoint, DiskPoint, direction_entry_time, is_admissible_direction, points
+from caralab import (
+    BoundaryPoint,
+    DiskPoint,
+    GeneralizedRealization,
+    OperatorPencil,
+    cara_quotient,
+    derivative_fd,
+    derivative_model,
+    direction_entry_time,
+    i_y_eval,
+    i_y_spectral_form,
+    is_admissible_direction,
+    phi_y_directional_derivative,
+    phi_y_eval,
+    phi_y_model_residual,
+    phi_y_model_vector,
+    points,
+    random_colligation,
+    random_positive_contraction,
+    satisfies_aperture,
+    standard_model_residual,
+)
 from caralab.errors import InadmissibleDirectionError
-from caralab.points import batch_points, require_admissible, stack_points
+from caralab.points import as_points, require_admissible
+from caralab.scalar_family import phi_y_model_components
+from conftest import TAUS
 
 
 class TestBoundaryPoint:
@@ -33,6 +56,13 @@ class TestBoundaryPoint:
         tau = BoundaryPoint(1 + 0j, -1 + 0j)
         lam = tau.ray_point(0.25)
         assert lam == DiskPoint(0.75 + 0j, -0.75 + 0j)
+        ray = tau.ray_point(np.array([0.25, 0.5]))
+        assert ray.shape == (2, 2) and ray.tolist() == [[0.75, -0.75], [0.5, -0.5]]
+
+    def test_coordinates_are_stored_as_complex(self):
+        tau = BoundaryPoint(1, -1.0)
+        assert tuple(map(type, tau)) == (complex, complex)
+        assert BoundaryPoint(*tau) == tau == BoundaryPoint(*(1 + 0j, -1 + 0j))
 
 
 class TestDiskPoint:
@@ -78,39 +108,137 @@ class TestAdmissibility:
         assert not lam.in_open_bidisk()
 
     def test_require_returns_the_stacked_directions(self):
-        deltas = batch_points([(-1, -1), (-2 - 1j, -0.5 + 3j)])
-        assert require_admissible((1 + 0j, 1 + 0j), deltas).tolist() == stack_points(deltas).tolist()
+        deltas = np.array([(-1, -1), (-2 - 1j, -0.5 + 3j)])
+        assert require_admissible((1 + 0j, 1 + 0j), deltas).tolist() == deltas.tolist()
+        assert require_admissible((1 + 0j, 1 + 0j), (-1, -2)).tolist() == [[-1, -2]]
 
     @pytest.mark.parametrize(
         "check", [is_admissible_direction, require_admissible, direction_entry_time]
     )
-    @pytest.mark.parametrize("delta", [(-1, -1), batch_points([(-1, -1), (-2 - 1j, -0.5 + 3j)])])
+    @pytest.mark.parametrize("delta", [(-1, -1), np.array([(-1, -1), (-2 - 1j, -0.5 + 3j)])])
     def test_each_point_is_stacked_once(self, monkeypatch, check, delta):
         stacked = []
-        stack = points.stack_points
+        stack = points.as_points
 
         def counting(p):
             stacked.append(p)
             return stack(p)
 
-        monkeypatch.setattr(points, "stack_points", counting)
+        monkeypatch.setattr(points, "as_points", counting)
         tau = BoundaryPoint(1 + 0j, 1 + 0j)
         check(tau, delta)
-        assert len(stacked) == 2 and tau in stacked
+        assert len(stacked) == 2 and any(p is tau for p in stacked)
 
 
 class TestStackPoints:
+    """as_points: an (N, 2) array is N points, a pair of scalars is one."""
+
     @pytest.mark.parametrize(
         "p, want",
         [
             ((1, -0.5j), [[1 + 0j, -0.5j]]),
             (BoundaryPoint(1j, -1 + 0j), [[1j, -1 + 0j]]),
-            ((np.array([0.5, 0.25j]), 0.5j), [[0.5, 0.5j], [0.25j, 0.5j]]),
-            ((np.array([0.5, 0.25j]), np.array([0.1, -0.0])), [[0.5, 0.1], [0.25j, -0.0]]),
-            ((np.zeros(0), np.zeros(0)), []),
+            (DiskPoint(0.5, np.complex128(0.25j)), [[0.5, 0.25j]]),
+            (np.array([[0.5, 0.5j], [0.25j, -0.0]]), [[0.5, 0.5j], [0.25j, -0.0]]),
+            (np.zeros((0, 2)), []),
         ],
     )
     def test_rows_are_the_points(self, p, want):
-        got = stack_points(p)
+        got, single = as_points(p)
+        assert single is not isinstance(p, np.ndarray)
         assert got.dtype == complex and got.shape == (len(want), 2)
         assert got.tobytes() == np.array(want, dtype=complex).reshape(-1, 2).tobytes()
+
+    def test_a_complex_array_is_not_copied(self):
+        p = np.array([[0.5, 0.5j]])
+        assert as_points(p)[0] is p
+
+    @pytest.mark.parametrize(
+        "p",
+        [
+            DiskPoint(np.array([0.5, 0.25j]), np.array([0.1, 0.2])),  # a pair of arrays
+            (np.array([0.5, 0.25j]), 0.5j),
+            np.array([0.5, 0.5j]),  # shape (2,)
+            np.zeros((3, 3)),
+            np.zeros((1, 2, 2)),
+            [(0.5, 0.5), (0.1, 0.1)],  # a list of points
+            (0.5, 0.5, 0.5),
+            0.5,
+            None,
+        ],
+    )
+    def test_anything_else_is_rejected(self, p):
+        with pytest.raises(ValueError):
+            as_points(p)
+
+
+def _rule_cases():
+    """Each public point function as f(p): p is one point or an (N, 2) array, of points or of directions."""
+    tau = TAUS[2]
+    rng = np.random.default_rng(17)
+    y = random_positive_contraction(4, rng, eigenvalues=[0.0, 0.3, 1.0, 0.7])
+    model = GeneralizedRealization(OperatorPencil(y, tau), random_colligation(4, rng))
+
+    def mu_for(p):
+        # a second argument of the same form: the points (conj lam2, conj lam1)
+        if isinstance(p, np.ndarray) and p.ndim == 2 and p.shape[1] == 2:
+            return np.conj(p[:, ::-1])
+        if isinstance(p, tuple) and not any(np.ndim(z) for z in p):
+            return (np.conj(p[1]), np.conj(p[0]))
+        return (0.1 + 0.2j, -0.3)
+
+    def pairwise(f):
+        return lambda p: f(p, mu_for(p))
+
+    phi = model.phi
+    points = {
+        "phi": phi,
+        "model_vector": model.model_vector,
+        "model_residual": pairwise(model.model_residual),
+        "i_y_eval": lambda p: i_y_eval(model.pencil, p),
+        "i_y_spectral_form": lambda p: i_y_spectral_form(model.pencil, p),
+        "cara_quotient": lambda p: cara_quotient(phi, p),
+        "standard_model_residual": pairwise(lambda lam, mu: standard_model_residual(model, lam, mu)),
+        "satisfies_aperture": lambda p: satisfies_aperture(tau, p, 2.0),
+        "phi_y_eval": lambda p: phi_y_eval(0.3, tau, p),
+        "phi_y_model_vector": lambda p: phi_y_model_vector(0.3, tau, p).u1,
+        "phi_y_model_components": lambda p: phi_y_model_components([0.3, 0.6], tau, p)[1],
+        "phi_y_model_residual": pairwise(lambda lam, mu: phi_y_model_residual(0.3, tau, lam, mu)),
+    }
+    directions = {
+        "derivative_fd": lambda d: derivative_fd(phi, tau, d, phi_tau=model.phi_at_tau()),
+        "derivative_model": lambda d: derivative_model(model, d),
+        "direction_entry_time": lambda d: direction_entry_time(tau, d),
+        "is_admissible_direction": lambda d: is_admissible_direction(tau, d),
+        "phi_y_directional_derivative": lambda d: phi_y_directional_derivative(0.3, tau, d),
+    }
+    interior = rng.uniform(-0.6, 0.6, (5, 2)) + 1j * rng.uniform(-0.6, 0.6, (5, 2))
+    inward = np.array([(s1 * tau.tau1, s2 * tau.tau2) for s1, s2 in [(-1, -2), (-2 - 1j, -1), (-0.5, -1.5 + 0.5j)]])
+    return {name: (f, interior) for name, f in points.items()} | {
+        name: (f, inward) for name, f in directions.items()
+    }
+
+
+RULE_CASES = _rule_cases()
+
+
+@pytest.mark.parametrize("name", sorted(RULE_CASES))
+def test_one_input_rule(name):
+    f, batch = RULE_CASES[name]
+    values = f(batch)
+    assert len(values) == len(batch)
+    for k, row in enumerate(batch.tolist()):
+        one = f(tuple(row))
+        # one point gives a scalar: a number, or for a vector or matrix value its one-point shape
+        assert np.shape(one) == np.shape(values)[1:]
+        assert np.ndim(one) or isinstance(one, (bool, float, complex))
+        if name == "model_vector":
+            # the rotation v = U v' is one BLAS product, rounded by the batch's blocking
+            np.testing.assert_allclose(values[k], one, rtol=1e-14, atol=0)
+        else:
+            # the batch holds the one-point values, bit for bit
+            assert np.array_equal(values[k], one)
+    pair_of_arrays = (batch[:, 0], batch[:, 1])
+    for bad in (pair_of_arrays, DiskPoint(*pair_of_arrays), batch[0], np.zeros((len(batch), 3))):
+        with pytest.raises(ValueError):
+            f(bad)

@@ -23,7 +23,6 @@ from caralab import (
     validate_positive_contraction,
 )
 from caralab.pencil import sample_bidisk_batch, sample_bidisk_pairs
-from caralab.points import stack_points
 from caralab.realization import DEFAULT_ISOTOL
 from caralab.suite import SuiteConfig, generate_model
 from conftest import TAU_11, TAUS, desk_model, disk_point, left_null_model, scalar_model
@@ -312,7 +311,7 @@ class TestStackBudget:
         model = self.models()[which]
         n = model.dim
         rng = np.random.default_rng(9)
-        pts = stack_points(sample_bidisk_batch(rng, 48))
+        pts = sample_bidisk_batch(rng, 48)
         # tau and a point next to it take the SVD branch of the certificate
         t1, t2 = model.tau
         pts = np.concatenate([pts, [[t1, t2], [(1 - 1e-12) * t1, (1 - 1e-12) * t2]]])
