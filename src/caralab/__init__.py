@@ -3,7 +3,6 @@
 from .boundary import (
     BoundaryReport,
     CarapointScan,
-    DerivativeEntry,
     DerivativeTable,
     JuliaRow,
     NontangentialGrid,

@@ -14,12 +14,12 @@ values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import BadApertureError, CaralabError, NoConvergenceError, UnconvergedError
+from .errors import BadApertureError, NoConvergenceError, UnconvergedError
 from .extrapolate import richardson_limit
 from .points import BoundaryPoint, as_points, direction_entry_time, modulus, require_admissible
 from .realization import GeneralizedRealization, RAY_EXPONENTS
@@ -220,28 +220,15 @@ def derivative_fd(
     The step schedule is geometric inside the largest safe entry interval
     for the direction; phi(tau) defaults to the extrapolated radial limit.
     An (N, 2) array of directions gives one derivative per direction.  The
-    steps of all directions go to one call of phi, as one (M, 2) array.  A
-    batch that fails is re-run one direction at a time, so it raises what
-    the first failing direction raises on its own.
+    steps of all directions go to one call of phi, as one (M, 2) array in
+    which each distinct step appears once, in order of first appearance:
+    directions that differ by a power of two share their steps bit for
+    bit, since the entry time scales exactly with them.  Every direction
+    is checked before phi is called, so an inadmissible one raises first;
+    of the directions whose quotients do not settle, the first is named.
     """
     tau = BoundaryPoint(*tau)
     deltas, single = as_points(delta)
-    try:
-        limits = _fd_limits(phi, tau, deltas, phi_tau)
-    except (CaralabError, ValueError):
-        for one in deltas:
-            _fd_limits(phi, tau, one[None], phi_tau)
-        raise
-    return complex(limits[0]) if single else limits
-
-
-def _fd_limits(phi, tau: BoundaryPoint, deltas: np.ndarray, phi_tau) -> np.ndarray:
-    """Extrapolated difference quotients along (K, 2) directions, from one call of phi.
-
-    phi sees each distinct step point once, in order of first appearance.
-    Points are equal when their bits are: directions that differ by a power
-    of two share their steps, since the entry time scales exactly with them.
-    """
     entry = direction_entry_time(tau, deltas)
     schedules = entry[:, None] / 8.0 * 2.0 ** -np.arange(FD_STEPS)
     if phi_tau is None:
@@ -258,7 +245,7 @@ def _fd_limits(phi, tau: BoundaryPoint, deltas: np.ndarray, phi_tau) -> np.ndarr
     if unsettled.any():
         residual = residuals[np.argmax(unsettled)]
         raise NoConvergenceError(f"difference quotients did not settle (residual {residual:.3e})")
-    return limits
+    return complex(limits[0]) if single else limits
 
 
 def derivative_model(model: GeneralizedRealization, delta):
@@ -285,30 +272,17 @@ def derivative_model(model: GeneralizedRealization, delta):
     return complex(values[0]) if single else values
 
 
-@dataclass(frozen=True)
-class DerivativeEntry:
-    delta: tuple[complex, complex]
-    value: complex
-    method: str  # "analytic" or "finite_difference"
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DerivativeTable:
-    """Directional derivatives at tau, tagged by evaluation method."""
+    """Directional derivatives at tau by both methods, row k along ``deltas[k]``."""
 
-    entries: tuple[DerivativeEntry, ...]
-
-    def by_method(self, method: str) -> list[DerivativeEntry]:
-        return [e for e in self.entries if e.method == method]
+    deltas: np.ndarray  # (K, 2) complex
+    analytic: np.ndarray  # (K,) complex
+    finite_difference: np.ndarray  # (K,) complex
 
     def agreement(self) -> float:
-        """Largest gap between the two methods over shared directions."""
-        analytic = {e.delta: e.value for e in self.by_method("analytic")}
-        worst = 0.0
-        for e in self.by_method("finite_difference"):
-            if e.delta in analytic:
-                worst = max(worst, abs(analytic[e.delta] - e.value))
-        return worst
+        """Largest gap between the two methods."""
+        return float(modulus(self.analytic - self.finite_difference).max(initial=0.0))
 
 
 def default_directions(tau, count: int = 12) -> list[tuple[complex, complex]]:
@@ -338,16 +312,13 @@ def default_direction_pairs(tau) -> list[tuple[tuple[complex, complex], tuple[co
     at the midpoint parameter); the others probe asymmetric and complex
     combinations.
     """
-    t1, t2 = tau
-
-    def d(s1, s2):
-        return (s1 * t1, s2 * t2)
-
-    return [
-        (d(-2, -1), d(-1, -2)),
-        (d(-1, -1), d(-1, -2)),
-        (d(-1 - 1j, -1), d(-1, -1 + 1j)),
+    scales = [
+        ((-2, -1), (-1, -2)),
+        ((-1, -1), (-1, -2)),
+        ((-1 - 1j, -1), (-1, -1 + 1j)),
     ]
+    t1, t2 = tau
+    return [tuple((s1 * t1, s2 * t2) for s1, s2 in pair) for pair in scales]
 
 
 def derivative_table(
@@ -355,28 +326,17 @@ def derivative_table(
 ) -> DerivativeTable:
     """Tabulate directional derivatives of a realization at tau.
 
-    Each direction gets its analytic entry, then its finite-difference
-    entry.  Each column comes from one batched call, of
-    :func:`derivative_model` and of :func:`derivative_fd`.  If anything
-    fails, the table is rebuilt direction by direction in that order, so
-    the error raised is the first one that order meets.
+    The analytic column is one call of :func:`derivative_model`, then the
+    finite-difference column one call of :func:`derivative_fd`.  The
+    analytic call checks every direction first, so an inadmissible
+    direction raises before anything is evaluated.
     """
     if deltas is None:
         deltas = default_directions(model.tau)
     batch = np.array(deltas, dtype=complex).reshape(-1, 2)
-    phi_tau = model.phi_at_tau()
-    try:
-        analytic = derivative_model(model, batch).tolist()
-        fds = derivative_fd(model.phi, model.tau, batch, phi_tau=phi_tau).tolist()
-    except (CaralabError, ValueError):
-        for one in batch:
-            derivative_model(model, one[None])
-            derivative_fd(model.phi, model.tau, one[None], phi_tau=phi_tau)
-        raise
-    entries = []
-    for pair, an, fd in zip(map(tuple, batch.tolist()), analytic, fds):
-        entries += [DerivativeEntry(pair, an, "analytic"), DerivativeEntry(pair, fd, "finite_difference")]
-    return DerivativeTable(tuple(entries))
+    analytic = derivative_model(model, batch)
+    fd = derivative_fd(model.phi, model.tau, batch, phi_tau=model.phi_at_tau())
+    return DerivativeTable(batch, analytic, fd)
 
 
 def linearity_defect(
@@ -506,22 +466,40 @@ class BoundaryReport:
     singular_part_norm: float  # ||P_{N-perp} v_tau||, N = ker Y(1-Y)
     kernel_part_norm: float  # ||P_N v_tau||
     cross_check_ok: bool
+    defect_bound: float  # the threshold cross_check_ok judged the defect against, not reported
     quotient_max: float
     grid: NontangentialGrid = field(repr=False, compare=False)  # the scanned grid, not reported
 
     def to_json(self) -> dict:
-        return {
-            "carapoint": self.carapoint,
-            "alpha": self.alpha,
-            "phi_tau": [self.phi_tau.real, self.phi_tau.imag],
-            "v_tau_norm": self.v_tau_norm,
-            "classification": self.classification,
-            "linearity_defect": self.linearity_defect,
-            "singular_part_norm": self.singular_part_norm,
-            "kernel_part_norm": self.kernel_part_norm,
-            "cross_check_ok": self.cross_check_ok,
-            "quotient_max": self.quotient_max,
-        }
+        """Every field but the grid and the defect bound, with phi_tau as [re, im]."""
+        doc = {f.name: getattr(self, f.name) for f in fields(self) if f.name not in ("grid", "defect_bound")}
+        return doc | {"phi_tau": [self.phi_tau.real, self.phi_tau.imag]}
+
+
+def classify_ray(
+    weights: np.ndarray, rotated: np.ndarray, class_tol: float = DEFAULT_CLASS_TOL
+) -> tuple[str, float, float]:
+    """Classification of a ray limit, with its singular and kernel parts.
+
+    ``rotated`` is v_tau in Y's eigenbasis and ``weights`` Y's eigenvalues.
+    The kernel part is the component at the endpoint eigenvalues 0 and 1
+    (in ker Y(1-Y)), the singular part the component at the others.
+    Regular when the singular part is at most class_tol, indeterminate
+    when it is at most INDETERMINATE_TOL, else purely singular when the
+    kernel part is at most class_tol, else singular.
+    """
+    endpoint = (weights == 0.0) | (weights == 1.0)
+    singular_part = float(np.linalg.norm(rotated[~endpoint]))
+    kernel_part = float(np.linalg.norm(rotated[endpoint]))
+    if singular_part <= class_tol:
+        classification = "regular"
+    elif singular_part <= INDETERMINATE_TOL:
+        classification = "indeterminate"
+    elif kernel_part <= class_tol:
+        classification = "purely_singular"
+    else:
+        classification = "singular"
+    return classification, singular_part, kernel_part
 
 
 def classify_model(
@@ -532,41 +510,29 @@ def classify_model(
 ) -> BoundaryReport:
     """Classify a generalized model by the geometry of its ray limit.
 
-    Regular when the component of v_tau outside ker Y(1-Y) vanishes,
-    purely singular when the component inside vanishes instead, singular
-    otherwise; components between class_tol and INDETERMINATE_TOL are
-    reported as indeterminate rather than silently classified.  The
-    linearity defect of :func:`derivative_model`, which reads the same
-    v_tau and phi_tau, is recorded as an independent cross-check: it must
-    vanish exactly for regular models.
+    The classification is :func:`classify_ray` of v_tau.  The linearity
+    defect of :func:`derivative_model`, which reads the same v_tau and
+    phi_tau, is recorded as an independent cross-check: it must be at most
+    DEFECT_REGULAR_TOL for regular models and above DEFECT_SINGULAR_TOL for
+    (purely) singular ones.  An indeterminate model passes it, judged
+    against DEFECT_REGULAR_TOL.
     """
     ray = model.v_at_tau()
     if not ray.converged:
         raise UnconvergedError("ray limit of the model vector did not converge")
     weights = model.pencil.contraction.decomposition.weights
-    endpoint = (weights == 0.0) | (weights == 1.0)
-    singular_part = float(np.linalg.norm(ray.rotated[~endpoint]))
-    kernel_part = float(np.linalg.norm(ray.rotated[endpoint]))
-
-    if singular_part <= class_tol:
-        classification = "regular"
-    elif singular_part <= INDETERMINATE_TOL:
-        classification = "indeterminate"
-    elif kernel_part <= class_tol:
-        classification = "purely_singular"
-    else:
-        classification = "singular"
+    classification, singular_part, kernel_part = classify_ray(weights, ray.rotated, class_tol)
 
     grid = build_grid(model.tau, aperture, depth)
     scan = detect_carapoint(model.phi, grid)
     defect = linearity_defect(lambda d: derivative_model(model, d), default_direction_pairs(model.tau))
 
     if classification == "regular":
-        cross_check_ok = defect <= DEFECT_REGULAR_TOL
+        defect_bound, cross_check_ok = DEFECT_REGULAR_TOL, defect <= DEFECT_REGULAR_TOL
     elif classification == "indeterminate":
-        cross_check_ok = True
+        defect_bound, cross_check_ok = DEFECT_REGULAR_TOL, True
     else:
-        cross_check_ok = defect > DEFECT_SINGULAR_TOL
+        defect_bound, cross_check_ok = DEFECT_SINGULAR_TOL, defect > DEFECT_SINGULAR_TOL
 
     return BoundaryReport(
         carapoint=scan.carapoint,
@@ -578,6 +544,7 @@ def classify_model(
         singular_part_norm=singular_part,
         kernel_part_norm=kernel_part,
         cross_check_ok=cross_check_ok,
+        defect_bound=defect_bound,
         quotient_max=scan.quotient_max,
         grid=grid,
     )

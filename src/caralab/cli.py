@@ -21,10 +21,11 @@ from .boundary import (
     DEFAULT_APERTURE,
     DEFAULT_CLASS_TOL,
     DEFAULT_DEPTH,
-    DerivativeEntry,
+    DerivativeTable,
     build_grid,
     cara_quotient,
     classify_model,
+    classify_ray,
     default_direction_pairs,
     default_directions,
     derivative_fd,
@@ -58,12 +59,27 @@ EXIT_SPECTRUM = 4
 EXIT_RESIDUAL = 5
 EXIT_UNCONVERGED = 6
 
+#: exit code of an error, from the first entry whose classes it is an instance of
+ERROR_EXITS = (
+    (NotIsometricError, EXIT_NOT_ISOMETRIC),
+    (SpectrumOutOfRangeError, EXIT_SPECTRUM),
+    (UnconvergedError, EXIT_UNCONVERGED),
+    # a caller-supplied aperture or direction, or unreadable or malformed input, JSON included
+    ((BadApertureError, InadmissibleDirectionError, ValueError, KeyError, OSError), EXIT_BAD_PARAMS),
+    (CaralabError, EXIT_RESIDUAL),
+)
+
 #: columns of every BASE.derivative.csv table
 DERIVATIVE_HEADER = ["re_d1", "im_d1", "re_d2", "im_d2", "re_D", "im_D", "method"]
 
 
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
+
+
+#: the two forms of a complex pair on the command line; argparse reads a value
+#: that starts with '-' as an option, so a negative one is attached with '='
+_PAIR = "'re1,re2' or 're1,im1,re2,im2'"
 
 
 def _parse_pair(text: str, what: str) -> tuple[complex, complex]:
@@ -73,7 +89,7 @@ def _parse_pair(text: str, what: str) -> tuple[complex, complex]:
         return complex(parts[0], 0.0), complex(parts[1], 0.0)
     if len(parts) == 4:
         return complex(parts[0], parts[1]), complex(parts[2], parts[3])
-    raise ValueError(f"{what} expects 're1,re2' or 're1,im1,re2,im2'")
+    raise ValueError(f"{what} expects {_PAIR}")
 
 
 def _parse_tau(args) -> BoundaryPoint:
@@ -126,15 +142,18 @@ def _complex_json(z: complex) -> list[float]:
     return [z.real, z.imag]
 
 
-def _derivative_entries(entries) -> tuple[list[dict], list[list]]:
-    """Derivative entries as JSON objects and as DERIVATIVE_HEADER rows."""
-    docs, rows = [], []
-    for e in entries:
-        (d1, d2), z = e.delta, e.value
-        docs.append(
-            {"delta": [_complex_json(d1), _complex_json(d2)], "value": _complex_json(z), "method": e.method}
-        )
-        rows.append([d1.real, d1.imag, d2.real, d2.imag, z.real, z.imag, e.method])
+def _derivative_entries(table: DerivativeTable) -> tuple[list[dict], list[list]]:
+    """A derivative table as DERIVATIVE_HEADER rows and as JSON objects.
+
+    Each direction gives its analytic entry, then its finite-difference one.
+    """
+    columns = table.deltas.tolist(), table.analytic.tolist(), table.finite_difference.tolist()
+    rows = [
+        [d1.real, d1.imag, d2.real, d2.imag, z.real, z.imag, method]
+        for (d1, d2), analytic, fd in zip(*columns)
+        for z, method in ((analytic, "analytic"), (fd, "finite_difference"))
+    ]
+    docs = [{"delta": [row[0:2], row[2:4]], "value": row[4:6], "method": row[6]} for row in rows]
     return docs, rows
 
 
@@ -162,17 +181,16 @@ def cmd_family(args) -> int:
         lam, mu = sample_bidisk_pairs(rng, args.pairs)
         residual_max = float(np.max(phi_y_model_residual(y, tau, lam, mu), initial=0.0))
 
-    deltas = default_directions(tau)
-    batch = np.array(deltas, dtype=complex)
-    fds = derivative_fd(phi, tau, batch, phi_tau=1.0 + 0j).tolist()
-    analytic = phi_y_directional_derivative(y, tau, batch).tolist()
-    entries = []
-    for delta, an, fd in zip(deltas, analytic, fds):
-        entries += [DerivativeEntry(delta, an, "analytic"), DerivativeEntry(delta, fd, "finite_difference")]
-    deriv_docs, deriv_rows = _derivative_entries(entries)
+    deltas = np.array(default_directions(tau), dtype=complex)
+    fd = derivative_fd(phi, tau, deltas, phi_tau=1.0 + 0j)
+    table = DerivativeTable(deltas, phi_y_directional_derivative(y, tau, deltas), fd)
+    deriv_docs, deriv_rows = _derivative_entries(table)
     defect = linearity_defect(
         lambda d: phi_y_directional_derivative(y, tau, d), default_direction_pairs(tau)
     )
+
+    # phi_y is the swap model over Y = [[y]], whose ray limit is v' = [1]
+    classification, _, _ = classify_ray(np.array([y]), np.ones(1))
 
     phi_probe = [0.25, 0.5, 0.75]
     samples = [
@@ -190,7 +208,7 @@ def cmd_family(args) -> int:
         "alpha": scan.alpha,
         "quotient_max": scan.quotient_max,
         "linearity_defect": defect,
-        "classification": "regular" if monomial else "purely_singular",
+        "classification": classification,
         "note": "monomial case" if monomial else "interior parameter",
         "derivatives": deriv_docs,
     }
@@ -267,7 +285,7 @@ def cmd_classify(args) -> int:
     }
     _emit_report(doc, args)
     if args.csv:
-        _, rows = _derivative_entries(derivative_table(model).entries)
+        _, rows = _derivative_entries(derivative_table(model))
         _emit_tables(args, {"derivative": (DERIVATIVE_HEADER, rows)})
     return 0
 
@@ -277,12 +295,9 @@ def cmd_classify(args) -> int:
 
 def cmd_derivative(args) -> int:
     model = load_model(args.model, eigtol=args.eigtol, isotol=args.isotol)
-    if args.delta:
-        deltas = [_parse_pair(d, "direction") for d in args.delta]
-    else:
-        deltas = default_directions(model.tau)
+    deltas = [_parse_pair(d, "direction") for d in args.delta] if args.delta else None
     table = derivative_table(model, deltas)
-    docs, rows = _derivative_entries(table.entries)
+    docs, rows = _derivative_entries(table)
     doc = {
         "command": "derivative",
         "model": str(args.model),
@@ -345,8 +360,8 @@ COMMANDS = {
         "analyze one member of the scalar family",
         (
             _option("--y", type=float, required=True, help="parameter in [0, 1]"),
-            _option("--tau", default="1,1", help="boundary point: 're1,re2' or 're1,im1,re2,im2'"),
-            _option("--tau-angles", default=None, help="boundary point as two angles in turns"),
+            _option("--tau", default="1,1", help=f"boundary point {_PAIR}; negative as --tau=-1,1"),
+            _option("--tau-angles", default=None, help="tau as two angles in turns; negative as --tau-angles=-0.25,0"),
             _option("--pairs", type=int, default=200, help="random pairs for the model residual"),
             _OUT, _CSV, _SEED, _APERTURE, _DEPTH,
         ),
@@ -372,7 +387,7 @@ COMMANDS = {
         "tabulate directional derivatives of a model",
         (
             _MODEL,
-            _option("--delta", action="append", help="direction 're1,re2' or 're1,im1,re2,im2'; repeatable"),
+            _option("--delta", action="append", help=f"direction {_PAIR}; negative as --delta=-2,-1; repeatable"),
             _OUT, _CSV, _EIGTOL, _ISOTOL,
         ),
     ),
@@ -410,28 +425,9 @@ def main(argv=None) -> int:
     try:
         # looked up at call time, so a rebound cmd_<name> (a tracer, a test) is the one called
         return globals()[f"cmd_{args.command}"](args)
-    except NotIsometricError as exc:
+    except (CaralabError, ValueError, KeyError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
-        return EXIT_NOT_ISOMETRIC
-    except SpectrumOutOfRangeError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_SPECTRUM
-    except UnconvergedError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_UNCONVERGED
-    except (
-        BadApertureError,  # caller-supplied aperture
-        InadmissibleDirectionError,  # caller-supplied direction
-        ValueError,
-        KeyError,
-        OSError,
-        json.JSONDecodeError,
-    ) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_BAD_PARAMS
-    except CaralabError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_RESIDUAL
+        return next(code for kinds, code in ERROR_EXITS if isinstance(exc, kinds))
 
 
 if __name__ == "__main__":

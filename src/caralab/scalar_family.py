@@ -37,6 +37,16 @@ def _check_y(y: float) -> float:
     return y
 
 
+def _check_interior(y: float) -> float:
+    y = _check_y(y)
+    if y in (0.0, 1.0):
+        raise DegenerateParameterError(
+            "model vector formula degenerates at y in {0, 1}; "
+            "the endpoint functions are plain monomials"
+        )
+    return y
+
+
 def _pq(tau, points: np.ndarray):
     """The rotated coordinates p = conj(tau1) lam1, q = conj(tau2) lam2 of (N, 2) points."""
     t1, t2 = tau
@@ -65,9 +75,18 @@ def phi_y_eval(y: float, tau, lam):
     elif y == 0.0:
         value = q
     else:
-        den = _denominator(y, p, q)
-        value = (y * p * (1.0 - q) + (1.0 - y) * q * (1.0 - p)) / den
+        value = _value(y, p, q, _denominator(y, p, q))
     return complex(value[0]) if single else value
+
+
+def _value(y, p, q, den):
+    """phi_y at the rotated coordinates p, q, given its denominator."""
+    return (y * p * (1.0 - q) + (1.0 - y) * q * (1.0 - p)) / den
+
+
+def _components(y, p, q, den):
+    """The model components u1, u2 of phi_y at the rotated coordinates p, q, given its denominator."""
+    return np.sqrt(y) * (1.0 - q) / den, np.sqrt(1.0 - y) * (1.0 - p) / den
 
 
 @dataclass(frozen=True)
@@ -91,13 +110,16 @@ class ScalarModelVector:
         return np.array([self.u1, self.u2], dtype=complex)
 
     @property
-    def norm(self) -> float:
+    def norm(self):
+        """||u||; one norm per point for array fields."""
+        if np.ndim(self.u1):
+            return np.hypot(np.abs(self.u1), np.abs(self.u2))
         return float(math.hypot(abs(self.u1), abs(self.u2)))
 
     def reconstruct(self) -> np.ndarray:
-        """Rebuild the standard components from the rotated coordinates."""
+        """Rebuild the standard components from the rotated coordinates; one row per point for array fields."""
         e_plus, e_minus = rotation_basis(self.y)
-        return self.coef_plus * e_plus + self.coef_minus * e_minus
+        return np.asarray(self.coef_plus)[..., None] * e_plus + np.asarray(self.coef_minus)[..., None] * e_minus
 
 
 def rotation_basis(y: float) -> tuple[np.ndarray, np.ndarray]:
@@ -114,17 +136,11 @@ def rotation_basis(y: float) -> tuple[np.ndarray, np.ndarray]:
 
 def phi_y_model_vector(y: float, tau, lam) -> ScalarModelVector:
     """Model vector u_{y, lam} for y strictly inside (0, 1); an (N, 2) array of points gives array fields."""
-    y = _check_y(y)
-    if y in (0.0, 1.0):
-        raise DegenerateParameterError(
-            "model vector formula degenerates at y in {0, 1}; "
-            "the endpoint functions are plain monomials"
-        )
+    y = _check_interior(y)
     points, single = as_points(lam)
     p, q = _pq(tau, points)
     den = _denominator(y, p, q)
-    u1 = math.sqrt(y) * (1.0 - q) / den
-    u2 = math.sqrt(1.0 - y) * (1.0 - p) / den
+    u1, u2 = _components(y, p, q, den)
     coef_plus = math.sqrt(y * (1.0 - y)) * (p - q) / den
     if single:
         u1, u2, coef_plus = complex(u1[0]), complex(u2[0]), complex(coef_plus[0])
@@ -141,8 +157,7 @@ def phi_y_model_components(ys, tau, lam) -> tuple[np.ndarray, np.ndarray]:
     ys = np.asarray(ys, dtype=float)
     points, single = as_points(lam)
     p, q = (z[:, None] for z in _pq(tau, points))
-    den = _denominator(ys, p, q)
-    u1, u2 = np.sqrt(ys) * (1.0 - q) / den, np.sqrt(1.0 - ys) * (1.0 - p) / den
+    u1, u2 = _components(ys, p, q, _denominator(ys, p, q))
     return (u1[0], u2[0]) if single else (u1, u2)
 
 
@@ -152,15 +167,20 @@ def phi_y_model_residual(y: float, tau, lam, mu):
     The identity equates 1 - conj(phi(mu)) phi(lam) with the weighted inner
     products of the model vectors; it is algebraic, so the residual is
     rounding noise.  (N, 2) arrays lam and mu give one residual per pair.
+    The N points lam and the N points mu are evaluated together, as one
+    (2N, 2) array; a pole reports the smallest |den| over both.
     """
+    y = _check_interior(y)
     (pl, one_lam), (pm, one_mu) = as_points(lam), as_points(mu)
     pl, pm = np.broadcast_arrays(pl, pm)
-    ul = phi_y_model_vector(y, tau, pl)
-    um = phi_y_model_vector(y, tau, pm)
-    lhs = 1.0 - phi_y_eval(y, tau, pm).conjugate() * phi_y_eval(y, tau, pl)
-    rhs = (1.0 - pm[:, 0].conjugate() * pl[:, 0]) * ul.u1 * um.u1.conjugate() + (
-        1.0 - pm[:, 1].conjugate() * pl[:, 1]
-    ) * ul.u2 * um.u2.conjugate()
+    k = len(pl)
+    p, q = _pq(tau, np.concatenate([pl, pm]))
+    den = _denominator(y, p, q)
+    phi = _value(y, p, q, den)
+    u1, u2 = _components(y, p, q, den)
+    lhs = 1.0 - phi[k:].conjugate() * phi[:k]
+    gram = 1.0 - pm.conjugate() * pl
+    rhs = gram[:, 0] * u1[:k] * u1[k:].conjugate() + gram[:, 1] * u2[:k] * u2[k:].conjugate()
     residual = abs(lhs - rhs)
     return float(residual[0]) if one_lam and one_mu else residual
 

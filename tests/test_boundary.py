@@ -36,7 +36,15 @@ from caralab import (
     validate_positive_contraction,
 )
 from caralab import boundary
-from caralab.boundary import ALPHA_EXPONENT, DETECT_EXPONENT, FD_STEPS, GRID_MEMO_SIZE, QUOTIENT_BOUND
+from caralab.boundary import (
+    ALPHA_EXPONENT,
+    DEFECT_REGULAR_TOL,
+    DEFECT_SINGULAR_TOL,
+    DETECT_EXPONENT,
+    FD_STEPS,
+    GRID_MEMO_SIZE,
+    QUOTIENT_BOUND,
+)
 from caralab.extrapolate import richardson_limit
 from caralab.points import require_admissible
 from caralab.realization import Colligation
@@ -370,6 +378,11 @@ class TestBatchDerivativeFd:
 
     @staticmethod
     def first_error(phi, deltas):
+        """The error of a loop that checks every direction, then differentiates one at a time."""
+        try:
+            require_admissible(TAU_11, np.array(deltas, dtype=complex))
+        except InadmissibleDirectionError as exc:
+            return type(exc), str(exc)
         for d in deltas:
             try:
                 derivative_fd(phi, TAU_11, d, phi_tau=1.0 + 0j)
@@ -381,7 +394,7 @@ class TestBatchDerivativeFd:
         "deltas",
         [
             [(-1, -1), (-2, -1), (-1, -3)],
-            # the loop meets the unsettled direction before the inadmissible one
+            # an inadmissible direction wins over the unsettled one before it
             [(-1, -1), (-2, -1), (1, 1)],
             [(-1, -1), (1, 1), (-2, -1)],
         ],
@@ -389,9 +402,17 @@ class TestBatchDerivativeFd:
     def test_batch_raises_what_the_loop_raises_first(self, deltas):
         expect = self.first_error(self.kinked, deltas)
         assert expect is not None
+        seen = []
+
+        def recording(lam):
+            seen.append(lam)
+            return self.kinked(lam)
+
         with pytest.raises(expect[0]) as info:
-            derivative_fd(self.kinked, TAU_11, np.array(deltas), phi_tau=1.0 + 0j)
+            derivative_fd(recording, TAU_11, np.array(deltas), phi_tau=1.0 + 0j)
         assert str(info.value) == expect[1]
+        # phi is called only when every direction is admissible
+        assert len(seen) == (expect[0] is not InadmissibleDirectionError)
 
     def test_unsettled_direction_is_no_convergence(self):
         with pytest.raises(NoConvergenceError):
@@ -402,15 +423,13 @@ class TestBatchDerivativeFd:
         model = model_over([0.0, 0.4, 1.0], tau=TAUS[2], rng=rng)
         table = derivative_table(model)
         phi_tau = model.phi_at_tau()
-        # per direction: the analytic entry, then the finite-difference one
+        # row k of each column is the derivative along direction k
         deltas = [tuple(d) for d in default_directions(model.tau)]
-        assert [e.delta for e in table.entries] == [d for d in deltas for _ in range(2)]
-        assert [e.method for e in table.entries] == ["analytic", "finite_difference"] * len(deltas)
-        for e in table.entries:
-            if e.method == "finite_difference":
-                assert e.value == derivative_fd(model.phi, model.tau, e.delta, phi_tau=phi_tau)
-            else:
-                assert e.value == derivative_model(model, e.delta)
+        assert [tuple(d) for d in table.deltas.tolist()] == deltas
+        assert table.analytic.shape == table.finite_difference.shape == (len(deltas),)
+        for delta, analytic, fd in zip(deltas, table.analytic.tolist(), table.finite_difference.tolist()):
+            assert fd == derivative_fd(model.phi, model.tau, delta, phi_tau=phi_tau)
+            assert analytic == derivative_model(model, delta)
 
 
 class TestDerivativeModel:
@@ -512,16 +531,19 @@ class TestBatchDerivativeModel:
     kinked = staticmethod(TestBatchDerivativeFd.kinked)  # 1 at (1, 1)
 
     def test_table_raises_the_first_error_of_the_loop(self):
-        # the batched analytic column fails on (1, 1), but the loop meets
-        # the unsettled finite difference of (-2, -1) first
+        # the loop checks every direction before it evaluates any, so the
+        # inadmissible (1, 1) wins over the unsettled finite difference of
+        # (-2, -1) before it, and phi is never called
         model = scalar_model(0.5)
-        model.phi = self.kinked
+        seen = []
+        model.phi = lambda lam: seen.append(lam) or self.kinked(lam)
         deltas = [(-1, -1), (-2, -1), (1, 1)]
-        with pytest.raises(NoConvergenceError) as want:
-            derivative_fd(self.kinked, TAU_11, (-2, -1), phi_tau=model.phi_at_tau())
-        with pytest.raises(NoConvergenceError) as info:
+        with pytest.raises(InadmissibleDirectionError) as want:
+            require_admissible(TAU_11, (1, 1))
+        with pytest.raises(InadmissibleDirectionError) as info:
             derivative_table(model, deltas)
         assert str(info.value) == str(want.value)
+        assert seen == []
 
     def test_table_raises_the_analytic_error_before_the_finite_difference_one(self):
         model = scalar_model(0.5, block=Colligation(np.array([[1.0, 1.0], [0.0, 1.0]])))
@@ -758,6 +780,19 @@ class TestClassify:
 
         want = linearity_defect(derivative, default_direction_pairs(TAUS[1]))
         assert report.linearity_defect == pytest.approx(want, rel=1e-12)
+
+    def test_defect_bound_is_the_threshold_judged_against(self, rng):
+        gray = colligation_with_ray_limit(np.array([1.0, 1e-5], dtype=complex))
+        cases = [
+            (scalar_model(0.5), "purely_singular", DEFECT_SINGULAR_TOL),
+            (model_over([1.0, 0.0], rng=rng), "regular", DEFECT_REGULAR_TOL),
+            (model_over([1.0, 0.5], block=gray), "indeterminate", DEFECT_REGULAR_TOL),
+        ]
+        for model, classification, bound in cases:
+            report = classify_model(model)
+            assert report.classification == classification
+            assert report.defect_bound == bound
+            assert "defect_bound" not in report.to_json()
 
     def test_report_serializes(self):
         doc = classify_model(scalar_model(0.5)).to_json()

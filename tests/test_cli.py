@@ -86,6 +86,29 @@ class TestFamily:
         assert code == 0
         assert doc["tau"] == [[1.0, 0.0], [0.0, 1.0]]
 
+    @pytest.mark.parametrize("y, label", [(0.0, "regular"), (0.3, "purely_singular"), (1.0, "regular")])
+    def test_label_is_that_of_the_swap_model(self, capsys, tmp_path, y, label):
+        # phi_y is the swap model over Y = [[y]]
+        m = GeneralizedRealization(
+            OperatorPencil(validate_positive_contraction([[y]]), TAU_11), validate_colligation([[0, 1], [1, 0]])
+        )
+        path = tmp_path / "swap.json"
+        path.write_text(json.dumps(dump_model(m)))
+        code, family = run(capsys, ["family", "--y", str(y)])
+        assert code == 0
+        code, classify = run(capsys, ["classify", str(path)])
+        assert code == 0
+        assert family["classification"] == classify["classification"] == label
+
+    def test_negative_tau_needs_the_equals_form(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["family", "--y", "0.5", "--tau", "-1,1"])
+        assert exc.value.code == 2
+        assert "expected one argument" in capsys.readouterr().err
+        code, doc = run(capsys, ["family", "--y", "0.5", "--tau=-1,1"])
+        assert code == 0
+        assert doc["tau"] == [[-1.0, 0.0], [1.0, 0.0]]
+
     def test_complex_tau_parse(self, capsys):
         code, doc = run(capsys, ["family", "--y", "0.5", "--tau", "1,0,0,1"])
         assert code == 0
@@ -233,6 +256,11 @@ class TestDerivative:
 
     def test_later_inadmissible_direction_exits_2(self, capsys, swap_spec):
         assert main(["derivative", swap_spec, "--delta=-1,-1", "--delta=2,1"]) == 2
+
+    def test_inadmissible_direction_exits_2_before_an_unconverged_ray_limit(self, capsys, shear_spec):
+        # every direction is checked before the ray limit of the first is needed
+        assert main(["derivative", shear_spec, "--isotol", "10", "--delta=-1,-1"]) == 6
+        assert main(["derivative", shear_spec, "--isotol", "10", "--delta=-1,-1", "--delta=2,1"]) == 2
 
     def test_shear_exits_3(self, capsys, shear_spec):
         assert main(["derivative", shear_spec]) == 3

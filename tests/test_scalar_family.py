@@ -1,4 +1,5 @@
 import cmath
+import collections
 import math
 
 import numpy as np
@@ -18,6 +19,8 @@ from caralab import (
     phi_y_model_vector,
     rotation_basis,
 )
+from caralab import scalar_family
+from caralab.pencil import sample_bidisk_pairs
 from conftest import TAU_11, TAUS, disk_point
 
 YS = tuple(k / 10.0 for k in range(1, 10))
@@ -103,6 +106,20 @@ class TestModelVector:
                 u = phi_y_model_vector(y, tau, disk_point(rng))
                 assert np.abs(u.reconstruct() - u.as_array()).max() <= 1e-12
 
+    @pytest.mark.parametrize("tau", TAUS)
+    def test_array_of_points_matches_one_point_calls(self, tau, rng):
+        points = [disk_point(rng), disk_point(rng)]
+        batch = phi_y_model_vector(0.3, tau, np.array([tuple(p) for p in points]))
+        singles = [phi_y_model_vector(0.3, tau, p) for p in points]
+        assert batch.norm.shape == (2,)
+        # np.hypot and math.hypot may differ in the last bit
+        for norm, one in zip(batch.norm.tolist(), singles):
+            assert type(one.norm) is float
+            assert norm == pytest.approx(one.norm, rel=1e-15, abs=0.0)
+        assert batch.reconstruct().shape == (2, 2)
+        assert singles[0].reconstruct().shape == (2,)
+        assert batch.reconstruct().tolist() == [one.reconstruct().tolist() for one in singles]
+
     def test_rotation_basis_orthonormal(self):
         for y in YS:
             e_plus, e_minus = rotation_basis(y)
@@ -139,6 +156,23 @@ class TestModelIdentity:
                 1.0 - abs(lam.lam2) ** 2
             ) * abs(u.u2) ** 2
             assert abs(lhs - rhs) <= 1e-10
+
+    def test_one_family_evaluation_for_lam_and_mu(self, monkeypatch, rng):
+        counts = collections.Counter()
+        for name in ("_pq", "_denominator"):
+            kernel = getattr(scalar_family, name)
+            monkeypatch.setattr(
+                scalar_family, name, lambda *args, kernel=kernel, name=name: counts.update([name]) or kernel(*args)
+            )
+        phi_y_model_residual(0.3, TAUS[2], disk_point(rng), disk_point(rng))
+        assert counts == {"_pq": 1, "_denominator": 1}
+        lam, mu = sample_bidisk_pairs(rng, 7)
+        assert phi_y_model_residual(0.3, TAUS[2], lam, mu).shape == (7,)
+        assert counts == {"_pq": 2, "_denominator": 2}
+
+    def test_pole_at_mu(self):
+        with pytest.raises(PoleHitError, match=r"\|den\| = 0\.000e\+00"):
+            phi_y_model_residual(0.5, TAU_11, (0, 0), (1, 1))
 
     @settings(max_examples=150, deadline=None)
     @given(
