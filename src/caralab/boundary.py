@@ -241,7 +241,8 @@ def derivative_fd(
     values = np.asarray(phi(steps[keep]), dtype=complex)[np.searchsorted(keep, first)[inverse]]
     quotients = (values.reshape(schedules.shape) - phi_tau) / schedules
     limits, residuals = richardson_limit(quotients.T)  # one column per direction
-    unsettled = residuals > 1e-4 * np.maximum(1.0, modulus(limits))
+    # written as a negation, so that a NaN residual or limit does not settle
+    unsettled = ~(residuals <= 1e-4 * np.maximum(1.0, modulus(limits)))
     if unsettled.any():
         residual = residuals[np.argmax(unsettled)]
         raise NoConvergenceError(f"difference quotients did not settle (residual {residual:.3e})")

@@ -65,17 +65,17 @@ class OperatorPencil:
         return f"OperatorPencil(dim={self.dim}, tau=({self.tau.tau1!r}, {self.tau.tau2!r}))"
 
 
-def _singular(mag: np.ndarray) -> np.ndarray:
-    """True where the smallest of the last axis is <= SINGULAR_RTOL times the largest (or 1)."""
-    return mag.min(axis=-1) <= SINGULAR_RTOL * np.maximum(mag.max(axis=-1), 1.0)
+def _singular(mag: np.ndarray, axis: int = -1) -> np.ndarray:
+    """True where the smallest along ``axis`` is <= SINGULAR_RTOL times the largest (or 1)."""
+    return mag.min(axis=axis) <= SINGULAR_RTOL * np.maximum(mag.max(axis=axis), 1.0)
 
 
 def _offsets(pencil: OperatorPencil, pts: np.ndarray):
-    """Columns a = 1 - conj(tau1) lam1, b = 1 - conj(tau2) lam2, and the TAU_SNAP mask."""
+    """a = 1 - conj(tau1) lam1 and b = 1 - conj(tau2) lam2, shape (N,), and the TAU_SNAP mask."""
     t1, t2 = pencil.tau
-    a = 1.0 - t1.conjugate() * pts[:, :1]
-    b = 1.0 - t2.conjugate() * pts[:, 1:]
-    return a, b, (np.abs(a[:, 0]) < TAU_SNAP) & (np.abs(b[:, 0]) < TAU_SNAP)
+    a = 1.0 - t1.conjugate() * pts[:, 0]
+    b = 1.0 - t2.conjugate() * pts[:, 1]
+    return a, b, (np.abs(a) < TAU_SNAP) & (np.abs(b) < TAU_SNAP)
 
 
 def i_y_eval(pencil: OperatorPencil, lam) -> np.ndarray:
@@ -93,12 +93,12 @@ def i_y_eval(pencil: OperatorPencil, lam) -> np.ndarray:
     live = np.flatnonzero(~at_tau)
     if live.size:
         y = pencil.contraction.matrix
-        m = a[live, :, None] * (eye - y) + b[live, :, None] * y
+        m = a[live, None, None] * (eye - y) + b[live, None, None] * y
         bad = live[_singular(np.linalg.svd(m, compute_uv=False))]
         if bad.size:
             lam = tuple(complex(z) for z in pts[bad[0]])
             raise SingularDenominatorError(f"pencil denominator singular at lam={lam!r}")
-        out[live] = eye - (a[live] * b[live])[:, :, None] * np.linalg.solve(m, eye)
+        out[live] = eye - (a[live] * b[live])[:, None, None] * np.linalg.solve(m, eye)
     return out[0] if single else out
 
 
@@ -113,18 +113,26 @@ def i_y_diagonal(pencil: OperatorPencil, points) -> np.ndarray:
     SingularDenominatorError by the same SINGULAR_RTOL rule as
     :func:`i_y_eval`, and points within TAU_SNAP of tau give exact ones.
     """
-    pts = np.asarray(points, dtype=complex)
+    return np.ascontiguousarray(_diagonal_rows(pencil, np.asarray(points, dtype=complex)).T)
+
+
+def _diagonal_rows(pencil: OperatorPencil, pts: np.ndarray) -> np.ndarray:
+    """:func:`i_y_diagonal` with the point axis last: shape (n, N).
+
+    The batched kernels work in this layout, where a reduction over the
+    short eigen axis runs across whole rows of points.
+    """
     a, b, at_tau = _offsets(pencil, pts)
-    w = pencil.contraction.decomposition.weights
+    w = pencil.contraction.decomposition.weights[:, None]
     den = a * (1.0 - w) + b * w
-    bad = np.flatnonzero(_singular(np.abs(den)) & ~at_tau)
+    bad = np.flatnonzero(_singular(np.abs(den), axis=0) & ~at_tau)
     if bad.size:
         lam = tuple(complex(z) for z in pts[bad[0]])
         raise SingularDenominatorError(f"pencil denominator singular at lam={lam!r}")
     with np.errstate(divide="ignore", invalid="ignore"):
-        diag = 1.0 - a * b / den
-    diag[at_tau] = 1.0
-    return diag
+        rows = 1.0 - a * b / den
+    rows[:, at_tau] = 1.0
+    return rows
 
 
 def i_y_spectral_form(pencil: OperatorPencil, lam) -> np.ndarray:
@@ -185,7 +193,7 @@ def contractivity_scan(
     best_point = DiskPoint(0j, 0j)
     for chunk in stack_chunks(n_samples, pencil.dim):
         z = _sample_coords(rng, chunk.stop - chunk.start)
-        norms = np.abs(i_y_diagonal(pencil, z)).max(axis=1)
+        norms = np.abs(_diagonal_rows(pencil, z)).max(axis=0)
         i = int(np.argmax(norms))
         if norms[i] > best:
             best, best_point = float(norms[i]), DiskPoint(complex(z[i, 0]), complex(z[i, 1]))

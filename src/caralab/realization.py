@@ -27,7 +27,9 @@ one stacked solve (:meth:`GeneralizedRealization.ray_state`).
 In double precision everything is evaluated in the eigenbasis U of Y,
 where the pencil is diagonal: with A' = U*AU, B' = U*B and C' = CU the
 model vector is v = U v' with v' = (1 - A' diag(s))^{-1} B', and
-phi = D + C' diag(s) v'.
+phi = D + C' diag(s) v'.  Up to ELIMINATION_MAX_DIM the systems of all
+points are solved by one vectorized Gaussian elimination with the point
+axis last (:func:`_eliminate`); above it, by stacked LAPACK solves.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from .hermitian import (
     opnorm,
     validate_positive_contraction,
 )
-from .pencil import SINGULAR_RTOL, OperatorPencil, i_y_diagonal, stack_chunks
+from .pencil import SINGULAR_RTOL, OperatorPencil, _diagonal_rows, stack_chunks
 from .points import BoundaryPoint, as_points
 
 #: default isometry tolerance for colligation validation
@@ -65,6 +67,10 @@ NORM_PAD = 1e-12
 
 #: default dyadic exponent range of the ray samples of the Julia rows, t = 2^-k
 RAY_EXPONENTS = (4, 20)
+
+#: largest state dimension whose resolvents :meth:`GeneralizedRealization.evaluate`
+#: solves by :func:`_eliminate`; above it, LAPACK's per-matrix solve is faster
+ELIMINATION_MAX_DIM = 7
 
 #: singular values of 1 - A at or below this multiple of the block's
 #: rounding level span E = ker(1 - A); see :meth:`GeneralizedRealization.v_at_tau`
@@ -219,11 +225,11 @@ class GeneralizedRealization:
         """Pencil eigenvalues, rotated model vectors and phi at N points.
 
         ``points`` is an (N, 2) complex array.  Returns s (N, n) from
-        :func:`i_y_diagonal`, v' = U* v (N, n) and phi (N,).  The
-        resolvents 1 - A' diag(s) are solved as stacks; a point whose
-        smallest singular value falls below SINGULAR_RTOL times its largest
-        (or 1) raises SingularResolventError.  The rotation is unitary, so
-        these singular values are those of 1 - A I_Y(lam) itself.
+        :func:`i_y_diagonal`, v' = U* v (N, n) and phi (N,), C-contiguous.
+        A point whose resolvent 1 - A' diag(s) has its smallest singular
+        value below SINGULAR_RTOL times its largest (or 1) raises
+        SingularResolventError.  The rotation is unitary, so these singular
+        values are those of 1 - A I_Y(lam) itself.
 
         With m = max_i |s_i|, Weyl's inequality bounds the singular values
         of 1 - A' diag(s) by 1 - ||A'|| m from below and 1 + ||A'|| m from
@@ -232,29 +238,69 @@ class GeneralizedRealization:
         (at or next to tau, or for ||A|| > 1) get the stacked SVD.  For an
         isometric colligation ||A|| <= 1, so every point with m below
         1 - 1e-11 is certified.
+
+        Up to ELIMINATION_MAX_DIM the systems are solved together by
+        :func:`_eliminate`, with the point axis last; above it, by stacked
+        LAPACK solves.  Every point's arithmetic, the sum over the eigen
+        axis in phi included, is the same whatever the stack size.
         """
         pts = np.asarray(points, dtype=complex)
         n = self.dim
+        eliminate = n <= ELIMINATION_MAX_DIM
         s = np.empty((len(pts), n), dtype=complex)
         v = np.empty((len(pts), n), dtype=complex)
-        for chunk in stack_chunks(len(pts), n * n):
-            s[chunk] = i_y_diagonal(self.pencil, pts[chunk])
-            # 1 - A' diag(s), built in place: one (N, n, n) temporary
-            resolvent = self._a * -s[chunk, None, :]
-            resolvent.reshape(len(resolvent), -1)[:, :: n + 1] += 1.0
-            am = self._a_norm * np.abs(s[chunk]).max(axis=1)
-            # written as a negation so that a NaN bound goes to the SVD
-            check = np.flatnonzero(~(1.0 - am > 2.0 * SINGULAR_RTOL * (1.0 + am)))
-            if check.size:
-                sv = np.linalg.svd(resolvent[check], compute_uv=False)
-                bad = check[sv[:, -1] <= SINGULAR_RTOL * np.maximum(sv[:, 0], 1.0)]
-                if bad.size:
-                    lam = tuple(complex(z) for z in pts[chunk][bad[0]])
-                    raise SingularResolventError(f"resolvent singular at lam={lam!r}")
-            rhs = np.broadcast_to(self._b[:, None], (len(resolvent), n, 1))
-            v[chunk] = np.linalg.solve(resolvent, rhs)[..., 0]
-        phi = self.colligation.d + np.sum(s * v * self._c, axis=1)
+        phi = np.empty(len(pts), dtype=complex)
+        for chunk in stack_chunks(len(pts), n * (n + 1) if eliminate else n * n):
+            count = chunk.stop - chunk.start
+            # a lone point is solved twice over: NumPy can multiply one-element
+            # complex arrays in a scalar loop, which rounds differently from its
+            # vector loop (no fused multiply-add), and one point must give the
+            # bits it gets in a batch
+            chunk_pts = pts[chunk] if count > 1 else np.repeat(pts[chunk], 2, axis=0)
+            rows = _diagonal_rows(self.pencil, chunk_pts)
+            self._certify(rows, chunk_pts)
+            if eliminate:
+                solution = _eliminate(self._augmented(rows))
+            else:
+                rhs = np.broadcast_to(self._b[:, None], (rows.shape[1], n, 1))
+                solution = np.linalg.solve(self._resolvents(rows.T), rhs)[..., 0].T
+            terms = rows * solution * self._c[:, None]
+            # the eigen axis is summed in one fixed order, whatever the stack
+            total = np.add.accumulate(terms, axis=0)[-1]
+            s[chunk], v[chunk], phi[chunk] = rows.T[:count], solution.T[:count], total[:count]
+        phi += self.colligation.d
         return s, v, phi
+
+    def _resolvents(self, s: np.ndarray) -> np.ndarray:
+        """1 - A' diag(s) for s of shape (K, n), as a (K, n, n) stack built in place."""
+        m = self._a * -s[:, None, :]
+        m.reshape(len(m), -1)[:, :: self.dim + 1] += 1.0
+        return m
+
+    def _augmented(self, rows: np.ndarray) -> np.ndarray:
+        """[1 - A' diag(s) | B'] for s of shape (n, N), as an (n, n+1, N) stack."""
+        n = self.dim
+        m = np.empty((n, n + 1, rows.shape[1]), dtype=complex)
+        np.multiply(self._a[:, :, None], -rows, out=m[:, :n])
+        m.reshape(n * (n + 1), -1)[:: n + 2] += 1.0
+        m[:, n] = self._b[:, None]
+        return m
+
+    def _certify(self, rows: np.ndarray, pts: np.ndarray) -> None:
+        """Raise SingularResolventError at the first point of pts whose resolvent is singular.
+
+        ``rows`` is s at pts, shape (n, N).  The Weyl certificate of
+        :meth:`evaluate` spares the SVD; written as a negation, so that a
+        NaN bound goes to the SVD.
+        """
+        am = self._a_norm * np.abs(rows).max(axis=0)
+        check = np.flatnonzero(~(1.0 - am > 2.0 * SINGULAR_RTOL * (1.0 + am)))
+        if check.size:
+            sv = np.linalg.svd(self._resolvents(rows[:, check].T), compute_uv=False)
+            bad = check[sv[:, -1] <= SINGULAR_RTOL * np.maximum(sv[:, 0], 1.0)]
+            if bad.size:
+                lam = tuple(complex(z) for z in pts[bad[0]])
+                raise SingularResolventError(f"resolvent singular at lam={lam!r}")
 
     def _resolve(self, lam):
         """:meth:`evaluate` at the points of lam (one, or an (N, 2) array), and whether lam was one point."""
@@ -374,6 +420,40 @@ class GeneralizedRealization:
             f"GeneralizedRealization(dim={self.dim}, tau=({self.tau.tau1!r}, "
             f"{self.tau.tau2!r}), isometric={self.is_isometric})"
         )
+
+
+def _eliminate(system: np.ndarray) -> np.ndarray:
+    """Solutions of N augmented systems [M | b], stored as (n, n+1, N), shape (n, N).
+
+    Gaussian elimination with partial pivoting, vectorized over the last
+    (point) axis: at step k a point swaps rows only where a lower entry of
+    column k has a larger |re| + |im| than the diagonal one, and then takes
+    the first largest, as LAPACK's izamax picks.  Like LAPACK's per-matrix
+    zgesv it scales by the pivot's reciprocal, divides in the back
+    substitution and is backward stable (Higham, Accuracy and Stability of
+    Numerical Algorithms, ch. 9).  Back substitution runs by columns, so no
+    sum depends on how many points share the stack, and with two or more
+    points each one gets the same arithmetic whatever N (a lone point may
+    not: see :meth:`GeneralizedRealization.evaluate`).  ``system`` is
+    overwritten; the matrices must be nonsingular.
+    """
+    n = system.shape[0]
+    for k in range(n - 1):
+        col = system[k:, k]
+        mag = np.abs(col.real) + np.abs(col.imag)
+        swap = np.flatnonzero(mag[1:].max(axis=0) > mag[0])
+        if swap.size:
+            rows = k + 1 + np.argmax(mag[1:, swap], axis=0)
+            top = system[k, k:, swap]
+            system[k, k:, swap] = system[rows, k:, swap]
+            system[rows, k:, swap] = top
+        factors = system[k + 1 :, k] * (1.0 / system[k, k])
+        system[k + 1 :, k + 1 :] -= factors[:, None] * system[k, k + 1 :]
+    x = system[:, n]
+    for k in range(n - 1, -1, -1):
+        x[k] /= system[k, k]
+        x[:k] -= system[:k, k] * x[k]
+    return x
 
 
 def model_identity_defect(s: np.ndarray, v: np.ndarray, phi: np.ndarray) -> np.ndarray:

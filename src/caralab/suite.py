@@ -272,7 +272,7 @@ def run_model_checks(
     u1, u2, v = u1[pairs:], u2[pairs:], v[pairs:]
     bound = (config.aperture + 1.0) * np.linalg.norm(v, axis=1)
     excess = np.maximum(np.linalg.norm(u1, axis=1), np.linalg.norm(u2, axis=1)) - bound
-    record("standard_model_bound", excess.max(initial=0.0), 1e-12)
+    record("standard_model_bound", excess.max(), 1e-12)
 
     return checks
 

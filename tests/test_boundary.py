@@ -317,6 +317,15 @@ class TestDerivativeFd:
         with pytest.raises(InadmissibleDirectionError):
             derivative_fd(phi_y(0.5, TAU_11), TAU_11, (1, -1))
 
+    def test_non_finite_quotients_do_not_settle(self):
+        # a NaN residual fails the settling test instead of passing it
+        nan = lambda lam: np.full(len(lam), np.nan + 0j)  # noqa: E731
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(NoConvergenceError, match="residual nan"):
+                derivative_fd(nan, (1, 1), (-1, -1), phi_tau=1)
+            with pytest.raises(NoConvergenceError):
+                derivative_fd(phi_y(0.5, TAU_11), TAU_11, (-1, -1), phi_tau=np.inf)
+
     @pytest.mark.parametrize("tau", TAUS)
     def test_matches_family_formula(self, tau):
         phi = phi_y(0.3, tau)

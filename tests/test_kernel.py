@@ -24,6 +24,7 @@ from caralab.pencil import (
     sample_bidisk_batch,
     sample_bidisk_pairs,
 )
+from caralab.realization import ELIMINATION_MAX_DIM, _eliminate
 from caralab.suite import SuiteConfig, generate_model
 from conftest import TAU_11, TAUS, disk_point
 
@@ -52,7 +53,7 @@ def random_model(dim, tau, rng):
     return GeneralizedRealization(OperatorPencil(y, tau), random_colligation(dim, rng))
 
 
-@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 6, 7, 8, 24])
+@pytest.mark.parametrize("dim", sorted({1, 2, 3, 4, 5, 6, 7, 8, 24, ELIMINATION_MAX_DIM, ELIMINATION_MAX_DIM + 1}))
 def test_kernel_matches_direct_solves(dim, rng):
     tau = TAUS[dim % len(TAUS)]
     model = random_model(dim, tau, rng)
@@ -73,6 +74,37 @@ def test_kernel_matches_direct_solves(dim, rng):
             relative_gap(phi[k], phi_ref),
         )
     assert worst <= KERNEL_RTOL
+
+
+def shifted_systems(n, count, rng, unit_lower):
+    """(n, n+1, count) stacks [M | b] on which partial pivoting swaps rows at every step.
+
+    Row i of M is row i+1 (mod n) of L U, with U upper triangular and well
+    conditioned and L unit lower triangular.  With ``unit_lower`` the
+    entries of L below the diagonal have modulus at most 1/2, so at step k
+    the row of L U numbered k has the largest |re| + |im| in the column,
+    and it sits in the last row; otherwise L = 1 and every leading
+    diagonal entry is zero.
+    """
+    def cgauss(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    u = np.triu(cgauss(count, n, n)) / (2 * n) + 2.0 * np.eye(n)
+    lower = np.eye(n) + (np.tril(cgauss(count, n, n), -1) / (4 * n) if unit_lower else 0.0)
+    m = np.roll(lower @ u, -1, axis=1)
+    b = cgauss(count, n, 1)
+    return np.concatenate([m, b], axis=2).transpose(1, 2, 0).copy(), m, b
+
+
+@pytest.mark.parametrize("unit_lower", [False, True])
+def test_elimination_matches_lapack_when_every_step_swaps(unit_lower, rng):
+    for n in range(1, ELIMINATION_MAX_DIM + 1):
+        system, m, b = shifted_systems(n, 40, rng, unit_lower)
+        if n > 1 and not unit_lower:
+            assert np.all(system[np.arange(n - 1), np.arange(n - 1)] == 0.0)
+        x = _eliminate(system).T
+        want = np.linalg.solve(m, b)[..., 0]
+        assert np.linalg.norm(x - want, axis=1).max() <= KERNEL_RTOL * np.linalg.norm(want, axis=1).max()
 
 
 def test_direct_solve_batch_stacks_the_one_point_values(rng):

@@ -23,7 +23,7 @@ from caralab import (
     validate_positive_contraction,
 )
 from caralab.pencil import sample_bidisk_batch, sample_bidisk_pairs
-from caralab.realization import DEFAULT_ISOTOL
+from caralab.realization import DEFAULT_ISOTOL, ELIMINATION_MAX_DIM
 from caralab.suite import SuiteConfig, generate_model
 from conftest import TAU_11, TAUS, desk_model, disk_point, left_null_model, scalar_model
 
@@ -299,14 +299,22 @@ class TestJsonInterchange:
 
 
 class TestStackBudget:
-    """Stacks sized by pencil.STACK_ENTRIES; LAPACK solves each matrix on its own."""
+    """Stacks sized by pencil.STACK_ENTRIES; every point's arithmetic is the same in any stack."""
 
     @staticmethod
     def models():
         model, _, _ = generate_model(0, np.random.default_rng(3), SuiteConfig())
-        return [desk_model(np.random.default_rng(64)), model]
+        rng = np.random.default_rng(12)
+        # the largest dimension solved by elimination, and the smallest solved by LAPACK
+        edge = [
+            GeneralizedRealization(
+                OperatorPencil(random_positive_contraction(n, rng), TAUS[2]), random_colligation(n, rng)
+            )
+            for n in (ELIMINATION_MAX_DIM, ELIMINATION_MAX_DIM + 1)
+        ]
+        return [desk_model(np.random.default_rng(64)), model, *edge]
 
-    @pytest.mark.parametrize("which", [0, 1])
+    @pytest.mark.parametrize("which", [0, 1, 2, 3])
     def test_results_independent_of_budget(self, monkeypatch, which):
         model = self.models()[which]
         n = model.dim
@@ -318,7 +326,8 @@ class TestStackBudget:
         lam, mu = sample_bidisk_pairs(rng, 30)
         results = []
         # one point per stack, the default, and a stack size that divides neither count
-        for entries in (n * n, pencil.STACK_ENTRIES, 7 * n * n):
+        per_point = n * (n + 1) if n <= ELIMINATION_MAX_DIM else n * n
+        for entries in (per_point, pencil.STACK_ENTRIES, 7 * per_point):
             monkeypatch.setattr(pencil, "STACK_ENTRIES", entries)
             results.append((*model.evaluate(pts), model.model_residual(lam, mu)))
         for other in results[1:]:
