@@ -49,7 +49,6 @@ from .hermitian import (
     validate_positive_contraction,
 )
 from .pencil import (
-    ContractivityScan,
     OperatorPencil,
     contractivity_scan,
     i_y_diagonal,

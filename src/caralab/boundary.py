@@ -185,7 +185,6 @@ class CarapointScan:
     carapoint: bool
     alpha: float
     quotient_max: float
-    quotient_min: float
     alpha_residual: float  # Richardson residual of the alpha extrapolation
 
 
@@ -205,8 +204,8 @@ def detect_carapoint(phi: Callable[[np.ndarray], np.ndarray], grid: Nontangentia
     ray = np.concatenate([quotients[: grid.depth], quotients[len(grid_points) :]])
     k_hi = min(ALPHA_EXPONENT, len(ray))
     alpha, residual = richardson_limit(ray[max(1, k_hi - 7) - 1 : k_hi])
-    qmax, qmin = quotients.max(), quotients.min()
-    return CarapointScan(bool(qmax < QUOTIENT_BOUND), float(alpha), float(qmax), float(qmin), float(residual))
+    qmax = quotients.max()
+    return CarapointScan(bool(qmax < QUOTIENT_BOUND), float(alpha), float(qmax), float(residual))
 
 
 def derivative_fd(

@@ -43,7 +43,7 @@ from .errors import (
     UnconvergedError,
 )
 from .hermitian import DEFAULT_EIGTOL
-from .pencil import contractivity_scan, sample_bidisk_pairs
+from .pencil import CONTRACTIVITY_TOL, contractivity_scan, sample_bidisk_pairs
 from .points import BoundaryPoint
 from .realization import DEFAULT_ISOTOL, RAY_EXPONENTS, load_model
 from .scalar_family import (
@@ -233,13 +233,13 @@ def cmd_verify(args) -> int:
 
     lam, mu = sample_bidisk_pairs(rng, args.pairs)
     residual_max = float(model.model_residual(lam, mu).max(initial=0.0))
-    scan = contractivity_scan(model.pencil, args.samples, seed=seed)
+    contractivity = contractivity_scan(model.pencil, args.samples, seed=seed)
     rows = julia_quotient_ray(model, exponents=_parse_ray_exponents(args))
     julia_max = max(r.residual for r in rows)
 
     ok = (
         residual_max <= args.residual_tol
-        and scan.max_norm <= 1.0 + 1e-10
+        and contractivity <= 1.0 + CONTRACTIVITY_TOL
         and julia_max <= args.residual_tol
     )
     report = {
@@ -249,7 +249,7 @@ def cmd_verify(args) -> int:
         "dim": model.dim,
         "isometry_defect": model.isometry_defect,
         "model_residual_max": residual_max,
-        "contractivity_max": scan.max_norm,
+        "contractivity_max": contractivity,
         "julia_residual_max": julia_max,
         "residual_tol": args.residual_tol,
         "ok": ok,

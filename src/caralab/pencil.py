@@ -22,8 +22,6 @@ denominator operator, is its independent cross-oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import SingularDenominatorError
@@ -142,15 +140,6 @@ def i_y_spectral_form(pencil: OperatorPencil, lam) -> np.ndarray:
     return out[0] if single else out
 
 
-@dataclass(frozen=True)
-class ContractivityScan:
-    """Largest operator norm of the pencil over sampled interior points."""
-
-    max_norm: float
-    argmax: DiskPoint
-    n_samples: int
-
-
 def sample_bidisk(rng: np.random.Generator) -> DiskPoint:
     """One point uniform w.r.t. area measure in each coordinate disk."""
     r = np.sqrt(rng.uniform(0.0, 1.0, size=2))
@@ -159,7 +148,8 @@ def sample_bidisk(rng: np.random.Generator) -> DiskPoint:
     return DiskPoint(complex(z[0]), complex(z[1]))
 
 
-def _sample_coords(rng: np.random.Generator, n: int) -> np.ndarray:
+def sample_bidisk_batch(rng: np.random.Generator, n: int) -> np.ndarray:
+    """The points of n successive :func:`sample_bidisk` calls, as an (n, 2) array."""
     # sample_bidisk draws four uniforms per point, (r1, r2, th1, th2), and
     # uniform(0, h) is exactly h * random(), so one (n, 4) draw reproduces
     # n successive calls bit for bit
@@ -167,34 +157,27 @@ def _sample_coords(rng: np.random.Generator, n: int) -> np.ndarray:
     return np.sqrt(u[:, :2]) * np.exp(1j * (2.0 * np.pi * u[:, 2:]))
 
 
-def sample_bidisk_batch(rng: np.random.Generator, n: int) -> np.ndarray:
-    """The points of n successive :func:`sample_bidisk` calls, as an (n, 2) array."""
-    return _sample_coords(rng, n)
-
-
 def sample_bidisk_pairs(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
     """(n, 2) arrays lam, mu drawn as n successive pairs (sample_bidisk, sample_bidisk)."""
-    z = _sample_coords(rng, 2 * n)
+    z = sample_bidisk_batch(rng, 2 * n)
     return z[0::2], z[1::2]
 
 
-def contractivity_scan(
-    pencil: OperatorPencil, n_samples: int, seed: int = 0
-) -> ContractivityScan:
-    """Scan random interior points for the largest pencil norm.
+#: how far above 1 a sampled norm of the pencil or of phi may read
+CONTRACTIVITY_TOL = 1e-10
 
-    The pencil is normal, so its operator norm at lam is exactly the
-    largest modulus in :func:`i_y_diagonal`.
+
+def contractivity_scan(pencil: OperatorPencil, n_samples: int, seed: int = 0) -> float:
+    """Largest pencil operator norm over n_samples random interior points.
+
+    The points are those of :func:`sample_bidisk_batch`, drawn in chunks of
+    at most STACK_ENTRIES entries.  The pencil is normal, so its operator
+    norm at lam is exactly the largest modulus in :func:`i_y_diagonal`.
     """
     if n_samples <= 0:
         raise ValueError("n_samples must be positive")
     rng = np.random.default_rng(seed)
-    best = -1.0
-    best_point = DiskPoint(0j, 0j)
-    for chunk in stack_chunks(n_samples, pencil.dim):
-        z = _sample_coords(rng, chunk.stop - chunk.start)
-        norms = np.abs(_diagonal_rows(pencil, z)).max(axis=0)
-        i = int(np.argmax(norms))
-        if norms[i] > best:
-            best, best_point = float(norms[i]), DiskPoint(complex(z[i, 0]), complex(z[i, 1]))
-    return ContractivityScan(best, best_point, n_samples)
+    return max(
+        float(np.abs(_diagonal_rows(pencil, sample_bidisk_batch(rng, chunk.stop - chunk.start))).max())
+        for chunk in stack_chunks(n_samples, pencil.dim)
+    )

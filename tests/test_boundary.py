@@ -273,8 +273,8 @@ class TestDetect:
         quotients = cara_quotient(phi, pts)
         k_hi = min(ALPHA_EXPONENT, len(ray))
         alpha, residual = richardson_limit(quotients[max(1, k_hi - 7) - 1 : k_hi])
-        qmax, qmin = quotients.max(), quotients.min()
-        return CarapointScan(bool(qmax < QUOTIENT_BOUND), float(alpha), float(qmax), float(qmin), float(residual))
+        qmax = quotients.max()
+        return CarapointScan(bool(qmax < QUOTIENT_BOUND), float(alpha), float(qmax), float(residual))
 
     @pytest.mark.parametrize("tau", TAUS)
     @pytest.mark.parametrize("aperture, depth", [(1.0, 12), (2.0, 12), (5.0, 9)])
@@ -361,7 +361,7 @@ class TestBatchDerivativeFd:
     def test_rescaled_directions_share_their_steps(self, tau, rng):
         model = model_over([0.0, 0.3, 1.0, 0.7], tau=tau, rng=rng)
         phi_tau = model.phi_at_tau()
-        # the suite's batch: every direction followed by its halving and doubling
+        # every direction followed by its halving and doubling
         deltas = [(s * d1, s * d2) for d1, d2 in default_directions(tau, 10) for s in (1.0, 0.5, 2.0)]
         seen = []
 

@@ -16,6 +16,7 @@ from caralab import (
     random_positive_contraction,
     validate_positive_contraction,
 )
+from caralab import pencil
 from conftest import TAU_11, TAUS, disk_point
 
 
@@ -182,8 +183,7 @@ class TestDifferenceAndDerivative:
 class TestContractivity:
     def test_scalar_scan(self):
         pen = pencil_of([0.5])
-        scan = contractivity_scan(pen, 2000, seed=3)
-        assert scan.max_norm < 1.0
+        assert contractivity_scan(pen, 2000, seed=3) < 1.0
 
     def test_identity_contraction(self, rng):
         pen = OperatorPencil(validate_positive_contraction(np.eye(3)), TAU_11)
@@ -196,8 +196,17 @@ class TestContractivity:
         for _ in range(5):
             y = random_positive_contraction(int(rng.integers(1, 7)), rng)
             pen = OperatorPencil(y, TAUS[1])
-            scan = contractivity_scan(pen, 400, seed=int(rng.integers(2**31)))
-            assert scan.max_norm <= 1.0 + 1e-10
+            assert contractivity_scan(pen, 400, seed=int(rng.integers(2**31))) <= 1.0 + 1e-10
+
+    @pytest.mark.parametrize("dim", [1, 3, 8])
+    def test_scan_does_not_depend_on_chunking(self, dim, rng, monkeypatch):
+        # one point per chunk, then the whole sample in one chunk: both are
+        # the largest modulus of the kernel over the points of one batch draw
+        pen = OperatorPencil(random_positive_contraction(dim, rng), TAUS[1])
+        whole = np.abs(i_y_diagonal(pen, pencil.sample_bidisk_batch(np.random.default_rng(5), 300))).max()
+        for entries in (dim, pencil.STACK_ENTRIES):
+            monkeypatch.setattr(pencil, "STACK_ENTRIES", entries)
+            assert contractivity_scan(pen, 300, seed=5) == whole
 
     def test_norm_approaches_one_along_ray(self, rng):
         y = random_positive_contraction(4, rng)

@@ -217,7 +217,12 @@ class TestModelError:
         assert doc["models"][:3] == clean["models"][:3]
         bad = doc["models"][3]
         assert bad["error"] == "UnconvergedError: ray solve left 1 of 17 systems unsettled"
-        assert bad["checks"] == [{"name": "model_error", "passed": False, "worst": 1.0, "bound": 0.5}]
+        # the classification made before the error keeps its cross-check
+        assert bad["checks"] == [
+            {"name": "model_error", "passed": False, "worst": 1.0, "bound": 0.5},
+            clean["models"][3]["checks"][-1],
+        ]
+        assert bad["checks"][-1]["name"] == "classification_cross_check"
         assert bad["classification"] == clean["models"][3]["classification"]
         assert not report.passed
         assert doc["totals"]["model_error"] == {"passed": 0, "total": 1}
@@ -234,15 +239,15 @@ class TestModelError:
 
 def test_config_holds_only_what_callers_set():
     names = [f.name for f in dataclasses.fields(SuiteConfig)]
-    assert names == ["seed", "count", "max_dim", "residual_tol", "aperture", "grid_depth"]
+    assert names == ["seed", "count", "residual_tol", "aperture", "grid_depth"]
 
 
 #: every model runs these checks, in this order
 CHECK_NAMES = (
     "model_identity", "pencil_cross_oracle", "pencil_contractivity", "schur_bound",
     "julia_identity", "alpha_vs_vtau", "alpha_positive", "carapoint_detected",
-    "derivative_agreement", "derivative_homogeneity", "standard_model_identity",
-    "standard_model_bound", "classification_cross_check",
+    "derivative_agreement", "standard_model_identity", "standard_model_bound",
+    "classification_cross_check",
 )
 
 #: per seed: each model's classification (Regular, Singular, Purely singular)
