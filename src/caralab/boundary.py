@@ -8,7 +8,10 @@ singular / purely-singular classification of a generalized model.
 
 Scans collect their points first and call ``phi`` once, on the (N, 2)
 array of all of them (see :func:`points.as_points`); ``phi`` returns the N
-values.
+values.  What reads those values is a core of its own
+(:func:`carapoint_scan`, :func:`fd_limits`, :func:`boundary_report`), so
+a caller that evaluates many kinds of points at once can hand each core
+its slice.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import numpy as np
 from .errors import BadApertureError, NoConvergenceError, UnconvergedError
 from .extrapolate import richardson_limit
 from .points import BoundaryPoint, as_points, direction_entry_time, modulus, require_admissible
-from .realization import GeneralizedRealization, RAY_EXPONENTS
+from .realization import GeneralizedRealization, RAY_EXPONENTS, RayLimit
 from .scalar_family import phi_y_model_components
 
 #: quotient ceiling above which an approach to the boundary counts as unbounded
@@ -172,10 +175,15 @@ def cara_quotient(phi: Callable[[np.ndarray], np.ndarray], lam):
     quotients from that one call.
     """
     points, single = as_points(lam)
-    gap = 1.0 - np.maximum(np.abs(points[:, 0]), np.abs(points[:, 1]))
-    values = np.broadcast_to(np.asarray(phi(points), dtype=complex), gap.shape)
-    quotient = (1.0 - np.abs(values)) / gap
+    quotient = _quotients(points, phi(points))
     return float(quotient[0]) if single else quotient
+
+
+def _quotients(points: np.ndarray, values) -> np.ndarray:
+    """Caratheodory quotients at (N, 2) points from phi's values there (N, or one)."""
+    gap = 1.0 - np.maximum(np.abs(points[:, 0]), np.abs(points[:, 1]))
+    values = np.broadcast_to(np.asarray(values, dtype=complex), gap.shape)
+    return (1.0 - np.abs(values)) / gap
 
 
 @dataclass(frozen=True)
@@ -188,24 +196,90 @@ class CarapointScan:
     alpha_residual: float  # Richardson residual of the alpha extrapolation
 
 
+def carapoint_points(grid: NontangentialGrid) -> np.ndarray:
+    """The points a carapoint scan reads: the grid's, then the deeper ray tail.
+
+    The tail is the radial ray at t = 2^-(depth+1) .. 2^-DETECT_EXPONENT,
+    so the ray's points are the grid's family 0 (t = 2^-k at k - 1)
+    followed by the tail.
+    """
+    deeper = grid.tau.ray_point(np.ldexp(1.0, -np.arange(grid.depth + 1, DETECT_EXPONENT + 1)))
+    return np.concatenate([grid.coords.reshape(-1, 2), deeper])
+
+
 def detect_carapoint(phi: Callable[[np.ndarray], np.ndarray], grid: NontangentialGrid) -> CarapointScan:
     """Decide boundedness of the Caratheodory quotient over the grid.
+
+    One call of phi at :func:`carapoint_points`, read by
+    :func:`carapoint_scan`.
+    """
+    points = carapoint_points(grid)
+    return carapoint_scan(grid, points, phi(points))
+
+
+def carapoint_scan(grid: NontangentialGrid, points: np.ndarray, values) -> CarapointScan:
+    """The scan of :func:`detect_carapoint` from phi's values at ``points = carapoint_points(grid)``.
 
     The radial ray is refined down to t = 2^-DETECT_EXPONENT, where a
     quotient growing like 1/(1 - ||lam||_inf) crosses QUOTIENT_BOUND; alpha is
     the Richardson-extrapolated ray limit of the quotient, taken from the
     moderately deep ray samples where rounding is still negligible.
     """
-    # one evaluation of the grid followed by the deeper ray points; the ray
-    # quotients are the grid's ray family 0 (t = 2^-k at k - 1) and the tail
-    deeper = grid.tau.ray_point(np.ldexp(1.0, -np.arange(grid.depth + 1, DETECT_EXPONENT + 1)))
-    grid_points = grid.coords.reshape(-1, 2)
-    quotients = cara_quotient(phi, np.concatenate([grid_points, deeper]))
-    ray = np.concatenate([quotients[: grid.depth], quotients[len(grid_points) :]])
+    quotients = _quotients(points, values)
+    ray = np.concatenate([quotients[: grid.depth], quotients[grid.coords[..., 0].size :]])
     k_hi = min(ALPHA_EXPONENT, len(ray))
     alpha, residual = richardson_limit(ray[max(1, k_hi - 7) - 1 : k_hi])
     qmax = quotients.max()
     return CarapointScan(bool(qmax < QUOTIENT_BOUND), float(alpha), float(qmax), float(residual))
+
+
+@dataclass(frozen=True, eq=False)
+class StepPlan:
+    """The difference steps of :func:`derivative_fd` for K directions.
+
+    ``points`` holds each distinct step point once, in order of first
+    appearance, and ``points[index]`` every step, direction by direction
+    along its schedule of step lengths ``schedules[k]``.
+    """
+
+    schedules: np.ndarray  # (K, FD_STEPS) real
+    points: np.ndarray  # (M, 2) complex, M <= K FD_STEPS
+    index: np.ndarray  # (K FD_STEPS,) int
+
+
+def fd_step_plan(tau, deltas: np.ndarray) -> StepPlan:
+    """The steps of :func:`derivative_fd` at tau along the (K, 2) array of directions.
+
+    Each schedule is geometric inside the largest safe entry interval of
+    its direction.  Directions that differ by a power of two share their
+    steps bit for bit, since the entry time scales exactly with them, so
+    each such step appears once in ``points``.  Raises for the first
+    inadmissible direction.
+    """
+    entry = direction_entry_time(tau, deltas)
+    schedules = entry[:, None] / 8.0 * 2.0 ** -np.arange(FD_STEPS)
+    steps = (as_points(tau)[0][:, None, :] + schedules[..., None] * deltas[:, None, :]).reshape(-1, 2)
+    rows = steps.view(np.dtype((np.void, 2 * steps.itemsize))).ravel()
+    _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
+    keep = np.sort(first)
+    return StepPlan(schedules, steps[keep], np.searchsorted(keep, first)[inverse])
+
+
+def fd_limits(plan: StepPlan, values, phi_tau: complex) -> np.ndarray:
+    """Extrapolated difference quotients, one per direction, from phi's values at ``plan.points``.
+
+    Of the directions whose quotients do not settle, the first is named
+    in the NoConvergenceError.
+    """
+    values = np.asarray(values, dtype=complex)[plan.index]
+    quotients = (values.reshape(plan.schedules.shape) - phi_tau) / plan.schedules
+    limits, residuals = richardson_limit(quotients.T)  # one column per direction
+    # written as a negation, so that a NaN residual or limit does not settle
+    unsettled = ~(residuals <= 1e-4 * np.maximum(1.0, modulus(limits)))
+    if unsettled.any():
+        residual = residuals[np.argmax(unsettled)]
+        raise NoConvergenceError(f"difference quotients did not settle (residual {residual:.3e})")
+    return limits
 
 
 def derivative_fd(
@@ -216,35 +290,21 @@ def derivative_fd(
 ) -> complex | np.ndarray:
     """Directional derivative at tau by extrapolated difference quotients.
 
-    The step schedule is geometric inside the largest safe entry interval
-    for the direction; phi(tau) defaults to the extrapolated radial limit.
-    An (N, 2) array of directions gives one derivative per direction.  The
-    steps of all directions go to one call of phi, as one (M, 2) array in
-    which each distinct step appears once, in order of first appearance:
-    directions that differ by a power of two share their steps bit for
-    bit, since the entry time scales exactly with them.  Every direction
-    is checked before phi is called, so an inadmissible one raises first;
-    of the directions whose quotients do not settle, the first is named.
+    phi(tau) defaults to the extrapolated radial limit.  An (N, 2) array
+    of directions gives one derivative per direction.  The steps of all
+    directions (:func:`fd_step_plan`) go to one call of phi, as one (M, 2)
+    array in which each distinct step appears once, and
+    :func:`fd_limits` extrapolates their quotients.  Every direction is
+    checked before phi is called, so an inadmissible one raises first; of
+    the directions whose quotients do not settle, the first is named.
     """
     tau = BoundaryPoint(*tau)
     deltas, single = as_points(delta)
-    entry = direction_entry_time(tau, deltas)
-    schedules = entry[:, None] / 8.0 * 2.0 ** -np.arange(FD_STEPS)
+    plan = fd_step_plan(tau, deltas)
     if phi_tau is None:
         ray = tau.ray_point(np.ldexp(1.0, -np.arange(8, 21)))
         phi_tau = complex(richardson_limit(np.asarray(phi(ray), dtype=complex))[0])
-    steps = (as_points(tau)[0][:, None, :] + schedules[..., None] * deltas[:, None, :]).reshape(-1, 2)
-    rows = steps.view(np.dtype((np.void, 2 * steps.itemsize))).ravel()
-    _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
-    keep = np.sort(first)
-    values = np.asarray(phi(steps[keep]), dtype=complex)[np.searchsorted(keep, first)[inverse]]
-    quotients = (values.reshape(schedules.shape) - phi_tau) / schedules
-    limits, residuals = richardson_limit(quotients.T)  # one column per direction
-    # written as a negation, so that a NaN residual or limit does not settle
-    unsettled = ~(residuals <= 1e-4 * np.maximum(1.0, modulus(limits)))
-    if unsettled.any():
-        residual = residuals[np.argmax(unsettled)]
-        raise NoConvergenceError(f"difference quotients did not settle (residual {residual:.3e})")
+    limits = fd_limits(plan, phi(plan.points), phi_tau)
     return complex(limits[0]) if single else limits
 
 
@@ -502,6 +562,14 @@ def classify_ray(
     return classification, singular_part, kernel_part
 
 
+def converged_ray(model: GeneralizedRealization) -> RayLimit:
+    """The model's ray limit v_tau; UnconvergedError when it did not converge."""
+    ray = model.v_at_tau()
+    if not ray.converged:
+        raise UnconvergedError("ray limit of the model vector did not converge")
+    return ray
+
+
 def classify_model(
     model: GeneralizedRealization,
     class_tol: float = DEFAULT_CLASS_TOL,
@@ -510,6 +578,22 @@ def classify_model(
 ) -> BoundaryReport:
     """Classify a generalized model by the geometry of its ray limit.
 
+    Checks that the ray limit converged, builds the grid, scans it
+    (:func:`detect_carapoint`) and hands both to :func:`boundary_report`.
+    """
+    converged_ray(model)
+    grid = build_grid(model.tau, aperture, depth)
+    return boundary_report(model, grid, detect_carapoint(model.phi, grid), class_tol)
+
+
+def boundary_report(
+    model: GeneralizedRealization,
+    grid: NontangentialGrid,
+    scan: CarapointScan,
+    class_tol: float = DEFAULT_CLASS_TOL,
+) -> BoundaryReport:
+    """The verdict of :func:`classify_model` from the model's carapoint scan of the grid.
+
     The classification is :func:`classify_ray` of v_tau.  The linearity
     defect of :func:`derivative_model`, which reads the same v_tau and
     phi_tau, is recorded as an independent cross-check: it must be at most
@@ -517,14 +601,9 @@ def classify_model(
     (purely) singular ones.  An indeterminate model passes it, judged
     against DEFECT_REGULAR_TOL.
     """
-    ray = model.v_at_tau()
-    if not ray.converged:
-        raise UnconvergedError("ray limit of the model vector did not converge")
+    ray = converged_ray(model)
     weights = model.pencil.contraction.decomposition.weights
     classification, singular_part, kernel_part = classify_ray(weights, ray.rotated, class_tol)
-
-    grid = build_grid(model.tau, aperture, depth)
-    scan = detect_carapoint(model.phi, grid)
     defect = linearity_defect(lambda d: derivative_model(model, d), default_direction_pairs(model.tau))
 
     if classification == "regular":

@@ -82,10 +82,13 @@ class SpectralDecomposition:
     ``eigenvectors`` is the unitary U of the eigensolver and ``weights``
     holds the snapped cluster eigenvalue of each of its columns; the
     columns sharing a weight span that eigenvalue's eigenspace.
+    ``extremes`` holds the lowest and highest eigenvalue the eigensolver
+    returned, before clustering and snapping.
     """
 
     eigenvectors: np.ndarray
     weights: np.ndarray
+    extremes: tuple[float, float]
 
     @property
     def dim(self) -> int:
@@ -151,7 +154,7 @@ def spectral_decompose(a, eigtol: float = DEFAULT_EIGTOL) -> SpectralDecompositi
         elif abs(value - 1.0) <= eigtol:
             value = 1.0
         weights[group] = value
-    return SpectralDecomposition(v, weights)
+    return SpectralDecomposition(v, weights, (float(w[0]), float(w[-1])))
 
 
 @dataclass(frozen=True)
@@ -168,6 +171,17 @@ class PositiveContraction:
     @property
     def eigenvalues(self) -> tuple[float, ...]:
         return self.decomposition.eigenvalues
+
+    @property
+    def excursion(self) -> float:
+        """How far the spectrum of ``matrix``, as the eigensolver measured it, leaves [0, 1].
+
+        Unlike the weights, which snapping moves onto [0, 1], this is read
+        before clustering, so a cluster snapped from further than eigtol
+        (a chain of close eigenvalues) shows its full reach.
+        """
+        lo, hi = self.decomposition.extremes
+        return max(0.0, -lo, hi - 1.0)
 
     def is_projection(self) -> bool:
         """True when the spectrum touches only the endpoints 0 and 1."""

@@ -31,6 +31,11 @@ from .points import BoundaryPoint, DiskPoint, as_points
 #: relative singular-value floor below which a denominator counts as singular
 SINGULAR_RTOL = 1e-13
 
+#: how far past [0, 1] the certificate of :func:`i_y_eval` widens the
+#: spectrum of Y beyond what the eigensolver measured; the eigensolver's
+#: error is a small multiple of n eps ||Y||, some 1e-12 even at n = 4096
+SPECTRUM_PAD = 1e-9
+
 #: points closer to tau than this evaluate to the identity exactly
 TAU_SNAP = 1e-15
 
@@ -80,9 +85,13 @@ def i_y_eval(pencil: OperatorPencil, lam) -> np.ndarray:
     """The pencil by stacked direct solves of (1-p)(1-Y) + (1-q)Y on the matrix Y.
 
     One point gives (n, n), an (N, 2) array gives (N, n, n).  A singular
-    denominator raises SingularDenominatorError by the SINGULAR_RTOL rule;
-    points within TAU_SNAP of tau give the identity exactly (the continuous
-    extension along rays).  Kept as the cross-oracle of the kernel.
+    denominator raises SingularDenominatorError by the SINGULAR_RTOL rule,
+    naming the first such point; points within TAU_SNAP of tau give the
+    identity exactly (the continuous extension along rays).  Kept as the
+    cross-oracle of the kernel: the values come from the solves alone.
+
+    Only the points that :func:`_denominator_certified` cannot clear get
+    the stacked SVD that decides the rule; a cleared point cannot raise.
     """
     pts, single = as_points(lam)
     a, b, at_tau = _offsets(pencil, pts)
@@ -92,12 +101,36 @@ def i_y_eval(pencil: OperatorPencil, lam) -> np.ndarray:
     if live.size:
         y = pencil.contraction.matrix
         m = a[live, None, None] * (eye - y) + b[live, None, None] * y
-        bad = live[_singular(np.linalg.svd(m, compute_uv=False))]
-        if bad.size:
-            lam = tuple(complex(z) for z in pts[bad[0]])
-            raise SingularDenominatorError(f"pencil denominator singular at lam={lam!r}")
+        doubt = ~_denominator_certified(a[live], b[live], pencil.contraction.excursion + SPECTRUM_PAD)
+        if doubt.any():
+            bad = live[doubt][_singular(np.linalg.svd(m[doubt], compute_uv=False))]
+            if bad.size:
+                lam = tuple(complex(z) for z in pts[bad[0]])
+                raise SingularDenominatorError(f"pencil denominator singular at lam={lam!r}")
         out[live] = eye - (a[live] * b[live])[:, None, None] * np.linalg.solve(m, eye)
     return out[0] if single else out
+
+
+def _denominator_certified(a: np.ndarray, b: np.ndarray, excursion: float) -> np.ndarray:
+    """True where a(1-Y) + bY cannot be singular by the SINGULAR_RTOL rule.
+
+    ``excursion`` bounds how far spec(Y) leaves [0, 1].  The denominator
+    a + (b-a)Y is normal, so its singular values are |a + (b-a)y| over y
+    in spec(Y): at least the distance from 0 to the segment
+    a + (b-a)[-e, 1+e] and at most max(|a|, |b|) + e|b-a|.  As in the
+    resolvent certificate of GeneralizedRealization.evaluate, a lower bound
+    above twice the rule's threshold at the upper bound leaves room for
+    the rounding of the SVD.  A NaN bound is never certified.
+    """
+    d = b - a
+    start = a - excursion * d
+    span = (1.0 + 2.0 * excursion) * d
+    length = span.real**2 + span.imag**2
+    # the parameter in [0, 1] of the segment's point nearest 0
+    t = np.divide(-(start.conj() * span).real, length, out=np.zeros_like(length), where=length > 0.0)
+    lower = np.abs(start + np.clip(t, 0.0, 1.0) * span)
+    upper = np.maximum(np.abs(a), np.abs(b)) + excursion * np.abs(d)
+    return lower > 2.0 * SINGULAR_RTOL * np.maximum(upper, 1.0)
 
 
 def i_y_diagonal(pencil: OperatorPencil, points) -> np.ndarray:

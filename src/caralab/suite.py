@@ -6,8 +6,10 @@ every library invariant on each: the generalized and derived standard
 model identities, pencil cross-oracle agreement, contractivity, the Julia
 ray identity, analytic against finite-difference derivatives, nontangential
 bounds, and consistency of the geometric classification with the linearity
-defect.  All randomness flows from one seed, so reports are reproducible
-byte-for-byte.
+defect.  Each model's points, random and fixed, are evaluated together in
+one call of ``GeneralizedRealization.evaluate``, whose slices go to the
+cores behind the public checks (see :func:`run_model_checks`).  All
+randomness flows from one seed, so reports are reproducible byte-for-byte.
 """
 
 from __future__ import annotations
@@ -20,9 +22,17 @@ from .boundary import (
     DEFAULT_APERTURE,
     DEFAULT_DEPTH,
     BoundaryReport,
-    classify_model,
+    DerivativeTable,
+    StepPlan,
+    boundary_report,
+    build_grid,
+    carapoint_points,
+    carapoint_scan,
+    converged_ray,
     default_directions,
-    derivative_table,
+    derivative_model,
+    fd_limits,
+    fd_step_plan,
     julia_quotient_ray,
     standard_identity_defect,
     standard_model_components,
@@ -191,39 +201,99 @@ def _is_constant(values: np.ndarray) -> bool:
     return np.abs(values - values[0]).max() < 1e-12
 
 
+#: where each part of a model's one evaluation sits: the identity pairs,
+#: the contractivity sample, the constancy probes and the standard-model
+#: pairs; the carapoint scan's points and the difference steps follow
+IDENTITY_ROWS = slice(0, 2 * IDENTITY_PAIRS)
+CONTRACTIVITY_ROWS = slice(IDENTITY_ROWS.stop, IDENTITY_ROWS.stop + CONTRACTIVITY_SAMPLES)
+PROBE_ROWS = slice(CONTRACTIVITY_ROWS.stop, CONTRACTIVITY_ROWS.stop + len(CONSTANT_PROBES))
+STANDARD_ROWS = slice(PROBE_ROWS.stop, PROBE_ROWS.stop + 2 * STANDARD_PAIRS)
+
+
 def run_model_checks(
+    model: GeneralizedRealization, rng: np.random.Generator, config: SuiteConfig
+) -> tuple[BoundaryReport | None, list[CheckOutcome], str | None]:
+    """Classify one validated model and run every invariant check on it.
+
+    Returns the :func:`classify_model` verdict (None if the model was not
+    classified), the checks, and "<error class>: <message>" of a
+    CaralabError that stopped them (else None).  Such an error leaves the
+    failing check ``model_error`` (worst 1, bound 0.5, the 0/1 convention
+    of ``carapoint_detected``); the ``classification_cross_check`` of a
+    classified model always comes last.
+
+    Every point is evaluated once, in one call of ``model.evaluate``: the
+    model-identity pairs, the contractivity sample, the constancy probes,
+    the standard-model pairs, the carapoint scan's grid and deeper ray
+    tail (:func:`carapoint_points`), and the distinct difference steps
+    (:func:`fd_step_plan`).  Cores that take an evaluation read its slices:
+    the carapoint scan, the verdict (:func:`boundary_report`), the
+    difference quotients (:func:`fd_limits`) and the standard model, whose
+    bound reads the grid's slice.  An error from the evaluation leaves the
+    model unclassified.
+
+    The random draws keep their order: the identity pairs, the cross-oracle
+    points, the contractivity sample, then the standard-model pairs.  What
+    classify_model checks before it evaluates (the ray limit, the grid)
+    comes before every draw, and an error after the standard-model draw
+    restores the stream to where it was before it, so a model whose checks
+    raise draws what it drew when the checks ran one after another.
+    """
+    report, before_standard = None, None
+    try:
+        converged_ray(model)
+        grid = build_grid(model.tau, config.aperture, config.grid_depth)
+        lam, mu = sample_bidisk_pairs(rng, IDENTITY_PAIRS)
+        oracle_pts = sample_bidisk_batch(rng, CROSS_ORACLE_SAMPLES)
+        scan_pts = sample_bidisk_batch(rng, CONTRACTIVITY_SAMPLES)
+        before_standard = rng.bit_generator.state
+        std_lam, std_mu = sample_bidisk_pairs(rng, STANDARD_PAIRS)
+
+        directions = np.array(default_directions(model.tau, N_DIRECTIONS), dtype=complex)
+        plan = fd_step_plan(model.tau, directions)
+        cara = carapoint_points(grid)
+        points = np.concatenate([lam, mu, scan_pts, CONSTANT_PROBES, std_lam, std_mu, cara, plan.points])
+        evaluation = model.evaluate(points)
+        rows = slice(STANDARD_ROWS.stop, STANDARD_ROWS.stop + len(cara))
+        report = boundary_report(model, grid, carapoint_scan(grid, cara, evaluation[2][rows]))
+        checks = _checks(model, config, report, points, evaluation, oracle_pts, directions, plan)
+        error = None
+    except CaralabError as exc:
+        if before_standard is not None:
+            rng.bit_generator.state = before_standard
+        checks = [CheckOutcome("model_error", False, 1.0, 0.5)]
+        error = f"{type(exc).__name__}: {exc}"
+    if report is not None:
+        # geometric classification must match the derivative's linearity
+        # defect; the gray zone is surfaced as a failure, never silently passed
+        agree = report.cross_check_ok and report.classification != "indeterminate"
+        checks.append(
+            CheckOutcome("classification_cross_check", agree, report.linearity_defect, report.defect_bound)
+        )
+    return report, checks, error
+
+
+def _checks(
     model: GeneralizedRealization,
-    rng: np.random.Generator,
     config: SuiteConfig,
     report: BoundaryReport,
+    points: np.ndarray,
+    evaluation: tuple[np.ndarray, np.ndarray, np.ndarray],
+    oracle_pts: np.ndarray,
+    directions: np.ndarray,
+    plan: StepPlan,
 ) -> list[CheckOutcome]:
-    """All invariant checks for one validated model.
-
-    ``report`` is the model's :func:`classify_model` verdict; its carapoint
-    scan backs the alpha and carapoint checks, and its grid the standard
-    model bound.
-
-    Every point is evaluated once, in two batches besides the finite
-    differences: the model-identity pairs, the contractivity sample and the
-    constancy probes; then the standard-model pairs and the grid.  The
-    draws keep their order: the standard-model pairs come after the
-    derivative table, so a model whose table raises leaves the random
-    stream where it was.
-    """
+    """The invariant checks of :func:`run_model_checks`, from ``evaluation = model.evaluate(points)``."""
     checks: list[CheckOutcome] = []
 
     def record(name: str, worst: float, bound: float):
         checks.append(CheckOutcome(name, bool(worst <= bound), float(worst), float(bound)))
 
-    lam, mu = sample_bidisk_pairs(rng, IDENTITY_PAIRS)
-    oracle_pts = sample_bidisk_batch(rng, CROSS_ORACLE_SAMPLES)
-    scan_pts = sample_bidisk_batch(rng, CONTRACTIVITY_SAMPLES)
-    s, v, phi = model.evaluate(np.concatenate([lam, mu, scan_pts, CONSTANT_PROBES]))
-    pairs = 2 * IDENTITY_PAIRS
-    scan = slice(pairs, pairs + CONTRACTIVITY_SAMPLES)
+    s, v, phi = evaluation
 
     # generalized model identity on random interior pairs
-    worst = model_identity_defect(s[:pairs], v[:pairs], phi[:pairs]).max(initial=0.0)
+    rows = IDENTITY_ROWS
+    worst = model_identity_defect(s[rows], v[rows], phi[rows]).max(initial=0.0)
     record("model_identity", worst, config.residual_tol)
 
     # the kernel's pencil agrees with a direct solve of its denominator
@@ -232,35 +302,38 @@ def run_model_checks(
 
     # contractivity of the pencil and of phi; the pencil is normal, so its
     # norm is the largest modulus of its eigenvalues
-    record("pencil_contractivity", np.abs(s[scan]).max(initial=0.0), 1.0 + CONTRACTIVITY_TOL)
-    record("schur_bound", np.abs(phi[scan]).max(initial=0.0), 1.0 + CONTRACTIVITY_TOL)
+    rows = CONTRACTIVITY_ROWS
+    record("pencil_contractivity", np.abs(s[rows]).max(initial=0.0), 1.0 + CONTRACTIVITY_TOL)
+    record("schur_bound", np.abs(phi[rows]).max(initial=0.0), 1.0 + CONTRACTIVITY_TOL)
 
     # Julia quotient identity along the ray
-    rows = julia_quotient_ray(model)
-    record("julia_identity", max(r.residual for r in rows), JULIA_TOL)
+    julia = julia_quotient_ray(model)
+    record("julia_identity", max(r.residual for r in julia), JULIA_TOL)
 
     # extrapolated Caratheodory quotient against the ray limit of v
     ray = model.v_at_tau()
     if ray.converged:
         alpha_target = float(np.linalg.norm(ray.value)) ** 2
         record("alpha_vs_vtau", abs(report.alpha - alpha_target), ALPHA_TOL)
-        if not _is_constant(phi[scan.stop :]):
+        if not _is_constant(phi[PROBE_ROWS]):
             # nonconstant realizations must carry a genuine carapoint
             record("alpha_positive", 0.0 if alpha_target > 1e-10 else 1.0, 0.5)
     record("carapoint_detected", 0.0 if report.carapoint else 1.0, 0.5)
 
-    # analytic and finite-difference derivatives agree
-    table = derivative_table(model, default_directions(model.tau, N_DIRECTIONS))
-    record("derivative_agreement", table.agreement(), DERIVATIVE_TOL)
+    # analytic and finite-difference derivatives agree; the difference
+    # steps are the evaluation's last rows
+    analytic = derivative_model(model, directions)
+    fd = fd_limits(plan, phi[len(phi) - len(plan.points) :], model.phi_at_tau())
+    record("derivative_agreement", DerivativeTable(directions, analytic, fd).agreement(), DERIVATIVE_TOL)
 
-    # derived standard model: identity on random pairs, bound on the grid;
-    # norms are those of the eigenbasis components, so nothing is rotated
-    lam, mu = sample_bidisk_pairs(rng, STANDARD_PAIRS)
-    points = np.concatenate([lam, mu, report.grid.coords.reshape(-1, 2)])
-    u1, u2, v, phi = standard_model_components(model, points, model.evaluate(points))
+    # derived standard model: identity on random pairs, bound on the grid,
+    # whose points follow the pairs; norms are those of the eigenbasis
+    # components, so nothing is rotated
+    rows = slice(STANDARD_ROWS.start, STANDARD_ROWS.stop + report.grid.coords[..., 0].size)
+    u1, u2, v, phi = standard_model_components(model, points[rows], (s[rows], v[rows], phi[rows]))
     pairs = 2 * STANDARD_PAIRS
-    worst = standard_identity_defect(points[:pairs], u1[:pairs], u2[:pairs], phi[:pairs]).max(initial=0.0)
-    record("standard_model_identity", worst, config.residual_tol)
+    worst = standard_identity_defect(points[STANDARD_ROWS], u1[:pairs], u2[:pairs], phi[:pairs])
+    record("standard_model_identity", worst.max(initial=0.0), config.residual_tol)
     u1, u2, v = u1[pairs:], u2[pairs:], v[pairs:]
     bound = (config.aperture + 1.0) * np.linalg.norm(v, axis=1)
     excess = np.maximum(np.linalg.norm(u1, axis=1), np.linalg.norm(u2, axis=1)) - bound
@@ -272,11 +345,9 @@ def run_model_checks(
 def run_suite(config: SuiteConfig) -> SuiteReport:
     """Generate `count` models and run every check; deterministic in the seed.
 
-    A CaralabError raised while classifying or checking one model becomes
-    that model's failing check ``model_error`` (worst 1, bound 0.5, the 0/1
-    convention of ``carapoint_detected``), with the error named on its
-    record, followed by its ``classification_cross_check`` if it was
-    classified; the run goes on with the next model.
+    A CaralabError raised while classifying or checking one model is
+    recorded on that model (see :func:`run_model_checks`); the run goes on
+    with the next model.
     """
     if config.count < 1:
         raise ValueError("count must be >= 1")
@@ -284,22 +355,7 @@ def run_suite(config: SuiteConfig) -> SuiteReport:
     records: list[ModelRecord] = []
     for index in range(config.count):
         model, kind, tau_label = generate_model(index, rng, config)
-        classification, error, report = "unclassified", None, None
-        try:
-            report = classify_model(model, aperture=config.aperture, depth=config.grid_depth)
-            classification = report.classification
-            checks = run_model_checks(model, rng, config, report)
-        except CaralabError as exc:
-            error = f"{type(exc).__name__}: {exc}"
-            checks = [CheckOutcome("model_error", False, 1.0, 0.5)]
-        if report is not None:
-            # geometric classification must match the derivative's linearity
-            # defect; the gray zone is surfaced as a failure, never silently passed
-            agree = report.cross_check_ok and report.classification != "indeterminate"
-            checks.append(
-                CheckOutcome("classification_cross_check", agree, report.linearity_defect, report.defect_bound)
-            )
-        records.append(
-            ModelRecord(index, model.dim, kind, tau_label, classification, checks, error)
-        )
+        report, checks, error = run_model_checks(model, rng, config)
+        classification = "unclassified" if report is None else report.classification
+        records.append(ModelRecord(index, model.dim, kind, tau_label, classification, checks, error))
     return SuiteReport(config.seed, config.count, records)

@@ -130,7 +130,7 @@ def test_family_fills_each_column_with_one_call(monkeypatch, capsys, tmp_path):
         monkeypatch.setattr(module, name, wrapper)
 
     for module, name in [
-        (cli, "phi_y_directional_derivative"), (cli, "cara_quotient"), (boundary, "cara_quotient"),
+        (cli, "phi_y_directional_derivative"), (cli, "cara_quotient"), (boundary, "carapoint_scan"),
         (cli, "derivative_fd"), (cli, "linearity_defect"),
     ]:
         counting(module, name)
@@ -138,7 +138,10 @@ def test_family_fills_each_column_with_one_call(monkeypatch, capsys, tmp_path):
     assert code == 0
     # the analytic column and the linearity defect, one call each; the
     # carapoint scan and the quotient rows of the ray, one call each
-    assert counts == {"phi_y_directional_derivative": 2, "cara_quotient": 2, "derivative_fd": 1, "linearity_defect": 1}
+    assert counts == {
+        "phi_y_directional_derivative": 2, "cara_quotient": 1, "carapoint_scan": 1, "derivative_fd": 1,
+        "linearity_defect": 1,
+    }
     assert len(doc["derivatives"]) == 24
     rows = (tmp_path / "fam.quotient.csv").read_text().splitlines()
     assert len(rows) == 1 + DEFAULT_DEPTH

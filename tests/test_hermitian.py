@@ -56,8 +56,9 @@ class TestSpectralDecompose:
         assert opnorm(dec.reconstruct() - np.diag([0.0, 0.5, 0.0])) <= 1e-15
 
     def test_stores_only_the_eigenbasis(self):
+        # and the eigensolver's extreme eigenvalues, which snapping discards
         names = [f.name for f in dataclasses.fields(SpectralDecomposition)]
-        assert names == ["eigenvectors", "weights"]
+        assert names == ["eigenvectors", "weights", "extremes"]
 
     def test_not_hermitian_rejected(self):
         with pytest.raises(NotHermitianError):
@@ -135,6 +136,15 @@ class TestPositiveContraction:
         y = validate_positive_contraction(np.diag([1.0 + 5e-10, -5e-10]))
         assert y.eigenvalues == (0.0, 1.0)
         assert y.is_projection()
+        assert y.excursion == pytest.approx(5e-10, rel=1e-6)
+
+    def test_excursion_reaches_past_eigtol(self):
+        # gaps of 0.75e-9 chain three eigenvalues into one cluster of mean
+        # -0.75e-9, snapped to 0; its lowest member lies 1.5e-9 below 0
+        y = validate_positive_contraction(np.diag([-1.5e-9, -0.75e-9, 0.0, 0.5]), EIGTOL)
+        assert y.eigenvalues == (0.0, 0.5)
+        assert y.excursion == pytest.approx(1.5e-9, rel=1e-6)
+        assert validate_positive_contraction(np.diag([0.0, 0.5, 1.0])).excursion == 0.0
 
     def test_random_spectrum_clamped(self, rng):
         y = random_positive_contraction(6, rng)

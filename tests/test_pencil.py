@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -258,3 +260,73 @@ class TestRationality:
         for idx in (0, 1):
             f = [complex(v[idx, idx]) for v in values]
             assert self.cross_ratio(*f) == pytest.approx(target, rel=1e-8)
+
+
+def svd_stacks(monkeypatch):
+    """Record the number of matrices in each np.linalg.svd call."""
+    stacks = []
+    svd = np.linalg.svd
+
+    def recording(m, *args, **kwargs):
+        stacks.append(len(m))
+        return svd(m, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording)
+    return stacks
+
+
+def naming(lam) -> str:
+    """The pattern of an error message that names the point lam."""
+    return re.escape(f"at lam={tuple(complex(z) for z in lam)!r}")
+
+
+class TestCertifiedGuard:
+    """i_y_eval sends to its SVD only the points its certificate cannot clear."""
+
+    def test_exact_zero_names_the_first_singular_point(self, monkeypatch):
+        # at tau = (1, 1), a(1-y) + by vanishes for y = 1/2 where a = -b,
+        # and for y = 1/4 where b = -3a: exactly, in floating point
+        pen = pencil_of([0.5, 0.25])
+        half, quarter = (0.5, 1.5), (0.75, 1.75)
+        stacks = svd_stacks(monkeypatch)
+        for pts, first in [([(0.3j, -0.2), half, quarter], half), ([quarter, (0.1, 0.2j), half], quarter)]:
+            with pytest.raises(SingularDenominatorError, match=naming(first)):
+                i_y_eval(pen, np.array(pts, dtype=complex))
+            # the kernel's rule names the same point
+            with pytest.raises(SingularDenominatorError, match=naming(first)):
+                i_y_diagonal(pen, np.array(pts, dtype=complex))
+        # the interior points were certified and never reached the SVD
+        assert stacks == [2, 2]
+
+    def test_eigenvalue_outside_the_unit_interval_within_eigtol(self, monkeypatch):
+        # -5e-8 snaps to the weight 0, but the stored matrix keeps it; the
+        # denominator a(1-y) + by then vanishes at b = 1, a = 5e-8 / (1 + 5e-8),
+        # where the weights alone would certify it (|a| is far above the rule)
+        y = validate_positive_contraction(np.diag([-5e-8, 0.5]), eigtol=1e-7)
+        assert y.eigenvalues == (0.0, 0.5) and y.excursion == 5e-8
+        pen = OperatorPencil(y, TAU_11)
+        lam = (1.0 - 5e-8 / (1.0 + 5e-8), 0.0)
+        stacks = svd_stacks(monkeypatch)
+        with pytest.raises(SingularDenominatorError, match=naming(lam)):
+            i_y_eval(pen, np.array([(0.2, 0.1j), lam, (0.5 - 0.5j, 0.3)]))
+        assert stacks == [1]
+
+    @pytest.mark.parametrize("dim", [1, 3, 8])
+    def test_certified_points_pass_the_rule(self, dim, rng):
+        # points on and near the singular set, from relative offsets 1e-16 to
+        # 1e-8 along it: every certified one passes the SVD rule
+        y = random_positive_contraction(dim, rng)
+        w = np.array(y.decomposition.weights)
+        a = rng.uniform(-1.0, 1.0, 600) + 1j * rng.uniform(-1.0, 1.0, 600)
+        yk = rng.choice(w, 600)
+        eps = 10.0 ** rng.uniform(-16, -8, 600) * np.exp(2j * np.pi * rng.uniform(size=600))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            b = np.where(yk > 0.0, (eps - a * (1.0 - yk)) / np.where(yk > 0.0, yk, 1.0), a + eps)
+        a, b = np.concatenate([a, a]), np.concatenate([b, b + 1e-3])
+        certified = pencil._denominator_certified(a, b, y.excursion + pencil.SPECTRUM_PAD)
+        assert 0 < certified.sum() < len(a)
+        m = a[:, None, None] * (np.eye(dim) - y.matrix) + b[:, None, None] * y.matrix
+        assert not pencil._singular(np.linalg.svd(m[certified], compute_uv=False)).any()
+        # away from tau and the singular set, every point is certified
+        a, b, _ = pencil._offsets(OperatorPencil(y, TAU_11), pencil.sample_bidisk_batch(rng, 200))
+        assert pencil._denominator_certified(a, b, y.excursion + pencil.SPECTRUM_PAD).all()

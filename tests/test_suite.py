@@ -1,12 +1,14 @@
 import collections
 import dataclasses
 import importlib
+import sys
 
 import numpy as np
 import pytest
 
 from caralab import (
     GeneralizedRealization,
+    SingularResolventError,
     UnconvergedError,
     boundary,
     build_grid,
@@ -78,6 +80,7 @@ class TestRun:
             return build_grid(*args, **kwargs)
 
         monkeypatch.setattr(boundary, "build_grid", counting)
+        monkeypatch.setattr(suite, "build_grid", counting)
         run_suite(SuiteConfig(seed=7, count=3))
         assert len(calls) == 3
 
@@ -96,11 +99,12 @@ class TestRun:
 
 #: per-model call ceilings of run_suite(seed=7); the point-by-point code made
 #: 8 evaluations, 39 analytic derivatives and about 754 as_pair coercions,
-#: and evaluating repeated points too took 7 evaluations of 1,705 points.
+#: evaluating repeated points too took 7 evaluations of 1,705 points, and
+#: evaluating each kind of point on its own 4 evaluations of 1,363.
 #: Points are converted by as_points alone: 904 calls over the 50 models,
 #: where the five converters it replaced made 54 as_pair calls per model
-EVALUATIONS_PER_MODEL = 4
-EVALUATED_POINTS_MAX = 1363
+EVALUATIONS_PER_MODEL = 1
+EVALUATED_POINTS_MAX = 1279
 DERIVATIVE_MODEL_CALLS_MAX = 2
 AS_POINTS_CALLS_MAX = 904 / 50
 
@@ -130,6 +134,13 @@ def test_calls_per_model_do_not_grow_with_directions_or_points(monkeypatch):
         return evaluate(self, pts)
 
     monkeypatch.setattr(GeneralizedRealization, "evaluate", counting_evaluate)
+    svd = np.linalg.svd
+
+    def counting_svd(*args, **kwargs):
+        counts[f"svd in {sys._getframe(1).f_code.co_name}"] += 1
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
     report = run_suite(SuiteConfig(seed=7))
     models = len(report.records)
     assert models == 50 and report.passed
@@ -137,6 +148,8 @@ def test_calls_per_model_do_not_grow_with_directions_or_points(monkeypatch):
     assert counts["points"] <= EVALUATED_POINTS_MAX * models
     assert counts["derivative_model"] <= DERIVATIVE_MODEL_CALLS_MAX * models
     assert counts["as_points"] <= AS_POINTS_CALLS_MAX * models
+    # the cross-oracle's interior points are all certified nonsingular
+    assert counts["svd in i_y_eval"] == 0
 
 
 def test_one_grid_build_per_boundary_point(monkeypatch):
@@ -154,9 +167,13 @@ def same_bits(a, b) -> bool:
 
 
 def test_batched_checks_equal_the_public_routes(monkeypatch):
-    """The suite's batched arrays and worst values are those of the public functions on the same draws."""
+    """The suite's batched arrays, cores and worst values are those of the public functions on the same draws."""
     seen = collections.defaultdict(list)
-    for name in ("model_identity_defect", "standard_identity_defect", "standard_model_components"):
+    cores = (
+        "model_identity_defect", "standard_identity_defect", "standard_model_components",
+        "carapoint_scan", "fd_limits", "boundary_report",
+    )
+    for name in cores:
 
         def recording(*args, fn=getattr(suite, name), name=name):
             seen[name].append(fn(*args))
@@ -168,7 +185,7 @@ def test_batched_checks_equal_the_public_routes(monkeypatch):
     rng = np.random.default_rng(config.seed)
     pairs = 2 * suite.STANDARD_PAIRS
     for record in report.records:
-        # run_model_checks draws these, in this order, and classify_model draws nothing
+        # run_model_checks draws these, in this order, and nothing else
         model, _, _ = generate_model(record.index, rng, config)
         lam, mu = sample_bidisk_pairs(rng, suite.IDENTITY_PAIRS)
         sample_bidisk_batch(rng, suite.CROSS_ORACLE_SAMPLES)
@@ -192,19 +209,48 @@ def test_batched_checks_equal_the_public_routes(monkeypatch):
         # the margin below the bound, not a floor of 0.0
         assert worst["standard_model_bound"] == excess.max() < 0.0
 
+        # the cores on the suite's slices of its one evaluation
+        assert seen["carapoint_scan"][record.index] == boundary.detect_carapoint(model.phi, grid)
+        directions = np.array(boundary.default_directions(model.tau, suite.N_DIRECTIONS))
+        fd = boundary.derivative_fd(model.phi, model.tau, directions, phi_tau=model.phi_at_tau())
+        assert same_bits(seen["fd_limits"][record.index], fd)
+        verdict = boundary.classify_model(model, aperture=config.aperture, depth=config.grid_depth)
+        assert seen["boundary_report"][record.index] == verdict
+        assert record.classification == verdict.classification
+
 
 def failing_on_model(monkeypatch, index):
-    """Make run_model_checks raise UnconvergedError on the model of this index."""
+    """Make the checks of the model of this index raise UnconvergedError after its classification."""
     calls = []
-    run_model_checks = suite.run_model_checks
+    julia_quotient_ray = suite.julia_quotient_ray
 
     def failing(*args, **kwargs):
         calls.append(args)
         if len(calls) == index + 1:
             raise UnconvergedError("ray solve left 1 of 17 systems unsettled")
-        return run_model_checks(*args, **kwargs)
+        return julia_quotient_ray(*args, **kwargs)
 
-    monkeypatch.setattr(suite, "run_model_checks", failing)
+    monkeypatch.setattr(suite, "julia_quotient_ray", failing)
+
+
+def assert_stream_restored(models, config, failing_index):
+    """The failing model drew its first three batches but not its standard pairs,
+    and each later model, replayed from that stream, is checked as in a clean run."""
+    rng = np.random.default_rng(config.seed)
+    for index in range(config.count):
+        model, _, _ = generate_model(index, rng, config)
+        if index > failing_index:
+            report, checks, error = suite.run_model_checks(model, rng, config)
+            assert models[index]["dim"] == model.dim and error is None
+            assert models[index]["classification"] == report.classification
+            assert models[index]["checks"] == [c.to_json() for c in checks]
+            assert len(checks) == len(CHECK_NAMES)
+            continue
+        sample_bidisk_pairs(rng, suite.IDENTITY_PAIRS)
+        sample_bidisk_batch(rng, suite.CROSS_ORACLE_SAMPLES)
+        sample_bidisk_batch(rng, suite.CONTRACTIVITY_SAMPLES)
+        if index < failing_index:
+            sample_bidisk_pairs(rng, suite.STANDARD_PAIRS)
 
 
 class TestModelError:
@@ -228,6 +274,7 @@ class TestModelError:
         assert doc["totals"]["model_error"] == {"passed": 0, "total": 1}
         # the run goes on: every later model carries its full list of checks
         assert all("error" not in m and len(m["checks"]) == len(CHECK_NAMES) for m in doc["models"][4:])
+        assert_stream_restored(doc["models"], SuiteConfig(seed=7), failing_index=3)
 
     def test_suite_command_exits_5(self, monkeypatch, capsys, tmp_path):
         failing_on_model(monkeypatch, 1)
@@ -235,6 +282,27 @@ class TestModelError:
         assert main(["suite", "--seed", "7", "--count", "2", "--out", str(out)]) == EXIT_RESIDUAL == 5
         assert "model_error: 0/1" in capsys.readouterr().err
         assert "UnconvergedError" in out.read_text()
+
+    def test_an_evaluation_error_leaves_the_model_unclassified(self, monkeypatch):
+        config = SuiteConfig(seed=7, count=8)
+        clean = run_suite(config).to_json()["models"]
+        evaluate = GeneralizedRealization.evaluate
+        calls = []
+
+        def failing(self, pts):
+            calls.append(len(pts))
+            if len(calls) == 4:
+                raise SingularResolventError("resolvent singular at lam=(0j, 0j)")
+            return evaluate(self, pts)
+
+        monkeypatch.setattr(GeneralizedRealization, "evaluate", failing)
+        doc = run_suite(config).to_json()["models"]
+        assert doc[:3] == clean[:3]
+        bad = doc[3]
+        assert bad["classification"] == "unclassified"
+        assert bad["checks"] == [{"name": "model_error", "passed": False, "worst": 1.0, "bound": 0.5}]
+        assert bad["error"] == "SingularResolventError: resolvent singular at lam=(0j, 0j)"
+        assert_stream_restored(doc, config, failing_index=3)
 
 
 def test_config_holds_only_what_callers_set():
