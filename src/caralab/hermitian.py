@@ -75,6 +75,35 @@ def opnorm(a) -> float:
     return float(np.linalg.norm(np.asarray(a, dtype=complex), 2))
 
 
+#: relative padding of the Frobenius and column-norm bounds that spare SVDs;
+#: far above the rounding error of either norm or of an SVD
+CERTIFICATE_PAD = 1e-9
+
+
+def max_opnorm(stack) -> float:
+    """Largest operator 2-norm over a (K, m, n) stack of matrices.
+
+    Bit for bit ``np.linalg.norm(stack, 2, axis=(1, 2)).max()``, with the
+    SVD taken only where it can decide the maximum.  Every column norm
+    ||G e_j|| bounds ||G||_2 from below and the Frobenius norm bounds it
+    from above, so a matrix whose Frobenius norm falls below the largest
+    column norm in the stack (with CERTIFICATE_PAD) cannot hold the
+    maximum.  The matrix holding the largest column norm always reaches
+    it and goes to the SVD.  The bounds are formed after scaling by a power
+    of two that brings the largest modulus to [1/2, 1), so that their
+    squares do not underflow; the test is written as a negation, so that
+    a NaN goes to the SVD too.
+    """
+    g = np.asarray(stack, dtype=complex)
+    _, exponent = np.frexp(np.abs(g).max())
+    re, im = np.ldexp(g.real, -exponent), np.ldexp(g.imag, -exponent)
+    squares = re * re + im * im
+    frobenius = np.sqrt(squares.sum(axis=(1, 2)))
+    floor = np.sqrt(squares.sum(axis=1)).max()
+    candidates = ~(frobenius * (1.0 + CERTIFICATE_PAD) < floor)
+    return float(np.linalg.norm(g[candidates], 2, axis=(1, 2)).max())
+
+
 @dataclass(frozen=True)
 class SpectralDecomposition:
     """A Hermitian matrix as U diag(weights) U*, with clustered eigenvalues.
@@ -125,22 +154,25 @@ def _cluster(values: np.ndarray, eigtol: float) -> list[list[int]]:
     return groups
 
 
-def spectral_decompose(a, eigtol: float = DEFAULT_EIGTOL) -> SpectralDecomposition:
-    """Spectral decomposition of a Hermitian matrix with eigenvalue clustering.
+def _hermitian_part(a, eigtol: float) -> np.ndarray:
+    """(A + A*)/2 of a square matrix whose skew part A - A* passes the rule of :func:`spectral_decompose`.
 
-    Eigenvalues within ``eigtol`` of each other form one cluster and share
-    its mean as their weight, and a cluster value within ``eigtol`` of 0 or
-    1 is snapped to the exact endpoint, so projections are recognized
-    exactly.  Clusters snapped onto the same endpoint share its eigenspace.
+    ||A - A*||_2 <= ||A - A*||_F, so the SVD behind :func:`hermitian_defect`
+    runs only for a Frobenius norm above eigtol (with CERTIFICATE_PAD).
     """
     arr = as_complex_matrix(a)
     if arr.shape[0] != arr.shape[1]:
         raise ValueError("matrix must be square")
-    defect = hermitian_defect(arr)
-    # the norm only matters for a defect above eigtol
-    if defect > eigtol and defect > 1e-14 * max(1.0, opnorm(arr)):
-        raise NotHermitianError(defect)
-    herm = (arr + arr.conj().T) / 2
+    if np.linalg.norm(arr - arr.conj().T) * (1.0 + CERTIFICATE_PAD) > eigtol:
+        defect = hermitian_defect(arr)
+        # the norm only matters for a defect above eigtol
+        if defect > eigtol and defect > 1e-14 * max(1.0, opnorm(arr)):
+            raise NotHermitianError(defect)
+    return (arr + arr.conj().T) / 2
+
+
+def _decompose(herm: np.ndarray, eigtol: float) -> SpectralDecomposition:
+    """The decomposition of :func:`spectral_decompose` of an exactly Hermitian matrix."""
     try:
         w, v = np.linalg.eigh(herm)
     except np.linalg.LinAlgError as exc:
@@ -148,13 +180,28 @@ def spectral_decompose(a, eigtol: float = DEFAULT_EIGTOL) -> SpectralDecompositi
 
     weights = np.empty(w.size)
     for group in _cluster(w, eigtol):
-        value = float(np.mean(w[group]))
+        # a singleton keeps its eigenvalue, the mean of one
+        value = float(w[group[0]]) if len(group) == 1 else float(np.mean(w[group]))
         if abs(value) <= eigtol:
             value = 0.0
         elif abs(value - 1.0) <= eigtol:
             value = 1.0
         weights[group] = value
     return SpectralDecomposition(v, weights, (float(w[0]), float(w[-1])))
+
+
+def spectral_decompose(a, eigtol: float = DEFAULT_EIGTOL) -> SpectralDecomposition:
+    """Spectral decomposition of a Hermitian matrix with eigenvalue clustering.
+
+    A matrix whose defect ||A - A*||_2 exceeds both eigtol and
+    1e-14 max(1, ||A||) is rejected; the Hermitian part (A + A*)/2 of the
+    others is decomposed.  Eigenvalues within ``eigtol`` of each other form
+    one cluster and share its mean as their weight, and a cluster value
+    within ``eigtol`` of 0 or 1 is snapped to the exact endpoint, so
+    projections are recognized exactly.  Clusters snapped onto the same
+    endpoint share its eigenspace.
+    """
+    return _decompose(_hermitian_part(a, eigtol), eigtol)
 
 
 @dataclass(frozen=True)
@@ -197,12 +244,12 @@ def validate_positive_contraction(
     excursions within eigtol onto the endpoints.  ``matrix`` stores the
     Hermitian part (A + A*)/2 as given, not clamped.
     """
-    dec = spectral_decompose(a, eigtol)
+    herm = _hermitian_part(a, eigtol)
+    dec = _decompose(herm, eigtol)
     for w in dec.eigenvalues:
         if w < 0.0 or w > 1.0:
             # snapping already absorbed excursions within eigtol
             raise SpectrumOutOfRangeError(w)
-    herm = (as_complex_matrix(a) + as_complex_matrix(a).conj().T) / 2
     return PositiveContraction(herm, dec)
 
 

@@ -61,8 +61,9 @@ DEFAULT_ISOTOL = 1e-8
 #: blocks are never snapped to a unitary even if a loose isotol admits them
 SNAP_DEFECT_MAX = 1e-6
 
-#: relative padding of ||A|| in the resolvent certificate of ``evaluate``;
-#: far above the rounding error of the norm's SVD
+#: relative padding of the bound on ||A|| in the resolvent certificate of
+#: ``evaluate``; far above the rounding error of the SVD behind the bound
+#: and of the rotation into Y's eigenbasis
 NORM_PAD = 1e-12
 
 #: default dyadic exponent range of the ray samples of the Julia rows, t = 2^-k
@@ -205,9 +206,15 @@ class GeneralizedRealization:
         self._a = u.conj().T @ colligation.a @ u
         self._b = u.conj().T @ colligation.b
         self._c = colligation.c @ u
-        # ||A'||, padded so that rounding in its SVD cannot certify a
-        # singular resolvent; see :meth:`evaluate`
-        self._a_norm = opnorm(self._a) * (1.0 + NORM_PAD)
+        # a bound on ||A'||, padded so that rounding cannot certify a singular
+        # resolvent; see :meth:`evaluate`.  A is a block of V, so
+        # ||A|| <= ||V|| = ||V*V||^(1/2) <= (1 + ||V*V - 1||)^(1/2), which
+        # for an isometric colligation is 1 up to its defect and needs no SVD
+        if self.is_isometric:
+            a_norm = math.sqrt(1.0 + self.isometry_defect)
+        else:
+            a_norm = opnorm(self._a)
+        self._a_norm = a_norm * (1.0 + NORM_PAD)
         self._boundary: tuple[RayLimit, complex] | None = None
         self._ray_block = None
 
@@ -234,10 +241,11 @@ class GeneralizedRealization:
         With m = max_i |s_i|, Weyl's inequality bounds the singular values
         of 1 - A' diag(s) by 1 - ||A'|| m from below and 1 + ||A'|| m from
         above, so a point whose lower bound exceeds twice the rule's
-        threshold at the upper bound cannot raise.  Only the other points
-        (at or next to tau, or for ||A|| > 1) get the stacked SVD.  For an
-        isometric colligation ||A|| <= 1, so every point with m below
-        1 - 1e-11 is certified.
+        threshold at the upper bound cannot raise; ||A'|| enters by an
+        upper bound.  Only the other points (at or next to tau, or for
+        ||A|| > 1) get the stacked SVD.  For an isometric colligation with
+        defect d the bound is (1 + d)^(1/2), so every point with m below
+        1 - 1e-11 - d/2 is certified.
 
         Up to ELIMINATION_MAX_DIM the systems are solved together by
         :func:`_eliminate`, with the point axis last; above it, by stacked

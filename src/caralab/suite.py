@@ -23,6 +23,7 @@ from .boundary import (
     DEFAULT_DEPTH,
     BoundaryReport,
     DerivativeTable,
+    NontangentialGrid,
     StepPlan,
     boundary_report,
     build_grid,
@@ -38,7 +39,7 @@ from .boundary import (
     standard_model_components,
 )
 from .errors import CaralabError
-from .hermitian import random_positive_contraction
+from .hermitian import max_opnorm, random_positive_contraction
 from .pencil import (
     CONTRACTIVITY_TOL,
     OperatorPencil,
@@ -210,8 +211,43 @@ PROBE_ROWS = slice(CONTRACTIVITY_ROWS.stop, CONTRACTIVITY_ROWS.stop + len(CONSTA
 STANDARD_ROWS = slice(PROBE_ROWS.stop, PROBE_ROWS.stop + 2 * STANDARD_PAIRS)
 
 
+@dataclass(frozen=True, eq=False)
+class TauGeometry:
+    """What the checks at one boundary point read that no model changes.
+
+    The nontangential grid, the N_DIRECTIONS default directions with
+    their difference steps (:func:`fd_step_plan`), and the carapoint
+    scan's points (:func:`carapoint_points`).
+    """
+
+    grid: NontangentialGrid
+    directions: np.ndarray  # (N_DIRECTIONS, 2) complex
+    plan: StepPlan
+    scan_points: np.ndarray  # (M, 2) complex
+
+
+def _tau_geometry(
+    geometries: dict[tuple, TauGeometry], tau: BoundaryPoint, config: SuiteConfig
+) -> TauGeometry:
+    """The TauGeometry of tau at config's aperture and depth, built on first use and kept in ``geometries``.
+
+    Keyed, like :func:`build_grid`, on the exact bits of tau and the aperture, and on the depth.
+    """
+    key = (np.array([tau.tau1, tau.tau2, config.aperture], dtype=complex).tobytes(), config.grid_depth)
+    geometry = geometries.get(key)
+    if geometry is None:
+        grid = build_grid(tau, config.aperture, config.grid_depth)
+        directions = np.array(default_directions(tau, N_DIRECTIONS), dtype=complex)
+        geometry = TauGeometry(grid, directions, fd_step_plan(tau, directions), carapoint_points(grid))
+        geometries[key] = geometry
+    return geometry
+
+
 def run_model_checks(
-    model: GeneralizedRealization, rng: np.random.Generator, config: SuiteConfig
+    model: GeneralizedRealization,
+    rng: np.random.Generator,
+    config: SuiteConfig,
+    geometries: dict[tuple, TauGeometry],
 ) -> tuple[BoundaryReport | None, list[CheckOutcome], str | None]:
     """Classify one validated model and run every invariant check on it.
 
@@ -226,7 +262,11 @@ def run_model_checks(
     model-identity pairs, the contractivity sample, the constancy probes,
     the standard-model pairs, the carapoint scan's grid and deeper ray
     tail (:func:`carapoint_points`), and the distinct difference steps
-    (:func:`fd_step_plan`).  Cores that take an evaluation read its slices:
+    (:func:`fd_step_plan`).  The grid, the directions, their steps and the
+    scan's points depend on tau, the aperture and the depth alone: they
+    are built for the first model at each tau and kept in ``geometries``
+    (a dict the caller owns; :func:`run_suite` keeps one per run), which
+    later models at that tau read.  Cores that take an evaluation read its slices:
     the carapoint scan, the verdict (:func:`boundary_report`), the
     difference quotients (:func:`fd_limits`) and the standard model, whose
     bound reads the grid's slice.  An error from the evaluation leaves the
@@ -237,26 +277,25 @@ def run_model_checks(
     classify_model checks before it evaluates (the ray limit, the grid)
     comes before every draw, and an error after the standard-model draw
     restores the stream to where it was before it, so a model whose checks
-    raise draws what it drew when the checks ran one after another.
+    raise draws what it drew when the checks ran one after another.  The
+    geometry is looked up, or built, where classify_model builds its grid.
     """
     report, before_standard = None, None
     try:
         converged_ray(model)
-        grid = build_grid(model.tau, config.aperture, config.grid_depth)
+        geometry = _tau_geometry(geometries, model.tau, config)
         lam, mu = sample_bidisk_pairs(rng, IDENTITY_PAIRS)
         oracle_pts = sample_bidisk_batch(rng, CROSS_ORACLE_SAMPLES)
         scan_pts = sample_bidisk_batch(rng, CONTRACTIVITY_SAMPLES)
         before_standard = rng.bit_generator.state
         std_lam, std_mu = sample_bidisk_pairs(rng, STANDARD_PAIRS)
 
-        directions = np.array(default_directions(model.tau, N_DIRECTIONS), dtype=complex)
-        plan = fd_step_plan(model.tau, directions)
-        cara = carapoint_points(grid)
-        points = np.concatenate([lam, mu, scan_pts, CONSTANT_PROBES, std_lam, std_mu, cara, plan.points])
+        grid, cara = geometry.grid, geometry.scan_points
+        points = np.concatenate([lam, mu, scan_pts, CONSTANT_PROBES, std_lam, std_mu, cara, geometry.plan.points])
         evaluation = model.evaluate(points)
         rows = slice(STANDARD_ROWS.stop, STANDARD_ROWS.stop + len(cara))
         report = boundary_report(model, grid, carapoint_scan(grid, cara, evaluation[2][rows]))
-        checks = _checks(model, config, report, points, evaluation, oracle_pts, directions, plan)
+        checks = _checks(model, config, report, points, evaluation, oracle_pts, geometry)
         error = None
     except CaralabError as exc:
         if before_standard is not None:
@@ -280,8 +319,7 @@ def _checks(
     points: np.ndarray,
     evaluation: tuple[np.ndarray, np.ndarray, np.ndarray],
     oracle_pts: np.ndarray,
-    directions: np.ndarray,
-    plan: StepPlan,
+    geometry: TauGeometry,
 ) -> list[CheckOutcome]:
     """The invariant checks of :func:`run_model_checks`, from ``evaluation = model.evaluate(points)``."""
     checks: list[CheckOutcome] = []
@@ -298,7 +336,7 @@ def _checks(
 
     # the kernel's pencil agrees with a direct solve of its denominator
     gap = i_y_spectral_form(model.pencil, oracle_pts) - i_y_eval(model.pencil, oracle_pts)
-    record("pencil_cross_oracle", np.linalg.norm(gap, 2, axis=(1, 2)).max(), CROSS_ORACLE_TOL)
+    record("pencil_cross_oracle", max_opnorm(gap), CROSS_ORACLE_TOL)
 
     # contractivity of the pencil and of phi; the pencil is normal, so its
     # norm is the largest modulus of its eigenvalues
@@ -310,18 +348,18 @@ def _checks(
     julia = julia_quotient_ray(model)
     record("julia_identity", max(r.residual for r in julia), JULIA_TOL)
 
-    # extrapolated Caratheodory quotient against the ray limit of v
-    ray = model.v_at_tau()
-    if ray.converged:
-        alpha_target = float(np.linalg.norm(ray.value)) ** 2
-        record("alpha_vs_vtau", abs(report.alpha - alpha_target), ALPHA_TOL)
-        if not _is_constant(phi[PROBE_ROWS]):
-            # nonconstant realizations must carry a genuine carapoint
-            record("alpha_positive", 0.0 if alpha_target > 1e-10 else 1.0, 0.5)
+    # extrapolated Caratheodory quotient against the ray limit of v, which
+    # converged: run_model_checks raised before the checks otherwise
+    alpha_target = float(np.linalg.norm(model.v_at_tau().value)) ** 2
+    record("alpha_vs_vtau", abs(report.alpha - alpha_target), ALPHA_TOL)
+    if not _is_constant(phi[PROBE_ROWS]):
+        # nonconstant realizations must carry a genuine carapoint
+        record("alpha_positive", 0.0 if alpha_target > 1e-10 else 1.0, 0.5)
     record("carapoint_detected", 0.0 if report.carapoint else 1.0, 0.5)
 
     # analytic and finite-difference derivatives agree; the difference
     # steps are the evaluation's last rows
+    directions, plan = geometry.directions, geometry.plan
     analytic = derivative_model(model, directions)
     fd = fd_limits(plan, phi[len(phi) - len(plan.points) :], model.phi_at_tau())
     record("derivative_agreement", DerivativeTable(directions, analytic, fd).agreement(), DERIVATIVE_TOL)
@@ -347,15 +385,17 @@ def run_suite(config: SuiteConfig) -> SuiteReport:
 
     A CaralabError raised while classifying or checking one model is
     recorded on that model (see :func:`run_model_checks`); the run goes on
-    with the next model.
+    with the next model.  The geometry at each boundary point
+    (:class:`TauGeometry`) is built once per run and shared by its models.
     """
     if config.count < 1:
         raise ValueError("count must be >= 1")
     rng = np.random.default_rng(config.seed)
     records: list[ModelRecord] = []
+    geometries: dict[tuple, TauGeometry] = {}
     for index in range(config.count):
         model, kind, tau_label = generate_model(index, rng, config)
-        report, checks, error = run_model_checks(model, rng, config)
+        report, checks, error = run_model_checks(model, rng, config, geometries)
         classification = "unclassified" if report is None else report.classification
         records.append(ModelRecord(index, model.dim, kind, tau_label, classification, checks, error))
     return SuiteReport(config.seed, config.count, records)

@@ -2,8 +2,11 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from caralab import hermitian
+from caralab.hermitian import max_opnorm
 from caralab import (
     NotHermitianError,
     SingularCalculusError,
@@ -94,6 +97,52 @@ class TestSpectralDecompose:
         with pytest.raises(NotHermitianError):
             spectral_decompose([[0.0, 1.0], [0.0, 0.0]], EIGTOL)
         assert len(calls) == 1
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.integers(1, 8),
+        seed=st.integers(0, 2**32 - 1),
+        ratio=st.floats(0.25, 4.0),
+        rank_one=st.booleans(),
+    )
+    def test_frobenius_certificate_keeps_the_svd_rule(self, n, seed, ratio, rank_one):
+        # a skew part of 2-norm ratio * eigtol, full or of rank one (where the
+        # Frobenius norm equals the 2-norm): accepted exactly when the SVD rule accepts
+        rng = np.random.default_rng(seed)
+        if rank_one:
+            u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            skew = 1j * np.outer(u, u.conj())
+        else:
+            g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            skew = g - g.conj().T
+        y = random_positive_contraction(n, rng).matrix
+        a = y + skew * (0.5 * ratio * EIGTOL / opnorm(skew))
+        defect = hermitian_defect(a)
+        for decompose in (spectral_decompose, validate_positive_contraction):
+            if defect > max(EIGTOL, 1e-14 * max(1.0, opnorm(a))):
+                with pytest.raises(NotHermitianError) as err:
+                    decompose(a, EIGTOL)
+                assert err.value.defect == defect
+            else:
+                decompose(a, EIGTOL)
+
+    def test_no_svd_for_a_hermitian_matrix(self, monkeypatch, rng):
+        calls = []
+        defect = hermitian.hermitian_defect
+        monkeypatch.setattr(hermitian, "hermitian_defect", lambda a: calls.append(a) or defect(a))
+        y = random_positive_contraction(6, rng)
+        spectral_decompose(y.matrix)
+        assert calls == []
+        # validate_positive_contraction keeps the Hermitian part it decomposed
+        a = y.matrix + 1e-12 * np.triu(np.ones((6, 6)), 1)
+        assert same_bits(validate_positive_contraction(a).matrix, (a + a.conj().T) / 2)
+        assert calls == []
+
+    def test_singleton_clusters_keep_their_eigenvalue(self):
+        a = np.diag([0.1, 0.1 + 1e-12, 0.4, 0.7]) + 0j
+        dec = spectral_decompose(a, EIGTOL)
+        w = np.linalg.eigvalsh(a)
+        assert dec.weights.tolist() == [float(np.mean(w[:2]))] * 2 + [w[2], w[3]]
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     @pytest.mark.parametrize("n", [2, 5, 8])
@@ -230,3 +279,76 @@ class TestJson:
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
             matrix_to_json(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def svd_max_norm(stack) -> float:
+    return float(np.linalg.norm(stack, 2, axis=(1, 2)).max())
+
+
+class TestMaxOpnorm:
+    """max_opnorm is bit for bit the largest 2-norm of the stack's SVDs."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_random_stacks(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(50):
+            g = rng.standard_normal((40, n, n)) + 1j * rng.standard_normal((40, n, n))
+            # scales spread over twenty decades, as the gaps of a cross-oracle
+            g *= 10.0 ** rng.uniform(-20.0, 0.0, size=(40, 1, 1))
+            assert max_opnorm(g) == svd_max_norm(g)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_rank_one_stacks(self, n):
+        # Frobenius norm and 2-norm coincide
+        rng = np.random.default_rng(10 + n)
+        for scale in (1.0, 1e-16, 1e-200, 1e200):
+            u = rng.standard_normal((40, n, 1)) + 1j * rng.standard_normal((40, n, 1))
+            v = rng.standard_normal((40, 1, n)) + 1j * rng.standard_normal((40, 1, n))
+            g = scale * (u @ v)
+            assert max_opnorm(g) == svd_max_norm(g)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_zero_stacks(self, n):
+        g = np.zeros((40, n, n), dtype=complex)
+        assert max_opnorm(g) == svd_max_norm(g) == 0.0
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_largest_frobenius_norm_is_not_the_largest_2_norm(self, n):
+        # the identity has Frobenius norm n^(1/2) and 2-norm 1; 1.2 e1 e1*
+        # has both equal to 1.2
+        rng = np.random.default_rng(20 + n)
+        g = 1e-3 * (rng.standard_normal((40, n, n)) + 1j * rng.standard_normal((40, n, n)))
+        g[7] = np.eye(n)
+        g[23] = 0.0
+        g[23, 0, 0] = 1.2
+        frobenius = np.linalg.norm(g, axis=(1, 2))
+        two = np.linalg.norm(g, 2, axis=(1, 2))
+        assert np.argmax(frobenius) == 7 and np.argmax(two) == 23
+        assert max_opnorm(g) == svd_max_norm(g) == 1.2
+
+    def test_subnormal_squares_do_not_decide(self):
+        # near 1e-158 the squares are subnormal and lose the 1e-8 gap between
+        # these two columns; unscaled, the bounds would drop the larger one
+        g = np.zeros((2, 2, 2), dtype=complex)
+        g[0, :, 0] = [1.4628678091292718e-158, 1.2867688654485352e-158]
+        g[1, :, 0] = [1.2867687957446956e-158, 1.4628678662695045e-158]
+        assert max_opnorm(g) == svd_max_norm(g)
+
+    def test_only_candidates_go_to_the_svd(self, monkeypatch):
+        seen = []
+        norm = np.linalg.norm
+
+        def recording(x, *args, **kwargs):
+            seen.append(len(x))
+            return norm(x, *args, **kwargs)
+
+        g = np.zeros((40, 3, 3), dtype=complex)
+        g[:, 0, 0] = np.arange(40) * 1e-16
+        monkeypatch.setattr(np.linalg, "norm", recording)
+        assert max_opnorm(g) == 39e-16
+        assert seen == [1]

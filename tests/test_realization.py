@@ -80,8 +80,27 @@ class TestColligation:
         col = validate_colligation(random_colligation(3, rng).block)
         m = GeneralizedRealization(OperatorPencil(y, TAU_11), col)
         assert m.isometry_defect == col.isometry_defect()
-        # one SVD for the isometry defect, one for ||A'||
-        assert len(calls) == 2
+        # one SVD for the isometry defect; ||A'|| of an isometric colligation
+        # is bounded by it
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 6, 7, 8, 64])
+    def test_norm_bound_of_an_isometric_colligation(self, dim):
+        # ||A'|| <= (1 + ||V*V - 1||)^(1/2), padded, with no SVD of A'
+        rng = np.random.default_rng(dim)
+        for _ in range(20 if dim <= 8 else 3):
+            y = random_positive_contraction(dim, rng)
+            m = GeneralizedRealization(OperatorPencil(y, TAU_11), random_colligation(dim, rng))
+            assert m.is_isometric
+            assert m._a_norm >= opnorm(m._a)
+            assert m._a_norm == math.sqrt(1.0 + m.isometry_defect) * (1.0 + realization.NORM_PAD)
+
+    def test_norm_of_a_non_isometric_colligation_from_its_svd(self, rng):
+        y = random_positive_contraction(3, rng)
+        col = Colligation(0.5 * random_colligation(3, rng).block)
+        m = GeneralizedRealization(OperatorPencil(y, TAU_11), col)
+        assert not m.is_isometric
+        assert m._a_norm == opnorm(m._a) * (1.0 + realization.NORM_PAD)
 
 
 class TestSwapColligation:

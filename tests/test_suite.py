@@ -8,6 +8,8 @@ import pytest
 
 from caralab import (
     GeneralizedRealization,
+    hermitian,
+    realization,
     SingularResolventError,
     UnconvergedError,
     boundary,
@@ -107,6 +109,9 @@ EVALUATIONS_PER_MODEL = 1
 EVALUATED_POINTS_MAX = 1279
 DERIVATIVE_MODEL_CALLS_MAX = 2
 AS_POINTS_CALLS_MAX = 904 / 50
+#: share of the cross-oracle's gaps that go to the SVD (all of them before
+#: the Frobenius certificate)
+CROSS_ORACLE_SVD_SHARE_MAX = 0.25
 
 
 def count_calls(monkeypatch, counts, fn):
@@ -116,7 +121,7 @@ def count_calls(monkeypatch, counts, fn):
         counts[fn.__name__] += 1
         return fn(*args, **kwargs)
 
-    for name in ("", ".points", ".boundary", ".pencil", ".realization", ".scalar_family", ".suite", ".cli"):
+    for name in ("", ".points", ".hermitian", ".boundary", ".pencil", ".realization", ".scalar_family", ".suite", ".cli"):
         module = importlib.import_module(f"caralab{name}")
         if getattr(module, fn.__name__, None) is fn:
             monkeypatch.setattr(module, fn.__name__, counting)
@@ -141,6 +146,22 @@ def test_calls_per_model_do_not_grow_with_directions_or_points(monkeypatch):
         return svd(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    norm = np.linalg.norm
+
+    def counting_norm(x, *args, **kwargs):
+        if sys._getframe(1).f_code.co_name == "max_opnorm" and args[:1] == (2,):
+            counts["cross-oracle SVD matrices"] += len(x)
+        return norm(x, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", counting_norm)
+    opnorm = realization.opnorm
+
+    def counting_opnorm(a):
+        counts[f"opnorm in {sys._getframe(1).f_code.co_name}"] += 1
+        return opnorm(a)
+
+    monkeypatch.setattr(realization, "opnorm", counting_opnorm)
+    count_calls(monkeypatch, counts, hermitian.hermitian_defect)
     report = run_suite(SuiteConfig(seed=7))
     models = len(report.records)
     assert models == 50 and report.passed
@@ -150,15 +171,36 @@ def test_calls_per_model_do_not_grow_with_directions_or_points(monkeypatch):
     assert counts["as_points"] <= AS_POINTS_CALLS_MAX * models
     # the cross-oracle's interior points are all certified nonsingular
     assert counts["svd in i_y_eval"] == 0
+    # certificates in place of SVDs that only decide a threshold: Y is
+    # Hermitian by construction, ||A'|| of an isometric colligation is
+    # bounded by its defect, and of the cross-oracle's 40 gaps per model
+    # only those whose Frobenius norm reaches the largest column norm get
+    # an SVD (410 of 2,000)
+    assert counts["hermitian_defect"] == 0
+    assert counts["opnorm in __init__"] == 0
+    assert counts["opnorm in _isometry_defect"] == models
+    assert 0 < counts["cross-oracle SVD matrices"] <= CROSS_ORACLE_SVD_SHARE_MAX * suite.CROSS_ORACLE_SAMPLES * models
 
 
 def test_one_grid_build_per_boundary_point(monkeypatch):
+    # and one set of directions, difference steps and scan points: the
+    # geometry at tau is built once per run, for its first model
     monkeypatch.setattr(boundary, "_GRIDS", {})
-    builds = []
+    counts = collections.Counter()
     build = boundary._build_grid
-    monkeypatch.setattr(boundary, "_build_grid", lambda *args: builds.append(args) or build(*args))
-    run_suite(SuiteConfig(seed=7, count=12))
-    assert len(builds) == len(SUITE_TAUS)
+    monkeypatch.setattr(boundary, "_build_grid", lambda *args: counts.update(["grid"]) or build(*args))
+    for name in ("fd_step_plan", "carapoint_points"):
+
+        def counting(*args, fn=getattr(suite, name), name=name):
+            counts[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(suite, name, counting)
+    run_suite(SuiteConfig(seed=7))
+    assert counts == {"grid": len(SUITE_TAUS), "fd_step_plan": len(SUITE_TAUS), "carapoint_points": len(SUITE_TAUS)}
+    # no geometry outlives its run
+    run_suite(SuiteConfig(seed=7, count=2))
+    assert counts["fd_step_plan"] == counts["carapoint_points"] == len(SUITE_TAUS) + 2
 
 
 def same_bits(a, b) -> bool:
@@ -168,7 +210,7 @@ def same_bits(a, b) -> bool:
 
 def test_batched_checks_equal_the_public_routes(monkeypatch):
     """The suite's batched arrays, cores and worst values are those of the public functions on the same draws."""
-    seen = collections.defaultdict(list)
+    seen, arguments = collections.defaultdict(list), collections.defaultdict(list)
     cores = (
         "model_identity_defect", "standard_identity_defect", "standard_model_components",
         "carapoint_scan", "fd_limits", "boundary_report",
@@ -176,6 +218,7 @@ def test_batched_checks_equal_the_public_routes(monkeypatch):
     for name in cores:
 
         def recording(*args, fn=getattr(suite, name), name=name):
+            arguments[name].append(args)
             seen[name].append(fn(*args))
             return seen[name][-1]
 
@@ -209,9 +252,15 @@ def test_batched_checks_equal_the_public_routes(monkeypatch):
         # the margin below the bound, not a floor of 0.0
         assert worst["standard_model_bound"] == excess.max() < 0.0
 
-        # the cores on the suite's slices of its one evaluation
+        # the cores on the suite's slices of its one evaluation; the scan's
+        # points and the difference steps, shared by the models at one tau,
+        # are those of fresh builds
         assert seen["carapoint_scan"][record.index] == boundary.detect_carapoint(model.phi, grid)
+        assert same_bits(arguments["carapoint_scan"][record.index][1], boundary.carapoint_points(grid))
         directions = np.array(boundary.default_directions(model.tau, suite.N_DIRECTIONS))
+        plan = arguments["fd_limits"][record.index][0]
+        fresh = boundary.fd_step_plan(model.tau, directions)
+        assert all(same_bits(getattr(plan, f), getattr(fresh, f)) for f in ("schedules", "points", "index"))
         fd = boundary.derivative_fd(model.phi, model.tau, directions, phi_tau=model.phi_at_tau())
         assert same_bits(seen["fd_limits"][record.index], fd)
         verdict = boundary.classify_model(model, aperture=config.aperture, depth=config.grid_depth)
@@ -237,10 +286,11 @@ def assert_stream_restored(models, config, failing_index):
     """The failing model drew its first three batches but not its standard pairs,
     and each later model, replayed from that stream, is checked as in a clean run."""
     rng = np.random.default_rng(config.seed)
+    geometries = {}
     for index in range(config.count):
         model, _, _ = generate_model(index, rng, config)
         if index > failing_index:
-            report, checks, error = suite.run_model_checks(model, rng, config)
+            report, checks, error = suite.run_model_checks(model, rng, config, geometries)
             assert models[index]["dim"] == model.dim and error is None
             assert models[index]["classification"] == report.classification
             assert models[index]["checks"] == [c.to_json() for c in checks]

@@ -4,8 +4,10 @@ Runs :func:`caralab.suite.run_suite` for every seed and prints each
 failing model as seed/index, with its failing checks (worst against
 bound) and the error that stopped it, then the tightest passing margin
 (worst / bound, see :func:`margin`) of each check and the model where it
-occurred.  The
-census of seeds 1-200 at 50 models each (10,000 models) takes a few
+occurred, and one md5 over the suite JSON of every seed run
+(``json.dumps(report.to_json(), sort_keys=True)``, seed after seed), so
+that two versions of caralab can be shown to give byte-identical reports.
+The census of seeds 1-200 at 50 models each (10,000 models) takes a few
 minutes; it is not part of the test suite.
 
     PYTHONPATH=src python tools/census.py --seeds 1-200 [--count 50]
@@ -16,6 +18,8 @@ Seeds are a comma-separated list of numbers and inclusive ranges a-b.
 from __future__ import annotations
 
 import argparse
+import hashlib
+import json
 from dataclasses import dataclass, field
 
 from caralab.suite import CheckOutcome, ModelRecord, SuiteConfig, run_suite
@@ -29,6 +33,8 @@ class Census:
     failures: list[tuple[int, ModelRecord]] = field(default_factory=list)
     #: check name -> (margin, seed, index) of its tightest pass; see :func:`margin`
     tightest: dict[str, tuple[float, int, int]] = field(default_factory=dict)
+    #: md5 over the sorted-key JSON of each seed's report, in seed order
+    digest: hashlib._Hash = field(default_factory=hashlib.md5)
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -43,7 +49,9 @@ def parse_seeds(text: str) -> list[int]:
 def run_census(seeds, count: int = 50) -> Census:
     census = Census()
     for seed in seeds:
-        for record in run_suite(SuiteConfig(seed=seed, count=count)).records:
+        report = run_suite(SuiteConfig(seed=seed, count=count))
+        census.digest.update(json.dumps(report.to_json(), sort_keys=True).encode())
+        for record in report.records:
             census.models += 1
             if not record.passed:
                 census.failures.append((seed, record))
@@ -66,7 +74,7 @@ def margin(record: ModelRecord, check: CheckOutcome) -> float:
 
 
 def format_census(census: Census) -> str:
-    lines = [f"{census.models} models, {len(census.failures)} failing"]
+    lines = [f"{census.models} models, {len(census.failures)} failing", f"suite JSON md5 {census.digest.hexdigest()}"]
     for seed, record in census.failures:
         failed = ", ".join(f"{c.name} (worst {c.worst:.3g}, bound {c.bound:.3g})" for c in record.checks if not c.passed)
         lines.append(
