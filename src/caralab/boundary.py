@@ -17,7 +17,7 @@ its slice.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import Callable, Sequence
 
 import numpy as np
@@ -54,12 +54,6 @@ FD_STEPS = 15
 #: aperture of the nontangential cone and depth of its dyadic grid
 DEFAULT_APERTURE = 2.0
 DEFAULT_DEPTH = 12
-
-#: most grids :func:`build_grid` keeps; the oldest is dropped first
-GRID_MEMO_SIZE = 16
-
-#: built grids, keyed on the exact bits of (tau, aperture) and the depth
-_GRIDS: dict[tuple, NontangentialGrid] = {}
 
 
 def satisfies_aperture(tau, lam, aperture: float, slack: float = 0.0):
@@ -104,9 +98,7 @@ def build_grid(
     Contains the radial ray (1 - 2^-k) tau, radial scalings with per-
     coordinate speed ratios down to 1/aperture, and (for aperture > 1)
     angular detours; every stored point satisfies the aperture inequality
-    exactly.  The grid is read-only, so equal arguments share one: it is
-    memoized on the exact bits of tau and aperture (0.0 and -0.0 differ)
-    and on the depth, for the last GRID_MEMO_SIZE arguments.
+    exactly.  The grid is read-only.
     """
     if not (math.isfinite(aperture) and aperture >= 1.0):
         raise BadApertureError(f"aperture {aperture!r} is not a finite number >= 1")
@@ -114,17 +106,6 @@ def build_grid(
         # beyond 2^-48 the schedule is within a few ulp of the boundary
         raise ValueError("depth must lie in 1..48")
     tau = BoundaryPoint(*tau)
-    key = (np.array([tau.tau1, tau.tau2, aperture], dtype=complex).tobytes(), type(depth), depth)
-    grid = _GRIDS.get(key)
-    if grid is None:
-        grid = _build_grid(tau, aperture, depth)
-        if len(_GRIDS) >= GRID_MEMO_SIZE:
-            del _GRIDS[next(iter(_GRIDS))]
-        _GRIDS[key] = grid
-    return grid
-
-
-def _build_grid(tau: BoundaryPoint, aperture: float, depth: int) -> NontangentialGrid:
     t1, t2 = tau
     ts = np.ldexp(1.0, -np.arange(1, depth + 1))  # exactly 2^-k
 
@@ -528,11 +509,10 @@ class BoundaryReport:
     cross_check_ok: bool
     defect_bound: float  # the threshold cross_check_ok judged the defect against, not reported
     quotient_max: float
-    grid: NontangentialGrid = field(repr=False, compare=False)  # the scanned grid, not reported
 
     def to_json(self) -> dict:
-        """Every field but the grid and the defect bound, with phi_tau as [re, im]."""
-        doc = {f.name: getattr(self, f.name) for f in fields(self) if f.name not in ("grid", "defect_bound")}
+        """Every field but the defect bound, with phi_tau as [re, im]."""
+        doc = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "defect_bound"}
         return doc | {"phi_tau": [self.phi_tau.real, self.phi_tau.imag]}
 
 
@@ -579,20 +559,17 @@ def classify_model(
     """Classify a generalized model by the geometry of its ray limit.
 
     Checks that the ray limit converged, builds the grid, scans it
-    (:func:`detect_carapoint`) and hands both to :func:`boundary_report`.
+    (:func:`detect_carapoint`) and hands the scan to :func:`boundary_report`.
     """
     converged_ray(model)
     grid = build_grid(model.tau, aperture, depth)
-    return boundary_report(model, grid, detect_carapoint(model.phi, grid), class_tol)
+    return boundary_report(model, detect_carapoint(model.phi, grid), class_tol)
 
 
 def boundary_report(
-    model: GeneralizedRealization,
-    grid: NontangentialGrid,
-    scan: CarapointScan,
-    class_tol: float = DEFAULT_CLASS_TOL,
+    model: GeneralizedRealization, scan: CarapointScan, class_tol: float = DEFAULT_CLASS_TOL
 ) -> BoundaryReport:
-    """The verdict of :func:`classify_model` from the model's carapoint scan of the grid.
+    """The verdict of :func:`classify_model` from the model's carapoint scan.
 
     The classification is :func:`classify_ray` of v_tau.  The linearity
     defect of :func:`derivative_model`, which reads the same v_tau and
@@ -625,5 +602,4 @@ def boundary_report(
         cross_check_ok=cross_check_ok,
         defect_bound=defect_bound,
         quotient_max=scan.quotient_max,
-        grid=grid,
     )

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -338,14 +339,22 @@ def _option(*flags, **kwargs):
     return flags, kwargs
 
 
+def tolerance(text: str) -> float:
+    """The value of a tolerance option: a finite number >= 0, else argparse exits 2."""
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number >= 0")
+    return value
+
+
 # options of several subcommands; each default is the library value it overrides
 _MODEL = _option("model", help="path to the model JSON file")
 _OUT = _option("--out", help="write the JSON report here instead of stdout")
 _CSV = _option("--csv", help="base path for CSV tables (suffixes are appended)")
 _SEED = _option("--seed", type=int, default=SuiteConfig.seed, help="seed for randomized checks")
-_EIGTOL = _option("--eigtol", type=float, default=DEFAULT_EIGTOL)
-_ISOTOL = _option("--isotol", type=float, default=DEFAULT_ISOTOL)
-_RESIDUAL_TOL = _option("--residual-tol", type=float, default=SuiteConfig.residual_tol)
+_EIGTOL = _option("--eigtol", type=tolerance, default=DEFAULT_EIGTOL)
+_ISOTOL = _option("--isotol", type=tolerance, default=DEFAULT_ISOTOL)
+_RESIDUAL_TOL = _option("--residual-tol", type=tolerance, default=SuiteConfig.residual_tol)
 _APERTURE = _option("--aperture", "-c", type=float, default=DEFAULT_APERTURE)
 _DEPTH = _option("--depth", type=int, default=DEFAULT_DEPTH)
 _RAY_EXPONENTS = _option(
@@ -379,7 +388,7 @@ COMMANDS = {
         "classify a model at its boundary point",
         (
             _MODEL, _OUT, _CSV, _EIGTOL, _ISOTOL,
-            _option("--class-tol", type=float, default=DEFAULT_CLASS_TOL),
+            _option("--class-tol", type=tolerance, default=DEFAULT_CLASS_TOL),
             _APERTURE, _DEPTH,
         ),
     ),

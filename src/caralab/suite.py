@@ -7,7 +7,7 @@ model identities, pencil cross-oracle agreement, contractivity, the Julia
 ray identity, analytic against finite-difference derivatives, nontangential
 bounds, and consistency of the geometric classification with the linearity
 defect.  Each model's points, random and fixed, are evaluated together in
-one call of ``GeneralizedRealization.evaluate``, whose slices go to the
+one call of ``GeneralizedRealization.evaluate``, whose parts go to the
 cores behind the public checks (see :func:`run_model_checks`).  All
 randomness flows from one seed, so reports are reproducible byte-for-byte.
 """
@@ -202,13 +202,11 @@ def _is_constant(values: np.ndarray) -> bool:
     return np.abs(values - values[0]).max() < 1e-12
 
 
-#: where each part of a model's one evaluation sits: the identity pairs,
-#: the contractivity sample, the constancy probes and the standard-model
-#: pairs; the carapoint scan's points and the difference steps follow
-IDENTITY_ROWS = slice(0, 2 * IDENTITY_PAIRS)
-CONTRACTIVITY_ROWS = slice(IDENTITY_ROWS.stop, IDENTITY_ROWS.stop + CONTRACTIVITY_SAMPLES)
-PROBE_ROWS = slice(CONTRACTIVITY_ROWS.stop, CONTRACTIVITY_ROWS.stop + len(CONSTANT_PROBES))
-STANDARD_ROWS = slice(PROBE_ROWS.stop, PROBE_ROWS.stop + 2 * STANDARD_PAIRS)
+#: the parts of a model's one evaluation, in the order of its points: the
+#: identity pairs, the contractivity sample, the constancy probes, the
+#: standard-model pairs, the carapoint scan's points (the grid's first)
+#: and the difference steps
+PARTS = ("identity", "contractivity", "probes", "standard", "scan", "steps")
 
 
 @dataclass(frozen=True, eq=False)
@@ -216,38 +214,37 @@ class TauGeometry:
     """What the checks at one boundary point read that no model changes.
 
     The nontangential grid, the N_DIRECTIONS default directions with
-    their difference steps (:func:`fd_step_plan`), and the carapoint
-    scan's points (:func:`carapoint_points`).
+    their difference steps (:func:`fd_step_plan`), the carapoint scan's
+    points (:func:`carapoint_points`), and the rows of each of PARTS in
+    the evaluation of a model at that point.
     """
 
     grid: NontangentialGrid
     directions: np.ndarray  # (N_DIRECTIONS, 2) complex
     plan: StepPlan
     scan_points: np.ndarray  # (M, 2) complex
+    rows: dict[str, slice]
 
 
-def _tau_geometry(
-    geometries: dict[tuple, TauGeometry], tau: BoundaryPoint, config: SuiteConfig
-) -> TauGeometry:
-    """The TauGeometry of tau at config's aperture and depth, built on first use and kept in ``geometries``.
-
-    Keyed, like :func:`build_grid`, on the exact bits of tau and the aperture, and on the depth.
-    """
-    key = (np.array([tau.tau1, tau.tau2, config.aperture], dtype=complex).tobytes(), config.grid_depth)
-    geometry = geometries.get(key)
-    if geometry is None:
-        grid = build_grid(tau, config.aperture, config.grid_depth)
-        directions = np.array(default_directions(tau, N_DIRECTIONS), dtype=complex)
-        geometry = TauGeometry(grid, directions, fd_step_plan(tau, directions), carapoint_points(grid))
-        geometries[key] = geometry
-    return geometry
+def tau_geometry(tau: BoundaryPoint, config: SuiteConfig) -> TauGeometry:
+    """The TauGeometry of tau at config's aperture and depth."""
+    grid = build_grid(tau, config.aperture, config.grid_depth)
+    directions = np.array(default_directions(tau, N_DIRECTIONS), dtype=complex)
+    plan, scan_points = fd_step_plan(tau, directions), carapoint_points(grid)
+    sizes = (
+        2 * IDENTITY_PAIRS, CONTRACTIVITY_SAMPLES, len(CONSTANT_PROBES), 2 * STANDARD_PAIRS,
+        len(scan_points), len(plan.points),
+    )
+    ends = np.cumsum(sizes).tolist()
+    rows = {name: slice(end - size, end) for name, size, end in zip(PARTS, sizes, ends)}
+    return TauGeometry(grid, directions, plan, scan_points, rows)
 
 
 def run_model_checks(
     model: GeneralizedRealization,
     rng: np.random.Generator,
     config: SuiteConfig,
-    geometries: dict[tuple, TauGeometry],
+    geometry: TauGeometry,
 ) -> tuple[BoundaryReport | None, list[CheckOutcome], str | None]:
     """Classify one validated model and run every invariant check on it.
 
@@ -258,43 +255,39 @@ def run_model_checks(
     of ``carapoint_detected``); the ``classification_cross_check`` of a
     classified model always comes last.
 
-    Every point is evaluated once, in one call of ``model.evaluate``: the
+    Every point is evaluated once, in one call of ``model.evaluate``, and
+    the checks read it by PARTS, at the rows ``geometry.rows``: the
     model-identity pairs, the contractivity sample, the constancy probes,
     the standard-model pairs, the carapoint scan's grid and deeper ray
     tail (:func:`carapoint_points`), and the distinct difference steps
     (:func:`fd_step_plan`).  The grid, the directions, their steps and the
-    scan's points depend on tau, the aperture and the depth alone: they
-    are built for the first model at each tau and kept in ``geometries``
-    (a dict the caller owns; :func:`run_suite` keeps one per run), which
-    later models at that tau read.  Cores that take an evaluation read its slices:
-    the carapoint scan, the verdict (:func:`boundary_report`), the
-    difference quotients (:func:`fd_limits`) and the standard model, whose
-    bound reads the grid's slice.  An error from the evaluation leaves the
-    model unclassified.
+    scan's points come from ``geometry``, the :func:`tau_geometry` of the
+    model's tau.  Cores that take an evaluation read its parts: the
+    carapoint scan, the verdict (:func:`boundary_report`), the difference
+    quotients (:func:`fd_limits`) and the standard model, whose bound
+    reads the grid's rows at the head of the scan part.  An error from the
+    evaluation leaves the model unclassified.
 
     The random draws keep their order: the identity pairs, the cross-oracle
     points, the contractivity sample, then the standard-model pairs.  What
-    classify_model checks before it evaluates (the ray limit, the grid)
-    comes before every draw, and an error after the standard-model draw
-    restores the stream to where it was before it, so a model whose checks
-    raise draws what it drew when the checks ran one after another.  The
-    geometry is looked up, or built, where classify_model builds its grid.
+    classify_model checks before it evaluates (the ray limit) comes before
+    every draw, and an error after the standard-model draw restores the
+    stream to where it was before it, so a model whose checks raise draws
+    what it drew when the checks ran one after another.
     """
     report, before_standard = None, None
     try:
         converged_ray(model)
-        geometry = _tau_geometry(geometries, model.tau, config)
         lam, mu = sample_bidisk_pairs(rng, IDENTITY_PAIRS)
         oracle_pts = sample_bidisk_batch(rng, CROSS_ORACLE_SAMPLES)
         scan_pts = sample_bidisk_batch(rng, CONTRACTIVITY_SAMPLES)
         before_standard = rng.bit_generator.state
         std_lam, std_mu = sample_bidisk_pairs(rng, STANDARD_PAIRS)
 
-        grid, cara = geometry.grid, geometry.scan_points
+        cara = geometry.scan_points
         points = np.concatenate([lam, mu, scan_pts, CONSTANT_PROBES, std_lam, std_mu, cara, geometry.plan.points])
         evaluation = model.evaluate(points)
-        rows = slice(STANDARD_ROWS.stop, STANDARD_ROWS.stop + len(cara))
-        report = boundary_report(model, grid, carapoint_scan(grid, cara, evaluation[2][rows]))
+        report = boundary_report(model, carapoint_scan(geometry.grid, cara, evaluation[2][geometry.rows["scan"]]))
         checks = _checks(model, config, report, points, evaluation, oracle_pts, geometry)
         error = None
     except CaralabError as exc:
@@ -328,10 +321,11 @@ def _checks(
         checks.append(CheckOutcome(name, bool(worst <= bound), float(worst), float(bound)))
 
     s, v, phi = evaluation
+    rows = geometry.rows
 
     # generalized model identity on random interior pairs
-    rows = IDENTITY_ROWS
-    worst = model_identity_defect(s[rows], v[rows], phi[rows]).max(initial=0.0)
+    part = rows["identity"]
+    worst = model_identity_defect(s[part], v[part], phi[part]).max(initial=0.0)
     record("model_identity", worst, config.residual_tol)
 
     # the kernel's pencil agrees with a direct solve of its denominator
@@ -340,9 +334,9 @@ def _checks(
 
     # contractivity of the pencil and of phi; the pencil is normal, so its
     # norm is the largest modulus of its eigenvalues
-    rows = CONTRACTIVITY_ROWS
-    record("pencil_contractivity", np.abs(s[rows]).max(initial=0.0), 1.0 + CONTRACTIVITY_TOL)
-    record("schur_bound", np.abs(phi[rows]).max(initial=0.0), 1.0 + CONTRACTIVITY_TOL)
+    part = rows["contractivity"]
+    record("pencil_contractivity", np.abs(s[part]).max(initial=0.0), 1.0 + CONTRACTIVITY_TOL)
+    record("schur_bound", np.abs(phi[part]).max(initial=0.0), 1.0 + CONTRACTIVITY_TOL)
 
     # Julia quotient identity along the ray
     julia = julia_quotient_ray(model)
@@ -352,27 +346,28 @@ def _checks(
     # converged: run_model_checks raised before the checks otherwise
     alpha_target = float(np.linalg.norm(model.v_at_tau().value)) ** 2
     record("alpha_vs_vtau", abs(report.alpha - alpha_target), ALPHA_TOL)
-    if not _is_constant(phi[PROBE_ROWS]):
+    if not _is_constant(phi[rows["probes"]]):
         # nonconstant realizations must carry a genuine carapoint
         record("alpha_positive", 0.0 if alpha_target > 1e-10 else 1.0, 0.5)
     record("carapoint_detected", 0.0 if report.carapoint else 1.0, 0.5)
 
-    # analytic and finite-difference derivatives agree; the difference
-    # steps are the evaluation's last rows
+    # analytic and finite-difference derivatives agree
     directions, plan = geometry.directions, geometry.plan
     analytic = derivative_model(model, directions)
-    fd = fd_limits(plan, phi[len(phi) - len(plan.points) :], model.phi_at_tau())
+    fd = fd_limits(plan, phi[rows["steps"]], model.phi_at_tau())
     record("derivative_agreement", DerivativeTable(directions, analytic, fd).agreement(), DERIVATIVE_TOL)
 
     # derived standard model: identity on random pairs, bound on the grid,
-    # whose points follow the pairs; norms are those of the eigenbasis
-    # components, so nothing is rotated
-    rows = slice(STANDARD_ROWS.start, STANDARD_ROWS.stop + report.grid.coords[..., 0].size)
-    u1, u2, v, phi = standard_model_components(model, points[rows], (s[rows], v[rows], phi[rows]))
-    pairs = 2 * STANDARD_PAIRS
-    worst = standard_identity_defect(points[STANDARD_ROWS], u1[:pairs], u2[:pairs], phi[:pairs])
+    # whose points head the scan part right after the pairs, so that one
+    # call takes both; norms are those of the eigenbasis components, so
+    # nothing is rotated
+    pairs = rows["standard"]
+    part = slice(pairs.start, rows["scan"].start + geometry.grid.coords[..., 0].size)
+    u1, u2, v, phi = standard_model_components(model, points[part], (s[part], v[part], phi[part]))
+    k = pairs.stop - pairs.start
+    worst = standard_identity_defect(points[pairs], u1[:k], u2[:k], phi[:k])
     record("standard_model_identity", worst.max(initial=0.0), config.residual_tol)
-    u1, u2, v = u1[pairs:], u2[pairs:], v[pairs:]
+    u1, u2, v = u1[k:], u2[k:], v[k:]
     bound = (config.aperture + 1.0) * np.linalg.norm(v, axis=1)
     excess = np.maximum(np.linalg.norm(u1, axis=1), np.linalg.norm(u2, axis=1)) - bound
     record("standard_model_bound", excess.max(), 1e-12)
@@ -385,17 +380,19 @@ def run_suite(config: SuiteConfig) -> SuiteReport:
 
     A CaralabError raised while classifying or checking one model is
     recorded on that model (see :func:`run_model_checks`); the run goes on
-    with the next model.  The geometry at each boundary point
-    (:class:`TauGeometry`) is built once per run and shared by its models.
+    with the next model.  The :func:`tau_geometry` of each of the
+    SUITE_TAUS is built before the first model, so a grid that cannot be
+    built (BadApertureError) stops the run; the model of index i is at
+    the i-th tau, cyclically, as :func:`generate_model` picks it.
     """
     if config.count < 1:
         raise ValueError("count must be >= 1")
+    geometries = [tau_geometry(tau, config) for tau in SUITE_TAUS]
     rng = np.random.default_rng(config.seed)
     records: list[ModelRecord] = []
-    geometries: dict[tuple, TauGeometry] = {}
     for index in range(config.count):
         model, kind, tau_label = generate_model(index, rng, config)
-        report, checks, error = run_model_checks(model, rng, config, geometries)
+        report, checks, error = run_model_checks(model, rng, config, geometries[index % len(SUITE_TAUS)])
         classification = "unclassified" if report is None else report.classification
         records.append(ModelRecord(index, model.dim, kind, tau_label, classification, checks, error))
     return SuiteReport(config.seed, config.count, records)

@@ -5,7 +5,6 @@ import pytest
 
 from caralab import (
     BadApertureError,
-    BoundaryPoint,
     CarapointScan,
     DiskPoint,
     GeneralizedRealization,
@@ -35,14 +34,12 @@ from caralab import (
     standard_model_rotated,
     validate_positive_contraction,
 )
-from caralab import boundary
 from caralab.boundary import (
     ALPHA_EXPONENT,
     DEFECT_REGULAR_TOL,
     DEFECT_SINGULAR_TOL,
     DETECT_EXPONENT,
     FD_STEPS,
-    GRID_MEMO_SIZE,
     QUOTIENT_BOUND,
 )
 from caralab.extrapolate import richardson_limit
@@ -168,59 +165,23 @@ class TestGrid:
 
 
 class TestGridMemo:
-    @pytest.fixture
-    def builds(self, monkeypatch):
-        """Empty the memo and count the grids actually built."""
-        monkeypatch.setattr(boundary, "_GRIDS", {})
-        calls = []
-        build = boundary._build_grid
+    """build_grid keeps no grid: every call builds one."""
 
-        def counting(*args):
-            calls.append(args)
-            return build(*args)
-
-        monkeypatch.setattr(boundary, "_build_grid", counting)
-        return calls
-
-    def test_equal_arguments_share_one_grid(self, builds):
+    def test_every_call_builds_a_new_grid(self):
         grid = build_grid(TAU_11, 2.0, 12)
-        assert build_grid(BoundaryPoint(1 + 0j, 1 + 0j), 2, 12) is grid
-        assert build_grid((1.0, 1.0), np.float64(2.0), 12) is grid
-        assert len(builds) == 1
-        assert build_grid(TAU_11, 2.0, 11) is not grid
-        assert build_grid(TAU_11, 3.0, 12) is not grid
-        assert len(builds) == 3
-
-    def test_a_signed_zero_gives_another_grid(self, builds):
-        tau = BoundaryPoint(1 + 0j, 1j)
-        flipped = BoundaryPoint(complex(1.0, -0.0), 1j)
-        assert tau == flipped  # 0.0 == -0.0: equality cannot key the memo
-        grid, other = build_grid(tau, 2.0, 12), build_grid(flipped, 2.0, 12)
-        assert other is not grid and len(builds) == 2
-        assert math.copysign(1.0, grid.tau.tau1.imag) == 1.0
-        assert math.copysign(1.0, other.tau.tau1.imag) == -1.0
+        other = build_grid(TAU_11, 2.0, 12)
+        assert other is not grid
+        assert other.coords.tobytes() == grid.coords.tobytes()
 
     @pytest.mark.parametrize(
         "aperture, depth, error",
         [(0.5, 12, BadApertureError), (float("nan"), 12, BadApertureError), (1e300, 12, BadApertureError),
          (2.0, 0, ValueError), (2.0, 49, ValueError)],
     )
-    def test_invalid_arguments_raise_on_every_call(self, builds, aperture, depth, error):
+    def test_invalid_arguments_raise_on_every_call(self, aperture, depth, error):
         for _ in range(3):
             with pytest.raises(error):
                 build_grid(TAU_11, aperture, depth)
-        assert boundary._GRIDS == {}
-
-    def test_memo_stays_bounded(self, builds):
-        apertures = [1.0 + k for k in range(2 * GRID_MEMO_SIZE)]
-        grids = [build_grid(TAU_11, a, 4) for a in apertures]
-        assert len(boundary._GRIDS) == GRID_MEMO_SIZE
-        assert len(builds) == len(apertures)
-        # the newest grids are kept, the oldest dropped first
-        assert build_grid(TAU_11, apertures[-1], 4) is grids[-1]
-        assert build_grid(TAU_11, apertures[0], 4) is not grids[0]
-        assert len(builds) == len(apertures) + 1
-        assert len(boundary._GRIDS) == GRID_MEMO_SIZE
 
 
 class TestCaraQuotient:

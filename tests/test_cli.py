@@ -11,8 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from caralab import (
+    BadApertureError,
     GeneralizedRealization,
     OperatorPencil,
+    build_grid,
     dump_model,
     matrix_to_json,
     random_colligation,
@@ -24,7 +26,7 @@ from caralab import xprec
 from caralab.boundary import DEFAULT_APERTURE, DEFAULT_CLASS_TOL, DEFAULT_DEPTH
 from caralab.cli import build_parser, main
 from caralab.realization import RAY_EXPONENTS
-from caralab.suite import SuiteConfig
+from caralab.suite import SUITE_TAUS, SuiteConfig
 from conftest import TAU_11, left_null_model
 
 
@@ -340,11 +342,16 @@ class TestNonFiniteGeometry:
         assert "not finite" in capsys.readouterr().err
 
     @pytest.mark.parametrize("aperture", ["nan", "inf", "-inf", "1e300", "1e10", "0.5"])
-    def test_bad_aperture(self, capsys, swap_spec, aperture):
-        # an aperture is a caller-supplied parameter
-        assert main(["classify", swap_spec, f"--aperture={aperture}"]) == 2
-        assert main(["family", "--y", "0.5", f"--aperture={aperture}"]) == 2
-        assert capsys.readouterr().out == ""
+    def test_bad_aperture(self, capsys, tmp_path, swap_spec, aperture):
+        # an aperture is a caller-supplied parameter; the suite stops before
+        # its first model, at the grid of its first boundary point
+        with pytest.raises(BadApertureError) as info:
+            build_grid(SUITE_TAUS[0], float(aperture))
+        report = tmp_path / "suite.json"
+        for argv in (["classify", swap_spec], ["family", "--y", "0.5"], ["suite", "--out", str(report)]):
+            assert main([*argv, f"--aperture={aperture}"]) == 2
+            assert capsys.readouterr() == ("", f"error: {info.value}\n")
+        assert not report.exists()
 
     def test_nan_tau_flag(self, capsys):
         assert main(["family", "--y", "0.5", "--tau", "nan,1"]) in self.DOCUMENTED
@@ -477,6 +484,14 @@ COMMAND_OPTIONS = {
     "suite": {"--count", "--out", "--seed", "--residual-tol", "--aperture", "--depth"},
 }
 
+#: the tolerance options, each with a subcommand that takes it
+TOLERANCE_OPTIONS = [
+    (command, flag)
+    for command, options in COMMAND_OPTIONS.items()
+    for flag in ("--eigtol", "--isotol", "--residual-tol", "--class-tol")
+    if flag in options
+]
+
 
 class TestParser:
     def test_each_subcommand_takes_exactly_its_options(self):
@@ -502,6 +517,20 @@ class TestParser:
         config = SuiteConfig()
         assert (suite.seed, suite.count, suite.residual_tol) == (config.seed, config.count, config.residual_tol)
         assert (suite.aperture, suite.depth) == (config.aperture, config.grid_depth)
+
+    @pytest.mark.parametrize("value", ["nan", "-1", "inf"])
+    @pytest.mark.parametrize("command, flag", TOLERANCE_OPTIONS)
+    def test_tolerance_that_is_not_a_finite_number_at_least_0_exits_2(self, capsys, command, flag, value):
+        args = ["m.json"] if "model" in COMMAND_OPTIONS[command] else []
+        with pytest.raises(SystemExit) as exc:
+            main([command, *args, f"{flag}={value}"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            f"caralab {command}: error: argument {flag}: '{value}' is not a finite number >= 0\n"
+        )
+        # before anything runs; 0 is a tolerance
+        parsed = build_parser().parse_args([command, *args, f"{flag}=0"])
+        assert getattr(parsed, flag[2:].replace("-", "_")) == 0.0
 
     @pytest.mark.parametrize(
         "argv",

@@ -83,8 +83,9 @@ class TestRun:
 
         monkeypatch.setattr(boundary, "build_grid", counting)
         monkeypatch.setattr(suite, "build_grid", counting)
+        # one per boundary point, built before the first model, at any count
         run_suite(SuiteConfig(seed=7, count=3))
-        assert len(calls) == 3
+        assert len(calls) == len(SUITE_TAUS)
 
     def test_one_direct_pencil_solve_per_model(self, monkeypatch):
         calls = []
@@ -184,12 +185,9 @@ def test_calls_per_model_do_not_grow_with_directions_or_points(monkeypatch):
 
 def test_one_grid_build_per_boundary_point(monkeypatch):
     # and one set of directions, difference steps and scan points: the
-    # geometry at tau is built once per run, for its first model
-    monkeypatch.setattr(boundary, "_GRIDS", {})
+    # geometry at each tau is built once per run, before its first model
     counts = collections.Counter()
-    build = boundary._build_grid
-    monkeypatch.setattr(boundary, "_build_grid", lambda *args: counts.update(["grid"]) or build(*args))
-    for name in ("fd_step_plan", "carapoint_points"):
+    for name in ("build_grid", "fd_step_plan", "carapoint_points"):
 
         def counting(*args, fn=getattr(suite, name), name=name):
             counts[name] += 1
@@ -197,10 +195,10 @@ def test_one_grid_build_per_boundary_point(monkeypatch):
 
         monkeypatch.setattr(suite, name, counting)
     run_suite(SuiteConfig(seed=7))
-    assert counts == {"grid": len(SUITE_TAUS), "fd_step_plan": len(SUITE_TAUS), "carapoint_points": len(SUITE_TAUS)}
-    # no geometry outlives its run
+    assert counts == dict.fromkeys(("build_grid", "fd_step_plan", "carapoint_points"), len(SUITE_TAUS))
+    # no geometry outlives its run, and a run of fewer models builds them all
     run_suite(SuiteConfig(seed=7, count=2))
-    assert counts["fd_step_plan"] == counts["carapoint_points"] == len(SUITE_TAUS) + 2
+    assert counts == dict.fromkeys(("build_grid", "fd_step_plan", "carapoint_points"), 2 * len(SUITE_TAUS))
 
 
 def same_bits(a, b) -> bool:
@@ -286,11 +284,11 @@ def assert_stream_restored(models, config, failing_index):
     """The failing model drew its first three batches but not its standard pairs,
     and each later model, replayed from that stream, is checked as in a clean run."""
     rng = np.random.default_rng(config.seed)
-    geometries = {}
     for index in range(config.count):
         model, _, _ = generate_model(index, rng, config)
         if index > failing_index:
-            report, checks, error = suite.run_model_checks(model, rng, config, geometries)
+            geometry = suite.tau_geometry(model.tau, config)
+            report, checks, error = suite.run_model_checks(model, rng, config, geometry)
             assert models[index]["dim"] == model.dim and error is None
             assert models[index]["classification"] == report.classification
             assert models[index]["checks"] == [c.to_json() for c in checks]
