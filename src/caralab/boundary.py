@@ -112,14 +112,6 @@ def build_grid(
     def radial(u1: float, u2: float) -> np.ndarray:
         return np.stack([(1.0 - ts * u1) * t1, (1.0 - ts * u2) * t2], axis=1)
 
-    def angular(theta1: float, theta2: float) -> np.ndarray:
-        # math.cos/sin and Python complex products, for the scalar rounding
-        return np.array([
-            [(1.0 - t) * complex(math.cos(theta * t), math.sin(theta * t)) * tz
-             for theta, tz in ((theta1, t1), (theta2, t2))]
-            for t in ts.tolist()
-        ])
-
     families = [("ray", radial(1.0, 1.0))]
     if aperture > 1.0:
         ratios = sorted({1.0 / aperture, (1.0 + 1.0 / aperture) / 2.0})
@@ -129,8 +121,9 @@ def build_grid(
         # safe angular speed: sqrt(1 + kappa^2) <= aperture with margin;
         # the aperture is not squared, so a huge one cannot overflow
         kappa = 0.9 * math.sqrt(aperture - 1.0) * math.sqrt(aperture + 1.0)
-        families.append((f"angular(+{kappa:.3g},0)", angular(kappa, 0.0)))
-        families.append((f"angular(0,-{kappa:.3g})", angular(0.0, -kappa)))
+        plus, minus = _angular_families(tau, kappa, ts)
+        families.append((f"angular(+{kappa:.3g},0)", plus))
+        families.append((f"angular(0,-{kappa:.3g})", minus))
 
     names, coords = zip(*families)
     coords = np.stack(coords)
@@ -146,6 +139,25 @@ def build_grid(
             f"for aperture {aperture!r}"
         )
     return NontangentialGrid(tau, float(aperture), int(depth), names, coords)
+
+
+def _angular_families(tau: BoundaryPoint, kappa: float, ts: np.ndarray) -> np.ndarray:
+    """Grid families angular(+kappa, 0) and angular(0, -kappa), shape (2, len(ts), 2).
+
+    The point at t has coordinates (1 - t) e^{i theta_j t} tau_j with
+    (theta_1, theta_2) = (kappa, 0), then (0, -kappa).  The products are
+    written in real arithmetic, rounded as Python rounds
+    (1 - t) * complex(cos, sin) * tau_j: NumPy's complex product may fuse
+    the multiply and the add, which moves the last bit.
+    """
+    arg = ts[:, None] * np.array([[kappa, 0.0], [0.0, -kappa]])[:, None, :]
+    x = (1.0 - ts)[:, None]
+    re, im = x * np.cos(arg), x * np.sin(arg)
+    t = np.array(tuple(tau), dtype=complex)
+    out = np.empty(arg.shape, dtype=complex)
+    out.real = re * t.real - im * t.imag
+    out.imag = re * t.imag + im * t.real
+    return out
 
 
 def cara_quotient(phi: Callable[[np.ndarray], np.ndarray], lam):

@@ -347,6 +347,14 @@ def tolerance(text: str) -> float:
     return value
 
 
+def count(text: str) -> int:
+    """The value of a count option: an integer >= 1, else argparse exits 2."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer >= 1")
+    return value
+
+
 # options of several subcommands; each default is the library value it overrides
 _MODEL = _option("model", help="path to the model JSON file")
 _OUT = _option("--out", help="write the JSON report here instead of stdout")
@@ -371,7 +379,7 @@ COMMANDS = {
             _option("--y", type=float, required=True, help="parameter in [0, 1]"),
             _option("--tau", default="1,1", help=f"boundary point {_PAIR}; negative as --tau=-1,1"),
             _option("--tau-angles", default=None, help="tau as two angles in turns; negative as --tau-angles=-0.25,0"),
-            _option("--pairs", type=int, default=200, help="random pairs for the model residual"),
+            _option("--pairs", type=count, default=200, help="random pairs for the model residual"),
             _OUT, _CSV, _SEED, _APERTURE, _DEPTH,
         ),
     ),
@@ -379,8 +387,8 @@ COMMANDS = {
         "verify a model JSON spec",
         (
             _MODEL,
-            _option("--pairs", type=int, default=400),
-            _option("--samples", type=int, default=2000, help="contractivity scan points"),
+            _option("--pairs", type=count, default=400),
+            _option("--samples", type=count, default=2000, help="contractivity scan points"),
             _OUT, _CSV, _SEED, _EIGTOL, _ISOTOL, _RESIDUAL_TOL, _RAY_EXPONENTS,
         ),
     ),
@@ -403,7 +411,7 @@ COMMANDS = {
     "suite": (
         "run the randomized verification suite",
         (
-            _option("--count", type=int, default=SuiteConfig.count),
+            _option("--count", type=count, default=SuiteConfig.count),
             _OUT, _SEED, _RESIDUAL_TOL, _APERTURE, _DEPTH,
         ),
     ),

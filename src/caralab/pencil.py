@@ -47,10 +47,20 @@ STACK_ENTRIES = 2**16
 
 
 def stack_chunks(count: int, entries_per_point: int):
-    """Slices of range(count), each covering at most STACK_ENTRIES entries."""
-    step = max(1, STACK_ENTRIES // max(1, entries_per_point))
-    for start in range(0, count, step):
-        yield slice(start, min(start + step, count))
+    """Slices of range(count), in order, each of at least two points when count >= 2.
+
+    Each slice covers at most STACK_ENTRIES entries, or two points if one
+    point alone exceeds it, except that a lone last point joins the slice
+    before it.  No stack holds a lone point: NumPy can multiply one-element
+    complex arrays in a scalar loop, which rounds differently from its
+    vector loop, and every point must get the same bits in any stack.
+    """
+    step = max(2, STACK_ENTRIES // max(1, entries_per_point))
+    starts = list(range(0, count, step))
+    if len(starts) > 1 and count - starts[-1] == 1:
+        starts.pop()
+    for start, stop in zip(starts, starts[1:] + [count]):
+        yield slice(start, stop)
 
 
 class OperatorPencil:

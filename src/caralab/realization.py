@@ -247,37 +247,46 @@ class GeneralizedRealization:
         defect d the bound is (1 + d)^(1/2), so every point with m below
         1 - 1e-11 - d/2 is certified.
 
-        Up to ELIMINATION_MAX_DIM the systems are solved together by
-        :func:`_eliminate`, with the point axis last; above it, by stacked
-        LAPACK solves.  Every point's arithmetic, the sum over the eigen
+        Once per call, for all N points: the lone-point rule, the pencil
+        rows s and the certificate, so a singular point raises before any
+        solve.  Per stack of :func:`stack_chunks`: up to ELIMINATION_MAX_DIM
+        the elimination of :func:`_eliminate` on the (n, k) rows of the
+        stack, with the point axis last; above it, the (k, n, n) resolvents
+        built from the stack's (k, n) block of s and one LAPACK solve; then
+        the stack's phi sum.  STACK_ENTRIES bounds the stacks, not the
+        outputs s and v'.  Every point's arithmetic, the sum over the eigen
         axis in phi included, is the same whatever the stack size.
         """
         pts = np.asarray(points, dtype=complex)
+        count = len(pts)
+        # a lone point is solved as a pair, for the bits it gets in a batch;
+        # see stack_chunks, which never leaves a stack of one
+        if count == 1:
+            pts = np.repeat(pts, 2, axis=0)
         n = self.dim
-        eliminate = n <= ELIMINATION_MAX_DIM
-        s = np.empty((len(pts), n), dtype=complex)
-        v = np.empty((len(pts), n), dtype=complex)
+        rows = _diagonal_rows(self.pencil, pts)
+        self._certify(rows, pts)
+        s = np.ascontiguousarray(rows.T)
+        v = np.empty_like(s)
         phi = np.empty(len(pts), dtype=complex)
-        for chunk in stack_chunks(len(pts), n * (n + 1) if eliminate else n * n):
-            count = chunk.stop - chunk.start
-            # a lone point is solved twice over: NumPy can multiply one-element
-            # complex arrays in a scalar loop, which rounds differently from its
-            # vector loop (no fused multiply-add), and one point must give the
-            # bits it gets in a batch
-            chunk_pts = pts[chunk] if count > 1 else np.repeat(pts[chunk], 2, axis=0)
-            rows = _diagonal_rows(self.pencil, chunk_pts)
-            self._certify(rows, chunk_pts)
-            if eliminate:
-                solution = _eliminate(self._augmented(rows))
-            else:
-                rhs = np.broadcast_to(self._b[:, None], (rows.shape[1], n, 1))
-                solution = np.linalg.solve(self._resolvents(rows.T), rhs)[..., 0].T
-            terms = rows * solution * self._c[:, None]
-            # the eigen axis is summed in one fixed order, whatever the stack
-            total = np.add.accumulate(terms, axis=0)[-1]
-            s[chunk], v[chunk], phi[chunk] = rows.T[:count], solution.T[:count], total[:count]
+        if n <= ELIMINATION_MAX_DIM:
+            for chunk in stack_chunks(len(pts), n * (n + 1)):
+                block = rows[:, chunk]
+                solution = _eliminate(self._augmented(block))
+                v[chunk] = solution.T
+                terms = block * solution * self._c[:, None]
+                # the eigen axis is summed in one fixed order, whatever the stack
+                phi[chunk] = np.add.accumulate(terms, axis=0)[-1]
+        else:
+            del rows
+            for chunk in stack_chunks(len(pts), n * n):
+                block = s[chunk]
+                rhs = np.broadcast_to(self._b[:, None], (len(block), n, 1))
+                v[chunk] = np.linalg.solve(self._resolvents(block), rhs)[..., 0]
+                terms = (block * v[chunk] * self._c).T
+                phi[chunk] = np.add.accumulate(terms, axis=0)[-1]
         phi += self.colligation.d
-        return s, v, phi
+        return s[:count], v[:count], phi[:count]
 
     def _resolvents(self, s: np.ndarray) -> np.ndarray:
         """1 - A' diag(s) for s of shape (K, n), as a (K, n, n) stack built in place."""
@@ -299,13 +308,14 @@ class GeneralizedRealization:
 
         ``rows`` is s at pts, shape (n, N).  The Weyl certificate of
         :meth:`evaluate` spares the SVD; written as a negation, so that a
-        NaN bound goes to the SVD.
+        NaN bound goes to the SVD.  The points it cannot clear go to the
+        SVD in stacks of :func:`stack_chunks`, in order.
         """
         am = self._a_norm * np.abs(rows).max(axis=0)
         check = np.flatnonzero(~(1.0 - am > 2.0 * SINGULAR_RTOL * (1.0 + am)))
-        if check.size:
-            sv = np.linalg.svd(self._resolvents(rows[:, check].T), compute_uv=False)
-            bad = check[sv[:, -1] <= SINGULAR_RTOL * np.maximum(sv[:, 0], 1.0)]
+        for chunk in stack_chunks(check.size, self.dim**2):
+            sv = np.linalg.svd(self._resolvents(rows[:, check[chunk]].T), compute_uv=False)
+            bad = check[chunk][sv[:, -1] <= SINGULAR_RTOL * np.maximum(sv[:, 0], 1.0)]
             if bad.size:
                 lam = tuple(complex(z) for z in pts[bad[0]])
                 raise SingularResolventError(f"resolvent singular at lam={lam!r}")

@@ -41,10 +41,12 @@ from caralab.boundary import (
     DETECT_EXPONENT,
     FD_STEPS,
     QUOTIENT_BOUND,
+    _angular_families,
 )
 from caralab.extrapolate import richardson_limit
 from caralab.points import require_admissible
 from caralab.realization import Colligation
+from caralab.suite import SUITE_TAUS
 from conftest import TAU_11, TAUS, disk_point, scalar_model
 
 HOUSEHOLDER = [[0.6, 0.8], [0.8, -0.6]]  # phi(0,0) = -3/5, v_tau = 2
@@ -139,6 +141,23 @@ class TestGrid:
         assert grid.coords.shape == want.shape
         # bit for bit, signed zeros included
         assert grid.coords.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+    @pytest.mark.parametrize("depth", [1, 12, 48])
+    @pytest.mark.parametrize("aperture", [1.5, 2.0, 10.0, 1e6])
+    @pytest.mark.parametrize("tau", SUITE_TAUS)
+    def test_angular_families_are_bit_identical_to_the_scalar_formula(self, tau, aperture, depth):
+        # built alone: at aperture 1e6 the whole grid is refused (radial rounding)
+        kappa = 0.9 * math.sqrt(aperture - 1.0) * math.sqrt(aperture + 1.0)
+        ts = [2.0**-k for k in range(1, depth + 1)]
+        want = np.array([
+            [[(1.0 - t) * complex(math.cos(theta * t), math.sin(theta * t)) * tz
+              for theta, tz in zip(thetas, tau)] for t in ts]
+            for thetas in ((kappa, 0.0), (0.0, -kappa))
+        ])
+        got = _angular_families(tau, kappa, np.array(ts))
+        assert got.shape == want.shape
+        # bit for bit, signed zeros included
+        assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
 
     @pytest.mark.parametrize(
         "aperture, family, t",

@@ -453,9 +453,6 @@ class TestSuite:
         assert doc["passed"] is True
         assert doc["count"] == 3
 
-    def test_zero_count_exits_2(self, capsys):
-        assert main(["suite", "--count", "0"]) == 2
-
     def test_byte_determinism(self, capsys, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         assert main(["suite", "--count", "2", "--seed", "3", "--out", str(a)]) == 0
@@ -489,6 +486,14 @@ TOLERANCE_OPTIONS = [
     (command, flag)
     for command, options in COMMAND_OPTIONS.items()
     for flag in ("--eigtol", "--isotol", "--residual-tol", "--class-tol")
+    if flag in options
+]
+
+#: the count options, each with a subcommand that takes it
+COUNT_OPTIONS = [
+    (command, flag)
+    for command, options in COMMAND_OPTIONS.items()
+    for flag in ("--pairs", "--samples", "--count")
     if flag in options
 ]
 
@@ -531,6 +536,19 @@ class TestParser:
         # before anything runs; 0 is a tolerance
         parsed = build_parser().parse_args([command, *args, f"{flag}=0"])
         assert getattr(parsed, flag[2:].replace("-", "_")) == 0.0
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    @pytest.mark.parametrize("command, flag", COUNT_OPTIONS)
+    def test_count_below_1_exits_2(self, capsys, tmp_path, swap_spec, command, flag, value):
+        # a count of 0 would pass a check made at no point at all
+        args = {"family": ["--y", "0.5"], "verify": [swap_spec], "suite": []}[command]
+        report = tmp_path / "report.json"
+        with pytest.raises(SystemExit) as exc:
+            main([command, *args, f"{flag}={value}", "--out", str(report)])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and not report.exists()
+        assert err.endswith(f"caralab {command}: error: argument {flag}: '{value}' is not an integer >= 1\n")
 
     @pytest.mark.parametrize(
         "argv",

@@ -10,6 +10,7 @@ from caralab import (
     GeneralizedRealization,
     NotIsometricError,
     OperatorPencil,
+    SingularDenominatorError,
     SingularResolventError,
     colligation_with_ray_limit,
     dump_model,
@@ -379,3 +380,54 @@ class TestStackBudget:
         assert per_stack == 16  # 1 MiB of complex128 per stack
         assert len(calls) == math.ceil(800 / per_stack)
         assert max(calls) == per_stack
+
+
+class TestOncePerCall:
+    """evaluate computes the pencil rows and the certificate once per call, and stacks only the solves."""
+
+    @staticmethod
+    def counting(monkeypatch, owner, name):
+        calls = []
+        wrapped = getattr(owner, name)
+
+        def counted(*args):
+            calls.append(len(args[-1]))
+            return wrapped(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+        return calls
+
+    def test_rows_and_certificate_once_whatever_the_budget(self, monkeypatch):
+        model = desk_model(np.random.default_rng(64))
+        pts = sample_bidisk_batch(np.random.default_rng(5), 800)
+        rows = self.counting(monkeypatch, realization, "_diagonal_rows")
+        certify = self.counting(monkeypatch, GeneralizedRealization, "_certify")
+        solves = self.counting(monkeypatch, np.linalg, "solve")
+        stacks = []
+        for entries in (64**2, pencil.STACK_ENTRIES, 7 * 64**2):
+            monkeypatch.setattr(pencil, "STACK_ENTRIES", entries)
+            for calls in (rows, certify, solves):
+                calls.clear()
+            model.evaluate(pts)
+            assert rows == certify == [800]
+            assert sum(solves) == 800
+            stacks.append(len(solves))
+        # one point per budget still gets two per stack; 16 per stack at the default
+        assert stacks == [400, 50, math.ceil(800 / 7)]
+
+    @pytest.mark.parametrize("kind", ["denominator", "resolvent"])
+    def test_singular_point_in_the_last_stack_raises_before_any_solve(self, monkeypatch, kind):
+        model = desk_model(np.random.default_rng(64))
+        pts = sample_bidisk_batch(np.random.default_rng(5), 800)
+        if kind == "denominator":
+            # lam2 = tau2 zeroes the scalar denominator at Y's eigenvalue 1
+            pts[-1], error = (0.5, 1.0), SingularDenominatorError
+        else:
+            # tau with a colligation whose A has the eigenvalue 1: the resolvent is 1 - A
+            direction = np.random.default_rng(7).standard_normal(64)
+            model = GeneralizedRealization(model.pencil, colligation_with_ray_limit(direction))
+            pts[-1], error = tuple(model.tau), SingularResolventError
+        solves = self.counting(monkeypatch, np.linalg, "solve")
+        with pytest.raises(error):
+            model.evaluate(pts)
+        assert solves == []
