@@ -24,6 +24,7 @@ import numpy as np
 
 from .errors import BadApertureError, NoConvergenceError, UnconvergedError
 from .extrapolate import richardson_limit
+from .pencil import SINGULAR_RTOL
 from .points import BoundaryPoint, as_points, direction_entry_time, modulus, require_admissible
 from .realization import GeneralizedRealization, RAY_EXPONENTS, RayLimit
 from .scalar_family import phi_y_model_components
@@ -99,15 +100,23 @@ def build_grid(
     coordinate speed ratios down to 1/aperture, and (for aperture > 1)
     angular detours; every stored point satisfies the aperture inequality
     exactly.  The grid is read-only.
+
+    A depth past the deepest that the pencil evaluates for every Y raises
+    ValueError, after the BadApertureError of a point that rounding moves
+    out of the open bidisk or its cone.
     """
     if not (math.isfinite(aperture) and aperture >= 1.0):
         raise BadApertureError(f"aperture {aperture!r} is not a finite number >= 1")
-    if not 1 <= depth <= 48:
-        # beyond 2^-48 the schedule is within a few ulp of the boundary
-        raise ValueError("depth must lie in 1..48")
+    # offsets 1 - conj(tau_j) lam_j are pencil denominators at eigenvalues 0 and 1, the slowest moving
+    # at 1/aperture: depth k passes pencil._singular for every Y iff 2^-k / aperture > SINGULAR_RTOL
+    deepest = 0
+    while math.ldexp(1.0, -deepest - 1) / aperture > SINGULAR_RTOL:
+        deepest += 1
     tau = BoundaryPoint(*tau)
     t1, t2 = tau
-    ts = np.ldexp(1.0, -np.arange(1, depth + 1))  # exactly 2^-k
+    # a grid deeper than the bound is refused below; the scan ray's depth holds the points
+    # where a wide aperture's radial speed 1/aperture is lost to rounding, refused first
+    ts = np.ldexp(1.0, -np.arange(1, min(depth, max(deepest, DETECT_EXPONENT)) + 1))  # exactly 2^-k
 
     def radial(u1: float, u2: float) -> np.ndarray:
         return np.stack([(1.0 - ts * u1) * t1, (1.0 - ts * u2) * t2], axis=1)
@@ -131,13 +140,13 @@ def build_grid(
     inside = satisfies_aperture(tau, coords.reshape(-1, 2), aperture, slack=1e-12)
     ok = (modulus(coords).max(axis=-1) < 1.0) & inside.reshape(coords.shape[:2])
     if not ok.all():
-        # happens only for huge apertures: the radial speed 1/aperture is
-        # then lost to rounding near the boundary
         f, k = np.unravel_index(np.argmin(ok), ok.shape)
         raise BadApertureError(
             f"grid family {names[f]!r} leaves the open bidisk or its cone at t={float(ts[k])!r} "
             f"for aperture {aperture!r}"
         )
+    if not 1 <= depth <= deepest:
+        raise ValueError(f"depth must lie in 1..{deepest} at aperture {aperture!r}, where the pencil takes every point")
     return NontangentialGrid(tau, float(aperture), int(depth), names, coords)
 
 
@@ -315,9 +324,7 @@ def derivative_model(model: GeneralizedRealization, delta):
     """
     d, single = as_points(delta)
     require_admissible(model.tau, d)
-    ray = model.v_at_tau()
-    if not ray.converged:
-        raise UnconvergedError("model vector has no converged ray limit at tau")
+    ray = converged_ray(model)
     a, b = (np.conj(as_points(model.tau)[0]) * d).T[..., None]
     w = model.pencil.contraction.decomposition.weights
     g = a * b / (a * (1.0 - w) + b * w)
@@ -558,7 +565,7 @@ def converged_ray(model: GeneralizedRealization) -> RayLimit:
     """The model's ray limit v_tau; UnconvergedError when it did not converge."""
     ray = model.v_at_tau()
     if not ray.converged:
-        raise UnconvergedError("ray limit of the model vector did not converge")
+        raise UnconvergedError("model vector has no converged ray limit at tau")
     return ray
 
 

@@ -23,15 +23,16 @@ from .boundary import (
     DEFAULT_CLASS_TOL,
     DEFAULT_DEPTH,
     DerivativeTable,
+    _quotients,
     build_grid,
-    cara_quotient,
+    carapoint_points,
+    carapoint_scan,
     classify_model,
     classify_ray,
     default_direction_pairs,
     default_directions,
     derivative_fd,
     derivative_table,
-    detect_carapoint,
     julia_quotient_ray,
     linearity_defect,
 )
@@ -172,10 +173,12 @@ def cmd_family(args) -> int:
 
     grid = build_grid(tau, args.aperture, args.depth)
     phi = lambda lam: phi_y_eval(y, tau, lam)  # noqa: E731
-    scan = detect_carapoint(phi, grid)
-    # the radial ray is the grid's family 0, at t = 2^-k
+    points = carapoint_points(grid)
+    values = phi(points)
+    scan = carapoint_scan(grid, points, values)
+    # the radial ray is the grid's family 0, at t = 2^-k, so its points head the scan's
     ts = np.ldexp(1.0, -np.arange(1, grid.depth + 1)).tolist()
-    quotient_rows = [[t, q] for t, q in zip(ts, cara_quotient(phi, grid.coords[0]).tolist())]
+    quotient_rows = [[t, q] for t, q in zip(ts, _quotients(points, values).tolist())]
 
     residual_max = None
     if not monomial:

@@ -180,8 +180,7 @@ def _decompose(herm: np.ndarray, eigtol: float) -> SpectralDecomposition:
 
     weights = np.empty(w.size)
     for group in _cluster(w, eigtol):
-        # a singleton keeps its eigenvalue, the mean of one
-        value = float(w[group[0]]) if len(group) == 1 else float(np.mean(w[group]))
+        value = float(np.mean(w[group]))
         if abs(value) <= eigtol:
             value = 0.0
         elif abs(value - 1.0) <= eigtol:

@@ -123,29 +123,38 @@ def _inward(t: np.ndarray, d: np.ndarray) -> np.ndarray:
     return t.real * d.real + t.imag * d.imag
 
 
-def _checked_inward(tau, d: np.ndarray) -> np.ndarray:
-    """:func:`_inward` at tau, raising for the first of the (N, 2) directions d that is not admissible."""
+def _admissible(tau, delta):
+    """The directions of delta, whether it was one, their entry times, verdicts and first failure.
+
+    The failure is the message naming the first inadmissible direction, or
+    None.  A direction is admissible when both coordinates are finite, it
+    points into the bidisk at tau (Re(conj(tau_i) delta_i) < 0 in both), and
+    its entry time is a finite number > 0: |delta|^2 neither overflows nor
+    underflows.  Overflow and NaN decide the verdict without a warning.
+    """
     t, _ = as_points(tau)
-    a = _inward(t, d)
-    ok = (a < 0.0).all(axis=1)
-    if not ok.all():
-        first = d[np.argmin(ok)]
-        raise InadmissibleDirectionError(
-            f"direction {tuple(map(complex, first))!r} does not point into the bidisk at "
-            f"{tuple(map(complex, t[0]))!r}"
-        )
-    return a
+    d, single = as_points(delta)
+    with np.errstate(all="ignore"):
+        a = _inward(t, d)
+        # |tau + t delta|^2 = |tau|^2 + 2 t a + t^2 |delta|^2 < 1, with |delta|^2
+        # by hypot and pow, as abs(z) ** 2 computes it for a Python complex
+        times = (-2.0 * a / np.float_power(modulus(d), 2.0)).min(axis=1)
+    finite, inward = np.isfinite(d).all(axis=1), (a < 0.0).all(axis=1)
+    ok = finite & inward & np.isfinite(times) & (times > 0.0)
+    if ok.all():
+        return d, single, times, ok, None
+    k, at = np.argmin(ok), tuple(map(complex, t[0]))
+    why = (
+        "is not finite" if not finite[k]
+        else f"does not point into the bidisk at {at!r}" if not inward[k]
+        else f"has no finite entry time > 0 at {at!r}: |delta|^2 overflows or underflows"
+    )
+    return d, single, times, ok, f"direction {tuple(map(complex, d[k]))!r} {why}"
 
 
 def is_admissible_direction(tau, delta):
-    """True when the direction points into the bidisk at tau.
-
-    The rotation-covariant condition Re(conj(tau_i) * delta_i) < 0 in both
-    coordinates guarantees tau + t*delta lies in the open bidisk for small
-    t > 0.  An (N, 2) array of directions gives one flag per direction.
-    """
-    d, single = as_points(delta)
-    ok = (_inward(as_points(tau)[0], d) < 0.0).all(axis=1)
+    """Whether the direction is admissible at tau (:func:`_admissible`); one flag per direction of an (N, 2) array."""
+    _, single, _, ok, _ = _admissible(tau, delta)
     return bool(ok[0]) if single else ok
 
 
@@ -154,19 +163,19 @@ def require_admissible(tau, delta) -> np.ndarray:
 
     Returns the (N, 2) array of the directions.
     """
-    d, _ = as_points(delta)
-    _checked_inward(tau, d)
+    d, _, _, _, reason = _admissible(tau, delta)
+    if reason is not None:
+        raise InadmissibleDirectionError(reason)
     return d
 
 
 def direction_entry_time(tau, delta):
     """Largest t0 such that tau + t*delta stays in the open bidisk for 0 < t < t0.
 
-    An (N, 2) array of directions gives one time per direction.
+    An (N, 2) array of directions gives one time per direction; the first
+    inadmissible direction raises.
     """
-    d, single = as_points(delta)
-    # |tau + t delta|^2 = |tau|^2 + 2 t a + t^2 |delta|^2 < 1, with |delta|^2
-    # by hypot and pow, as abs(z) ** 2 computes it for a Python complex
-    a = _checked_inward(tau, d)
-    times = (-2.0 * a / np.float_power(modulus(d), 2.0)).min(axis=1)
+    _, single, times, _, reason = _admissible(tau, delta)
+    if reason is not None:
+        raise InadmissibleDirectionError(reason)
     return float(times[0]) if single else times

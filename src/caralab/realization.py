@@ -51,7 +51,7 @@ from .hermitian import (
     opnorm,
     validate_positive_contraction,
 )
-from .pencil import SINGULAR_RTOL, OperatorPencil, _diagonal_rows, stack_chunks
+from .pencil import SINGULAR_RTOL, OperatorPencil, _diagonal_rows, _singular, stack_chunks
 from .points import BoundaryPoint, as_points
 
 #: default isometry tolerance for colligation validation
@@ -215,8 +215,6 @@ class GeneralizedRealization:
         else:
             a_norm = opnorm(self._a)
         self._a_norm = a_norm * (1.0 + NORM_PAD)
-        self._boundary: tuple[RayLimit, complex] | None = None
-        self._ray_block = None
 
     @property
     def dim(self) -> int:
@@ -315,7 +313,7 @@ class GeneralizedRealization:
         check = np.flatnonzero(~(1.0 - am > 2.0 * SINGULAR_RTOL * (1.0 + am)))
         for chunk in stack_chunks(check.size, self.dim**2):
             sv = np.linalg.svd(self._resolvents(rows[:, check[chunk]].T), compute_uv=False)
-            bad = check[chunk][sv[:, -1] <= SINGULAR_RTOL * np.maximum(sv[:, 0], 1.0)]
+            bad = check[chunk][_singular(sv)]
             if bad.size:
                 lam = tuple(complex(z) for z in pts[bad[0]])
                 raise SingularResolventError(f"resolvent singular at lam={lam!r}")
@@ -349,6 +347,7 @@ class GeneralizedRealization:
 
     # -- extended-precision evaluation along the radial ray -------------
 
+    @cached_property
     def _refined_block(self) -> np.ndarray:
         """Extended-precision colligation block of the ray states.
 
@@ -357,12 +356,9 @@ class GeneralizedRealization:
         the nearest unitary removes it.  Non-isometric blocks (negative
         controls) are used as-is.
         """
-        if self._ray_block is None:
-            if self.is_isometric and self.isometry_defect <= SNAP_DEFECT_MAX:
-                self._ray_block = xprec.nearest_unitary(self.colligation.block)
-            else:
-                self._ray_block = xprec.asxp(self.colligation.block)
-        return self._ray_block
+        if self.is_isometric and self.isometry_defect <= SNAP_DEFECT_MAX:
+            return xprec.nearest_unitary(self.colligation.block)
+        return xprec.asxp(self.colligation.block)
 
     def ray_state(self, t) -> tuple[np.ndarray, np.ndarray]:
         """Model vectors and phi at (1-t) tau, in extended precision.
@@ -371,50 +367,50 @@ class GeneralizedRealization:
         identity, so the resolvents are the shifted systems 1 - (1-t) A of
         one block, solved together by :func:`xprec.solve`.  An array of K
         values of t gives (K, n) states and (K,) phis; one t gives (n,) and
-        a scalar.  Only the Julia rows read these states.
+        a scalar.  Only the Julia rows read these states.  A t outside (0, 1),
+        or whose 1 - t rounds to 1 in xprec.CDTYPE (tau itself), raises ValueError.
         """
         ts = np.asarray(t, dtype=float)
-        if not np.all((ts > 0.0) & (ts < 1.0)):
-            raise ValueError("t must lie in (0, 1)")
-        block = self._refined_block()
-        n = self.dim
         s = xprec.CDTYPE(1) - ts.reshape(-1).astype(xprec.CDTYPE)
+        if not np.all((ts < 1.0) & (s.real < 1.0)):
+            raise ValueError(f"t must lie in (0, 1), with 1 - t below 1 in {np.dtype(xprec.CDTYPE).name}")
+        block = self._refined_block
+        n = self.dim
         v = xprec.solve(block[:n, :n], block[:n, n], shifts=s)
         phi = block[n, n] + s * (v @ block[n, :n])
         return (v, phi) if ts.ndim else (v[0], phi[0])
 
     # -- boundary data at tau ----------------------------------------------
 
+    @cached_property
     def _boundary_data(self) -> tuple[RayLimit, complex]:
         """v_tau and phi_tau from one SVD of 1 - A, computed once per model."""
-        if self._boundary is None:
-            col = self.colligation
-            n = self.dim
-            m = np.eye(n) - col.a
-            w, sv, zh = np.linalg.svd(m)
-            # the block's rounding level; a snap-eligible block's isometry
-            # defect is representation noise that blurs E by as much
-            level = (n + 1) * np.finfo(float).eps
-            if self.is_isometric and self.isometry_defect <= SNAP_DEFECT_MAX:
-                level = max(level, self.isometry_defect)
-            threshold = DEFLATION_FACTOR * float(level) * max(1.0, float(sv[0]))
-            k = int(np.count_nonzero(sv > threshold))
-            v = zh[:k].conj().T @ ((w[:, :k].conj().T @ col.b) / sv[:k])
-            diverged = bool(np.linalg.norm(w[:, k:].conj().T @ col.b) > threshold)
-            # E reduces A when it is also the left null space of 1 - A
-            reduces = bool(np.linalg.norm(m.conj().T @ zh[k:].conj().T) <= threshold)
-            u = self.pencil.contraction.decomposition.eigenvectors
-            ray = RayLimit(
-                value=v,
-                rotated=u.conj().T @ v,
-                converged=reduces and not diverged,
-                residual=float(np.linalg.norm(m @ v - col.b)),
-                diverged=diverged,
-                threshold=threshold,
-                sigma_min=float(sv[k - 1]) if k else math.inf,
-            )
-            self._boundary = (ray, complex(col.d + col.c @ v))
-        return self._boundary
+        col = self.colligation
+        n = self.dim
+        m = np.eye(n) - col.a
+        w, sv, zh = np.linalg.svd(m)
+        # the block's rounding level; a snap-eligible block's isometry
+        # defect is representation noise that blurs E by as much
+        level = (n + 1) * np.finfo(float).eps
+        if self.is_isometric and self.isometry_defect <= SNAP_DEFECT_MAX:
+            level = max(level, self.isometry_defect)
+        threshold = DEFLATION_FACTOR * float(level) * max(1.0, float(sv[0]))
+        k = int(np.count_nonzero(sv > threshold))
+        v = zh[:k].conj().T @ ((w[:, :k].conj().T @ col.b) / sv[:k])
+        diverged = bool(np.linalg.norm(w[:, k:].conj().T @ col.b) > threshold)
+        # E reduces A when it is also the left null space of 1 - A
+        reduces = bool(np.linalg.norm(m.conj().T @ zh[k:].conj().T) <= threshold)
+        u = self.pencil.contraction.decomposition.eigenvectors
+        ray = RayLimit(
+            value=v,
+            rotated=u.conj().T @ v,
+            converged=reduces and not diverged,
+            residual=float(np.linalg.norm(m @ v - col.b)),
+            diverged=diverged,
+            threshold=threshold,
+            sigma_min=float(sv[k - 1]) if k else math.inf,
+        )
+        return ray, complex(col.d + col.c @ v)
 
     def v_at_tau(self) -> RayLimit:
         """Boundary value of the model vector, (1 - A)|_{E-perp}^{-1} B.
@@ -427,11 +423,11 @@ class GeneralizedRealization:
         (possible only for non-isometric blocks) is reported on the
         returned flag rather than raised.
         """
-        return self._boundary_data()[0]
+        return self._boundary_data[0]
 
     def phi_at_tau(self) -> complex:
         """Boundary value D + C v_tau of phi."""
-        return self._boundary_data()[1]
+        return self._boundary_data[1]
 
     def __repr__(self) -> str:
         return (

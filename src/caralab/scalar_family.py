@@ -19,11 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateParameterError,
-    PoleHitError,
-    SingularCalculusError,
-)
+from .errors import DegenerateParameterError, PoleHitError
 from .points import as_points, require_admissible
 
 #: denominators smaller than this are treated as poles (boundary zero set)
@@ -191,16 +187,14 @@ def phi_y_directional_derivative(y: float, tau, delta):
     Closed form a*b / (a*(1-y) + b*y) with a = conj(tau1) delta1 and
     b = conj(tau2) delta2; degree-1 homogeneous in delta, and linear in
     delta only at the endpoint parameters.  An (N, 2) array of directions
-    gives one derivative per direction.
+    gives one derivative per direction.  No denominator vanishes: its real
+    part (1-y) Re a + y Re b is < 0 for an admissible direction.
     """
     y = _check_y(y)
     d, single = as_points(delta)
     require_admissible(tau, d)
     a, b = _pq(tau, d)
-    den = a * (1.0 - y) + b * y
-    if (abs(den) < POLE_TOL).any():
-        raise SingularCalculusError("derivative denominator vanishes")
-    value = a * b / den
+    value = a * b / (a * (1.0 - y) + b * y)
     return complex(value[0]) if single else value
 
 

@@ -14,7 +14,7 @@ randomness flows from one seed, so reports are reproducible byte-for-byte.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -85,12 +85,7 @@ class CheckOutcome:
     bound: float
 
     def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "worst": self.worst,
-            "bound": self.bound,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -357,12 +352,11 @@ def _checks(
     fd = fd_limits(plan, phi[rows["steps"]], model.phi_at_tau())
     record("derivative_agreement", DerivativeTable(directions, analytic, fd).agreement(), DERIVATIVE_TOL)
 
-    # derived standard model: identity on random pairs, bound on the grid,
-    # whose points head the scan part right after the pairs, so that one
-    # call takes both; norms are those of the eigenbasis components, so
-    # nothing is rotated
-    pairs = rows["standard"]
-    part = slice(pairs.start, rows["scan"].start + geometry.grid.coords[..., 0].size)
+    # derived standard model: identity on its own random pairs, bound on the grid
+    # at the head of the scan part, from one call on the rows of both; norms are
+    # those of the eigenbasis components, so nothing is rotated
+    pairs, scan = rows["standard"], rows["scan"]
+    part = np.r_[pairs, scan.start : scan.start + geometry.grid.coords[..., 0].size]
     u1, u2, v, phi = standard_model_components(model, points[part], (s[part], v[part], phi[part]))
     k = pairs.stop - pairs.start
     worst = standard_identity_defect(points[pairs], u1[:k], u2[:k], phi[:k])

@@ -32,41 +32,37 @@ def asxp(a) -> np.ndarray:
     return np.asarray(a, dtype=CDTYPE)
 
 
-def solve(m, b, shifts=None) -> np.ndarray:
-    """Solve m @ x = b to extended precision by mixed-precision refinement.
+def solve(m, b, shifts) -> np.ndarray:
+    """Solve the K systems (1 - s_k m) x_k = b to extended precision, for shifts s (K,).
 
-    ``b`` may be a vector or a matrix of right-hand sides.  With ``shifts``
-    s (K,), solves instead the K systems (1 - s_k m) x_k = b, stacked along
-    a new first axis.  Factors and corrections are complex128 (one stacked
-    ``np.linalg.solve`` per step); x and the residual r are CDTYPE.  A
-    system settles, and is left alone, once ||r|| <= 2 EPS (N ||x|| + ||b||)
-    with N = ||m||, or 1 + |s_k| ||m||: a backward error of 2 EPS.  (Its
-    correction reaches the EPS floor of x only when it is well conditioned.)
-    One not settled after REFINE_STEPS corrections raises UnconvergedError;
-    an exactly singular one raises LinAlgError.
+    ``b`` is a vector; the solutions are stacked along a new first axis,
+    shape (K, n).  Solves refine by mixed precision: factors and
+    corrections are complex128 (one stacked ``np.linalg.solve`` per step);
+    x and the residual r are CDTYPE.  A system settles, and is left alone,
+    once ||r|| <= 2 EPS (N ||x|| + ||b||) with N = 1 + |s_k| ||m||: a
+    backward error of 2 EPS.  (Its correction reaches the EPS floor of x
+    only when it is well conditioned.)  One not settled after REFINE_STEPS
+    corrections raises UnconvergedError; an exactly singular one raises
+    LinAlgError.
     """
     m, b = asxp(m), asxp(b)
     n = m.shape[0]
-    if m.shape != (n, n):
-        raise ValueError(f"expected a square matrix, got {m.shape}")
-    # every system is M = c - s_k m; m itself is c = 0, s = -1
-    c, s = (0.0, [-1.0]) if shifts is None else (1.0, shifts)
-    s = asxp(s).reshape(-1, 1, 1)
-    rhs = b[:, None] if b.ndim == 1 else b
-    systems = c * np.eye(n) - s.astype(complex) * m.astype(complex)
-    m_bound = 2.0 * EPS * (c + np.abs(s.ravel()) * np.abs(m).sum(axis=1).max(initial=0.0))
+    if m.shape != (n, n) or b.shape != (n,):
+        raise ValueError(f"expected a square matrix and a vector, got {m.shape} and {b.shape}")
+    s = asxp(shifts).reshape(-1, 1, 1)
+    systems = np.eye(n) - s.astype(complex) * m.astype(complex)
+    m_bound = 2.0 * EPS * (1.0 + np.abs(s.ravel()) * np.abs(m).sum(axis=1).max(initial=0.0))
     b_bound = 2.0 * EPS * np.abs(b).max(initial=0.0)
-    x = np.linalg.solve(systems, rhs.astype(complex)).astype(CDTYPE)
+    x = np.linalg.solve(systems, b[:, None].astype(complex)).astype(CDTYPE)
     active = np.arange(len(s))
     for step in range(REFINE_STEPS + 1):
-        r = rhs - c * x[active] + s[active] * (m @ x[active])
+        r = b[:, None] - x[active] + s[active] * (m @ x[active])
         bound = m_bound[active] * np.abs(x[active]).max(axis=(1, 2), initial=0.0) + b_bound
         # written as a negation so that a NaN residual stays unsettled
         keep = ~(np.abs(r).max(axis=(1, 2), initial=0.0) <= bound)
         active, r = active[keep], r[keep]
         if not active.size:
-            x = x.reshape((-1,) + b.shape)
-            return x if shifts is not None else x[0]
+            return x[..., 0]
         if step < REFINE_STEPS:
             x[active] += np.linalg.solve(systems[active], r.astype(complex))
     raise UnconvergedError(

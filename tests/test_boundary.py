@@ -195,7 +195,8 @@ class TestGridMemo:
     @pytest.mark.parametrize(
         "aperture, depth, error",
         [(0.5, 12, BadApertureError), (float("nan"), 12, BadApertureError), (1e300, 12, BadApertureError),
-         (2.0, 0, ValueError), (2.0, 49, ValueError)],
+         (2.0, 0, ValueError), (2.0, 49, ValueError), (1.0, 44, ValueError), (2.0, 43, ValueError),
+         (1000.0, 34, ValueError)],
     )
     def test_invalid_arguments_raise_on_every_call(self, aperture, depth, error):
         for _ in range(3):

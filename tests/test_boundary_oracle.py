@@ -131,7 +131,7 @@ def julia_models() -> list[GeneralizedRealization]:
 @pytest.mark.parametrize("index", range(5))
 def test_julia_rows_match_oracle(index):
     model = julia_models()[index]
-    block = model._refined_block()
+    block = model._refined_block
     rows = julia_quotient_ray(model)
     by_t = {row.t: row for row in rows}
     for t in JULIA_TS:

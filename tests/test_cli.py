@@ -3,6 +3,8 @@ import collections
 import copy
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +30,21 @@ from caralab.cli import build_parser, main
 from caralab.realization import RAY_EXPONENTS
 from caralab.suite import SUITE_TAUS, SuiteConfig
 from conftest import TAU_11, left_null_model
+
+
+#: directions whose coordinates, or |delta|^2, are not finite numbers, and why each is refused
+UNREPRESENTABLE = [
+    ("-inf,-1", "is not finite"),
+    ("nan,-1", "is not finite"),
+    ("-1e308,-1e308", "has no finite entry time"),
+    ("-1e-320,-1e-320", "has no finite entry time"),
+    ("-1e200,-1", "has no finite entry time"),
+]
+
+
+def refusal(delta: str, why: str) -> str:
+    """The error line that refuses the direction written 're1,re2' on the command line."""
+    return f"error: direction {tuple(complex(float(x), 0.0) for x in delta.split(','))!r} {why}"
 
 
 @pytest.fixture
@@ -132,18 +149,29 @@ def test_family_fills_each_column_with_one_call(monkeypatch, capsys, tmp_path):
         monkeypatch.setattr(module, name, wrapper)
 
     for module, name in [
-        (cli, "phi_y_directional_derivative"), (cli, "cara_quotient"), (boundary, "carapoint_scan"),
-        (cli, "derivative_fd"), (cli, "linearity_defect"),
+        (cli, "phi_y_directional_derivative"), (cli, "carapoint_points"), (cli, "carapoint_scan"),
+        (boundary, "cara_quotient"), (cli, "derivative_fd"), (cli, "linearity_defect"),
     ]:
         counting(module, name)
+    evaluated = []
+    phi_y_eval = cli.phi_y_eval
+
+    def recording(y, tau, lam):
+        evaluated.append(lam)
+        return phi_y_eval(y, tau, lam)
+
+    monkeypatch.setattr(cli, "phi_y_eval", recording)
     code, doc = run(capsys, ["family", "--y", "0.5", "--csv", str(tmp_path / "fam")])
     assert code == 0
     # the analytic column and the linearity defect, one call each; the
-    # carapoint scan and the quotient rows of the ray, one call each
+    # carapoint scan and the quotient rows of the ray read one evaluation
     assert counts == {
-        "phi_y_directional_derivative": 2, "cara_quotient": 1, "carapoint_scan": 1, "derivative_fd": 1,
+        "phi_y_directional_derivative": 2, "carapoint_points": 1, "carapoint_scan": 1, "derivative_fd": 1,
         "linearity_defect": 1,
     }
+    # the scan's points, the difference steps, then the three ray samples one by one
+    scan = boundary.carapoint_points(build_grid(TAU_11, DEFAULT_APERTURE, DEFAULT_DEPTH))
+    assert len(evaluated) == 5 and np.array_equal(evaluated[0], scan)
     assert len(doc["derivatives"]) == 24
     rows = (tmp_path / "fam.quotient.csv").read_text().splitlines()
     assert len(rows) == 1 + DEFAULT_DEPTH
@@ -190,6 +218,15 @@ class TestVerify:
 
     def test_bad_ray_exponents_exit_2(self, capsys, swap_spec):
         assert main(["verify", swap_spec, "--ray-exponents", "9,3"]) == 2
+
+    @pytest.mark.skipif(xprec.EPS != 2.0**-63, reason="the floor follows the platform's long double")
+    def test_ray_parameter_floor_exits_2(self, capsys, swap_spec):
+        # from t = 2^-65 on, 1 - t rounds to 1 in an 80-bit long double: the row would sit at tau
+        assert main(["verify", swap_spec, "--ray-exponents", "60,70"]) == 2
+        assert "1 - t" in capsys.readouterr().err
+        for exponents in ("4,20", "50,60"):
+            code, doc = run(capsys, ["verify", swap_spec, "--ray-exponents", exponents])
+            assert code == 0 and doc["ok"] is True
 
 
 class TestClassify:
@@ -261,6 +298,17 @@ class TestDerivative:
 
     def test_later_inadmissible_direction_exits_2(self, capsys, swap_spec):
         assert main(["derivative", swap_spec, "--delta=-1,-1", "--delta=2,1"]) == 2
+
+    @pytest.mark.parametrize("delta, why", UNREPRESENTABLE)
+    def test_unrepresentable_direction_exits_2_naming_it(self, capsys, swap_spec, delta, why):
+        assert main(["derivative", swap_spec, f"--delta={delta}"]) == 2
+        assert capsys.readouterr().err.startswith(refusal(delta, why))
+
+    @pytest.mark.parametrize("delta, why", UNREPRESENTABLE)
+    def test_unrepresentable_direction_warns_nothing(self, swap_spec, delta, why):
+        # with warnings as errors, a warning on the way would end in a traceback and exit 1
+        proc = run_module(["-W", "error", "-m", "caralab", "derivative", swap_spec, f"--delta={delta}"])
+        assert proc.returncode == 2 and proc.stderr.startswith(refusal(delta, why))
 
     def test_inadmissible_direction_exits_2_before_an_unconverged_ray_limit(self, capsys, shear_spec):
         # every direction is checked before the ray limit of the first is needed
@@ -356,6 +404,39 @@ class TestNonFiniteGeometry:
     def test_nan_tau_flag(self, capsys):
         assert main(["family", "--y", "0.5", "--tau", "nan,1"]) in self.DOCUMENTED
         assert main(["family", "--y", "0.5", "--tau-angles", "nan,0"]) in self.DOCUMENTED
+
+
+class TestDepthBound:
+    """A grid is as deep as the pencil evaluates its points for every Y: 2^-depth / aperture > 1e-13."""
+
+    @pytest.fixture
+    def endpoint_spec(self, tmp_path):
+        # Y = diag(1, 0): grid offsets are the pencil's denominators themselves
+        y = validate_positive_contraction(np.diag([1.0, 0.0]))
+        m = GeneralizedRealization(OperatorPencil(y, TAU_11), random_colligation(2, np.random.default_rng(2)))
+        path = tmp_path / "endpoint.json"
+        path.write_text(json.dumps(dump_model(m)))
+        return str(path)
+
+    @pytest.mark.parametrize("aperture, bound", [(1.0, 43), (2.0, 42), (1000.0, 33)])
+    def test_bound_classifies_and_one_level_deeper_exits_2(
+        self, capsys, monkeypatch, swap_spec, endpoint_spec, aperture, bound
+    ):
+        from caralab import suite
+
+        for spec in (swap_spec, endpoint_spec):
+            assert main(["classify", spec, f"--aperture={aperture}", "--depth", str(bound)]) == 0
+        capsys.readouterr()
+        models = []
+        generate_model = suite.generate_model
+        monkeypatch.setattr(suite, "generate_model", lambda *a: models.append(a) or generate_model(*a))
+        deeper = [f"--aperture={aperture}", "--depth", str(bound + 1)]
+        for argv in (["classify", swap_spec], ["classify", endpoint_spec], ["family", "--y", "0.5"], ["suite"]):
+            assert main([*argv, *deeper]) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith(f"error: depth must lie in 1..{bound} at aperture {aperture!r}")
+        # the suite refuses before its first model
+        assert models == []
 
 
 #: the README swap model as a document, the base of the malformed ones
@@ -592,21 +673,17 @@ class TestParser:
         assert [code for code, _ in cached] == [0, 0, 2]
 
 
+def run_module(args: list[str]) -> subprocess.CompletedProcess:
+    """Run the interpreter with args, importing the caralab under test, not an installed one."""
+    import caralab
+
+    env = dict(os.environ, PYTHONPATH=str(Path(caralab.__file__).resolve().parent.parent))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
 class TestModuleEntry:
     def test_python_dash_m_works(self, swap_spec):
-        import subprocess
-        import sys
-
-        import caralab
-
-        # the child imports the caralab under test, not an installed one
-        env = dict(os.environ, PYTHONPATH=str(Path(caralab.__file__).resolve().parent.parent))
-        proc = subprocess.run(
-            [sys.executable, "-m", "caralab", "verify", swap_spec],
-            capture_output=True,
-            text=True,
-            env=env,
-        )
+        proc = run_module(["-m", "caralab", "verify", swap_spec])
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["ok"] is True
 

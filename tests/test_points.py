@@ -9,6 +9,7 @@ from caralab import (
     cara_quotient,
     derivative_fd,
     derivative_model,
+    derivative_table,
     direction_entry_time,
     i_y_eval,
     i_y_spectral_form,
@@ -26,7 +27,7 @@ from caralab import (
 from caralab.errors import InadmissibleDirectionError
 from caralab.points import as_points, require_admissible
 from caralab.scalar_family import phi_y_model_components
-from conftest import TAUS
+from conftest import TAU_11, TAUS, scalar_model
 
 
 class TestBoundaryPoint:
@@ -75,6 +76,16 @@ class TestDiskPoint:
     def test_iteration(self):
         a, b = DiskPoint(1j, 2j)
         assert (a, b) == (1j, 2j)
+
+
+#: directions whose coordinates, or |delta|^2, are not finite numbers, and why each is refused
+UNREPRESENTABLE = [
+    ((-np.inf, -1), "is not finite"),
+    ((np.nan, -1), "is not finite"),
+    ((-1e308, -1e308), "has no finite entry time"),
+    ((-1e-320, -1e-320), "has no finite entry time"),
+    ((-1e200, -1), "has no finite entry time"),
+]
 
 
 class TestAdmissibility:
@@ -128,6 +139,32 @@ class TestAdmissibility:
         tau = BoundaryPoint(1 + 0j, 1 + 0j)
         check(tau, delta)
         assert len(stacked) == 2 and any(p is tau for p in stacked)
+
+    @pytest.mark.parametrize("delta, why", UNREPRESENTABLE)
+    def test_unrepresentable_direction_is_refused(self, delta, why):
+        # as its own direction, and after an admissible one in an array
+        tau = BoundaryPoint(1 + 0j, 1 + 0j)
+        stacked = np.array([(-1, -1), delta], dtype=complex)
+        assert is_admissible_direction(tau, delta) is False
+        assert is_admissible_direction(tau, stacked).tolist() == [True, False]
+        for check in (require_admissible, direction_entry_time):
+            for d in (delta, stacked):
+                with pytest.raises(InadmissibleDirectionError, match=why) as info:
+                    check(tau, d)
+                assert str(info.value).startswith(f"direction {tuple(map(complex, delta))!r} ")
+
+    @pytest.mark.parametrize("delta, why", UNREPRESENTABLE)
+    def test_every_derivative_route_refuses_an_unrepresentable_direction(self, delta, why):
+        model = scalar_model(0.5)
+        routes = {
+            "derivative_model": lambda d: derivative_model(model, d),
+            "phi_y_directional_derivative": lambda d: phi_y_directional_derivative(0.5, TAU_11, d),
+            "derivative_fd": lambda d: derivative_fd(model.phi, TAU_11, d),
+            "derivative_table": lambda d: derivative_table(model, [d]),
+        }
+        for name, route in routes.items():
+            with pytest.raises(InadmissibleDirectionError, match=why):
+                route(delta)
 
 
 class TestStackPoints:

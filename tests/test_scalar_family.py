@@ -12,6 +12,7 @@ from caralab import (
     InadmissibleDirectionError,
     PoleHitError,
     build_grid,
+    derivative_model,
     model_vector_bound,
     phi_y_directional_derivative,
     phi_y_eval,
@@ -21,7 +22,7 @@ from caralab import (
 )
 from caralab import scalar_family
 from caralab.pencil import sample_bidisk_pairs
-from conftest import TAU_11, TAUS, disk_point
+from conftest import TAU_11, TAUS, disk_point, scalar_model
 
 YS = tuple(k / 10.0 for k in range(1, 10))
 
@@ -197,6 +198,13 @@ class TestDirectionalDerivative:
     def test_inadmissible_rejected(self):
         with pytest.raises(InadmissibleDirectionError):
             phi_y_directional_derivative(0.5, TAU_11, (1, -1))
+
+    def test_tiny_direction_agrees_with_the_swap_model(self):
+        # phi_y is the swap model over Y = [[y]]; an admissible direction has no pole
+        delta = (-1e-20, -1e-20)
+        want = derivative_model(scalar_model(0.5), delta)
+        assert phi_y_directional_derivative(0.5, TAU_11, delta) == pytest.approx(want, rel=1e-15)
+        assert want == pytest.approx(-1e-20, rel=1e-15)
 
     @settings(max_examples=100, deadline=None)
     @given(
