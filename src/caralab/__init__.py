@@ -7,7 +7,7 @@ from .boundary import (
     JuliaRow,
     NontangentialGrid,
     build_grid,
-    cara_quotient,
+    cara_quotients,
     classify_model,
     default_direction_pairs,
     default_directions,
@@ -18,8 +18,6 @@ from .boundary import (
     julia_quotient_ray,
     linearity_defect,
     satisfies_aperture,
-    standard_model_residual,
-    standard_model_rotated,
 )
 from .errors import (
     BadApertureError,
@@ -55,12 +53,7 @@ from .pencil import (
     i_y_eval,
     i_y_spectral_form,
 )
-from .points import (
-    BoundaryPoint,
-    DiskPoint,
-    direction_entry_time,
-    is_admissible_direction,
-)
+from .points import BoundaryPoint, direction_entry_time
 from .realization import (
     Colligation,
     GeneralizedRealization,

@@ -103,7 +103,8 @@ def build_grid(
 
     A depth past the deepest that the pencil evaluates for every Y raises
     ValueError, after the BadApertureError of a point that rounding moves
-    out of the open bidisk or its cone.
+    out of the open bidisk or its cone, or of an aperture that leaves no
+    such depth.
     """
     if not (math.isfinite(aperture) and aperture >= 1.0):
         raise BadApertureError(f"aperture {aperture!r} is not a finite number >= 1")
@@ -113,29 +114,23 @@ def build_grid(
     while math.ldexp(1.0, -deepest - 1) / aperture > SINGULAR_RTOL:
         deepest += 1
     tau = BoundaryPoint(*tau)
-    t1, t2 = tau
     # a grid deeper than the bound is refused below; the scan ray's depth holds the points
     # where a wide aperture's radial speed 1/aperture is lost to rounding, refused first
     ts = np.ldexp(1.0, -np.arange(1, min(depth, max(deepest, DETECT_EXPONENT)) + 1))  # exactly 2^-k
 
-    def radial(u1: float, u2: float) -> np.ndarray:
-        return np.stack([(1.0 - ts * u1) * t1, (1.0 - ts * u2) * t2], axis=1)
-
-    families = [("ray", radial(1.0, 1.0))]
+    names, speeds, detours = ["ray"], [(1.0, 1.0)], []
     if aperture > 1.0:
-        ratios = sorted({1.0 / aperture, (1.0 + 1.0 / aperture) / 2.0})
-        for r in ratios:
-            families.append((f"radial(1,{r:g})", radial(1.0, r)))
-            families.append((f"radial({r:g},1)", radial(r, 1.0)))
+        for r in sorted({1.0 / aperture, (1.0 + 1.0 / aperture) / 2.0}):
+            names += [f"radial(1,{r:g})", f"radial({r:g},1)"]
+            speeds += [(1.0, r), (r, 1.0)]
         # safe angular speed: sqrt(1 + kappa^2) <= aperture with margin;
         # the aperture is not squared, so a huge one cannot overflow
         kappa = 0.9 * math.sqrt(aperture - 1.0) * math.sqrt(aperture + 1.0)
-        plus, minus = _angular_families(tau, kappa, ts)
-        families.append((f"angular(+{kappa:.3g},0)", plus))
-        families.append((f"angular(0,-{kappa:.3g})", minus))
-
-    names, coords = zip(*families)
-    coords = np.stack(coords)
+        names += [f"angular(+{kappa:.3g},0)", f"angular(0,-{kappa:.3g})"]
+        detours = [_angular_families(tau, kappa, ts)]
+    # radial family f has coordinates (1 - t speeds[f][j]) tau_j at t
+    radial = (1.0 - ts[:, None] * np.array(speeds)[:, None]) * np.array(tuple(tau), dtype=complex)
+    coords = np.concatenate([radial, *detours])
     coords.flags.writeable = False
     inside = satisfies_aperture(tau, coords.reshape(-1, 2), aperture, slack=1e-12)
     ok = (modulus(coords).max(axis=-1) < 1.0) & inside.reshape(coords.shape[:2])
@@ -145,9 +140,11 @@ def build_grid(
             f"grid family {names[f]!r} leaves the open bidisk or its cone at t={float(ts[k])!r} "
             f"for aperture {aperture!r}"
         )
+    if not deepest:
+        raise BadApertureError(f"aperture {aperture!r} leaves no grid depth where the pencil takes every point")
     if not 1 <= depth <= deepest:
         raise ValueError(f"depth must lie in 1..{deepest} at aperture {aperture!r}, where the pencil takes every point")
-    return NontangentialGrid(tau, float(aperture), int(depth), names, coords)
+    return NontangentialGrid(tau, float(aperture), int(depth), tuple(names), coords)
 
 
 def _angular_families(tau: BoundaryPoint, kappa: float, ts: np.ndarray) -> np.ndarray:
@@ -169,20 +166,11 @@ def _angular_families(tau: BoundaryPoint, kappa: float, ts: np.ndarray) -> np.nd
     return out
 
 
-def cara_quotient(phi: Callable[[np.ndarray], np.ndarray], lam):
-    """The Caratheodory quotient (1 - |phi(lam)|) / (1 - ||lam||_inf).
+def cara_quotients(points: np.ndarray, values) -> np.ndarray:
+    """Caratheodory quotients (1 - |phi(lam)|) / (1 - ||lam||_inf) at (N, 2) points.
 
-    phi gets the (N, 2) array of the points and returns their N values (a
-    constant may return one value); an (N, 2) array lam gives an array of
-    quotients from that one call.
+    ``values`` holds phi's N values at the points, or one value for a constant.
     """
-    points, single = as_points(lam)
-    quotient = _quotients(points, phi(points))
-    return float(quotient[0]) if single else quotient
-
-
-def _quotients(points: np.ndarray, values) -> np.ndarray:
-    """Caratheodory quotients at (N, 2) points from phi's values there (N, or one)."""
     gap = 1.0 - np.maximum(np.abs(points[:, 0]), np.abs(points[:, 1]))
     values = np.broadcast_to(np.asarray(values, dtype=complex), gap.shape)
     return (1.0 - np.abs(values)) / gap
@@ -227,7 +215,7 @@ def carapoint_scan(grid: NontangentialGrid, points: np.ndarray, values) -> Carap
     the Richardson-extrapolated ray limit of the quotient, taken from the
     moderately deep ray samples where rounding is still negligible.
     """
-    quotients = _quotients(points, values)
+    quotients = cara_quotients(points, values)
     ray = np.concatenate([quotients[: grid.depth], quotients[grid.coords[..., 0].size :]])
     k_hi = min(ALPHA_EXPONENT, len(ray))
     alpha, residual = richardson_limit(ray[max(1, k_hi - 7) - 1 : k_hi])
@@ -419,17 +407,6 @@ def linearity_defect(
 # -- derived standard model ----------------------------------------------
 
 
-def standard_model_rotated(model: GeneralizedRealization, lam):
-    """Standard model components u1', u2', model vector v' and phi at lam, from one evaluation.
-
-    The vectors are in Y's eigenbasis (v = U v'), which keeps norms and
-    inner products; one row per point of lam (one point, or an (N, 2)
-    array).  See :func:`standard_model_components`.
-    """
-    points, _ = as_points(lam)
-    return standard_model_components(model, points, model.evaluate(points))
-
-
 def standard_model_components(model: GeneralizedRealization, points: np.ndarray, evaluation):
     """u1', u2', v' and phi at (N, 2) points, from ``evaluation = model.evaluate(points)``.
 
@@ -445,19 +422,6 @@ def standard_model_components(model: GeneralizedRealization, points: np.ndarray,
     inner = (w > 0.0) & (w < 1.0)
     w1[:, inner], w2[:, inner] = phi_y_model_components(w[inner], model.tau, points)
     return w1 * v, w2 * v, v, phi
-
-
-def standard_model_residual(model: GeneralizedRealization, lam, mu):
-    """Defect of the ordinary model identity for the derived standard model.
-
-    (N, 2) arrays lam and mu give one residual per pair; see
-    :func:`standard_identity_defect`.
-    """
-    (pl, one_lam), (pm, one_mu) = as_points(lam), as_points(mu)
-    points = np.concatenate(np.broadcast_arrays(pl, pm))
-    u1, u2, _, phi = standard_model_components(model, points, model.evaluate(points))
-    residual = standard_identity_defect(points, u1, u2, phi)
-    return float(residual[0]) if one_lam and one_mu else residual
 
 
 def standard_identity_defect(points: np.ndarray, u1: np.ndarray, u2: np.ndarray, phi: np.ndarray) -> np.ndarray:

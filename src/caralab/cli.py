@@ -23,8 +23,8 @@ from .boundary import (
     DEFAULT_CLASS_TOL,
     DEFAULT_DEPTH,
     DerivativeTable,
-    _quotients,
     build_grid,
+    cara_quotients,
     carapoint_points,
     carapoint_scan,
     classify_model,
@@ -178,7 +178,7 @@ def cmd_family(args) -> int:
     scan = carapoint_scan(grid, points, values)
     # the radial ray is the grid's family 0, at t = 2^-k, so its points head the scan's
     ts = np.ldexp(1.0, -np.arange(1, grid.depth + 1)).tolist()
-    quotient_rows = [[t, q] for t, q in zip(ts, _quotients(points, values).tolist())]
+    quotient_rows = [[t, q] for t, q in zip(ts, cara_quotients(points, values).tolist())]
 
     residual_max = None
     if not monomial:

@@ -138,10 +138,6 @@ class SpectralDecomposition:
         u = self.eigenvectors[:, self.weights == w]
         return u @ u.conj().T
 
-    def reconstruct(self) -> np.ndarray:
-        """U diag(weights) U*."""
-        return self.compose(self.weights)
-
 
 def _cluster(values: np.ndarray, eigtol: float) -> list[list[int]]:
     """Group indices of ascending values whose consecutive gaps are <= eigtol."""
@@ -228,10 +224,6 @@ class PositiveContraction:
         """
         lo, hi = self.decomposition.extremes
         return max(0.0, -lo, hi - 1.0)
-
-    def is_projection(self) -> bool:
-        """True when the spectrum touches only the endpoints 0 and 1."""
-        return all(w in (0.0, 1.0) for w in self.eigenvalues)
 
 
 def validate_positive_contraction(

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import SingularDenominatorError
 from .hermitian import PositiveContraction
-from .points import BoundaryPoint, DiskPoint, as_points
+from .points import BoundaryPoint, as_points
 
 #: relative singular-value floor below which a denominator counts as singular
 SINGULAR_RTOL = 1e-13
@@ -83,6 +83,16 @@ def _singular(mag: np.ndarray, axis: int = -1) -> np.ndarray:
     return mag.min(axis=axis) <= SINGULAR_RTOL * np.maximum(mag.max(axis=axis), 1.0)
 
 
+def _certified(lower, upper):
+    """True where singular values bounded by lower and upper cannot be singular by :func:`_singular`.
+
+    The lower bound must exceed twice the rule's threshold at the upper
+    bound, which leaves room for the rounding of the SVD.  A NaN bound is
+    never certified.
+    """
+    return lower > 2.0 * SINGULAR_RTOL * np.maximum(upper, 1.0)
+
+
 def _offsets(pencil: OperatorPencil, pts: np.ndarray):
     """a = 1 - conj(tau1) lam1 and b = 1 - conj(tau2) lam2, shape (N,), and the TAU_SNAP mask."""
     t1, t2 = pencil.tau
@@ -127,10 +137,8 @@ def _denominator_certified(a: np.ndarray, b: np.ndarray, excursion: float) -> np
     ``excursion`` bounds how far spec(Y) leaves [0, 1].  The denominator
     a + (b-a)Y is normal, so its singular values are |a + (b-a)y| over y
     in spec(Y): at least the distance from 0 to the segment
-    a + (b-a)[-e, 1+e] and at most max(|a|, |b|) + e|b-a|.  As in the
-    resolvent certificate of GeneralizedRealization.evaluate, a lower bound
-    above twice the rule's threshold at the upper bound leaves room for
-    the rounding of the SVD.  A NaN bound is never certified.
+    a + (b-a)[-e, 1+e] and at most max(|a|, |b|) + e|b-a|, the bounds
+    :func:`_certified` judges.
     """
     d = b - a
     start = a - excursion * d
@@ -140,7 +148,7 @@ def _denominator_certified(a: np.ndarray, b: np.ndarray, excursion: float) -> np
     t = np.divide(-(start.conj() * span).real, length, out=np.zeros_like(length), where=length > 0.0)
     lower = np.abs(start + np.clip(t, 0.0, 1.0) * span)
     upper = np.maximum(np.abs(a), np.abs(b)) + excursion * np.abs(d)
-    return lower > 2.0 * SINGULAR_RTOL * np.maximum(upper, 1.0)
+    return _certified(lower, upper)
 
 
 def i_y_diagonal(pencil: OperatorPencil, points) -> np.ndarray:
@@ -183,12 +191,12 @@ def i_y_spectral_form(pencil: OperatorPencil, lam) -> np.ndarray:
     return out[0] if single else out
 
 
-def sample_bidisk(rng: np.random.Generator) -> DiskPoint:
+def sample_bidisk(rng: np.random.Generator) -> tuple[complex, complex]:
     """One point uniform w.r.t. area measure in each coordinate disk."""
     r = np.sqrt(rng.uniform(0.0, 1.0, size=2))
     th = rng.uniform(0.0, 2.0 * np.pi, size=2)
     z = r * np.exp(1j * th)
-    return DiskPoint(complex(z[0]), complex(z[1]))
+    return complex(z[0]), complex(z[1])
 
 
 def sample_bidisk_batch(rng: np.random.Generator, n: int) -> np.ndarray:

@@ -59,40 +59,21 @@ class BoundaryPoint:
         yield self.tau2
 
     def ray_point(self, t):
-        """The point (1-t) * tau on the radial ray into the bidisk.
+        """The point (1-t) * tau on the radial ray into the bidisk, as a pair of coordinates.
 
         An array of N values of t gives the (N, 2) array of the points.
         """
         if np.ndim(t):
             return np.stack([(1.0 - t) * self.tau1, (1.0 - t) * self.tau2], axis=1)
-        return DiskPoint((1.0 - t) * self.tau1, (1.0 - t) * self.tau2)
-
-
-@dataclass(frozen=True)
-class DiskPoint:
-    """One point of the (closed) bidisk."""
-
-    lam1: complex
-    lam2: complex
-
-    def __iter__(self) -> Iterator[complex]:
-        yield self.lam1
-        yield self.lam2
-
-    @property
-    def inf_norm(self) -> float:
-        return max(abs(self.lam1), abs(self.lam2))
-
-    def in_open_bidisk(self) -> bool:
-        return self.inf_norm < 1.0
+        return (1.0 - t) * self.tau1, (1.0 - t) * self.tau2
 
 
 def as_points(p) -> tuple[np.ndarray, bool]:
     """The (N, 2) complex array of p, and whether p was one point.
 
     An ndarray must have shape (N, 2) and stands for N points.  Anything
-    else must unpack into exactly two scalar coordinates (a DiskPoint, a
-    BoundaryPoint, a tuple) and stands for one point.  Every other input
+    else must unpack into exactly two scalar coordinates (a tuple, a
+    BoundaryPoint) and stands for one point.  Every other input
     raises ValueError.
     """
     if isinstance(p, np.ndarray):
@@ -124,13 +105,14 @@ def _inward(t: np.ndarray, d: np.ndarray) -> np.ndarray:
 
 
 def _admissible(tau, delta):
-    """The directions of delta, whether it was one, their entry times, verdicts and first failure.
+    """The directions of delta, whether it was one, and their entry times.
 
-    The failure is the message naming the first inadmissible direction, or
-    None.  A direction is admissible when both coordinates are finite, it
-    points into the bidisk at tau (Re(conj(tau_i) delta_i) < 0 in both), and
-    its entry time is a finite number > 0: |delta|^2 neither overflows nor
-    underflows.  Overflow and NaN decide the verdict without a warning.
+    Raises InadmissibleDirectionError naming the first inadmissible
+    direction.  A direction is admissible when both coordinates are
+    finite, it points into the bidisk at tau (Re(conj(tau_i) delta_i) < 0
+    in both), and its entry time is a finite number > 0: |delta|^2 neither
+    overflows nor underflows.  Overflow and NaN decide the verdict without
+    a warning.
     """
     t, _ = as_points(tau)
     d, single = as_points(delta)
@@ -142,20 +124,14 @@ def _admissible(tau, delta):
     finite, inward = np.isfinite(d).all(axis=1), (a < 0.0).all(axis=1)
     ok = finite & inward & np.isfinite(times) & (times > 0.0)
     if ok.all():
-        return d, single, times, ok, None
+        return d, single, times
     k, at = np.argmin(ok), tuple(map(complex, t[0]))
     why = (
         "is not finite" if not finite[k]
         else f"does not point into the bidisk at {at!r}" if not inward[k]
         else f"has no finite entry time > 0 at {at!r}: |delta|^2 overflows or underflows"
     )
-    return d, single, times, ok, f"direction {tuple(map(complex, d[k]))!r} {why}"
-
-
-def is_admissible_direction(tau, delta):
-    """Whether the direction is admissible at tau (:func:`_admissible`); one flag per direction of an (N, 2) array."""
-    _, single, _, ok, _ = _admissible(tau, delta)
-    return bool(ok[0]) if single else ok
+    raise InadmissibleDirectionError(f"direction {tuple(map(complex, d[k]))!r} {why}")
 
 
 def require_admissible(tau, delta) -> np.ndarray:
@@ -163,10 +139,7 @@ def require_admissible(tau, delta) -> np.ndarray:
 
     Returns the (N, 2) array of the directions.
     """
-    d, _, _, _, reason = _admissible(tau, delta)
-    if reason is not None:
-        raise InadmissibleDirectionError(reason)
-    return d
+    return _admissible(tau, delta)[0]
 
 
 def direction_entry_time(tau, delta):
@@ -175,7 +148,5 @@ def direction_entry_time(tau, delta):
     An (N, 2) array of directions gives one time per direction; the first
     inadmissible direction raises.
     """
-    _, single, times, _, reason = _admissible(tau, delta)
-    if reason is not None:
-        raise InadmissibleDirectionError(reason)
+    _, single, times = _admissible(tau, delta)
     return float(times[0]) if single else times

@@ -51,7 +51,7 @@ from .hermitian import (
     opnorm,
     validate_positive_contraction,
 )
-from .pencil import SINGULAR_RTOL, OperatorPencil, _diagonal_rows, _singular, stack_chunks
+from .pencil import OperatorPencil, _certified, _diagonal_rows, _singular, stack_chunks
 from .points import BoundaryPoint, as_points
 
 #: default isometry tolerance for colligation validation
@@ -198,7 +198,6 @@ class GeneralizedRealization:
             )
         self.pencil = pencil
         self.colligation = colligation
-        self.isotol = isotol
         self.isometry_defect = colligation.isometry_defect()
         self.is_isometric = self.isometry_defect <= isotol
         # the colligation rotated into Y's eigenbasis, for :meth:`evaluate`
@@ -305,12 +304,12 @@ class GeneralizedRealization:
         """Raise SingularResolventError at the first point of pts whose resolvent is singular.
 
         ``rows`` is s at pts, shape (n, N).  The Weyl certificate of
-        :meth:`evaluate` spares the SVD; written as a negation, so that a
-        NaN bound goes to the SVD.  The points it cannot clear go to the
-        SVD in stacks of :func:`stack_chunks`, in order.
+        :meth:`evaluate` (:func:`pencil._certified`) spares the SVD; a NaN
+        bound is not certified and goes to the SVD.  The points it cannot
+        clear go to the SVD in stacks of :func:`stack_chunks`, in order.
         """
         am = self._a_norm * np.abs(rows).max(axis=0)
-        check = np.flatnonzero(~(1.0 - am > 2.0 * SINGULAR_RTOL * (1.0 + am)))
+        check = np.flatnonzero(~_certified(1.0 - am, 1.0 + am))
         for chunk in stack_chunks(check.size, self.dim**2):
             sv = np.linalg.svd(self._resolvents(rows[:, check[chunk]].T), compute_uv=False)
             bad = check[chunk][_singular(sv)]

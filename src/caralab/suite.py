@@ -14,7 +14,7 @@ randomness flows from one seed, so reports are reproducible byte-for-byte.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -85,7 +85,7 @@ class CheckOutcome:
     bound: float
 
     def to_json(self) -> dict:
-        return asdict(self)
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 @dataclass

@@ -87,10 +87,3 @@ def nearest_unitary(v) -> np.ndarray:
             return x
         x = x @ (CDTYPE(3) * eye - g) / CDTYPE(2)
     return x
-
-
-def unitary_defect(v) -> float:
-    """Largest entry of |V*V - 1|, evaluated in extended precision."""
-    v = asxp(v)
-    n = v.shape[1]
-    return float(np.abs(v.conj().T @ v - np.eye(n, dtype=CDTYPE)).max())

@@ -6,7 +6,6 @@ import pytest
 from caralab import (
     BoundaryPoint,
     Colligation,
-    DiskPoint,
     GeneralizedRealization,
     OperatorPencil,
     random_colligation,
@@ -25,11 +24,11 @@ TAUS = (
 )
 
 
-def disk_point(rng: np.random.Generator) -> DiskPoint:
+def disk_point(rng: np.random.Generator) -> tuple[complex, complex]:
     r = np.sqrt(rng.uniform(0.0, 1.0, size=2))
     th = rng.uniform(0.0, 2.0 * np.pi, size=2)
     z = r * np.exp(1j * th)
-    return DiskPoint(complex(z[0]), complex(z[1]))
+    return complex(z[0]), complex(z[1])
 
 
 def scalar_model(y: float = 0.5, tau: BoundaryPoint = TAU_11, block=None) -> GeneralizedRealization:

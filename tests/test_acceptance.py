@@ -36,7 +36,7 @@ from caralab import (
     validate_positive_contraction,
 )
 from caralab.boundary import DEFECT_REGULAR_TOL
-from caralab.points import BoundaryPoint, DiskPoint
+from caralab.points import BoundaryPoint
 from caralab.realization import Colligation
 from caralab.suite import SuiteConfig, run_suite
 from conftest import TAU_11, disk_point
@@ -251,11 +251,11 @@ def _cone_points(tau, aperture, count, rng):
         else:
             u1, u2 = rng.uniform(1.0 / aperture, 1.0, size=2)
             th1, th2 = rng.uniform(-0.5 * kappa * t, 0.5 * kappa * t, size=2)
-        lam = DiskPoint(
+        lam = (
             (1.0 - u1 * t) * cmath.exp(1j * th1) * tau.tau1,
             (1.0 - u2 * t) * cmath.exp(1j * th2) * tau.tau2,
         )
-        if lam.in_open_bidisk() and satisfies_aperture(tau, lam, aperture, slack=1e-12):
+        if max(map(abs, lam)) < 1.0 and satisfies_aperture(tau, lam, aperture, slack=1e-12):
             pts.append(lam)
     return pts
 

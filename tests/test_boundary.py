@@ -6,7 +6,6 @@ import pytest
 from caralab import (
     BadApertureError,
     CarapointScan,
-    DiskPoint,
     GeneralizedRealization,
     InadmissibleDirectionError,
     NoConvergenceError,
@@ -14,7 +13,7 @@ from caralab import (
     UnconvergedError,
     apply_calculus,
     build_grid,
-    cara_quotient,
+    cara_quotients,
     classify_model,
     colligation_with_ray_limit,
     default_direction_pairs,
@@ -30,8 +29,6 @@ from caralab import (
     random_colligation,
     random_positive_contraction,
     satisfies_aperture,
-    standard_model_residual,
-    standard_model_rotated,
     validate_positive_contraction,
 )
 from caralab.boundary import (
@@ -42,6 +39,8 @@ from caralab.boundary import (
     FD_STEPS,
     QUOTIENT_BOUND,
     _angular_families,
+    standard_identity_defect,
+    standard_model_components,
 )
 from caralab.extrapolate import richardson_limit
 from caralab.points import require_admissible
@@ -54,6 +53,11 @@ HOUSEHOLDER = [[0.6, 0.8], [0.8, -0.6]]  # phi(0,0) = -3/5, v_tau = 2
 
 def phi_y(y, tau):
     return lambda lam: phi_y_eval(y, tau, lam)
+
+
+def standard_components(model, points):
+    """u1', u2', v' and phi at (N, 2) points, from one fresh evaluation."""
+    return standard_model_components(model, points, model.evaluate(points))
 
 
 def model_over(diag, tau=TAU_11, block=None, rng=None):
@@ -103,7 +107,7 @@ class TestGrid:
         grid = build_grid(tau, aperture, 12)
         points = grid.coords.reshape(-1, 2)
         for a, b in points.tolist():
-            assert DiskPoint(a, b).in_open_bidisk()
+            assert max(abs(a), abs(b)) < 1.0
             assert satisfies_aperture(tau, (a, b), aperture, slack=1e-12)
         assert satisfies_aperture(tau, points, aperture, slack=1e-12).all()
 
@@ -131,11 +135,13 @@ class TestGrid:
         ts = [2.0**-k for k in range(1, depth + 1)]
         return [(name, [(t, make(t)) for t in ts]) for name, make in makers]
 
-    @pytest.mark.parametrize("aperture", [1.0, 2.0, 5.0])
-    @pytest.mark.parametrize("tau", TAUS)
-    def test_coordinates_are_bit_identical_to_the_scalar_formulas(self, tau, aperture):
-        grid = build_grid(tau, aperture, 12)
-        reference = self.scalar_reference(tau, aperture, 12)
+    @pytest.mark.parametrize("depth", [1, 12, 39])
+    @pytest.mark.parametrize("aperture", [1.0, 1.5, 2.0, 5.0, 10.0])
+    @pytest.mark.parametrize("tau", TAUS + SUITE_TAUS[2:])
+    def test_coordinates_are_bit_identical_to_the_scalar_formulas(self, tau, aperture, depth):
+        # every family, the radial ones included; 39 is the deepest grid at aperture 10
+        grid = build_grid(tau, aperture, depth)
+        reference = self.scalar_reference(tau, aperture, depth)
         assert grid.names == tuple(name for name, _ in reference)
         want = np.array([[pt for _, pt in pts] for _, pts in reference], dtype=complex)
         assert grid.coords.shape == want.shape
@@ -203,21 +209,27 @@ class TestGridMemo:
             with pytest.raises(error):
                 build_grid(TAU_11, aperture, depth)
 
+    def test_an_aperture_that_leaves_no_depth_is_refused(self):
+        # 2^-1 / 6e12 is below SINGULAR_RTOL, yet the one point at t = 1/2 lies inside the cone
+        with pytest.raises(BadApertureError) as info:
+            build_grid((1, 1), 6e12, 1)
+        assert str(info.value) == "aperture 6000000000000.0 leaves no grid depth where the pencil takes every point"
+
 
 class TestCaraQuotient:
     def test_family_on_ray_is_one(self):
-        phi = phi_y(0.5, TAU_11)
-        for r in (0.3, 0.9, 0.999):
-            assert cara_quotient(phi, (r, r)) == pytest.approx(1.0, abs=1e-12)
+        pts = np.array([(r, r) for r in (0.3, 0.9, 0.999)], dtype=complex)
+        quotients = cara_quotients(pts, phi_y_eval(0.5, TAU_11, pts))
+        assert quotients == pytest.approx([1.0] * 3, abs=1e-12)
 
     def test_constant_zero_blows_up(self):
-        phi = lambda lam: 0j  # noqa: E731
-        assert cara_quotient(phi, (0.999, 0.0)) == pytest.approx(1000.0, rel=1e-9)
+        # a constant phi may give one value for every point
+        assert cara_quotients(np.array([[0.999, 0.0]]), 0j) == pytest.approx([1000.0], rel=1e-9)
 
     def test_realization_ray_quotient_approaches_alpha(self):
         m = scalar_model(0.5, block=HOUSEHOLDER)
-        q = cara_quotient(m.phi, TAU_11.ray_point(2.0**-18))
-        assert q == pytest.approx(4.0, abs=1e-3)
+        pts = TAU_11.ray_point(np.array([2.0**-18]))
+        assert cara_quotients(pts, m.phi(pts)) == pytest.approx([4.0], abs=1e-3)
 
 
 class TestDetect:
@@ -251,7 +263,7 @@ class TestDetect:
         deeper = grid.tau.ray_point(np.ldexp(1.0, -np.arange(grid.depth + 1, DETECT_EXPONENT + 1)))
         ray = np.concatenate([grid.coords[grid.names.index("ray")], deeper])
         pts = np.concatenate([ray, grid.coords.reshape(-1, 2)])
-        quotients = cara_quotient(phi, pts)
+        quotients = cara_quotients(pts, phi(pts))
         k_hi = min(ALPHA_EXPONENT, len(ray))
         alpha, residual = richardson_limit(quotients[max(1, k_hi - 7) - 1 : k_hi])
         qmax = quotients.max()
@@ -607,7 +619,7 @@ class TestLinearityDefect:
 class TestStandardModel:
     def test_swap_center_components(self):
         m = scalar_model(0.5)
-        u1, u2, _, _ = standard_model_rotated(m, (0, 0))
+        u1, u2, _, _ = standard_components(m, np.zeros((1, 2), dtype=complex))
         s = np.sqrt(0.5)
         # one-dimensional: the eigenbasis is a unimodular scalar
         assert abs(complex(u1[0, 0])) == pytest.approx(s, abs=1e-13)
@@ -620,28 +632,26 @@ class TestStandardModel:
         m = model_over([1.0, 0.0], rng=rng)
         dec = m.pencil.contraction.decomposition
         e1, e0 = dec.projector(1.0), dec.projector(0.0)
-        for _ in range(10):
-            lam = disk_point(rng)
-            v = m.model_vector(lam)
-            u1, u2, _, _ = standard_model_rotated(m, lam)
-            assert np.linalg.norm(u1[0] @ dec.eigenvectors.T - e1 @ v) <= 1e-12
-            assert np.linalg.norm(u2[0] @ dec.eigenvectors.T - e0 @ v) <= 1e-12
+        lams = np.array([disk_point(rng) for _ in range(10)])
+        u1, u2, _, _ = standard_components(m, lams)
+        for k, v in enumerate(m.model_vector(lams)):
+            assert np.linalg.norm(u1[k] @ dec.eigenvectors.T - e1 @ v) <= 1e-12
+            assert np.linalg.norm(u2[k] @ dec.eigenvectors.T - e0 @ v) <= 1e-12
 
     def test_residual_on_random_models(self, rng):
         for tau in TAUS:
             dim = int(rng.integers(1, 7))
             y = random_positive_contraction(dim, rng)
             m = GeneralizedRealization(OperatorPencil(y, tau), random_colligation(dim, rng))
-            worst = max(
-                standard_model_residual(m, disk_point(rng), disk_point(rng))
-                for _ in range(40)
-            )
-            assert worst <= 1e-9
+            lam, mu = np.array([(disk_point(rng), disk_point(rng)) for _ in range(40)]).transpose(1, 0, 2)
+            points = np.concatenate([lam, mu])
+            u1, u2, _, phi = standard_components(m, points)
+            assert standard_identity_defect(points, u1, u2, phi).max() <= 1e-9
 
     def test_rotated_components_keep_norms_and_inner_products(self, rng):
         m = model_over([1.0, 0.0, 0.4, 0.4, 0.8], rng=rng)
         points = build_grid(TAU_11, 2.0, 12).coords.reshape(-1, 2)
-        u1r, u2r, vr, phi = standard_model_rotated(m, points)
+        u1r, u2r, vr, phi = standard_components(m, points)
         ut = m.pencil.contraction.decomposition.eigenvectors.T
         u1, u2 = u1r @ ut, u2r @ ut
         v = m.model_vector(points)
@@ -660,12 +670,11 @@ class TestStandardModel:
                 OperatorPencil(y, TAU_11), random_colligation(dim, rng)
             )
             ut = m.pencil.contraction.decomposition.eigenvectors.T
-            for pt in grid.coords.reshape(-1, 2).tolist():
-                u1, u2, _, _ = standard_model_rotated(m, pt)
-                vnorm = np.linalg.norm(m.model_vector(pt))
-                bound = (aperture + 1.0) * vnorm + 1e-12
-                assert np.linalg.norm(u1[0] @ ut) <= bound
-                assert np.linalg.norm(u2[0] @ ut) <= bound
+            points = grid.coords.reshape(-1, 2)
+            u1, u2, _, _ = standard_components(m, points)
+            bound = (aperture + 1.0) * np.linalg.norm(m.model_vector(points), axis=1) + 1e-12
+            assert (np.linalg.norm(u1 @ ut, axis=1) <= bound).all()
+            assert (np.linalg.norm(u2 @ ut, axis=1) <= bound).all()
 
 
 class TestJuliaRay:

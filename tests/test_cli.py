@@ -150,7 +150,7 @@ def test_family_fills_each_column_with_one_call(monkeypatch, capsys, tmp_path):
 
     for module, name in [
         (cli, "phi_y_directional_derivative"), (cli, "carapoint_points"), (cli, "carapoint_scan"),
-        (boundary, "cara_quotient"), (cli, "derivative_fd"), (cli, "linearity_defect"),
+        (cli, "cara_quotients"), (cli, "derivative_fd"), (cli, "linearity_defect"),
     ]:
         counting(module, name)
     evaluated = []
@@ -167,7 +167,7 @@ def test_family_fills_each_column_with_one_call(monkeypatch, capsys, tmp_path):
     # carapoint scan and the quotient rows of the ray read one evaluation
     assert counts == {
         "phi_y_directional_derivative": 2, "carapoint_points": 1, "carapoint_scan": 1, "derivative_fd": 1,
-        "linearity_defect": 1,
+        "linearity_defect": 1, "cara_quotients": 1,
     }
     # the scan's points, the difference steps, then the three ray samples one by one
     scan = boundary.carapoint_points(build_grid(TAU_11, DEFAULT_APERTURE, DEFAULT_DEPTH))
@@ -437,6 +437,12 @@ class TestDepthBound:
             assert out == "" and err.startswith(f"error: depth must lie in 1..{bound} at aperture {aperture!r}")
         # the suite refuses before its first model
         assert models == []
+
+    def test_an_aperture_that_leaves_no_depth_exits_2(self, capsys, swap_spec):
+        for argv in (["classify", swap_spec], ["family", "--y", "0.5"], ["suite"]):
+            assert main([*argv, "--aperture=6e12", "--depth", "1"]) == 2
+            assert capsys.readouterr() == ("", "error: aperture 6000000000000.0 leaves no grid depth where "
+                                           "the pencil takes every point\n")
 
 
 #: the README swap model as a document, the base of the malformed ones

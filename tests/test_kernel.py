@@ -185,7 +185,7 @@ def test_batched_sampler_is_the_sequential_stream():
         batch = sample_bidisk_batch(a, n)
         for k in range(n):
             point = sample_bidisk(b)
-            assert tuple(batch[k]) == (point.lam1, point.lam2)
+            assert tuple(batch[k]) == point
         assert a.random() == b.random()  # both streams end at the same place
 
 
@@ -194,7 +194,7 @@ def test_pair_sampler_interleaves_like_sequential_pairs():
     lam, mu = sample_bidisk_pairs(a, 50)
     for k in range(50):
         p, q = sample_bidisk(b), sample_bidisk(b)
-        assert (*lam[k], *mu[k]) == (p.lam1, p.lam2, q.lam1, q.lam2)
+        assert (*lam[k], *mu[k]) == (*p, *q)
 
 
 def outcome(fn):

@@ -31,7 +31,7 @@ class TestEval:
         pen = pencil_of([1.0, 0.0])
         for _ in range(20):
             lam = disk_point(rng)
-            expect = np.diag([lam.lam1, lam.lam2])
+            expect = np.diag(lam)
             assert opnorm(i_y_eval(pen, lam) - expect) <= 1e-12
 
     @pytest.mark.parametrize("tau", TAUS)
@@ -75,7 +75,7 @@ class TestSpectralForm:
         for _ in range(10):
             lam = disk_point(rng)
             expect = (
-                tau.tau1.conjugate() * lam.lam1 * e1 + tau.tau2.conjugate() * lam.lam2 * e0
+                tau.tau1.conjugate() * lam[0] * e1 + tau.tau2.conjugate() * lam[1] * e0
             )
             assert opnorm(i_y_spectral_form(pen, lam) - expect) <= 1e-12
 
@@ -191,7 +191,7 @@ class TestContractivity:
         pen = OperatorPencil(validate_positive_contraction(np.eye(3)), TAU_11)
         for _ in range(50):
             lam = disk_point(rng)
-            expect = lam.lam1 * np.eye(3)
+            expect = lam[0] * np.eye(3)
             assert opnorm(i_y_eval(pen, lam) - expect) <= 1e-12
 
     def test_random_pencils_contractive(self, rng):
@@ -330,3 +330,9 @@ class TestCertifiedGuard:
         # away from tau and the singular set, every point is certified
         a, b, _ = pencil._offsets(OperatorPencil(y, TAU_11), pencil.sample_bidisk_batch(rng, 200))
         assert pencil._denominator_certified(a, b, y.excursion + pencil.SPECTRUM_PAD).all()
+
+    def test_certificate_rule_leaves_nan_bounds_to_the_svd(self):
+        # the rule both certificates judge: lower > 2 SINGULAR_RTOL max(upper, 1)
+        lower = np.array([np.nan, 1.0, 2.0 * pencil.SINGULAR_RTOL, 3.0 * pencil.SINGULAR_RTOL, 1.0])
+        upper = np.array([1.0, np.nan, 0.5, 0.5, 1e12])
+        assert pencil._certified(lower, upper).tolist() == [False, False, False, True, True]

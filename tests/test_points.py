@@ -3,17 +3,14 @@ import pytest
 
 from caralab import (
     BoundaryPoint,
-    DiskPoint,
     GeneralizedRealization,
     OperatorPencil,
-    cara_quotient,
     derivative_fd,
     derivative_model,
     derivative_table,
     direction_entry_time,
     i_y_eval,
     i_y_spectral_form,
-    is_admissible_direction,
     phi_y_directional_derivative,
     phi_y_eval,
     phi_y_model_residual,
@@ -22,7 +19,6 @@ from caralab import (
     random_colligation,
     random_positive_contraction,
     satisfies_aperture,
-    standard_model_residual,
 )
 from caralab.errors import InadmissibleDirectionError
 from caralab.points import as_points, require_admissible
@@ -56,7 +52,7 @@ class TestBoundaryPoint:
     def test_ray_point(self):
         tau = BoundaryPoint(1 + 0j, -1 + 0j)
         lam = tau.ray_point(0.25)
-        assert lam == DiskPoint(0.75 + 0j, -0.75 + 0j)
+        assert lam == (0.75 + 0j, -0.75 + 0j)
         ray = tau.ray_point(np.array([0.25, 0.5]))
         assert ray.shape == (2, 2) and ray.tolist() == [[0.75, -0.75], [0.5, -0.5]]
 
@@ -64,18 +60,6 @@ class TestBoundaryPoint:
         tau = BoundaryPoint(1, -1.0)
         assert tuple(map(type, tau)) == (complex, complex)
         assert BoundaryPoint(*tau) == tau == BoundaryPoint(*(1 + 0j, -1 + 0j))
-
-
-class TestDiskPoint:
-    def test_inf_norm(self):
-        lam = DiskPoint(0.3 + 0.4j, -0.2j)
-        assert lam.inf_norm == pytest.approx(0.5)
-        assert lam.in_open_bidisk()
-        assert not DiskPoint(1 + 0j, 0j).in_open_bidisk()
-
-    def test_iteration(self):
-        a, b = DiskPoint(1j, 2j)
-        assert (a, b) == (1j, 2j)
 
 
 #: directions whose coordinates, or |delta|^2, are not finite numbers, and why each is refused
@@ -91,32 +75,26 @@ UNREPRESENTABLE = [
 class TestAdmissibility:
     def test_inward_directions(self):
         tau = (1 + 0j, 1 + 0j)
-        assert is_admissible_direction(tau, (-1, -1))
-        assert is_admissible_direction(tau, (-2 - 1j, -0.5 + 3j))
-        assert not is_admissible_direction(tau, (1, -1))
-        assert not is_admissible_direction(tau, (1j, -1))  # tangential first slot
+        require_admissible(tau, (-1, -1))
+        require_admissible(tau, (-2 - 1j, -0.5 + 3j))
+        for outward in ((1, -1), (1j, -1)):  # the second is tangential in its first slot
+            with pytest.raises(InadmissibleDirectionError, match="does not point into the bidisk"):
+                require_admissible(tau, outward)
 
     def test_rotation_covariance(self):
         tau = (1j, -1 + 0j)
         # delta = -tau scaled points inward at every boundary point
-        assert is_admissible_direction(tau, (-1j, 1 + 0j))
-
-    def test_require_raises(self):
-        with pytest.raises(InadmissibleDirectionError):
-            require_admissible((1 + 0j, 1 + 0j), (1j, -1))
+        require_admissible(tau, (-1j, 1 + 0j))
 
     def test_entry_time_keeps_segment_inside(self):
         tau = BoundaryPoint(1 + 0j, -1 + 0j)
         delta = (-2 + 1j, 1 - 0.5j)
-        assert is_admissible_direction(tau, delta)
         t_max = direction_entry_time(tau, delta)
         for frac in (0.1, 0.5, 0.99):
             t = frac * t_max
-            lam = DiskPoint(tau.tau1 + t * delta[0], tau.tau2 + t * delta[1])
-            assert lam.in_open_bidisk()
+            assert max(abs(tau.tau1 + t * delta[0]), abs(tau.tau2 + t * delta[1])) < 1.0
         t = 1.01 * t_max
-        lam = DiskPoint(tau.tau1 + t * delta[0], tau.tau2 + t * delta[1])
-        assert not lam.in_open_bidisk()
+        assert max(abs(tau.tau1 + t * delta[0]), abs(tau.tau2 + t * delta[1])) >= 1.0
 
     def test_require_returns_the_stacked_directions(self):
         deltas = np.array([(-1, -1), (-2 - 1j, -0.5 + 3j)])
@@ -124,7 +102,7 @@ class TestAdmissibility:
         assert require_admissible((1 + 0j, 1 + 0j), (-1, -2)).tolist() == [[-1, -2]]
 
     @pytest.mark.parametrize(
-        "check", [is_admissible_direction, require_admissible, direction_entry_time]
+        "check", [require_admissible, direction_entry_time]
     )
     @pytest.mark.parametrize("delta", [(-1, -1), np.array([(-1, -1), (-2 - 1j, -0.5 + 3j)])])
     def test_each_point_is_stacked_once(self, monkeypatch, check, delta):
@@ -145,8 +123,6 @@ class TestAdmissibility:
         # as its own direction, and after an admissible one in an array
         tau = BoundaryPoint(1 + 0j, 1 + 0j)
         stacked = np.array([(-1, -1), delta], dtype=complex)
-        assert is_admissible_direction(tau, delta) is False
-        assert is_admissible_direction(tau, stacked).tolist() == [True, False]
         for check in (require_admissible, direction_entry_time):
             for d in (delta, stacked):
                 with pytest.raises(InadmissibleDirectionError, match=why) as info:
@@ -175,7 +151,7 @@ class TestStackPoints:
         [
             ((1, -0.5j), [[1 + 0j, -0.5j]]),
             (BoundaryPoint(1j, -1 + 0j), [[1j, -1 + 0j]]),
-            (DiskPoint(0.5, np.complex128(0.25j)), [[0.5, 0.25j]]),
+            ((0.5, np.complex128(0.25j)), [[0.5, 0.25j]]),
             (np.array([[0.5, 0.5j], [0.25j, -0.0]]), [[0.5, 0.5j], [0.25j, -0.0]]),
             (np.zeros((0, 2)), []),
         ],
@@ -193,7 +169,7 @@ class TestStackPoints:
     @pytest.mark.parametrize(
         "p",
         [
-            DiskPoint(np.array([0.5, 0.25j]), np.array([0.1, 0.2])),  # a pair of arrays
+            (np.array([0.5, 0.25j]), np.array([0.1, 0.2])),  # a pair of arrays
             (np.array([0.5, 0.25j]), 0.5j),
             np.array([0.5, 0.5j]),  # shape (2,)
             np.zeros((3, 3)),
@@ -234,8 +210,6 @@ def _rule_cases():
         "model_residual": pairwise(model.model_residual),
         "i_y_eval": lambda p: i_y_eval(model.pencil, p),
         "i_y_spectral_form": lambda p: i_y_spectral_form(model.pencil, p),
-        "cara_quotient": lambda p: cara_quotient(phi, p),
-        "standard_model_residual": pairwise(lambda lam, mu: standard_model_residual(model, lam, mu)),
         "satisfies_aperture": lambda p: satisfies_aperture(tau, p, 2.0),
         "phi_y_eval": lambda p: phi_y_eval(0.3, tau, p),
         "phi_y_model_vector": lambda p: phi_y_model_vector(0.3, tau, p).u1,
@@ -246,7 +220,6 @@ def _rule_cases():
         "derivative_fd": lambda d: derivative_fd(phi, tau, d, phi_tau=model.phi_at_tau()),
         "derivative_model": lambda d: derivative_model(model, d),
         "direction_entry_time": lambda d: direction_entry_time(tau, d),
-        "is_admissible_direction": lambda d: is_admissible_direction(tau, d),
         "phi_y_directional_derivative": lambda d: phi_y_directional_derivative(0.3, tau, d),
     }
     interior = rng.uniform(-0.6, 0.6, (5, 2)) + 1j * rng.uniform(-0.6, 0.6, (5, 2))
@@ -276,6 +249,6 @@ def test_one_input_rule(name):
             # the batch holds the one-point values, bit for bit
             assert np.array_equal(values[k], one)
     pair_of_arrays = (batch[:, 0], batch[:, 1])
-    for bad in (pair_of_arrays, DiskPoint(*pair_of_arrays), batch[0], np.zeros((len(batch), 3))):
+    for bad in (pair_of_arrays, batch[0], np.zeros((len(batch), 3))):
         with pytest.raises(ValueError):
             f(bad)

@@ -49,7 +49,7 @@ class TestEval:
             for _ in range(25):
                 lam = disk_point(rng)
                 # exactly the monomials, rounded as NumPy's complex product rounds them
-                lam1, lam2 = np.array([lam.lam1]), np.array([lam.lam2])
+                lam1, lam2 = np.array([lam[0]]), np.array([lam[1]])
                 assert phi_y_eval(1.0, tau, lam) == (tau.tau1.conjugate() * lam1)[0]
                 assert phi_y_eval(0.0, tau, lam) == (tau.tau2.conjugate() * lam2)[0]
 
@@ -153,8 +153,8 @@ class TestModelIdentity:
             u = phi_y_model_vector(0.4, TAUS[1], lam)
             phi = phi_y_eval(0.4, TAUS[1], lam)
             lhs = 1.0 - abs(phi) ** 2
-            rhs = (1.0 - abs(lam.lam1) ** 2) * abs(u.u1) ** 2 + (
-                1.0 - abs(lam.lam2) ** 2
+            rhs = (1.0 - abs(lam[0]) ** 2) * abs(u.u1) ** 2 + (
+                1.0 - abs(lam[1]) ** 2
             ) * abs(u.u2) ** 2
             assert abs(lhs - rhs) <= 1e-10
 

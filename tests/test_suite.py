@@ -15,8 +15,6 @@ from caralab import (
     boundary,
     build_grid,
     points,
-    standard_model_residual,
-    standard_model_rotated,
     suite,
 )
 from caralab.cli import EXIT_RESIDUAL, main
@@ -39,7 +37,7 @@ class TestGeneration:
             assert model.is_isometric
             assert all(0.0 <= w <= 1.0 for w in model.pencil.contraction.eigenvalues)
             if kind == "projection":
-                assert model.pencil.contraction.is_projection()
+                assert set(model.pencil.contraction.decomposition.weights) <= {0.0, 1.0}
 
     def test_taus_are_exact_lattice_points(self):
         for tau in SUITE_TAUS:
@@ -239,10 +237,13 @@ def test_batched_checks_equal_the_public_routes(monkeypatch):
         assert same_bits(seen["model_identity_defect"][record.index], residual)
         assert worst["model_identity"] == residual.max()
         assert worst["schur_bound"] == np.abs(model.phi(scan)).max()
-        residual = standard_model_residual(model, std_lam, std_mu)
+        std = np.concatenate([std_lam, std_mu])
+        u1, u2, _, phi = boundary.standard_model_components(model, std, model.evaluate(std))
+        residual = boundary.standard_identity_defect(std, u1, u2, phi)
         assert same_bits(seen["standard_identity_defect"][record.index], residual)
         assert worst["standard_model_identity"] == residual.max()
-        u1, u2, v, _ = standard_model_rotated(model, grid.coords.reshape(-1, 2))
+        coords = grid.coords.reshape(-1, 2)
+        u1, u2, v, _ = boundary.standard_model_components(model, coords, model.evaluate(coords))
         batched = seen["standard_model_components"][record.index][:3]
         assert all(same_bits(x[pairs:], y) for x, y in zip(batched, (u1, u2, v)))
         bound = (config.aperture + 1.0) * np.linalg.norm(v, axis=1)
