@@ -71,7 +71,6 @@ from .scalar_family import (
     phi_y_eval,
     phi_y_model_residual,
     phi_y_model_vector,
-    rotation_basis,
 )
 
 __version__ = "0.1.0"

@@ -10,6 +10,7 @@ when asked for.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -48,9 +49,16 @@ def matrix_to_json(a) -> dict:
     }
 
 
+def _json_int(value) -> int:
+    """An integer field of a JSON document; a float or a bool raises TypeError."""
+    if isinstance(value, bool):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return operator.index(value)
+
+
 def matrix_from_json(doc: dict) -> np.ndarray:
     """Parse the JSON matrix schema produced by :func:`matrix_to_json`."""
-    rows, cols = int(doc["rows"]), int(doc["cols"])
+    rows, cols = _json_int(doc["rows"]), _json_int(doc["cols"])
     if rows <= 0 or cols <= 0:
         raise ValueError("matrix dimensions must be positive")
     re = np.asarray(doc["re"], dtype=float)

@@ -27,9 +27,8 @@ one stacked solve (:meth:`GeneralizedRealization.ray_state`).
 In double precision everything is evaluated in the eigenbasis U of Y,
 where the pencil is diagonal: with A' = U*AU, B' = U*B and C' = CU the
 model vector is v = U v' with v' = (1 - A' diag(s))^{-1} B', and
-phi = D + C' diag(s) v'.  Up to ELIMINATION_MAX_DIM the systems of all
-points are solved by one vectorized Gaussian elimination with the point
-axis last (:func:`_eliminate`); above it, by stacked LAPACK solves.
+phi = D + C' diag(s) v'.  The systems of all points are solved by stacked
+LAPACK solves.
 """
 
 from __future__ import annotations
@@ -46,6 +45,7 @@ from . import xprec
 from .errors import NotIsometricError, SingularResolventError
 from .hermitian import (
     DEFAULT_EIGTOL,
+    _json_int,
     matrix_from_json,
     matrix_to_json,
     opnorm,
@@ -68,10 +68,6 @@ NORM_PAD = 1e-12
 
 #: default dyadic exponent range of the ray samples of the Julia rows, t = 2^-k
 RAY_EXPONENTS = (4, 20)
-
-#: largest state dimension whose resolvents :meth:`GeneralizedRealization.evaluate`
-#: solves by :func:`_eliminate`; above it, LAPACK's per-matrix solve is faster
-ELIMINATION_MAX_DIM = 7
 
 #: singular values of 1 - A at or below this multiple of the block's
 #: rounding level span E = ker(1 - A); see :meth:`GeneralizedRealization.v_at_tau`
@@ -246,11 +242,9 @@ class GeneralizedRealization:
 
         Once per call, for all N points: the lone-point rule, the pencil
         rows s and the certificate, so a singular point raises before any
-        solve.  Per stack of :func:`stack_chunks`: up to ELIMINATION_MAX_DIM
-        the elimination of :func:`_eliminate` on the (n, k) rows of the
-        stack, with the point axis last; above it, the (k, n, n) resolvents
-        built from the stack's (k, n) block of s and one LAPACK solve; then
-        the stack's phi sum.  STACK_ENTRIES bounds the stacks, not the
+        solve.  Per stack of :func:`stack_chunks`: the (k, n, n) resolvents
+        built from the stack's (k, n) block of s, one LAPACK solve and the
+        stack's phi sum.  STACK_ENTRIES bounds the stacks, not the
         outputs s and v'.  Every point's arithmetic, the sum over the eigen
         axis in phi included, is the same whatever the stack size.
         """
@@ -264,24 +258,16 @@ class GeneralizedRealization:
         rows = _diagonal_rows(self.pencil, pts)
         self._certify(rows, pts)
         s = np.ascontiguousarray(rows.T)
+        del rows
         v = np.empty_like(s)
         phi = np.empty(len(pts), dtype=complex)
-        if n <= ELIMINATION_MAX_DIM:
-            for chunk in stack_chunks(len(pts), n * (n + 1)):
-                block = rows[:, chunk]
-                solution = _eliminate(self._augmented(block))
-                v[chunk] = solution.T
-                terms = block * solution * self._c[:, None]
-                # the eigen axis is summed in one fixed order, whatever the stack
-                phi[chunk] = np.add.accumulate(terms, axis=0)[-1]
-        else:
-            del rows
-            for chunk in stack_chunks(len(pts), n * n):
-                block = s[chunk]
-                rhs = np.broadcast_to(self._b[:, None], (len(block), n, 1))
-                v[chunk] = np.linalg.solve(self._resolvents(block), rhs)[..., 0]
-                terms = (block * v[chunk] * self._c).T
-                phi[chunk] = np.add.accumulate(terms, axis=0)[-1]
+        for chunk in stack_chunks(len(pts), n * n):
+            block = s[chunk]
+            rhs = np.broadcast_to(self._b[:, None], (len(block), n, 1))
+            v[chunk] = np.linalg.solve(self._resolvents(block), rhs)[..., 0]
+            terms = (block * v[chunk] * self._c).T
+            # the eigen axis is summed in one fixed order, whatever the stack
+            phi[chunk] = np.add.accumulate(terms, axis=0)[-1]
         phi += self.colligation.d
         return s[:count], v[:count], phi[:count]
 
@@ -289,15 +275,6 @@ class GeneralizedRealization:
         """1 - A' diag(s) for s of shape (K, n), as a (K, n, n) stack built in place."""
         m = self._a * -s[:, None, :]
         m.reshape(len(m), -1)[:, :: self.dim + 1] += 1.0
-        return m
-
-    def _augmented(self, rows: np.ndarray) -> np.ndarray:
-        """[1 - A' diag(s) | B'] for s of shape (n, N), as an (n, n+1, N) stack."""
-        n = self.dim
-        m = np.empty((n, n + 1, rows.shape[1]), dtype=complex)
-        np.multiply(self._a[:, :, None], -rows, out=m[:, :n])
-        m.reshape(n * (n + 1), -1)[:: n + 2] += 1.0
-        m[:, n] = self._b[:, None]
         return m
 
     def _certify(self, rows: np.ndarray, pts: np.ndarray) -> None:
@@ -435,40 +412,6 @@ class GeneralizedRealization:
         )
 
 
-def _eliminate(system: np.ndarray) -> np.ndarray:
-    """Solutions of N augmented systems [M | b], stored as (n, n+1, N), shape (n, N).
-
-    Gaussian elimination with partial pivoting, vectorized over the last
-    (point) axis: at step k a point swaps rows only where a lower entry of
-    column k has a larger |re| + |im| than the diagonal one, and then takes
-    the first largest, as LAPACK's izamax picks.  Like LAPACK's per-matrix
-    zgesv it scales by the pivot's reciprocal, divides in the back
-    substitution and is backward stable (Higham, Accuracy and Stability of
-    Numerical Algorithms, ch. 9).  Back substitution runs by columns, so no
-    sum depends on how many points share the stack, and with two or more
-    points each one gets the same arithmetic whatever N (a lone point may
-    not: see :meth:`GeneralizedRealization.evaluate`).  ``system`` is
-    overwritten; the matrices must be nonsingular.
-    """
-    n = system.shape[0]
-    for k in range(n - 1):
-        col = system[k:, k]
-        mag = np.abs(col.real) + np.abs(col.imag)
-        swap = np.flatnonzero(mag[1:].max(axis=0) > mag[0])
-        if swap.size:
-            rows = k + 1 + np.argmax(mag[1:, swap], axis=0)
-            top = system[k, k:, swap]
-            system[k, k:, swap] = system[rows, k:, swap]
-            system[rows, k:, swap] = top
-        factors = system[k + 1 :, k] * (1.0 / system[k, k])
-        system[k + 1 :, k + 1 :] -= factors[:, None] * system[k, k + 1 :]
-    x = system[:, n]
-    for k in range(n - 1, -1, -1):
-        x[k] /= system[k, k]
-        x[:k] -= system[:k, k] * x[k]
-    return x
-
-
 def model_identity_defect(s: np.ndarray, v: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """Defects |1 - conj(phi(mu)) phi(lam) - < (1 - I(mu)* I(lam)) v(lam), v(mu) >|.
 
@@ -509,7 +452,7 @@ def load_model(
     if isinstance(doc, (str, Path)):
         doc = json.loads(Path(doc).read_text())
     try:
-        dim = int(doc["dim"])
+        dim = _json_int(doc["dim"])
         (t1re, t1im), (t2re, t2im) = doc["tau"]
         tau = BoundaryPoint(complex(t1re, t1im), complex(t2re, t2im))
         y = matrix_from_json(doc["Y"])

@@ -89,21 +89,17 @@ def _components(y, p, q, den):
 class ScalarModelVector:
     """Two-dimensional model vector of phi_y at a point of the bidisk.
 
-    ``u1``/``u2`` are the components in the standard basis; ``coef_plus``
-    and ``coef_minus`` express the same vector in the rotated orthonormal
-    basis returned by :func:`rotation_basis`, where the first coefficient
-    vanishes on the diagonal p = q and is the quantity the nontangential
-    bound controls.
+    ``u1``/``u2`` are the components in the standard basis.  ``coef_plus``
+    = sqrt(y(1-y)) (p - q) / den is the component along the unit vector
+    (sqrt(1-y), -sqrt(y)); it vanishes on the diagonal p = q and is the
+    quantity the nontangential bound controls.  The component along
+    (sqrt(y), sqrt(1-y)) is identically 1.
     """
 
     y: float
     u1: complex
     u2: complex
     coef_plus: complex
-    coef_minus: complex
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.u1, self.u2], dtype=complex)
 
     @property
     def norm(self):
@@ -111,23 +107,6 @@ class ScalarModelVector:
         if np.ndim(self.u1):
             return np.hypot(np.abs(self.u1), np.abs(self.u2))
         return float(math.hypot(abs(self.u1), abs(self.u2)))
-
-    def reconstruct(self) -> np.ndarray:
-        """Rebuild the standard components from the rotated coordinates; one row per point for array fields."""
-        e_plus, e_minus = rotation_basis(self.y)
-        return np.asarray(self.coef_plus)[..., None] * e_plus + np.asarray(self.coef_minus)[..., None] * e_minus
-
-
-def rotation_basis(y: float) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal basis of C^2 diagonalizing the model vector of phi_y.
-
-    The sign of the second entries is fixed so that expanding the standard
-    components in this basis gives exactly (coef_plus, coef_minus).
-    """
-    sy, sy1 = math.sqrt(y), math.sqrt(1.0 - y)
-    e_plus = np.array([sy1, -sy], dtype=complex)
-    e_minus = np.array([sy, sy1], dtype=complex)
-    return e_plus, e_minus
 
 
 def phi_y_model_vector(y: float, tau, lam) -> ScalarModelVector:
@@ -140,7 +119,7 @@ def phi_y_model_vector(y: float, tau, lam) -> ScalarModelVector:
     coef_plus = math.sqrt(y * (1.0 - y)) * (p - q) / den
     if single:
         u1, u2, coef_plus = complex(u1[0]), complex(u2[0]), complex(coef_plus[0])
-    return ScalarModelVector(y, u1, u2, coef_plus, 1.0 + 0j)
+    return ScalarModelVector(y, u1, u2, coef_plus)
 
 
 def phi_y_model_components(ys, tau, lam) -> tuple[np.ndarray, np.ndarray]:

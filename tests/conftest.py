@@ -52,6 +52,12 @@ def left_null_model(beta: float) -> GeneralizedRealization:
     return GeneralizedRealization(pen, Colligation(block))
 
 
+def random_model(dim: int, tau: BoundaryPoint, rng: np.random.Generator) -> GeneralizedRealization:
+    """Random positive contraction of the given dimension and a random unitary colligation."""
+    y = random_positive_contraction(dim, rng)
+    return GeneralizedRealization(OperatorPencil(y, tau), random_colligation(dim, rng))
+
+
 def desk_model(rng: np.random.Generator) -> GeneralizedRealization:
     """Dim-64 model at (1, 1): 8 eigenvalues of Y at 1, 8 at 0, 48 interior."""
     dim = 64

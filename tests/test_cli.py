@@ -470,8 +470,14 @@ class TestMalformedModel:
             dict(SWAP_DOC, tau=[["a", "b"], [1, 0]]),
             dict(SWAP_DOC, dim=float("inf")),
             dict(SWAP_DOC, Y={"rows": 10**5, "cols": 10**5, "re": [0.5]}),
+            dict(SWAP_DOC, dim=1.7),
+            dict(SWAP_DOC, dim=True),
+            dict(SWAP_DOC, Y=dict(SWAP_DOC["Y"], rows=1.5)),
         ],
-        ids=["tau-int", "dim-null", "Y-rows", "list", "tau-strings", "dim-inf", "Y-huge"],
+        ids=[
+            "tau-int", "dim-null", "Y-rows", "list", "tau-strings", "dim-inf", "Y-huge",
+            "dim-float", "dim-bool", "Y-rows-float",
+        ],
     )
     @pytest.mark.parametrize("command", MODEL_COMMANDS)
     def test_mistyped_field_exits_2(self, capsys, tmp_path, doc, command):

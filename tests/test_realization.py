@@ -24,9 +24,9 @@ from caralab import (
     validate_positive_contraction,
 )
 from caralab.pencil import sample_bidisk_batch, sample_bidisk_pairs
-from caralab.realization import DEFAULT_ISOTOL, ELIMINATION_MAX_DIM
+from caralab.realization import DEFAULT_ISOTOL
 from caralab.suite import SuiteConfig, generate_model
-from conftest import TAU_11, TAUS, desk_model, disk_point, left_null_model, scalar_model
+from conftest import TAU_11, TAUS, desk_model, disk_point, left_null_model, random_model, scalar_model
 
 HOUSEHOLDER_1D = [[-0.6, 0.8], [0.8, 0.6]]  # reflection with B=4/5, D=3/5
 
@@ -325,13 +325,8 @@ class TestStackBudget:
     def models():
         model, _, _ = generate_model(0, np.random.default_rng(3), SuiteConfig())
         rng = np.random.default_rng(12)
-        # the largest dimension solved by elimination, and the smallest solved by LAPACK
-        edge = [
-            GeneralizedRealization(
-                OperatorPencil(random_positive_contraction(n, rng), TAUS[2]), random_colligation(n, rng)
-            )
-            for n in (ELIMINATION_MAX_DIM, ELIMINATION_MAX_DIM + 1)
-        ]
+        # one stack entry per point, and the suite's largest dimension
+        edge = [random_model(n, TAUS[2], rng) for n in (1, 8)]
         return [desk_model(np.random.default_rng(64)), model, *edge]
 
     @pytest.mark.parametrize("which", [0, 1, 2, 3])
@@ -346,8 +341,7 @@ class TestStackBudget:
         lam, mu = sample_bidisk_pairs(rng, 30)
         results = []
         # one point per stack, the default, and a stack size that divides neither count
-        per_point = n * (n + 1) if n <= ELIMINATION_MAX_DIM else n * n
-        for entries in (per_point, pencil.STACK_ENTRIES, 7 * per_point):
+        for entries in (n * n, pencil.STACK_ENTRIES, 7 * n * n):
             monkeypatch.setattr(pencil, "STACK_ENTRIES", entries)
             results.append((*model.evaluate(pts), model.model_residual(lam, mu)))
         for other in results[1:]:
@@ -397,14 +391,18 @@ class TestOncePerCall:
         monkeypatch.setattr(owner, name, counted)
         return calls
 
-    def test_rows_and_certificate_once_whatever_the_budget(self, monkeypatch):
-        model = desk_model(np.random.default_rng(64))
+    @pytest.mark.parametrize("dim", [64, 1, 7])
+    def test_rows_and_certificate_once_whatever_the_budget(self, monkeypatch, dim):
+        # the desk model, and suite-sized models: one LAPACK solve per stack at every dimension
+        rng = np.random.default_rng(dim)
+        model = desk_model(rng) if dim == 64 else random_model(dim, TAUS[2], rng)
         pts = sample_bidisk_batch(np.random.default_rng(5), 800)
         rows = self.counting(monkeypatch, realization, "_diagonal_rows")
         certify = self.counting(monkeypatch, GeneralizedRealization, "_certify")
         solves = self.counting(monkeypatch, np.linalg, "solve")
+        per_stack = pencil.STACK_ENTRIES // dim**2
         stacks = []
-        for entries in (64**2, pencil.STACK_ENTRIES, 7 * 64**2):
+        for entries in (dim**2, pencil.STACK_ENTRIES, 7 * dim**2):
             monkeypatch.setattr(pencil, "STACK_ENTRIES", entries)
             for calls in (rows, certify, solves):
                 calls.clear()
@@ -412,8 +410,8 @@ class TestOncePerCall:
             assert rows == certify == [800]
             assert sum(solves) == 800
             stacks.append(len(solves))
-        # one point per budget still gets two per stack; 16 per stack at the default
-        assert stacks == [400, 50, math.ceil(800 / 7)]
+        # one point per budget still gets two per stack; 16 per stack at the default for dim 64
+        assert stacks == [400, math.ceil(800 / per_stack), math.ceil(800 / 7)]
 
     @pytest.mark.parametrize("kind", ["denominator", "resolvent"])
     def test_singular_point_in_the_last_stack_raises_before_any_solve(self, monkeypatch, kind):

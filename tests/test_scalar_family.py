@@ -18,7 +18,6 @@ from caralab import (
     phi_y_eval,
     phi_y_model_residual,
     phi_y_model_vector,
-    rotation_basis,
 )
 from caralab import scalar_family
 from caralab.pencil import sample_bidisk_pairs
@@ -105,7 +104,10 @@ class TestModelVector:
         for y in (0.2, 0.5, 0.8):
             for _ in range(20):
                 u = phi_y_model_vector(y, tau, disk_point(rng))
-                assert np.abs(u.reconstruct() - u.as_array()).max() <= 1e-12
+                # coordinates in the orthonormal basis (sqrt(1-y), -sqrt(y)), (sqrt(y), sqrt(1-y))
+                sy, sy1 = math.sqrt(y), math.sqrt(1.0 - y)
+                assert abs(sy1 * u.u1 - sy * u.u2 - u.coef_plus) <= 1e-12
+                assert abs(sy * u.u1 + sy1 * u.u2 - 1.0) <= 1e-12
 
     @pytest.mark.parametrize("tau", TAUS)
     def test_array_of_points_matches_one_point_calls(self, tau, rng):
@@ -117,16 +119,6 @@ class TestModelVector:
         for norm, one in zip(batch.norm.tolist(), singles):
             assert type(one.norm) is float
             assert norm == pytest.approx(one.norm, rel=1e-15, abs=0.0)
-        assert batch.reconstruct().shape == (2, 2)
-        assert singles[0].reconstruct().shape == (2,)
-        assert batch.reconstruct().tolist() == [one.reconstruct().tolist() for one in singles]
-
-    def test_rotation_basis_orthonormal(self):
-        for y in YS:
-            e_plus, e_minus = rotation_basis(y)
-            assert abs(np.vdot(e_plus, e_minus)) <= 1e-15
-            assert np.linalg.norm(e_plus) == pytest.approx(1.0, abs=1e-15)
-            assert np.linalg.norm(e_minus) == pytest.approx(1.0, abs=1e-15)
 
     def test_endpoints_degenerate(self):
         for y in (0.0, 1.0):

@@ -44,3 +44,45 @@ def test_cli_imports_no_private_name():
         if alias.name.startswith("_")
     ]
     assert private == []
+
+
+def private_and_constant_definitions(module: ast.Module) -> dict[str, int]:
+    """Name -> line of each top-level private function, private method (dunders aside) and ALL-CAPS constant."""
+    defined = {}
+    for node in module.body:
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("_"):
+            defined[node.name] = node.lineno
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and item.name.startswith("_") and not item.name.endswith("__"):
+                    defined[f"{node.name}.{item.name}"] = item.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                if isinstance(target, ast.Name) and target.id.isupper():
+                    defined[target.id] = node.lineno
+    return defined
+
+
+def names_read(module: ast.Module) -> set[str]:
+    """Names a module loads, attribute names it uses and names it imports from another module."""
+    read = set()
+    for node in ast.walk(module):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+    return read
+
+
+def test_every_private_definition_and_constant_is_read():
+    modules = {path.name: parse(path) for path in sorted(PACKAGE.glob("*.py"))}
+    read = set().union(*map(names_read, modules.values()))
+    orphans = {
+        f"{name}:{qualified}": line
+        for name, module in modules.items()
+        for qualified, line in private_and_constant_definitions(module).items()
+        if qualified.rpartition(".")[2] not in read
+    }
+    assert orphans == {}
