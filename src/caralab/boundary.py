@@ -6,18 +6,19 @@ the ray limit of the model vector versus finite differences), the derived
 standard model, the Julia-quotient ray identity, and the regular /
 singular / purely-singular classification of a generalized model.
 
-Scans collect their points first and call ``phi`` once, on the (N, 2)
-array of all of them (see :func:`points.as_points`); ``phi`` returns the N
-values.  What reads those values is a core of its own
-(:func:`carapoint_scan`, :func:`fd_limits`, :func:`boundary_report`), so
-a caller that evaluates many kinds of points at once can hand each core
-its slice.
+Every analysis at tau calls ``phi`` once, on the points of one
+:class:`Probe`: named blocks, those that tau decides made by
+:func:`boundary_probe` (the carapoint scan's points, the difference steps
+of given directions) and a caller's own appended, as one (N, 2) array
+(see :func:`points.as_points`); ``phi`` returns the N values.  The probe
+reads them back by block: the carapoint scan, the Caratheodory quotients
+and the extrapolated difference quotients.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -186,115 +187,142 @@ class CarapointScan:
     alpha_residual: float  # Richardson residual of the alpha extrapolation
 
 
-def carapoint_points(grid: NontangentialGrid) -> np.ndarray:
-    """The points a carapoint scan reads: the grid's, then the deeper ray tail.
-
-    The tail is the radial ray at t = 2^-(depth+1) .. 2^-DETECT_EXPONENT,
-    so the ray's points are the grid's family 0 (t = 2^-k at k - 1)
-    followed by the tail.
-    """
-    deeper = grid.tau.ray_point(np.ldexp(1.0, -np.arange(grid.depth + 1, DETECT_EXPONENT + 1)))
-    return np.concatenate([grid.coords.reshape(-1, 2), deeper])
-
-
-def detect_carapoint(phi: Callable[[np.ndarray], np.ndarray], grid: NontangentialGrid) -> CarapointScan:
-    """Decide boundedness of the Caratheodory quotient over the grid.
-
-    One call of phi at :func:`carapoint_points`, read by
-    :func:`carapoint_scan`.
-    """
-    points = carapoint_points(grid)
-    return carapoint_scan(grid, points, phi(points))
-
-
-def carapoint_scan(grid: NontangentialGrid, points: np.ndarray, values) -> CarapointScan:
-    """The scan of :func:`detect_carapoint` from phi's values at ``points = carapoint_points(grid)``.
-
-    The radial ray is refined down to t = 2^-DETECT_EXPONENT, where a
-    quotient growing like 1/(1 - ||lam||_inf) crosses QUOTIENT_BOUND; alpha is
-    the Richardson-extrapolated ray limit of the quotient, taken from the
-    moderately deep ray samples where rounding is still negligible.
-    """
-    quotients = cara_quotients(points, values)
-    ray = np.concatenate([quotients[: grid.depth], quotients[grid.coords[..., 0].size :]])
-    k_hi = min(ALPHA_EXPONENT, len(ray))
-    alpha, residual = richardson_limit(ray[max(1, k_hi - 7) - 1 : k_hi])
-    qmax = quotients.max()
-    return CarapointScan(bool(qmax < QUOTIENT_BOUND), float(alpha), float(qmax), float(residual))
-
-
 @dataclass(frozen=True, eq=False)
 class StepPlan:
-    """The difference steps of :func:`derivative_fd` for K directions.
+    """The difference steps of :func:`derivative_fd` along the K directions ``deltas``.
 
-    ``points`` holds each distinct step point once, in order of first
-    appearance, and ``points[index]`` every step, direction by direction
-    along its schedule of step lengths ``schedules[k]``.
+    Each schedule of step lengths ``schedules[k]`` is geometric inside the
+    largest safe entry interval of its direction.  ``points`` holds each
+    distinct step point once, in order of first appearance, and
+    ``points[index]`` every step, direction by direction.  Directions that
+    differ by a power of two share their steps bit for bit, since the
+    entry time scales exactly with them.
     """
 
+    deltas: np.ndarray  # (K, 2) complex
     schedules: np.ndarray  # (K, FD_STEPS) real
     points: np.ndarray  # (M, 2) complex, M <= K FD_STEPS
     index: np.ndarray  # (K FD_STEPS,) int
 
 
-def fd_step_plan(tau, deltas: np.ndarray) -> StepPlan:
-    """The steps of :func:`derivative_fd` at tau along the (K, 2) array of directions.
+@dataclass(frozen=True, eq=False)
+class Probe:
+    """Named blocks of points that one call of phi evaluates, and the readers of its values.
 
-    Each schedule is geometric inside the largest safe entry interval of
-    its direction.  Directions that differ by a power of two share their
-    steps bit for bit, since the entry time scales exactly with them, so
-    each such step appears once in ``points``.  Raises for the first
-    inadmissible direction.
+    ``points`` holds the blocks one after another, and ``blocks[name]`` is
+    the slice of ``points``, and of phi's values there, that holds block
+    ``name``.  :func:`boundary_probe` makes the blocks that tau decides,
+    "scan" (read with ``grid``) and "steps" (read with ``plan``), and
+    :meth:`extend` appends a caller's own.  The readers take phi's values
+    at ``points``, or one value for a constant.
     """
-    entry = direction_entry_time(tau, deltas)
-    schedules = entry[:, None] / 8.0 * 2.0 ** -np.arange(FD_STEPS)
-    steps = (as_points(tau)[0][:, None, :] + schedules[..., None] * deltas[:, None, :]).reshape(-1, 2)
-    rows = steps.view(np.dtype((np.void, 2 * steps.itemsize))).ravel()
-    _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
-    keep = np.sort(first)
-    return StepPlan(schedules, steps[keep], np.searchsorted(keep, first)[inverse])
+
+    points: np.ndarray  # (N, 2) complex
+    blocks: dict[str, slice]
+    grid: NontangentialGrid | None = None
+    plan: StepPlan | None = None
+
+    def extend(self, **blocks: np.ndarray) -> Probe:
+        """This probe with the (N_k, 2) arrays ``blocks`` appended, in keyword order, under new names."""
+        ends = np.cumsum([len(self.points), *map(len, blocks.values())]).tolist()
+        spans = {name: slice(start, end) for name, start, end in zip(blocks, ends, ends[1:])}
+        return replace(self, points=np.concatenate([self.points, *blocks.values()]), blocks=self.blocks | spans)
+
+    def _block(self, values, name: str) -> np.ndarray:
+        return np.broadcast_to(np.asarray(values, dtype=complex), len(self.points))[self.blocks[name]]
+
+    def quotients(self, values) -> np.ndarray:
+        """Caratheodory quotients at block "scan", whose first ``grid.depth`` are the radial ray at t = 2^-k."""
+        return cara_quotients(self.points[self.blocks["scan"]], self._block(values, "scan"))
+
+    def scan(self, values) -> CarapointScan:
+        """The carapoint scan of block "scan".
+
+        The radial ray is refined down to t = 2^-DETECT_EXPONENT, where a
+        quotient growing like 1/(1 - ||lam||_inf) crosses QUOTIENT_BOUND;
+        alpha is the Richardson-extrapolated ray limit of the quotient,
+        taken from the moderately deep ray samples where rounding is still
+        negligible.
+        """
+        quotients = self.quotients(values)
+        ray = np.concatenate([quotients[: self.grid.depth], quotients[self.grid.coords[..., 0].size :]])
+        k_hi = min(ALPHA_EXPONENT, len(ray))
+        alpha, residual = richardson_limit(ray[max(1, k_hi - 7) - 1 : k_hi])
+        qmax = quotients.max()
+        return CarapointScan(bool(qmax < QUOTIENT_BOUND), float(alpha), float(qmax), float(residual))
+
+    def fd_limits(self, values, phi_tau: complex) -> np.ndarray:
+        """Extrapolated difference quotients of block "steps", one per direction of ``plan``.
+
+        Of the directions whose quotients do not settle, the first is named
+        in the NoConvergenceError.
+        """
+        plan = self.plan
+        steps = self._block(values, "steps")[plan.index]
+        quotients = (steps.reshape(plan.schedules.shape) - phi_tau) / plan.schedules
+        limits, residuals = richardson_limit(quotients.T)  # one column per direction
+        # written as a negation, so that a NaN residual or limit does not settle
+        unsettled = ~(residuals <= 1e-4 * np.maximum(1.0, modulus(limits)))
+        if unsettled.any():
+            residual = residuals[np.argmax(unsettled)]
+            raise NoConvergenceError(f"difference quotients did not settle (residual {residual:.3e})")
+        return limits
 
 
-def fd_limits(plan: StepPlan, values, phi_tau: complex) -> np.ndarray:
-    """Extrapolated difference quotients, one per direction, from phi's values at ``plan.points``.
+def boundary_probe(tau, aperture: float | None = None, depth: int = DEFAULT_DEPTH, deltas=None) -> Probe:
+    """The probe of what tau decides, with only the blocks its caller asks for.
 
-    Of the directions whose quotients do not settle, the first is named
-    in the NoConvergenceError.
+    Given an aperture, block "scan" holds the points of
+    ``build_grid(tau, aperture, depth)``, family by family, then the radial
+    ray at t = 2^-(depth+1) .. 2^-DETECT_EXPONENT, so the ray is the grid's
+    family 0 followed by this tail.  Given a (K, 2) array of directions,
+    block "steps" then holds their distinct difference steps (see
+    StepPlan), after the first inadmissible direction has raised.
     """
-    values = np.asarray(values, dtype=complex)[plan.index]
-    quotients = (values.reshape(plan.schedules.shape) - phi_tau) / plan.schedules
-    limits, residuals = richardson_limit(quotients.T)  # one column per direction
-    # written as a negation, so that a NaN residual or limit does not settle
-    unsettled = ~(residuals <= 1e-4 * np.maximum(1.0, modulus(limits)))
-    if unsettled.any():
-        residual = residuals[np.argmax(unsettled)]
-        raise NoConvergenceError(f"difference quotients did not settle (residual {residual:.3e})")
-    return limits
+    tau, grid, plan, blocks = BoundaryPoint(*tau), None, None, {}
+    if aperture is not None:
+        grid = build_grid(tau, aperture, depth)
+        deeper = tau.ray_point(np.ldexp(1.0, -np.arange(grid.depth + 1, DETECT_EXPONENT + 1)))
+        blocks["scan"] = np.concatenate([grid.coords.reshape(-1, 2), deeper])
+    if deltas is not None:
+        schedules = direction_entry_time(tau, deltas)[:, None] / 8.0 * 2.0 ** -np.arange(FD_STEPS)
+        steps = (as_points(tau)[0][:, None, :] + schedules[..., None] * deltas[:, None, :]).reshape(-1, 2)
+        rows = steps.view(np.dtype((np.void, 2 * steps.itemsize))).ravel()
+        _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
+        keep = np.sort(first)
+        plan = StepPlan(deltas, schedules, steps[keep], np.searchsorted(keep, first)[inverse])
+        blocks["steps"] = plan.points
+    return Probe(np.empty((0, 2), dtype=complex), {}, grid, plan).extend(**blocks)
+
+
+def detect_carapoint(phi: Callable[[np.ndarray], np.ndarray], grid: NontangentialGrid) -> CarapointScan:
+    """Decide boundedness of the Caratheodory quotient over the grid.
+
+    One call of phi at the scan of :func:`boundary_probe` at the grid's
+    tau, aperture and depth, read by :meth:`Probe.scan`.
+    """
+    probe = boundary_probe(grid.tau, grid.aperture, grid.depth)
+    return probe.scan(phi(probe.points))
 
 
 def derivative_fd(
-    phi: Callable[[np.ndarray], np.ndarray],
-    tau,
-    delta,
-    phi_tau: complex | None = None,
+    phi: Callable[[np.ndarray], np.ndarray], tau, delta, phi_tau: complex | None = None
 ) -> complex | np.ndarray:
     """Directional derivative at tau by extrapolated difference quotients.
 
     phi(tau) defaults to the extrapolated radial limit.  An (N, 2) array
-    of directions gives one derivative per direction.  The steps of all
-    directions (:func:`fd_step_plan`) go to one call of phi, as one (M, 2)
-    array in which each distinct step appears once, and
-    :func:`fd_limits` extrapolates their quotients.  Every direction is
-    checked before phi is called, so an inadmissible one raises first; of
-    the directions whose quotients do not settle, the first is named.
+    of directions gives one derivative per direction.  The distinct steps
+    of all directions go to one call of phi, as the probe of
+    :func:`boundary_probe`, which checks every direction first, and
+    :meth:`Probe.fd_limits` extrapolates their quotients.
     """
     tau = BoundaryPoint(*tau)
     deltas, single = as_points(delta)
-    plan = fd_step_plan(tau, deltas)
+    probe = boundary_probe(tau, deltas=deltas)
     if phi_tau is None:
         ray = tau.ray_point(np.ldexp(1.0, -np.arange(8, 21)))
         phi_tau = complex(richardson_limit(np.asarray(phi(ray), dtype=complex))[0])
-    limits = fd_limits(plan, phi(plan.points), phi_tau)
+    limits = probe.fd_limits(phi(probe.points), phi_tau)
     return complex(limits[0]) if single else limits
 
 
@@ -311,13 +339,17 @@ def derivative_model(model: GeneralizedRealization, delta):
     of directions gives one derivative per direction from one (K, n) expression.
     """
     d, single = as_points(delta)
-    require_admissible(model.tau, d)
+    values = _spectral_derivative(model, require_admissible(model.tau, d))
+    return complex(values[0]) if single else values
+
+
+def _spectral_derivative(model: GeneralizedRealization, deltas: np.ndarray) -> np.ndarray:
+    """:func:`derivative_model` along a (K, 2) array of directions already found admissible."""
     ray = converged_ray(model)
-    a, b = (np.conj(as_points(model.tau)[0]) * d).T[..., None]
+    a, b = (np.conj(as_points(model.tau)[0]) * deltas).T[..., None]
     w = model.pencil.contraction.decomposition.weights
     g = a * b / (a * (1.0 - w) + b * w)
-    values = model.phi_at_tau() * np.sum(g * np.abs(ray.rotated) ** 2, axis=1)
-    return complex(values[0]) if single else values
+    return model.phi_at_tau() * np.sum(g * np.abs(ray.rotated) ** 2, axis=1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -369,22 +401,32 @@ def default_direction_pairs(tau) -> list[tuple[tuple[complex, complex], tuple[co
     return [tuple((s1 * t1, s2 * t2) for s1, s2 in pair) for pair in scales]
 
 
+def probe_derivatives(model: GeneralizedRealization, probe: Probe, values) -> DerivativeTable:
+    """The derivative table along the directions of ``probe.plan``, from phi's ``values`` at the probe.
+
+    The analytic column is :func:`derivative_model` without its check of
+    the directions, which the step plan made; the finite-difference column
+    is :meth:`Probe.fd_limits` at phi(tau).
+    """
+    deltas = probe.plan.deltas
+    return DerivativeTable(deltas, _spectral_derivative(model, deltas), probe.fd_limits(values, model.phi_at_tau()))
+
+
 def derivative_table(
     model: GeneralizedRealization, deltas: Sequence[tuple[complex, complex]] | None = None
 ) -> DerivativeTable:
     """Tabulate directional derivatives of a realization at tau.
 
-    The analytic column is one call of :func:`derivative_model`, then the
-    finite-difference column one call of :func:`derivative_fd`.  The
-    analytic call checks every direction first, so an inadmissible
-    direction raises before anything is evaluated.
+    The step plan of the directions' probe (:func:`boundary_probe`) checks
+    every direction once, so an inadmissible direction raises first; then
+    an unconverged ray limit raises UnconvergedError, before the one call
+    of phi that :func:`probe_derivatives` reads.
     """
     if deltas is None:
         deltas = default_directions(model.tau)
-    batch = np.array(deltas, dtype=complex).reshape(-1, 2)
-    analytic = derivative_model(model, batch)
-    fd = derivative_fd(model.phi, model.tau, batch, phi_tau=model.phi_at_tau())
-    return DerivativeTable(batch, analytic, fd)
+    probe = boundary_probe(model.tau, deltas=np.array(deltas, dtype=complex).reshape(-1, 2))
+    converged_ray(model)
+    return probe_derivatives(model, probe, model.phi(probe.points))
 
 
 def linearity_defect(
@@ -541,12 +583,13 @@ def classify_model(
 ) -> BoundaryReport:
     """Classify a generalized model by the geometry of its ray limit.
 
-    Checks that the ray limit converged, builds the grid, scans it
-    (:func:`detect_carapoint`) and hands the scan to :func:`boundary_report`.
+    Checks that the ray limit converged, evaluates the scan of
+    :func:`boundary_probe` with one call of phi and hands it to
+    :func:`boundary_report`.
     """
     converged_ray(model)
-    grid = build_grid(model.tau, aperture, depth)
-    return boundary_report(model, detect_carapoint(model.phi, grid), class_tol)
+    probe = boundary_probe(model.tau, aperture, depth)
+    return boundary_report(model, probe.scan(model.phi(probe.points)), class_tol)
 
 
 def boundary_report(

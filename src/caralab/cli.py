@@ -23,18 +23,16 @@ from .boundary import (
     DEFAULT_CLASS_TOL,
     DEFAULT_DEPTH,
     DerivativeTable,
-    build_grid,
-    cara_quotients,
-    carapoint_points,
-    carapoint_scan,
-    classify_model,
+    boundary_probe,
+    boundary_report,
     classify_ray,
+    converged_ray,
     default_direction_pairs,
     default_directions,
-    derivative_fd,
     derivative_table,
     julia_quotient_ray,
     linearity_defect,
+    probe_derivatives,
 )
 from .errors import (
     BadApertureError,
@@ -171,23 +169,23 @@ def cmd_family(args) -> int:
     rng = np.random.default_rng(seed)
     monomial = y in (0.0, 1.0)
 
-    grid = build_grid(tau, args.aperture, args.depth)
-    phi = lambda lam: phi_y_eval(y, tau, lam)  # noqa: E731
-    points = carapoint_points(grid)
-    values = phi(points)
-    scan = carapoint_scan(grid, points, values)
+    # one evaluation: the carapoint scan, the difference steps of the default directions and the ray samples
+    deltas = np.array(default_directions(tau), dtype=complex)
+    phi_probe = [0.25, 0.5, 0.75]
+    probe = boundary_probe(tau, args.aperture, args.depth, deltas)
+    probe = probe.extend(samples=tau.ray_point(1.0 - np.array(phi_probe)))
+    values = phi_y_eval(y, tau, probe.points)
+    scan = probe.scan(values)
     # the radial ray is the grid's family 0, at t = 2^-k, so its points head the scan's
-    ts = np.ldexp(1.0, -np.arange(1, grid.depth + 1)).tolist()
-    quotient_rows = [[t, q] for t, q in zip(ts, cara_quotients(points, values).tolist())]
+    ts = np.ldexp(1.0, -np.arange(1, probe.grid.depth + 1)).tolist()
+    quotient_rows = [[t, q] for t, q in zip(ts, probe.quotients(values).tolist())]
 
     residual_max = None
     if not monomial:
         lam, mu = sample_bidisk_pairs(rng, args.pairs)
         residual_max = float(np.max(phi_y_model_residual(y, tau, lam, mu), initial=0.0))
 
-    deltas = np.array(default_directions(tau), dtype=complex)
-    fd = derivative_fd(phi, tau, deltas, phi_tau=1.0 + 0j)
-    table = DerivativeTable(deltas, phi_y_directional_derivative(y, tau, deltas), fd)
+    table = DerivativeTable(deltas, phi_y_directional_derivative(y, tau, deltas), probe.fd_limits(values, 1.0 + 0j))
     deriv_docs, deriv_rows = _derivative_entries(table)
     defect = linearity_defect(
         lambda d: phi_y_directional_derivative(y, tau, d), default_direction_pairs(tau)
@@ -195,11 +193,7 @@ def cmd_family(args) -> int:
 
     # phi_y is the swap model over Y = [[y]], whose ray limit is v' = [1]
     classification, _, _ = classify_ray(np.array([y]), np.ones(1))
-
-    phi_probe = [0.25, 0.5, 0.75]
-    samples = [
-        {"r": r, "phi": _complex_json(phi(tau.ray_point(1.0 - r)))} for r in phi_probe
-    ]
+    samples = [{"r": r, "phi": _complex_json(z)} for r, z in zip(phi_probe, values[probe.blocks["samples"]].tolist())]
 
     report = {
         "command": "family",
@@ -276,9 +270,12 @@ def cmd_verify(args) -> int:
 
 def cmd_classify(args) -> int:
     model = load_model(args.model, eigtol=args.eigtol, isotol=args.isotol)
-    report = classify_model(
-        model, class_tol=args.class_tol, aperture=args.aperture, depth=args.depth
-    )
+    converged_ray(model)
+    # with --csv, the derivative table's difference steps join the scan in phi's one call
+    deltas = np.array(default_directions(model.tau), dtype=complex) if args.csv else None
+    probe = boundary_probe(model.tau, args.aperture, args.depth, deltas)
+    values = model.phi(probe.points)
+    report = boundary_report(model, probe.scan(values), args.class_tol)
     ray = model.v_at_tau()
     doc = {
         "command": "classify",
@@ -289,7 +286,7 @@ def cmd_classify(args) -> int:
     }
     _emit_report(doc, args)
     if args.csv:
-        _, rows = _derivative_entries(derivative_table(model))
+        _, rows = _derivative_entries(probe_derivatives(model, probe, values))
         _emit_tables(args, {"derivative": (DERIVATIVE_HEADER, rows)})
     return 0
 

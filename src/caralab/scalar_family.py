@@ -96,7 +96,6 @@ class ScalarModelVector:
     (sqrt(y), sqrt(1-y)) is identically 1.
     """
 
-    y: float
     u1: complex
     u2: complex
     coef_plus: complex
@@ -119,7 +118,7 @@ def phi_y_model_vector(y: float, tau, lam) -> ScalarModelVector:
     coef_plus = math.sqrt(y * (1.0 - y)) * (p - q) / den
     if single:
         u1, u2, coef_plus = complex(u1[0]), complex(u2[0]), complex(coef_plus[0])
-    return ScalarModelVector(y, u1, u2, coef_plus)
+    return ScalarModelVector(u1, u2, coef_plus)
 
 
 def phi_y_model_components(ys, tau, lam) -> tuple[np.ndarray, np.ndarray]:

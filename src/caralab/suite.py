@@ -7,8 +7,8 @@ model identities, pencil cross-oracle agreement, contractivity, the Julia
 ray identity, analytic against finite-difference derivatives, nontangential
 bounds, and consistency of the geometric classification with the linearity
 defect.  Each model's points, random and fixed, are evaluated together in
-one call of ``GeneralizedRealization.evaluate``, whose parts go to the
-cores behind the public checks (see :func:`run_model_checks`).  All
+one call of ``GeneralizedRealization.evaluate`` on a boundary probe whose
+blocks the checks read by name (see :func:`run_model_checks`).  All
 randomness flows from one seed, so reports are reproducible byte-for-byte.
 """
 
@@ -22,19 +22,13 @@ from .boundary import (
     DEFAULT_APERTURE,
     DEFAULT_DEPTH,
     BoundaryReport,
-    DerivativeTable,
-    NontangentialGrid,
-    StepPlan,
+    Probe,
+    boundary_probe,
     boundary_report,
-    build_grid,
-    carapoint_points,
-    carapoint_scan,
     converged_ray,
     default_directions,
-    derivative_model,
-    fd_limits,
-    fd_step_plan,
     julia_quotient_ray,
+    probe_derivatives,
     standard_identity_defect,
     standard_model_components,
 )
@@ -197,49 +191,11 @@ def _is_constant(values: np.ndarray) -> bool:
     return np.abs(values - values[0]).max() < 1e-12
 
 
-#: the parts of a model's one evaluation, in the order of its points: the
-#: identity pairs, the contractivity sample, the constancy probes, the
-#: standard-model pairs, the carapoint scan's points (the grid's first)
-#: and the difference steps
-PARTS = ("identity", "contractivity", "probes", "standard", "scan", "steps")
-
-
-@dataclass(frozen=True, eq=False)
-class TauGeometry:
-    """What the checks at one boundary point read that no model changes.
-
-    The nontangential grid, the N_DIRECTIONS default directions with
-    their difference steps (:func:`fd_step_plan`), the carapoint scan's
-    points (:func:`carapoint_points`), and the rows of each of PARTS in
-    the evaluation of a model at that point.
-    """
-
-    grid: NontangentialGrid
-    directions: np.ndarray  # (N_DIRECTIONS, 2) complex
-    plan: StepPlan
-    scan_points: np.ndarray  # (M, 2) complex
-    rows: dict[str, slice]
-
-
-def tau_geometry(tau: BoundaryPoint, config: SuiteConfig) -> TauGeometry:
-    """The TauGeometry of tau at config's aperture and depth."""
-    grid = build_grid(tau, config.aperture, config.grid_depth)
-    directions = np.array(default_directions(tau, N_DIRECTIONS), dtype=complex)
-    plan, scan_points = fd_step_plan(tau, directions), carapoint_points(grid)
-    sizes = (
-        2 * IDENTITY_PAIRS, CONTRACTIVITY_SAMPLES, len(CONSTANT_PROBES), 2 * STANDARD_PAIRS,
-        len(scan_points), len(plan.points),
-    )
-    ends = np.cumsum(sizes).tolist()
-    rows = {name: slice(end - size, end) for name, size, end in zip(PARTS, sizes, ends)}
-    return TauGeometry(grid, directions, plan, scan_points, rows)
-
-
 def run_model_checks(
     model: GeneralizedRealization,
     rng: np.random.Generator,
     config: SuiteConfig,
-    geometry: TauGeometry,
+    probe: Probe,
 ) -> tuple[BoundaryReport | None, list[CheckOutcome], str | None]:
     """Classify one validated model and run every invariant check on it.
 
@@ -250,17 +206,17 @@ def run_model_checks(
     of ``carapoint_detected``); the ``classification_cross_check`` of a
     classified model always comes last.
 
-    Every point is evaluated once, in one call of ``model.evaluate``, and
-    the checks read it by PARTS, at the rows ``geometry.rows``: the
-    model-identity pairs, the contractivity sample, the constancy probes,
-    the standard-model pairs, the carapoint scan's grid and deeper ray
-    tail (:func:`carapoint_points`), and the distinct difference steps
-    (:func:`fd_step_plan`).  The grid, the directions, their steps and the
-    scan's points come from ``geometry``, the :func:`tau_geometry` of the
-    model's tau.  Cores that take an evaluation read its parts: the
-    carapoint scan, the verdict (:func:`boundary_report`), the difference
-    quotients (:func:`fd_limits`) and the standard model, whose bound
-    reads the grid's rows at the head of the scan part.  An error from the
+    Every point is evaluated once, in one call of ``model.evaluate``.
+    ``probe`` is the :func:`boundary_probe` of the model's tau, with the
+    carapoint scan's grid and deeper ray tail ("scan") and the distinct
+    difference steps of the N_DIRECTIONS default directions ("steps"); the
+    model appends its own blocks: the model-identity pairs ("identity"),
+    the contractivity sample ("contractivity"), the constancy probes
+    ("probes") and the standard-model pairs ("standard").  The checks read
+    the evaluation by block name: the probe's carapoint scan, the verdict
+    (:func:`boundary_report`), the derivative table
+    (:func:`probe_derivatives`) and the standard model, whose bound reads
+    the grid's rows at the head of the scan block.  An error from the
     evaluation leaves the model unclassified.
 
     The random draws keep their order: the identity pairs, the cross-oracle
@@ -279,11 +235,13 @@ def run_model_checks(
         before_standard = rng.bit_generator.state
         std_lam, std_mu = sample_bidisk_pairs(rng, STANDARD_PAIRS)
 
-        cara = geometry.scan_points
-        points = np.concatenate([lam, mu, scan_pts, CONSTANT_PROBES, std_lam, std_mu, cara, geometry.plan.points])
-        evaluation = model.evaluate(points)
-        report = boundary_report(model, carapoint_scan(geometry.grid, cara, evaluation[2][geometry.rows["scan"]]))
-        checks = _checks(model, config, report, points, evaluation, oracle_pts, geometry)
+        probe = probe.extend(
+            identity=np.concatenate([lam, mu]), contractivity=scan_pts, probes=CONSTANT_PROBES,
+            standard=np.concatenate([std_lam, std_mu]),
+        )
+        evaluation = model.evaluate(probe.points)
+        report = boundary_report(model, probe.scan(evaluation[2]))
+        checks = _checks(model, config, report, probe, evaluation, oracle_pts)
         error = None
     except CaralabError as exc:
         if before_standard is not None:
@@ -304,19 +262,18 @@ def _checks(
     model: GeneralizedRealization,
     config: SuiteConfig,
     report: BoundaryReport,
-    points: np.ndarray,
+    probe: Probe,
     evaluation: tuple[np.ndarray, np.ndarray, np.ndarray],
     oracle_pts: np.ndarray,
-    geometry: TauGeometry,
 ) -> list[CheckOutcome]:
-    """The invariant checks of :func:`run_model_checks`, from ``evaluation = model.evaluate(points)``."""
+    """The invariant checks of :func:`run_model_checks`, from ``evaluation = model.evaluate(probe.points)``."""
     checks: list[CheckOutcome] = []
 
     def record(name: str, worst: float, bound: float):
         checks.append(CheckOutcome(name, bool(worst <= bound), float(worst), float(bound)))
 
     s, v, phi = evaluation
-    rows = geometry.rows
+    rows = probe.blocks
 
     # generalized model identity on random interior pairs
     part = rows["identity"]
@@ -347,19 +304,16 @@ def _checks(
     record("carapoint_detected", 0.0 if report.carapoint else 1.0, 0.5)
 
     # analytic and finite-difference derivatives agree
-    directions, plan = geometry.directions, geometry.plan
-    analytic = derivative_model(model, directions)
-    fd = fd_limits(plan, phi[rows["steps"]], model.phi_at_tau())
-    record("derivative_agreement", DerivativeTable(directions, analytic, fd).agreement(), DERIVATIVE_TOL)
+    record("derivative_agreement", probe_derivatives(model, probe, phi).agreement(), DERIVATIVE_TOL)
 
     # derived standard model: identity on its own random pairs, bound on the grid
-    # at the head of the scan part, from one call on the rows of both; norms are
+    # at the head of the scan block, from one call on the rows of both; norms are
     # those of the eigenbasis components, so nothing is rotated
     pairs, scan = rows["standard"], rows["scan"]
-    part = np.r_[pairs, scan.start : scan.start + geometry.grid.coords[..., 0].size]
-    u1, u2, v, phi = standard_model_components(model, points[part], (s[part], v[part], phi[part]))
+    part = np.r_[pairs, scan.start : scan.start + probe.grid.coords[..., 0].size]
+    u1, u2, v, phi = standard_model_components(model, probe.points[part], (s[part], v[part], phi[part]))
     k = pairs.stop - pairs.start
-    worst = standard_identity_defect(points[pairs], u1[:k], u2[:k], phi[:k])
+    worst = standard_identity_defect(probe.points[pairs], u1[:k], u2[:k], phi[:k])
     record("standard_model_identity", worst.max(initial=0.0), config.residual_tol)
     u1, u2, v = u1[k:], u2[k:], v[k:]
     bound = (config.aperture + 1.0) * np.linalg.norm(v, axis=1)
@@ -374,19 +328,23 @@ def run_suite(config: SuiteConfig) -> SuiteReport:
 
     A CaralabError raised while classifying or checking one model is
     recorded on that model (see :func:`run_model_checks`); the run goes on
-    with the next model.  The :func:`tau_geometry` of each of the
-    SUITE_TAUS is built before the first model, so a grid that cannot be
-    built (BadApertureError) stops the run; the model of index i is at
-    the i-th tau, cyclically, as :func:`generate_model` picks it.
+    with the next model.  The :func:`boundary_probe` of each of the
+    SUITE_TAUS, with its scan and the steps of its N_DIRECTIONS default
+    directions, is built before the first model, so a grid that cannot be
+    built (BadApertureError) stops the run; the model of index i is at the
+    i-th tau, cyclically, as :func:`generate_model` picks it.
     """
     if config.count < 1:
         raise ValueError("count must be >= 1")
-    geometries = [tau_geometry(tau, config) for tau in SUITE_TAUS]
+    probes = []
+    for tau in SUITE_TAUS:
+        deltas = np.array(default_directions(tau, N_DIRECTIONS), dtype=complex)
+        probes.append(boundary_probe(tau, config.aperture, config.grid_depth, deltas))
     rng = np.random.default_rng(config.seed)
     records: list[ModelRecord] = []
     for index in range(config.count):
         model, kind, tau_label = generate_model(index, rng, config)
-        report, checks, error = run_model_checks(model, rng, config, geometries[index % len(SUITE_TAUS)])
+        report, checks, error = run_model_checks(model, rng, config, probes[index % len(SUITE_TAUS)])
         classification = "unclassified" if report is None else report.classification
         records.append(ModelRecord(index, model.dim, kind, tau_label, classification, checks, error))
     return SuiteReport(config.seed, config.count, records)

@@ -39,6 +39,7 @@ from caralab.boundary import (
     FD_STEPS,
     QUOTIENT_BOUND,
     _angular_families,
+    boundary_probe,
     standard_identity_defect,
     standard_model_components,
 )
@@ -290,6 +291,42 @@ class TestDetect:
         scan = detect_carapoint(scalar_model(0.5, block=HOUSEHOLDER).phi, build_grid(TAU_11, 2.0, 12))
         assert scan.alpha == pytest.approx(4.0, abs=1e-6)
         assert 0.0 <= scan.alpha_residual <= 1e-6
+
+
+class TestProbe:
+    def test_blocks_keep_their_order_and_cover_every_point_once(self):
+        deltas = np.array(default_directions(TAU_11, 4), dtype=complex)
+        probe = boundary_probe(TAU_11, 2.0, 6, deltas)
+        extra = {"b": np.full((3, 2), 0.5j), "a": np.zeros((0, 2), dtype=complex), "c": np.full((2, 2), 0.25)}
+        longer = probe.extend(**extra)
+        assert list(probe.blocks) == ["scan", "steps"] and list(longer.blocks) == ["scan", "steps", "b", "a", "c"]
+        covered = np.concatenate([np.arange(len(longer.points))[s] for s in longer.blocks.values()])
+        assert covered.tolist() == list(range(len(longer.points)))
+        assert np.array_equal(longer.points[: len(probe.points)], probe.points)
+        assert all(np.array_equal(longer.points[longer.blocks[name]], pts) for name, pts in extra.items())
+
+    def test_only_the_blocks_asked_for(self):
+        deltas = np.array(default_directions(TAU_11, 4), dtype=complex)
+        assert list(boundary_probe(TAU_11, 2.0).blocks) == ["scan"]
+        assert boundary_probe(TAU_11, 2.0).plan is None
+        steps = boundary_probe(TAU_11, deltas=deltas)
+        assert list(steps.blocks) == ["steps"] and steps.grid is None
+        assert len(boundary_probe(TAU_11).points) == 0
+
+    def test_one_phi_call_reads_every_block(self):
+        deltas = np.array(default_directions(TAUS[2], 4), dtype=complex)
+        probe = boundary_probe(TAUS[2], 2.0, 12, deltas).extend(samples=np.array([[0.5, 0.5j]]))
+        calls = []
+        values = (lambda lam: calls.append(lam) or phi_y_eval(0.3, TAUS[2], lam))(probe.points)
+        scan, fd = probe.scan(values), probe.fd_limits(values, 1.0 + 0j)
+        assert len(calls) == 1
+        assert scan == detect_carapoint(phi_y(0.3, TAUS[2]), probe.grid)
+        assert fd.tolist() == derivative_fd(phi_y(0.3, TAUS[2]), TAUS[2], deltas, phi_tau=1.0 + 0j).tolist()
+
+    def test_a_constant_gives_one_value(self):
+        probe = boundary_probe(TAU_11, 2.0, 12, np.array([[-1.0, -1.0]], dtype=complex))
+        assert not probe.scan(0.5 + 0j).carapoint
+        assert probe.fd_limits(0.5 + 0j, 0.5 + 0j).tolist() == [0j]
 
 
 class TestDerivativeFd:
@@ -552,6 +589,16 @@ class TestBatchDerivativeModel:
         model.phi = self.kinked  # every finite difference off the diagonal fails too
         with pytest.raises(UnconvergedError):
             derivative_table(model, [(-2, -1)])
+
+    def test_table_checks_each_direction_once(self, monkeypatch, rng):
+        from caralab import points
+
+        calls = []
+        admissible = points._admissible
+        monkeypatch.setattr(points, "_admissible", lambda *args: calls.append(args) or admissible(*args))
+        model = model_over([0.0, 0.4, 1.0], tau=TAUS[2], rng=rng)
+        derivative_table(model)
+        assert len(calls) == 1
 
 
 class TestLinearityDefect:

@@ -148,10 +148,7 @@ def test_family_fills_each_column_with_one_call(monkeypatch, capsys, tmp_path):
 
         monkeypatch.setattr(module, name, wrapper)
 
-    for module, name in [
-        (cli, "phi_y_directional_derivative"), (cli, "carapoint_points"), (cli, "carapoint_scan"),
-        (cli, "cara_quotients"), (cli, "derivative_fd"), (cli, "linearity_defect"),
-    ]:
+    for module, name in [(cli, "phi_y_directional_derivative"), (cli, "boundary_probe"), (cli, "linearity_defect")]:
         counting(module, name)
     evaluated = []
     phi_y_eval = cli.phi_y_eval
@@ -164,14 +161,15 @@ def test_family_fills_each_column_with_one_call(monkeypatch, capsys, tmp_path):
     code, doc = run(capsys, ["family", "--y", "0.5", "--csv", str(tmp_path / "fam")])
     assert code == 0
     # the analytic column and the linearity defect, one call each; the
-    # carapoint scan and the quotient rows of the ray read one evaluation
-    assert counts == {
-        "phi_y_directional_derivative": 2, "carapoint_points": 1, "carapoint_scan": 1, "derivative_fd": 1,
-        "linearity_defect": 1, "cara_quotients": 1,
-    }
-    # the scan's points, the difference steps, then the three ray samples one by one
-    scan = boundary.carapoint_points(build_grid(TAU_11, DEFAULT_APERTURE, DEFAULT_DEPTH))
-    assert len(evaluated) == 5 and np.array_equal(evaluated[0], scan)
+    # carapoint scan, the quotient rows of the ray, the difference quotients
+    # and the ray samples read one evaluation of one probe
+    assert counts == {"phi_y_directional_derivative": 2, "boundary_probe": 1, "linearity_defect": 1}
+    # the scan's points and the difference steps, then the three ray samples
+    deltas = np.array(boundary.default_directions(TAU_11), dtype=complex)
+    probe = boundary.boundary_probe(TAU_11, DEFAULT_APERTURE, DEFAULT_DEPTH, deltas)
+    samples = TAU_11.ray_point(np.array([0.75, 0.5, 0.25]))
+    assert len(evaluated) == 1 and np.array_equal(evaluated[0], np.concatenate([probe.points, samples]))
+    assert [complex(*s["phi"]) for s in doc["phi_ray_samples"]] == [phi_y_eval(0.5, TAU_11, tuple(p)) for p in samples]
     assert len(doc["derivatives"]) == 24
     rows = (tmp_path / "fam.quotient.csv").read_text().splitlines()
     assert len(rows) == 1 + DEFAULT_DEPTH
@@ -247,6 +245,37 @@ class TestClassify:
         table = (tmp_path / "tables.derivative.csv").read_text().splitlines()
         assert table[0] == "re_d1,im_d1,re_d2,im_d2,re_D,im_D,method"
         assert len(table) == 25  # header + 12 directions x 2 methods
+
+    def test_one_evaluation_with_or_without_the_table(self, capsys, monkeypatch, swap_spec, tmp_path):
+        from caralab import boundary
+
+        counts = collections.Counter()
+        evaluate = GeneralizedRealization.evaluate
+
+        def counting_evaluate(model, pts):
+            counts["evaluate"] += 1
+            counts["points"] += len(pts)
+            return evaluate(model, pts)
+
+        monkeypatch.setattr(GeneralizedRealization, "evaluate", counting_evaluate)
+        for name, key in (("build_grid", "build_grid"), ("direction_entry_time", "step plan")):
+
+            def counting(*args, fn=getattr(boundary, name), key=key):
+                counts[key] += 1
+                return fn(*args)
+
+            monkeypatch.setattr(boundary, name, counting)
+        # the scan alone: the grid's 84 points and the 12 deeper ray points, no step plan
+        assert main(["classify", swap_spec]) == 0
+        assert counts == {"evaluate": 1, "points": 96, "build_grid": 1}
+        # the scan and the table's difference steps, in one evaluation
+        counts.clear()
+        assert main(["classify", swap_spec, "--csv", str(tmp_path / "t")]) == 0
+        assert counts["evaluate"] == 1 and counts["points"] > 96 and counts["step plan"] == 1
+        # the derivative table builds no grid
+        counts.clear()
+        assert main(["derivative", swap_spec]) == 0
+        assert counts["evaluate"] == 1 and counts["build_grid"] == 0
 
     def test_unconverged_exits_6(self, capsys, shear_spec):
         assert main(["classify", shear_spec, "--isotol", "10"]) == 6

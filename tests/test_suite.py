@@ -80,7 +80,6 @@ class TestRun:
             return build_grid(*args, **kwargs)
 
         monkeypatch.setattr(boundary, "build_grid", counting)
-        monkeypatch.setattr(suite, "build_grid", counting)
         # one per boundary point, built before the first model, at any count
         run_suite(SuiteConfig(seed=7, count=3))
         assert len(calls) == len(SUITE_TAUS)
@@ -182,21 +181,22 @@ def test_calls_per_model_do_not_grow_with_directions_or_points(monkeypatch):
 
 
 def test_one_grid_build_per_boundary_point(monkeypatch):
-    # and one set of directions, difference steps and scan points: the
-    # geometry at each tau is built once per run, before its first model
+    # and one probe, with its scan and the difference steps of its
+    # directions: what tau decides is built once per run, before its first model
     counts = collections.Counter()
-    for name in ("build_grid", "fd_step_plan", "carapoint_points"):
+    names = ((suite, "boundary_probe"), (boundary, "build_grid"), (boundary, "direction_entry_time"))
+    for module, name in names:
 
-        def counting(*args, fn=getattr(suite, name), name=name):
+        def counting(*args, fn=getattr(module, name), name=name):
             counts[name] += 1
             return fn(*args)
 
-        monkeypatch.setattr(suite, name, counting)
+        monkeypatch.setattr(module, name, counting)
     run_suite(SuiteConfig(seed=7))
-    assert counts == dict.fromkeys(("build_grid", "fd_step_plan", "carapoint_points"), len(SUITE_TAUS))
-    # no geometry outlives its run, and a run of fewer models builds them all
+    assert counts == {name: len(SUITE_TAUS) for _, name in names}
+    # no probe outlives its run, and a run of fewer models builds them all
     run_suite(SuiteConfig(seed=7, count=2))
-    assert counts == dict.fromkeys(("build_grid", "fd_step_plan", "carapoint_points"), 2 * len(SUITE_TAUS))
+    assert counts == {name: 2 * len(SUITE_TAUS) for _, name in names}
 
 
 def same_bits(a, b) -> bool:
@@ -209,7 +209,7 @@ def test_batched_checks_equal_the_public_routes(monkeypatch):
     seen, arguments = collections.defaultdict(list), collections.defaultdict(list)
     cores = (
         "model_identity_defect", "standard_identity_defect", "standard_model_components",
-        "carapoint_scan", "fd_limits", "boundary_report",
+        "boundary_report", "probe_derivatives",
     )
     for name in cores:
 
@@ -251,17 +251,24 @@ def test_batched_checks_equal_the_public_routes(monkeypatch):
         # the margin below the bound, not a floor of 0.0
         assert worst["standard_model_bound"] == excess.max() < 0.0
 
-        # the cores on the suite's slices of its one evaluation; the scan's
-        # points and the difference steps, shared by the models at one tau,
-        # are those of fresh builds
-        assert seen["carapoint_scan"][record.index] == boundary.detect_carapoint(model.phi, grid)
-        assert same_bits(arguments["carapoint_scan"][record.index][1], boundary.carapoint_points(grid))
+        # the model's probe: the blocks of tau, shared by the models at one
+        # tau and those of a fresh build, then the model's draws, in order
+        probe = arguments["probe_derivatives"][record.index][1]
         directions = np.array(boundary.default_directions(model.tau, suite.N_DIRECTIONS))
-        plan = arguments["fd_limits"][record.index][0]
-        fresh = boundary.fd_step_plan(model.tau, directions)
-        assert all(same_bits(getattr(plan, f), getattr(fresh, f)) for f in ("schedules", "points", "index"))
+        fresh = boundary.boundary_probe(model.tau, config.aperture, config.grid_depth, directions)
+        assert list(probe.blocks) == ["scan", "steps", "identity", "contractivity", "probes", "standard"]
+        assert [probe.blocks[name] for name in fresh.blocks] == list(fresh.blocks.values())
+        assert same_bits(probe.points[: len(fresh.points)], fresh.points)
+        assert all(same_bits(getattr(probe.plan, f), getattr(fresh.plan, f)) for f in ("deltas", "schedules", "index"))
+        draws = {"identity": np.concatenate([lam, mu]), "contractivity": scan, "probes": suite.CONSTANT_PROBES}
+        draws["standard"] = std
+        assert all(same_bits(probe.points[probe.blocks[name]], pts) for name, pts in draws.items())
+        # the readers on the probe's one evaluation are the public routes
+        assert arguments["boundary_report"][record.index][1] == boundary.detect_carapoint(model.phi, grid)
+        table = seen["probe_derivatives"][record.index]
         fd = boundary.derivative_fd(model.phi, model.tau, directions, phi_tau=model.phi_at_tau())
-        assert same_bits(seen["fd_limits"][record.index], fd)
+        assert same_bits(table.finite_difference, fd)
+        assert same_bits(table.analytic, boundary.derivative_model(model, directions))
         verdict = boundary.classify_model(model, aperture=config.aperture, depth=config.grid_depth)
         assert seen["boundary_report"][record.index] == verdict
         assert record.classification == verdict.classification
@@ -288,8 +295,9 @@ def assert_stream_restored(models, config, failing_index):
     for index in range(config.count):
         model, _, _ = generate_model(index, rng, config)
         if index > failing_index:
-            geometry = suite.tau_geometry(model.tau, config)
-            report, checks, error = suite.run_model_checks(model, rng, config, geometry)
+            directions = np.array(boundary.default_directions(model.tau, suite.N_DIRECTIONS))
+            probe = boundary.boundary_probe(model.tau, config.aperture, config.grid_depth, directions)
+            report, checks, error = suite.run_model_checks(model, rng, config, probe)
             assert models[index]["dim"] == model.dim and error is None
             assert models[index]["classification"] == report.classification
             assert models[index]["checks"] == [c.to_json() for c in checks]
