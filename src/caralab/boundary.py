@@ -212,9 +212,9 @@ class Probe:
     ``points`` holds the blocks one after another, and ``blocks[name]`` is
     the slice of ``points``, and of phi's values there, that holds block
     ``name``.  :func:`boundary_probe` makes the blocks that tau decides,
-    "scan" (read with ``grid``) and "steps" (read with ``plan``), and
-    :meth:`extend` appends a caller's own.  The readers take phi's values
-    at ``points``, or one value for a constant.
+    "scan" (read with ``grid`` by :func:`carapoint_scan`) and "steps" (read
+    with ``plan`` by :func:`fd_limits`), and :meth:`extend` appends a
+    caller's own.
     """
 
     points: np.ndarray  # (N, 2) complex
@@ -231,42 +231,46 @@ class Probe:
     def _block(self, values, name: str) -> np.ndarray:
         return np.broadcast_to(np.asarray(values, dtype=complex), len(self.points))[self.blocks[name]]
 
-    def quotients(self, values) -> np.ndarray:
-        """Caratheodory quotients at block "scan", whose first ``grid.depth`` are the radial ray at t = 2^-k."""
-        return cara_quotients(self.points[self.blocks["scan"]], self._block(values, "scan"))
 
-    def scan(self, values) -> CarapointScan:
-        """The carapoint scan of block "scan".
+def carapoint_scan(probe: Probe, values) -> CarapointScan:
+    """The carapoint scan of block "scan" of ``probe``, from phi's ``values`` at the probe.
 
-        The radial ray is refined down to t = 2^-DETECT_EXPONENT, where a
-        quotient growing like 1/(1 - ||lam||_inf) crosses QUOTIENT_BOUND;
-        alpha is the Richardson-extrapolated ray limit of the quotient,
-        taken from the moderately deep ray samples where rounding is still
-        negligible.
-        """
-        quotients = self.quotients(values)
-        ray = np.concatenate([quotients[: self.grid.depth], quotients[self.grid.coords[..., 0].size :]])
-        k_hi = min(ALPHA_EXPONENT, len(ray))
-        alpha, residual = richardson_limit(ray[max(1, k_hi - 7) - 1 : k_hi])
-        qmax = quotients.max()
-        return CarapointScan(bool(qmax < QUOTIENT_BOUND), float(alpha), float(qmax), float(residual))
+    The radial ray is refined down to t = 2^-DETECT_EXPONENT, where a
+    quotient growing like 1/(1 - ||lam||_inf) crosses QUOTIENT_BOUND; alpha
+    is the Richardson-extrapolated ray limit of the quotient, taken from the
+    moderately deep ray samples where rounding is still negligible.
+    """
+    quotients = cara_quotients(probe.points[probe.blocks["scan"]], probe._block(values, "scan"))
+    ray = np.concatenate([quotients[: probe.grid.depth], quotients[probe.grid.coords[..., 0].size :]])
+    k_hi = min(ALPHA_EXPONENT, len(ray))
+    alpha, residual = richardson_limit(ray[max(1, k_hi - 7) - 1 : k_hi])
+    qmax = quotients.max()
+    return CarapointScan(bool(qmax < QUOTIENT_BOUND), float(alpha), float(qmax), float(residual))
 
-    def fd_limits(self, values, phi_tau: complex) -> np.ndarray:
-        """Extrapolated difference quotients of block "steps", one per direction of ``plan``.
 
-        Of the directions whose quotients do not settle, the first is named
-        in the NoConvergenceError.
-        """
-        plan = self.plan
-        steps = self._block(values, "steps")[plan.index]
-        quotients = (steps.reshape(plan.schedules.shape) - phi_tau) / plan.schedules
-        limits, residuals = richardson_limit(quotients.T)  # one column per direction
-        # written as a negation, so that a NaN residual or limit does not settle
-        unsettled = ~(residuals <= 1e-4 * np.maximum(1.0, modulus(limits)))
-        if unsettled.any():
-            residual = residuals[np.argmax(unsettled)]
-            raise NoConvergenceError(f"difference quotients did not settle (residual {residual:.3e})")
-        return limits
+def fd_limits(probe: Probe, values, phi_tau: complex) -> np.ndarray:
+    """Extrapolated difference quotients of block "steps" of ``probe``, one per direction of its plan.
+
+    ``values`` are phi's at the probe.  Of the directions whose quotients
+    do not settle, the first is named in the NoConvergenceError.
+    """
+    plan = probe.plan
+    steps = probe._block(values, "steps")[plan.index]
+    quotients = (steps.reshape(plan.schedules.shape) - phi_tau) / plan.schedules
+    limits, residuals = richardson_limit(quotients.T)  # one column per direction
+    # written as a negation, so that a NaN residual or limit does not settle
+    unsettled = ~(residuals <= 1e-4 * np.maximum(1.0, modulus(limits)))
+    if unsettled.any():
+        residual = residuals[np.argmax(unsettled)]
+        raise NoConvergenceError(f"difference quotients did not settle (residual {residual:.3e})")
+    return limits
+
+
+def _scan_probe(grid: NontangentialGrid) -> Probe:
+    """The probe of block "scan": the grid's points, family by family, then the radial ray deeper down."""
+    deeper = grid.tau.ray_point(np.ldexp(1.0, -np.arange(grid.depth + 1, DETECT_EXPONENT + 1)))
+    points = np.concatenate([grid.coords.reshape(-1, 2), deeper])
+    return Probe(points, {"scan": slice(0, len(points))}, grid)
 
 
 def boundary_probe(tau, aperture: float | None = None, depth: int = DEFAULT_DEPTH, deltas=None) -> Probe:
@@ -279,11 +283,8 @@ def boundary_probe(tau, aperture: float | None = None, depth: int = DEFAULT_DEPT
     block "steps" then holds their distinct difference steps (see
     StepPlan), after the first inadmissible direction has raised.
     """
-    tau, grid, plan, blocks = BoundaryPoint(*tau), None, None, {}
-    if aperture is not None:
-        grid = build_grid(tau, aperture, depth)
-        deeper = tau.ray_point(np.ldexp(1.0, -np.arange(grid.depth + 1, DETECT_EXPONENT + 1)))
-        blocks["scan"] = np.concatenate([grid.coords.reshape(-1, 2), deeper])
+    tau, empty = BoundaryPoint(*tau), Probe(np.empty((0, 2), dtype=complex), {})
+    probe = empty if aperture is None else _scan_probe(build_grid(tau, aperture, depth))
     if deltas is not None:
         schedules = direction_entry_time(tau, deltas)[:, None] / 8.0 * 2.0 ** -np.arange(FD_STEPS)
         steps = (as_points(tau)[0][:, None, :] + schedules[..., None] * deltas[:, None, :]).reshape(-1, 2)
@@ -291,18 +292,18 @@ def boundary_probe(tau, aperture: float | None = None, depth: int = DEFAULT_DEPT
         _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
         keep = np.sort(first)
         plan = StepPlan(deltas, schedules, steps[keep], np.searchsorted(keep, first)[inverse])
-        blocks["steps"] = plan.points
-    return Probe(np.empty((0, 2), dtype=complex), {}, grid, plan).extend(**blocks)
+        probe = replace(probe.extend(steps=plan.points), plan=plan)
+    return probe
 
 
 def detect_carapoint(phi: Callable[[np.ndarray], np.ndarray], grid: NontangentialGrid) -> CarapointScan:
     """Decide boundedness of the Caratheodory quotient over the grid.
 
-    One call of phi at the scan of :func:`boundary_probe` at the grid's
-    tau, aperture and depth, read by :meth:`Probe.scan`.
+    One call of phi at block "scan" of :func:`boundary_probe` on this
+    grid, read by :func:`carapoint_scan`.
     """
-    probe = boundary_probe(grid.tau, grid.aperture, grid.depth)
-    return probe.scan(phi(probe.points))
+    probe = _scan_probe(grid)
+    return carapoint_scan(probe, phi(probe.points))
 
 
 def derivative_fd(
@@ -314,7 +315,7 @@ def derivative_fd(
     of directions gives one derivative per direction.  The distinct steps
     of all directions go to one call of phi, as the probe of
     :func:`boundary_probe`, which checks every direction first, and
-    :meth:`Probe.fd_limits` extrapolates their quotients.
+    :func:`fd_limits` extrapolates their quotients.
     """
     tau = BoundaryPoint(*tau)
     deltas, single = as_points(delta)
@@ -322,7 +323,7 @@ def derivative_fd(
     if phi_tau is None:
         ray = tau.ray_point(np.ldexp(1.0, -np.arange(8, 21)))
         phi_tau = complex(richardson_limit(np.asarray(phi(ray), dtype=complex))[0])
-    limits = probe.fd_limits(phi(probe.points), phi_tau)
+    limits = fd_limits(probe, phi(probe.points), phi_tau)
     return complex(limits[0]) if single else limits
 
 
@@ -406,10 +407,10 @@ def probe_derivatives(model: GeneralizedRealization, probe: Probe, values) -> De
 
     The analytic column is :func:`derivative_model` without its check of
     the directions, which the step plan made; the finite-difference column
-    is :meth:`Probe.fd_limits` at phi(tau).
+    is :func:`fd_limits` at phi(tau).
     """
     deltas = probe.plan.deltas
-    return DerivativeTable(deltas, _spectral_derivative(model, deltas), probe.fd_limits(values, model.phi_at_tau()))
+    return DerivativeTable(deltas, _spectral_derivative(model, deltas), fd_limits(probe, values, model.phi_at_tau()))
 
 
 def derivative_table(
@@ -583,13 +584,12 @@ def classify_model(
 ) -> BoundaryReport:
     """Classify a generalized model by the geometry of its ray limit.
 
-    Checks that the ray limit converged, evaluates the scan of
-    :func:`boundary_probe` with one call of phi and hands it to
-    :func:`boundary_report`.
+    Checks that the ray limit converged, then hands the grid's
+    :func:`detect_carapoint` scan, one call of phi, to :func:`boundary_report`.
     """
     converged_ray(model)
-    probe = boundary_probe(model.tau, aperture, depth)
-    return boundary_report(model, probe.scan(model.phi(probe.points)), class_tol)
+    grid = build_grid(model.tau, aperture, depth)
+    return boundary_report(model, detect_carapoint(model.phi, grid), class_tol)
 
 
 def boundary_report(

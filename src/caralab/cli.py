@@ -25,11 +25,15 @@ from .boundary import (
     DerivativeTable,
     boundary_probe,
     boundary_report,
+    cara_quotients,
+    carapoint_scan,
+    classify_model,
     classify_ray,
     converged_ray,
     default_direction_pairs,
     default_directions,
     derivative_table,
+    fd_limits,
     julia_quotient_ray,
     linearity_defect,
     probe_derivatives,
@@ -175,21 +179,19 @@ def cmd_family(args) -> int:
     probe = boundary_probe(tau, args.aperture, args.depth, deltas)
     probe = probe.extend(samples=tau.ray_point(1.0 - np.array(phi_probe)))
     values = phi_y_eval(y, tau, probe.points)
-    scan = probe.scan(values)
-    # the radial ray is the grid's family 0, at t = 2^-k, so its points head the scan's
+    scan = carapoint_scan(probe, values)
+    # the radial ray is the grid's family 0, at t = 2^-k: the first points of the scan, which heads the probe
     ts = np.ldexp(1.0, -np.arange(1, probe.grid.depth + 1)).tolist()
-    quotient_rows = [[t, q] for t, q in zip(ts, probe.quotients(values).tolist())]
+    quotient_rows = [[t, q] for t, q in zip(ts, cara_quotients(probe.points[: len(ts)], values[: len(ts)]).tolist())]
 
     residual_max = None
     if not monomial:
         lam, mu = sample_bidisk_pairs(rng, args.pairs)
         residual_max = float(np.max(phi_y_model_residual(y, tau, lam, mu), initial=0.0))
 
-    table = DerivativeTable(deltas, phi_y_directional_derivative(y, tau, deltas), probe.fd_limits(values, 1.0 + 0j))
+    table = DerivativeTable(deltas, phi_y_directional_derivative(y, tau, deltas), fd_limits(probe, values, 1.0 + 0j))
     deriv_docs, deriv_rows = _derivative_entries(table)
-    defect = linearity_defect(
-        lambda d: phi_y_directional_derivative(y, tau, d), default_direction_pairs(tau)
-    )
+    defect = linearity_defect(lambda d: phi_y_directional_derivative(y, tau, d), default_direction_pairs(tau))
 
     # phi_y is the swap model over Y = [[y]], whose ray limit is v' = [1]
     classification, _, _ = classify_ray(np.array([y]), np.ones(1))
@@ -211,13 +213,7 @@ def cmd_family(args) -> int:
         "derivatives": deriv_docs,
     }
     _emit_report(report, args)
-    _emit_tables(
-        args,
-        {
-            "quotient": (["t", "quotient"], quotient_rows),
-            "derivative": (DERIVATIVE_HEADER, deriv_rows),
-        },
-    )
+    _emit_tables(args, {"quotient": (["t", "quotient"], quotient_rows), "derivative": (DERIVATIVE_HEADER, deriv_rows)})
     return 0
 
 
@@ -270,12 +266,15 @@ def cmd_verify(args) -> int:
 
 def cmd_classify(args) -> int:
     model = load_model(args.model, eigtol=args.eigtol, isotol=args.isotol)
-    converged_ray(model)
-    # with --csv, the derivative table's difference steps join the scan in phi's one call
-    deltas = np.array(default_directions(model.tau), dtype=complex) if args.csv else None
-    probe = boundary_probe(model.tau, args.aperture, args.depth, deltas)
-    values = model.phi(probe.points)
-    report = boundary_report(model, probe.scan(values), args.class_tol)
+    if args.csv:
+        # classify_model, with the derivative table's difference steps joining the scan in phi's one call
+        converged_ray(model)
+        deltas = np.array(default_directions(model.tau), dtype=complex)
+        probe = boundary_probe(model.tau, args.aperture, args.depth, deltas)
+        values = model.phi(probe.points)
+        report = boundary_report(model, carapoint_scan(probe, values), args.class_tol)
+    else:
+        report = classify_model(model, args.class_tol, args.aperture, args.depth)
     ray = model.v_at_tau()
     doc = {
         "command": "classify",

@@ -40,6 +40,8 @@ from caralab.boundary import (
     QUOTIENT_BOUND,
     _angular_families,
     boundary_probe,
+    carapoint_scan,
+    fd_limits,
     standard_identity_defect,
     standard_model_components,
 )
@@ -257,6 +259,15 @@ class TestDetect:
         scan = detect_carapoint(lambda lam: 0.5 + 0j, grid)
         assert not scan.carapoint
 
+    def test_scan_reads_the_grid_it_is_given(self, monkeypatch):
+        from caralab import boundary
+
+        grid = build_grid(TAUS[2], 2.0, 8)
+        monkeypatch.setattr(boundary, "build_grid", lambda *args: pytest.fail("the grid was rebuilt"))
+        seen = []
+        detect_carapoint(lambda lam: seen.append(lam) or phi_y_eval(0.3, TAUS[2], lam), grid)
+        assert len(seen) == 1 and np.array_equal(seen[0][: grid.coords[..., 0].size], grid.coords.reshape(-1, 2))
+
     @staticmethod
     def two_copy_scan(phi, grid):
         """The scan as built before: the ray (the grid's ray family, then the deeper
@@ -318,15 +329,15 @@ class TestProbe:
         probe = boundary_probe(TAUS[2], 2.0, 12, deltas).extend(samples=np.array([[0.5, 0.5j]]))
         calls = []
         values = (lambda lam: calls.append(lam) or phi_y_eval(0.3, TAUS[2], lam))(probe.points)
-        scan, fd = probe.scan(values), probe.fd_limits(values, 1.0 + 0j)
+        scan, fd = carapoint_scan(probe, values), fd_limits(probe, values, 1.0 + 0j)
         assert len(calls) == 1
         assert scan == detect_carapoint(phi_y(0.3, TAUS[2]), probe.grid)
         assert fd.tolist() == derivative_fd(phi_y(0.3, TAUS[2]), TAUS[2], deltas, phi_tau=1.0 + 0j).tolist()
 
     def test_a_constant_gives_one_value(self):
         probe = boundary_probe(TAU_11, 2.0, 12, np.array([[-1.0, -1.0]], dtype=complex))
-        assert not probe.scan(0.5 + 0j).carapoint
-        assert probe.fd_limits(0.5 + 0j, 0.5 + 0j).tolist() == [0j]
+        assert not carapoint_scan(probe, 0.5 + 0j).carapoint
+        assert fd_limits(probe, 0.5 + 0j, 0.5 + 0j).tolist() == [0j]
 
 
 class TestDerivativeFd:

@@ -277,6 +277,24 @@ class TestClassify:
         assert main(["derivative", swap_spec]) == 0
         assert counts["evaluate"] == 1 and counts["build_grid"] == 0
 
+    def test_without_the_table_the_scan_is_classify_model(self, monkeypatch, swap_spec, tmp_path):
+        from caralab import boundary, cli
+
+        # perfbench's per-layer metrics count these two public calls
+        counts = collections.Counter()
+        for module, name in ((cli, "classify_model"), (boundary, "detect_carapoint")):
+
+            def counting(*args, fn=getattr(module, name), name=name):
+                counts[name] += 1
+                return fn(*args)
+
+            monkeypatch.setattr(module, name, counting)
+        assert main(["classify", swap_spec, "--out", str(tmp_path / "r.json")]) == 0
+        assert counts == {"classify_model": 1, "detect_carapoint": 1}
+        counts.clear()
+        assert main(["classify", swap_spec, "--out", str(tmp_path / "r.json"), "--csv", str(tmp_path / "t")]) == 0
+        assert counts == {}
+
     def test_unconverged_exits_6(self, capsys, shear_spec):
         assert main(["classify", shear_spec, "--isotol", "10"]) == 6
 

@@ -1,7 +1,7 @@
 """One md5 per CLI subcommand over the outputs of a fixed set of runs.
 
-Writes the first models that :func:`caralab.suite.generate_model` draws for
-a seed, plus the README's swap model, to a temporary directory, and runs
+Writes the first MODELS models that :func:`caralab.suite.generate_model`
+draws for a seed, plus the README's swap model, to a temporary directory, and runs
 through :func:`caralab.cli.main`:
 
 - ``classify`` on each model, without and with ``--csv``;
@@ -13,7 +13,7 @@ its runs in order, so that two versions of caralab can be shown to give
 byte-identical output.  Model paths are relative to the temporary
 directory, which is the working directory during the runs.
 
-    PYTHONPATH=src python tools/outputs.py --seed 5 [--count 8]
+    PYTHONPATH=src python tools/outputs.py --seed 5
 """
 
 from __future__ import annotations
@@ -34,6 +34,9 @@ from caralab import validate_positive_contraction
 from caralab.cli import main as cli_main
 from caralab.suite import SuiteConfig, generate_model
 
+#: generated models per seed, before the swap model
+MODELS = 8
+
 FAMILY_YS = ("0", "0.3", "0.5", "1")
 FAMILY_TAUS = ("1,1", "-1,1", "1,0,0,1")
 
@@ -44,11 +47,11 @@ def swap_model() -> GeneralizedRealization:
     return GeneralizedRealization(OperatorPencil(y, (1.0, 1.0)), validate_colligation([[0, 1], [1, 0]]))
 
 
-def write_models(seed: int, count: int, directory: Path) -> list[str]:
-    """The first ``count`` models generate_model draws for ``seed``, then the swap model; their file names."""
+def write_models(seed: int, directory: Path) -> list[str]:
+    """The first MODELS models generate_model draws for ``seed``, then the swap model; their file names."""
     rng, config = np.random.default_rng(seed), SuiteConfig(seed=seed)
-    models = [generate_model(index, rng, config)[0] for index in range(count)] + [swap_model()]
-    names = [f"m{index}.json" for index in range(count)] + ["swap.json"]
+    models = [generate_model(index, rng, config)[0] for index in range(MODELS)] + [swap_model()]
+    names = [f"m{index}.json" for index in range(MODELS)] + ["swap.json"]
     for name, model in zip(names, models):
         (directory / name).write_text(json.dumps(dump_model(model)))
     return names
@@ -81,12 +84,12 @@ def digest(argvs: list[list[str]], directory: Path) -> str:
     return md5.hexdigest()
 
 
-def outputs(seed: int, count: int = 8) -> dict[str, str]:
+def outputs(seed: int) -> dict[str, str]:
     """Subcommand -> md5 of its runs on the models of ``seed``."""
     home = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         directory = Path(tmp)
-        names = write_models(seed, count, directory)
+        names = write_models(seed, directory)
         os.chdir(directory)
         try:
             return {command: digest(argvs, directory) for command, argvs in runs(names).items()}
@@ -97,9 +100,8 @@ def outputs(seed: int, count: int = 8) -> dict[str, str]:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=5, help="seed of the generated models (default 5)")
-    parser.add_argument("--count", type=int, default=8, help="generated models (default 8)")
     args = parser.parse_args(argv)
-    for command, md5 in outputs(args.seed, args.count).items():
+    for command, md5 in outputs(args.seed).items():
         print(f"{command:16s} {md5}")
     return 0
 
