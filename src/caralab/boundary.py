@@ -212,8 +212,8 @@ class Probe:
     ``points`` holds the blocks one after another, and ``blocks[name]`` is
     the slice of ``points``, and of phi's values there, that holds block
     ``name``.  :func:`boundary_probe` makes the blocks that tau decides,
-    "scan" (read with ``grid`` by :func:`carapoint_scan`) and "steps" (read
-    with ``plan`` by :func:`fd_limits`), and :meth:`extend` appends a
+    "scan" (read with ``grid`` by :func:`probe_scan`) and "steps" (read
+    with ``plan`` by :func:`probe_fd_limits`), and :meth:`extend` appends a
     caller's own.
     """
 
@@ -231,8 +231,12 @@ class Probe:
     def _block(self, values, name: str) -> np.ndarray:
         return np.broadcast_to(np.asarray(values, dtype=complex), len(self.points))[self.blocks[name]]
 
+    def quotients(self, values) -> np.ndarray:
+        """Caratheodory quotients at block "scan", whose first ``grid.depth`` are the radial ray at t = 2^-k."""
+        return cara_quotients(self.points[self.blocks["scan"]], self._block(values, "scan"))
 
-def carapoint_scan(probe: Probe, values) -> CarapointScan:
+
+def probe_scan(probe: Probe, values) -> CarapointScan:
     """The carapoint scan of block "scan" of ``probe``, from phi's ``values`` at the probe.
 
     The radial ray is refined down to t = 2^-DETECT_EXPONENT, where a
@@ -240,7 +244,7 @@ def carapoint_scan(probe: Probe, values) -> CarapointScan:
     is the Richardson-extrapolated ray limit of the quotient, taken from the
     moderately deep ray samples where rounding is still negligible.
     """
-    quotients = cara_quotients(probe.points[probe.blocks["scan"]], probe._block(values, "scan"))
+    quotients = probe.quotients(values)
     ray = np.concatenate([quotients[: probe.grid.depth], quotients[probe.grid.coords[..., 0].size :]])
     k_hi = min(ALPHA_EXPONENT, len(ray))
     alpha, residual = richardson_limit(ray[max(1, k_hi - 7) - 1 : k_hi])
@@ -248,7 +252,7 @@ def carapoint_scan(probe: Probe, values) -> CarapointScan:
     return CarapointScan(bool(qmax < QUOTIENT_BOUND), float(alpha), float(qmax), float(residual))
 
 
-def fd_limits(probe: Probe, values, phi_tau: complex) -> np.ndarray:
+def probe_fd_limits(probe: Probe, values, phi_tau: complex) -> np.ndarray:
     """Extrapolated difference quotients of block "steps" of ``probe``, one per direction of its plan.
 
     ``values`` are phi's at the probe.  Of the directions whose quotients
@@ -300,10 +304,10 @@ def detect_carapoint(phi: Callable[[np.ndarray], np.ndarray], grid: Nontangentia
     """Decide boundedness of the Caratheodory quotient over the grid.
 
     One call of phi at block "scan" of :func:`boundary_probe` on this
-    grid, read by :func:`carapoint_scan`.
+    grid, read by :func:`probe_scan`.
     """
     probe = _scan_probe(grid)
-    return carapoint_scan(probe, phi(probe.points))
+    return probe_scan(probe, phi(probe.points))
 
 
 def derivative_fd(
@@ -315,15 +319,14 @@ def derivative_fd(
     of directions gives one derivative per direction.  The distinct steps
     of all directions go to one call of phi, as the probe of
     :func:`boundary_probe`, which checks every direction first, and
-    :func:`fd_limits` extrapolates their quotients.
+    :func:`probe_fd_limits` extrapolates their quotients.
     """
-    tau = BoundaryPoint(*tau)
     deltas, single = as_points(delta)
     probe = boundary_probe(tau, deltas=deltas)
     if phi_tau is None:
-        ray = tau.ray_point(np.ldexp(1.0, -np.arange(8, 21)))
+        ray = BoundaryPoint(*tau).ray_point(np.ldexp(1.0, -np.arange(8, 21)))
         phi_tau = complex(richardson_limit(np.asarray(phi(ray), dtype=complex))[0])
-    limits = fd_limits(probe, phi(probe.points), phi_tau)
+    limits = probe_fd_limits(probe, phi(probe.points), phi_tau)
     return complex(limits[0]) if single else limits
 
 
@@ -407,10 +410,10 @@ def probe_derivatives(model: GeneralizedRealization, probe: Probe, values) -> De
 
     The analytic column is :func:`derivative_model` without its check of
     the directions, which the step plan made; the finite-difference column
-    is :func:`fd_limits` at phi(tau).
+    is :func:`probe_fd_limits` at phi(tau).
     """
-    deltas = probe.plan.deltas
-    return DerivativeTable(deltas, _spectral_derivative(model, deltas), fd_limits(probe, values, model.phi_at_tau()))
+    deltas, phi_tau = probe.plan.deltas, model.phi_at_tau()
+    return DerivativeTable(deltas, _spectral_derivative(model, deltas), probe_fd_limits(probe, values, phi_tau))
 
 
 def derivative_table(

@@ -25,18 +25,17 @@ from .boundary import (
     DerivativeTable,
     boundary_probe,
     boundary_report,
-    cara_quotients,
-    carapoint_scan,
     classify_model,
     classify_ray,
     converged_ray,
     default_direction_pairs,
     default_directions,
     derivative_table,
-    fd_limits,
     julia_quotient_ray,
     linearity_defect,
     probe_derivatives,
+    probe_fd_limits,
+    probe_scan,
 )
 from .errors import (
     BadApertureError,
@@ -179,17 +178,18 @@ def cmd_family(args) -> int:
     probe = boundary_probe(tau, args.aperture, args.depth, deltas)
     probe = probe.extend(samples=tau.ray_point(1.0 - np.array(phi_probe)))
     values = phi_y_eval(y, tau, probe.points)
-    scan = carapoint_scan(probe, values)
-    # the radial ray is the grid's family 0, at t = 2^-k: the first points of the scan, which heads the probe
+    scan = probe_scan(probe, values)
+    # the radial ray is the grid's family 0, at t = 2^-k, so its points head the scan's
     ts = np.ldexp(1.0, -np.arange(1, probe.grid.depth + 1)).tolist()
-    quotient_rows = [[t, q] for t, q in zip(ts, cara_quotients(probe.points[: len(ts)], values[: len(ts)]).tolist())]
+    quotient_rows = [[t, q] for t, q in zip(ts, probe.quotients(values).tolist())]
 
     residual_max = None
     if not monomial:
         lam, mu = sample_bidisk_pairs(rng, args.pairs)
         residual_max = float(np.max(phi_y_model_residual(y, tau, lam, mu), initial=0.0))
 
-    table = DerivativeTable(deltas, phi_y_directional_derivative(y, tau, deltas), fd_limits(probe, values, 1.0 + 0j))
+    fd = probe_fd_limits(probe, values, 1.0 + 0j)
+    table = DerivativeTable(deltas, phi_y_directional_derivative(y, tau, deltas), fd)
     deriv_docs, deriv_rows = _derivative_entries(table)
     defect = linearity_defect(lambda d: phi_y_directional_derivative(y, tau, d), default_direction_pairs(tau))
 
@@ -272,7 +272,7 @@ def cmd_classify(args) -> int:
         deltas = np.array(default_directions(model.tau), dtype=complex)
         probe = boundary_probe(model.tau, args.aperture, args.depth, deltas)
         values = model.phi(probe.points)
-        report = boundary_report(model, carapoint_scan(probe, values), args.class_tol)
+        report = boundary_report(model, probe_scan(probe, values), args.class_tol)
     else:
         report = classify_model(model, args.class_tol, args.aperture, args.depth)
     ray = model.v_at_tau()

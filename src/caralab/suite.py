@@ -25,11 +25,11 @@ from .boundary import (
     Probe,
     boundary_probe,
     boundary_report,
-    carapoint_scan,
     converged_ray,
     default_directions,
     julia_quotient_ray,
     probe_derivatives,
+    probe_scan,
     standard_identity_defect,
     standard_model_components,
 )
@@ -241,7 +241,7 @@ def run_model_checks(
             standard=np.concatenate([std_lam, std_mu]),
         )
         evaluation = model.evaluate(probe.points)
-        report = boundary_report(model, carapoint_scan(probe, evaluation[2]))
+        report = boundary_report(model, probe_scan(probe, evaluation[2]))
         checks = _checks(model, config, report, probe, evaluation, oracle_pts)
         error = None
     except CaralabError as exc:

@@ -40,8 +40,8 @@ from caralab.boundary import (
     QUOTIENT_BOUND,
     _angular_families,
     boundary_probe,
-    carapoint_scan,
-    fd_limits,
+    probe_fd_limits,
+    probe_scan,
     standard_identity_defect,
     standard_model_components,
 )
@@ -329,15 +329,15 @@ class TestProbe:
         probe = boundary_probe(TAUS[2], 2.0, 12, deltas).extend(samples=np.array([[0.5, 0.5j]]))
         calls = []
         values = (lambda lam: calls.append(lam) or phi_y_eval(0.3, TAUS[2], lam))(probe.points)
-        scan, fd = carapoint_scan(probe, values), fd_limits(probe, values, 1.0 + 0j)
+        scan, fd = probe_scan(probe, values), probe_fd_limits(probe, values, 1.0 + 0j)
         assert len(calls) == 1
         assert scan == detect_carapoint(phi_y(0.3, TAUS[2]), probe.grid)
         assert fd.tolist() == derivative_fd(phi_y(0.3, TAUS[2]), TAUS[2], deltas, phi_tau=1.0 + 0j).tolist()
 
     def test_a_constant_gives_one_value(self):
         probe = boundary_probe(TAU_11, 2.0, 12, np.array([[-1.0, -1.0]], dtype=complex))
-        assert not carapoint_scan(probe, 0.5 + 0j).carapoint
-        assert fd_limits(probe, 0.5 + 0j, 0.5 + 0j).tolist() == [0j]
+        assert not probe_scan(probe, 0.5 + 0j).carapoint
+        assert probe_fd_limits(probe, 0.5 + 0j, 0.5 + 0j).tolist() == [0j]
 
 
 class TestDerivativeFd:
