@@ -8,17 +8,18 @@ singular / purely-singular classification of a generalized model.
 
 Every analysis at tau calls ``phi`` once, on the points of one
 :class:`Probe`: named blocks, those that tau decides made by
-:func:`boundary_probe` (the carapoint scan's points, the difference steps
-of given directions) and a caller's own appended, as one (N, 2) array
-(see :func:`points.as_points`); ``phi`` returns the N values.  The probe
-reads them back by block: the carapoint scan, the Caratheodory quotients
-and the extrapolated difference quotients.
+:func:`boundary_probe` (the carapoint scan's grid and ray tail, the
+difference steps of given directions) and a caller's own appended, as one
+(N, 2) array (see :func:`points.as_points`); ``phi`` returns the N values.
+The probe reads them back by block name: the carapoint scan, the
+Caratheodory quotients and the extrapolated difference quotients.  Only
+this module knows which points a block holds.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -211,14 +212,15 @@ class Probe:
 
     ``points`` holds the blocks one after another, and ``blocks[name]`` is
     the slice of ``points``, and of phi's values there, that holds block
-    ``name``.  :func:`boundary_probe` makes the blocks that tau decides,
-    "scan" (read with ``grid`` by :func:`probe_scan`) and "steps" (read
-    with ``plan`` by :func:`probe_fd_limits`), and :meth:`extend` appends a
-    caller's own.
+    ``name``.  :func:`boundary_probe` makes the blocks that tau decides:
+    "grid" (the points of ``grid``, family by family) and "tail" (the
+    radial ray below the grid's depth), read by :func:`probe_scan`, and
+    "steps" (read with ``plan`` by :func:`probe_fd_limits`).
+    :meth:`extend` appends a caller's own.
     """
 
-    points: np.ndarray  # (N, 2) complex
-    blocks: dict[str, slice]
+    points: np.ndarray = field(default_factory=lambda: np.empty((0, 2), dtype=complex))  # (N, 2)
+    blocks: dict[str, slice] = field(default_factory=dict)
     grid: NontangentialGrid | None = None
     plan: StepPlan | None = None
 
@@ -231,24 +233,25 @@ class Probe:
     def _block(self, values, name: str) -> np.ndarray:
         return np.broadcast_to(np.asarray(values, dtype=complex), len(self.points))[self.blocks[name]]
 
-    def quotients(self, values) -> np.ndarray:
-        """Caratheodory quotients at block "scan", whose first ``grid.depth`` are the radial ray at t = 2^-k."""
-        return cara_quotients(self.points[self.blocks["scan"]], self._block(values, "scan"))
+    def quotients(self, values, name: str) -> np.ndarray:
+        """Caratheodory quotients at block ``name``; those of block "grid" start with its radial ray at t = 2^-k."""
+        return cara_quotients(self.points[self.blocks[name]], self._block(values, name))
 
 
 def probe_scan(probe: Probe, values) -> CarapointScan:
-    """The carapoint scan of block "scan" of ``probe``, from phi's ``values`` at the probe.
+    """The carapoint scan of blocks "grid" and "tail" of ``probe``, from phi's ``values`` at the probe.
 
-    The radial ray is refined down to t = 2^-DETECT_EXPONENT, where a
-    quotient growing like 1/(1 - ||lam||_inf) crosses QUOTIENT_BOUND; alpha
-    is the Richardson-extrapolated ray limit of the quotient, taken from the
+    The radial ray, the grid's family 0, is refined down to
+    t = 2^-DETECT_EXPONENT by block "tail", where a quotient growing like
+    1/(1 - ||lam||_inf) crosses QUOTIENT_BOUND; alpha is the
+    Richardson-extrapolated ray limit of the quotient, taken from the
     moderately deep ray samples where rounding is still negligible.
     """
-    quotients = probe.quotients(values)
-    ray = np.concatenate([quotients[: probe.grid.depth], quotients[probe.grid.coords[..., 0].size :]])
+    grid, tail = probe.quotients(values, "grid"), probe.quotients(values, "tail")
+    ray = np.concatenate([grid[: probe.grid.depth], tail])
     k_hi = min(ALPHA_EXPONENT, len(ray))
     alpha, residual = richardson_limit(ray[max(1, k_hi - 7) - 1 : k_hi])
-    qmax = quotients.max()
+    qmax = np.concatenate([grid, tail]).max()
     return CarapointScan(bool(qmax < QUOTIENT_BOUND), float(alpha), float(qmax), float(residual))
 
 
@@ -271,24 +274,23 @@ def probe_fd_limits(probe: Probe, values, phi_tau: complex) -> np.ndarray:
 
 
 def _scan_probe(grid: NontangentialGrid) -> Probe:
-    """The probe of block "scan": the grid's points, family by family, then the radial ray deeper down."""
-    deeper = grid.tau.ray_point(np.ldexp(1.0, -np.arange(grid.depth + 1, DETECT_EXPONENT + 1)))
-    points = np.concatenate([grid.coords.reshape(-1, 2), deeper])
-    return Probe(points, {"scan": slice(0, len(points))}, grid)
+    """The scan's probe: block "grid", the grid's points family by family, then "tail", the ray deeper down."""
+    tail = grid.tau.ray_point(np.ldexp(1.0, -np.arange(grid.depth + 1, DETECT_EXPONENT + 1)))
+    return Probe(grid=grid).extend(grid=grid.coords.reshape(-1, 2), tail=tail)
 
 
 def boundary_probe(tau, aperture: float | None = None, depth: int = DEFAULT_DEPTH, deltas=None) -> Probe:
     """The probe of what tau decides, with only the blocks its caller asks for.
 
-    Given an aperture, block "scan" holds the points of
-    ``build_grid(tau, aperture, depth)``, family by family, then the radial
-    ray at t = 2^-(depth+1) .. 2^-DETECT_EXPONENT, so the ray is the grid's
-    family 0 followed by this tail.  Given a (K, 2) array of directions,
-    block "steps" then holds their distinct difference steps (see
-    StepPlan), after the first inadmissible direction has raised.
+    Given an aperture, block "grid" holds the points of
+    ``build_grid(tau, aperture, depth)``, family by family, and block
+    "tail" the radial ray at t = 2^-(depth+1) .. 2^-DETECT_EXPONENT, so the
+    ray is the grid's family 0 followed by the tail.  Given a (K, 2) array
+    of directions, block "steps" then holds their distinct difference steps
+    (see StepPlan), after the first inadmissible direction has raised.
     """
-    tau, empty = BoundaryPoint(*tau), Probe(np.empty((0, 2), dtype=complex), {})
-    probe = empty if aperture is None else _scan_probe(build_grid(tau, aperture, depth))
+    tau = BoundaryPoint(*tau)
+    probe = Probe() if aperture is None else _scan_probe(build_grid(tau, aperture, depth))
     if deltas is not None:
         schedules = direction_entry_time(tau, deltas)[:, None] / 8.0 * 2.0 ** -np.arange(FD_STEPS)
         steps = (as_points(tau)[0][:, None, :] + schedules[..., None] * deltas[:, None, :]).reshape(-1, 2)
@@ -303,8 +305,8 @@ def boundary_probe(tau, aperture: float | None = None, depth: int = DEFAULT_DEPT
 def detect_carapoint(phi: Callable[[np.ndarray], np.ndarray], grid: NontangentialGrid) -> CarapointScan:
     """Decide boundedness of the Caratheodory quotient over the grid.
 
-    One call of phi at block "scan" of :func:`boundary_probe` on this
-    grid, read by :func:`probe_scan`.
+    One call of phi at blocks "grid" and "tail" of :func:`boundary_probe`
+    on this grid, read by :func:`probe_scan`.
     """
     probe = _scan_probe(grid)
     return probe_scan(probe, phi(probe.points))
@@ -315,18 +317,21 @@ def derivative_fd(
 ) -> complex | np.ndarray:
     """Directional derivative at tau by extrapolated difference quotients.
 
-    phi(tau) defaults to the extrapolated radial limit.  An (N, 2) array
-    of directions gives one derivative per direction.  The distinct steps
-    of all directions go to one call of phi, as the probe of
+    phi(tau) defaults to the extrapolated limit along the radial ray at
+    t = 2^-8 .. 2^-20.  An (N, 2) array of directions gives one derivative
+    per direction.  The distinct steps of all directions, and the ray when
+    phi(tau) is not given, go to one call of phi, as the probe of
     :func:`boundary_probe`, which checks every direction first, and
     :func:`probe_fd_limits` extrapolates their quotients.
     """
     deltas, single = as_points(delta)
     probe = boundary_probe(tau, deltas=deltas)
     if phi_tau is None:
-        ray = BoundaryPoint(*tau).ray_point(np.ldexp(1.0, -np.arange(8, 21)))
-        phi_tau = complex(richardson_limit(np.asarray(phi(ray), dtype=complex))[0])
-    limits = probe_fd_limits(probe, phi(probe.points), phi_tau)
+        probe = probe.extend(ray=BoundaryPoint(*tau).ray_point(np.ldexp(1.0, -np.arange(8, 21))))
+    values = phi(probe.points)
+    if phi_tau is None:
+        phi_tau = complex(richardson_limit(probe._block(values, "ray"))[0])
+    limits = probe_fd_limits(probe, values, phi_tau)
     return complex(limits[0]) if single else limits
 
 

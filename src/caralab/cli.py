@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Subcommands: family | verify | classify | derivative | suite.  Reports are
-JSON on stdout (or --out), tables go to CSV files under a --csv base path.
+JSON on stdout (or --out); family, verify and derivative write their tables
+to CSV files under a --csv base path.
 Output is deterministic for a given seed and configuration; the
 CARALAB_SEED environment variable overrides the configured seed.
 """
@@ -24,16 +25,13 @@ from .boundary import (
     DEFAULT_DEPTH,
     DerivativeTable,
     boundary_probe,
-    boundary_report,
     classify_model,
     classify_ray,
-    converged_ray,
     default_direction_pairs,
     default_directions,
     derivative_table,
     julia_quotient_ray,
     linearity_defect,
-    probe_derivatives,
     probe_fd_limits,
     probe_scan,
 )
@@ -179,9 +177,9 @@ def cmd_family(args) -> int:
     probe = probe.extend(samples=tau.ray_point(1.0 - np.array(phi_probe)))
     values = phi_y_eval(y, tau, probe.points)
     scan = probe_scan(probe, values)
-    # the radial ray is the grid's family 0, at t = 2^-k, so its points head the scan's
-    ts = np.ldexp(1.0, -np.arange(1, probe.grid.depth + 1)).tolist()
-    quotient_rows = [[t, q] for t, q in zip(ts, probe.quotients(values).tolist())]
+    # the radial ray is the grid's family 0, at t = 2^-k, so its points head block "grid"
+    ts = np.ldexp(1.0, -np.arange(1, args.depth + 1)).tolist()
+    quotient_rows = [[t, q] for t, q in zip(ts, probe.quotients(values, "grid").tolist())]
 
     residual_max = None
     if not monomial:
@@ -266,15 +264,7 @@ def cmd_verify(args) -> int:
 
 def cmd_classify(args) -> int:
     model = load_model(args.model, eigtol=args.eigtol, isotol=args.isotol)
-    if args.csv:
-        # classify_model, with the derivative table's difference steps joining the scan in phi's one call
-        converged_ray(model)
-        deltas = np.array(default_directions(model.tau), dtype=complex)
-        probe = boundary_probe(model.tau, args.aperture, args.depth, deltas)
-        values = model.phi(probe.points)
-        report = boundary_report(model, probe_scan(probe, values), args.class_tol)
-    else:
-        report = classify_model(model, args.class_tol, args.aperture, args.depth)
+    report = classify_model(model, args.class_tol, args.aperture, args.depth)
     ray = model.v_at_tau()
     doc = {
         "command": "classify",
@@ -284,9 +274,6 @@ def cmd_classify(args) -> int:
         **report.to_json(),
     }
     _emit_report(doc, args)
-    if args.csv:
-        _, rows = _derivative_entries(probe_derivatives(model, probe, values))
-        _emit_tables(args, {"derivative": (DERIVATIVE_HEADER, rows)})
     return 0
 
 
@@ -394,7 +381,7 @@ COMMANDS = {
     "classify": (
         "classify a model at its boundary point",
         (
-            _MODEL, _OUT, _CSV, _EIGTOL, _ISOTOL,
+            _MODEL, _OUT, _EIGTOL, _ISOTOL,
             _option("--class-tol", type=tolerance, default=DEFAULT_CLASS_TOL),
             _APERTURE, _DEPTH,
         ),

@@ -44,9 +44,11 @@ class BoundaryPoint:
 
     @classmethod
     def from_angles(cls, turns1: float, turns2: float) -> "BoundaryPoint":
-        """Boundary point (e^{2 pi i t1}, e^{2 pi i t2}) with angles in turns."""
+        """Boundary point (e^{2 pi i t1}, e^{2 pi i t2}) with angles in turns; ValueError for a non-finite one."""
 
         def unit(turns: float) -> complex:
+            if not cmath.isfinite(turns):
+                raise ValueError(f"boundary angle {turns!r} is not finite")
             quarters = 4.0 * (turns % 1.0)
             if quarters == int(quarters):
                 return _QUARTER[int(quarters) % 4]

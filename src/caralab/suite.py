@@ -209,16 +209,16 @@ def run_model_checks(
 
     Every point is evaluated once, in one call of ``model.evaluate``.
     ``probe`` is the :func:`boundary_probe` of the model's tau, with the
-    carapoint scan's grid and deeper ray tail ("scan") and the distinct
-    difference steps of the N_DIRECTIONS default directions ("steps"); the
-    model appends its own blocks: the model-identity pairs ("identity"),
-    the contractivity sample ("contractivity"), the constancy probes
-    ("probes") and the standard-model pairs ("standard").  The checks read
+    carapoint scan's grid ("grid") and deeper ray tail ("tail") and the
+    distinct difference steps of the N_DIRECTIONS default directions
+    ("steps"); the model appends its own blocks: the model-identity pairs
+    ("identity"), the contractivity sample ("contractivity"), the constancy
+    probes ("probes") and the standard-model pairs ("standard").  The checks read
     the evaluation by block name: the probe's carapoint scan, the verdict
     (:func:`boundary_report`), the derivative table
     (:func:`probe_derivatives`) and the standard model, whose bound reads
-    the grid's rows at the head of the scan block.  An error from the
-    evaluation leaves the model unclassified.
+    block "grid".  An error from the evaluation leaves the model
+    unclassified.
 
     The random draws keep their order: the identity pairs, the cross-oracle
     points, the contractivity sample, then the standard-model pairs.  What
@@ -307,11 +307,11 @@ def _checks(
     # analytic and finite-difference derivatives agree
     record("derivative_agreement", probe_derivatives(model, probe, phi).agreement(), DERIVATIVE_TOL)
 
-    # derived standard model: identity on its own random pairs, bound on the grid
-    # at the head of the scan block, from one call on the rows of both; norms are
-    # those of the eigenbasis components, so nothing is rotated
-    pairs, scan = rows["standard"], rows["scan"]
-    part = np.r_[pairs, scan.start : scan.start + probe.grid.coords[..., 0].size]
+    # derived standard model: identity on its own random pairs, bound on the grid,
+    # from one call on the rows of both; norms are those of the eigenbasis
+    # components, so nothing is rotated
+    pairs = rows["standard"]
+    part = np.r_[pairs, rows["grid"]]
     u1, u2, v, phi = standard_model_components(model, probe.points[part], (s[part], v[part], phi[part]))
     k = pairs.stop - pairs.start
     worst = standard_identity_defect(probe.points[pairs], u1[:k], u2[:k], phi[:k])

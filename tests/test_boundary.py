@@ -310,7 +310,8 @@ class TestProbe:
         probe = boundary_probe(TAU_11, 2.0, 6, deltas)
         extra = {"b": np.full((3, 2), 0.5j), "a": np.zeros((0, 2), dtype=complex), "c": np.full((2, 2), 0.25)}
         longer = probe.extend(**extra)
-        assert list(probe.blocks) == ["scan", "steps"] and list(longer.blocks) == ["scan", "steps", "b", "a", "c"]
+        assert list(probe.blocks) == ["grid", "tail", "steps"]
+        assert list(longer.blocks) == ["grid", "tail", "steps", "b", "a", "c"]
         covered = np.concatenate([np.arange(len(longer.points))[s] for s in longer.blocks.values()])
         assert covered.tolist() == list(range(len(longer.points)))
         assert np.array_equal(longer.points[: len(probe.points)], probe.points)
@@ -318,8 +319,12 @@ class TestProbe:
 
     def test_only_the_blocks_asked_for(self):
         deltas = np.array(default_directions(TAU_11, 4), dtype=complex)
-        assert list(boundary_probe(TAU_11, 2.0).blocks) == ["scan"]
-        assert boundary_probe(TAU_11, 2.0).plan is None
+        scan, grid = boundary_probe(TAU_11, 2.0, 6), build_grid(TAU_11, 2.0, 6)
+        assert list(scan.blocks) == ["grid", "tail"] and scan.plan is None
+        # the grid family by family, then its radial ray below the grid's depth
+        tail = TAU_11.ray_point(np.ldexp(1.0, -np.arange(7, DETECT_EXPONENT + 1)))
+        assert np.array_equal(scan.points[scan.blocks["grid"]], grid.coords.reshape(-1, 2))
+        assert np.array_equal(scan.points[scan.blocks["tail"]], tail)
         steps = boundary_probe(TAU_11, deltas=deltas)
         assert list(steps.blocks) == ["steps"] and steps.grid is None
         assert len(boundary_probe(TAU_11).points) == 0
@@ -357,6 +362,19 @@ class TestDerivativeFd:
     def test_inadmissible_rejected(self):
         with pytest.raises(InadmissibleDirectionError):
             derivative_fd(phi_y(0.5, TAU_11), TAU_11, (1, -1))
+
+    @pytest.mark.parametrize("tau", TAUS)
+    def test_one_call_gives_phi_tau_and_the_steps(self, tau, rng):
+        model = model_over([0.0, 0.3, 1.0, 0.7], tau=tau, rng=rng)
+        deltas = np.array(default_directions(tau), dtype=complex)
+        for phi in (model.phi, phi_y(0.3, tau)):
+            calls = []
+            fd = derivative_fd(lambda lam, phi=phi: calls.append(lam) or phi(lam), tau, deltas)
+            # the radial ray at t = 2^-8 .. 2^-20 is one more block of the steps' probe
+            ray = tau.ray_point(np.ldexp(1.0, -np.arange(8, 21)))
+            assert len(calls) == 1 and np.array_equal(calls[0][-len(ray) :], ray)
+            phi_tau = complex(richardson_limit(phi(ray))[0])
+            assert fd.tolist() == derivative_fd(phi, tau, deltas, phi_tau=phi_tau).tolist()
 
     def test_non_finite_quotients_do_not_settle(self):
         # a NaN residual fails the settling test instead of passing it

@@ -105,6 +105,12 @@ class TestFamily:
         assert code == 0
         assert doc["tau"] == [[1.0, 0.0], [0.0, 1.0]]
 
+    @pytest.mark.parametrize("angles, bad", [("nan,0", "nan"), ("0,inf", "inf"), ("-inf,0.5", "-inf")])
+    def test_non_finite_tau_angle_exits_2_naming_it(self, capsys, angles, bad):
+        assert main(["family", "--y", "0.5", f"--tau-angles={angles}"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: boundary angle {bad} is not finite\n"
+
     @pytest.mark.parametrize("y, label", [(0.0, "regular"), (0.3, "purely_singular"), (1.0, "regular")])
     def test_label_is_that_of_the_swap_model(self, capsys, tmp_path, y, label):
         # phi_y is the swap model over Y = [[y]]
@@ -236,17 +242,7 @@ class TestClassify:
         assert doc["cross_check_ok"] is True
         assert doc["v_tau"] == [pytest.approx([1.0, 0.0], abs=1e-10)]
 
-    def test_csv_table_leaves_report_unchanged(self, capsys, swap_spec, tmp_path):
-        assert main(["classify", swap_spec]) == 0
-        plain = capsys.readouterr().out
-        base = tmp_path / "tables"
-        assert main(["classify", swap_spec, "--csv", str(base)]) == 0
-        assert capsys.readouterr().out == plain
-        table = (tmp_path / "tables.derivative.csv").read_text().splitlines()
-        assert table[0] == "re_d1,im_d1,re_d2,im_d2,re_D,im_D,method"
-        assert len(table) == 25  # header + 12 directions x 2 methods
-
-    def test_one_evaluation_with_or_without_the_table(self, capsys, monkeypatch, swap_spec, tmp_path):
+    def test_one_evaluation_of_the_scan(self, capsys, monkeypatch, swap_spec):
         from caralab import boundary
 
         counts = collections.Counter()
@@ -268,16 +264,12 @@ class TestClassify:
         # the scan alone: the grid's 84 points and the 12 deeper ray points, no step plan
         assert main(["classify", swap_spec]) == 0
         assert counts == {"evaluate": 1, "points": 96, "build_grid": 1}
-        # the scan and the table's difference steps, in one evaluation
-        counts.clear()
-        assert main(["classify", swap_spec, "--csv", str(tmp_path / "t")]) == 0
-        assert counts["evaluate"] == 1 and counts["points"] > 96 and counts["step plan"] == 1
         # the derivative table builds no grid
         counts.clear()
         assert main(["derivative", swap_spec]) == 0
         assert counts["evaluate"] == 1 and counts["build_grid"] == 0
 
-    def test_without_the_table_the_scan_is_classify_model(self, monkeypatch, swap_spec, tmp_path):
+    def test_the_scan_is_classify_model(self, monkeypatch, swap_spec, tmp_path):
         from caralab import boundary, cli
 
         # perfbench's per-layer metrics count these two public calls
@@ -291,9 +283,6 @@ class TestClassify:
             monkeypatch.setattr(module, name, counting)
         assert main(["classify", swap_spec, "--out", str(tmp_path / "r.json")]) == 0
         assert counts == {"classify_model": 1, "detect_carapoint": 1}
-        counts.clear()
-        assert main(["classify", swap_spec, "--out", str(tmp_path / "r.json"), "--csv", str(tmp_path / "t")]) == 0
-        assert counts == {}
 
     def test_unconverged_exits_6(self, capsys, shear_spec):
         assert main(["classify", shear_spec, "--isotol", "10"]) == 6
@@ -339,6 +328,15 @@ class TestDerivative:
         code, doc = run(capsys, ["derivative", swap_spec])
         assert code == 0
         assert len(doc["entries"]) == 24  # 12 directions x 2 methods
+
+    def test_csv_table_leaves_report_unchanged(self, capsys, swap_spec, tmp_path):
+        assert main(["derivative", swap_spec]) == 0
+        plain = capsys.readouterr().out
+        assert main(["derivative", swap_spec, "--csv", str(tmp_path / "tables")]) == 0
+        assert capsys.readouterr().out == plain
+        table = (tmp_path / "tables.derivative.csv").read_text().splitlines()
+        assert table[0] == "re_d1,im_d1,re_d2,im_d2,re_D,im_D,method"
+        assert len(table) == 25  # header + 12 directions x 2 methods
 
     def test_inadmissible_direction_exits_2(self, capsys, swap_spec):
         assert main(["derivative", swap_spec, "--delta=2,1"]) == 2
@@ -404,7 +402,7 @@ class TestRayPath:
     @pytest.mark.parametrize("spec", ["swap_spec", "mixed_spec"])
     def test_classify_and_derivative_skip_the_ray(self, capsys, calls, request, tmp_path, spec):
         path = request.getfixturevalue(spec)
-        assert main(["classify", path, "--csv", str(tmp_path / "t")]) == 0
+        assert main(["classify", path]) == 0
         assert main(["derivative", path]) == 0
         assert calls == {}
         assert main(["verify", path]) == 0
@@ -615,7 +613,7 @@ COMMAND_OPTIONS = {
         "--residual-tol", "--ray-exponents",
     },
     "classify": {
-        "model", "--out", "--csv", "--eigtol", "--isotol", "--class-tol", "--aperture", "--depth",
+        "model", "--out", "--eigtol", "--isotol", "--class-tol", "--aperture", "--depth",
     },
     "derivative": {"model", "--delta", "--out", "--csv", "--eigtol", "--isotol"},
     "suite": {"--count", "--out", "--seed", "--residual-tol", "--aperture", "--depth"},
@@ -650,7 +648,7 @@ class TestParser:
                 if a.dest != "help"
             }
             assert options == COMMAND_OPTIONS[name], name
-        assert sum(map(len, COMMAND_OPTIONS.values())) == 39
+        assert sum(map(len, COMMAND_OPTIONS.values())) == 38
 
     def test_defaults_mirror_the_library(self):
         parser = build_parser()
@@ -699,6 +697,7 @@ class TestParser:
             ["verify", "m.json", "--aperture", "3"],
             ["family", "--y", "0.5", "--isotol", "1"],
             ["classify", "m.json", "--ray-exponents", "4,16"],
+            ["classify", "m.json", "--csv", "x"],
         ],
     )
     def test_removed_option_is_rejected(self, capsys, argv):

@@ -256,7 +256,7 @@ def test_batched_checks_equal_the_public_routes(monkeypatch):
         probe = arguments["probe_derivatives"][record.index][1]
         directions = np.array(boundary.default_directions(model.tau, suite.N_DIRECTIONS))
         fresh = boundary.boundary_probe(model.tau, config.aperture, config.grid_depth, directions)
-        assert list(probe.blocks) == ["scan", "steps", "identity", "contractivity", "probes", "standard"]
+        assert list(probe.blocks) == ["grid", "tail", "steps", "identity", "contractivity", "probes", "standard"]
         assert [probe.blocks[name] for name in fresh.blocks] == list(fresh.blocks.values())
         assert same_bits(probe.points[: len(fresh.points)], fresh.points)
         assert all(same_bits(getattr(probe.plan, f), getattr(fresh.plan, f)) for f in ("deltas", "schedules", "index"))

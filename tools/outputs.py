@@ -4,8 +4,8 @@ Writes the first MODELS models that :func:`caralab.suite.generate_model`
 draws for a seed, plus the README's swap model, to a temporary directory, and runs
 through :func:`caralab.cli.main`:
 
-- ``classify`` on each model, without and with ``--csv``;
-- ``derivative`` and ``verify --pairs 40 --samples 200`` on each model;
+- ``classify``, ``derivative`` and ``verify --pairs 40 --samples 200`` on
+  each model;
 - ``family`` for y in {0, 0.3, 0.5, 1} at tau in {(1,1), (-1,1), (1,i)}.
 
 Each subcommand's md5 runs over the exit code, stdout and CSV tables of
@@ -61,7 +61,6 @@ def runs(names: list[str]) -> dict[str, list[list[str]]]:
     """Subcommand -> the argument lists of its runs, each writing CSV tables under the base name "out"."""
     return {
         "classify": [["classify", name] for name in names],
-        "classify --csv": [["classify", name, "--csv", "out"] for name in names],
         "derivative": [["derivative", name, "--csv", "out"] for name in names],
         "verify": [["verify", name, "--pairs", "40", "--samples", "200", "--csv", "out"] for name in names],
         "family": [
