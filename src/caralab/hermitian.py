@@ -147,17 +147,6 @@ class SpectralDecomposition:
         return u @ u.conj().T
 
 
-def _cluster(values: np.ndarray, eigtol: float) -> list[list[int]]:
-    """Group indices of ascending values whose consecutive gaps are <= eigtol."""
-    groups: list[list[int]] = [[0]]
-    for i in range(1, values.size):
-        if values[i] - values[groups[-1][-1]] <= eigtol:
-            groups[-1].append(i)
-        else:
-            groups.append([i])
-    return groups
-
-
 def _hermitian_part(a, eigtol: float) -> np.ndarray:
     """(A + A*)/2 of a square matrix whose skew part A - A* passes the rule of :func:`spectral_decompose`.
 
@@ -182,14 +171,13 @@ def _decompose(herm: np.ndarray, eigtol: float) -> SpectralDecomposition:
     except np.linalg.LinAlgError as exc:
         raise NoConvergenceError(str(exc)) from exc
 
-    weights = np.empty(w.size)
-    for group in _cluster(w, eigtol):
-        value = float(np.mean(w[group]))
-        if abs(value) <= eigtol:
-            value = 0.0
-        elif abs(value - 1.0) <= eigtol:
-            value = 1.0
-        weights[group] = value
+    # clusters split at the consecutive gaps above eigtol; a singleton keeps its eigenvalue
+    cuts = np.concatenate(([0], np.flatnonzero(np.diff(w) > eigtol) + 1, [w.size]))
+    many = np.diff(cuts) > 1
+    weights = w.copy()
+    for lo, hi in zip(cuts[:-1][many], cuts[1:][many]):
+        weights[lo:hi] = np.mean(w[lo:hi])
+    weights = np.where(np.abs(weights) <= eigtol, 0.0, np.where(np.abs(weights - 1.0) <= eigtol, 1.0, weights))
     return SpectralDecomposition(v, weights, (float(w[0]), float(w[-1])))
 
 

@@ -353,7 +353,7 @@ class GeneralizedRealization:
         block = self._refined_block
         n = self.dim
         v = xprec.solve(block[:n, :n], block[:n, n], shifts=s)
-        phi = block[n, n] + s * (v @ block[n, :n])
+        phi = block[n, n] + s * np.dot(v, block[n, :n])
         return (v, phi) if ts.ndim else (v[0], phi[0])
 
     # -- boundary data at tau ----------------------------------------------

@@ -144,6 +144,25 @@ class TestSpectralDecompose:
         w = np.linalg.eigvalsh(a)
         assert dec.weights.tolist() == [float(np.mean(w[:2]))] * 2 + [w[2], w[3]]
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_weights_equal_the_loop_reference(self, seed):
+        # clusters of 1-12 eigenvalues, some within eigtol of 0 or 1
+        rng = np.random.default_rng(seed)
+        centres = np.concatenate(([0.0, 1.0], rng.uniform(0.0, 1.0, 6)))
+        values = np.concatenate([c + 3e-10 * np.arange(rng.integers(1, 13)) for c in centres])
+        a = np.diag(rng.permutation(values)) + 0j
+        w = np.linalg.eigvalsh(a)
+        expected, group = [], [0]
+        for i in range(1, w.size + 1):
+            if i < w.size and w[i] - w[group[-1]] <= EIGTOL:
+                group.append(i)
+                continue
+            value = float(np.mean(w[group]))
+            value = 0.0 if abs(value) <= EIGTOL else 1.0 if abs(value - 1.0) <= EIGTOL else value
+            expected += [value] * len(group)
+            group = [i]
+        assert spectral_decompose(a, EIGTOL).weights.tolist() == expected
+
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     @pytest.mark.parametrize("n", [2, 5, 8])
     def test_invariants_random(self, seed, n):

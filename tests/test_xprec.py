@@ -1,8 +1,11 @@
+import collections
+
 import numpy as np
 import pytest
 
 from caralab import xprec
 from caralab.errors import UnconvergedError
+from caralab.realization import SNAP_DEFECT_MAX
 
 
 def unitary_defect(v) -> float:
@@ -14,6 +17,60 @@ def unitary_defect(v) -> float:
 def shifted(m, s):
     """The system 1 - s m of xprec.solve, in extended precision."""
     return np.eye(len(m), dtype=xprec.CDTYPE) - xprec.CDTYPE(s) * xprec.asxp(m)
+
+
+def random_xp(rng, shape):
+    """Random clongdouble entries whose low bits lie below the complex128 grid."""
+    z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return xprec.asxp(z) * (1 + xprec.CDTYPE(1e-17) * xprec.asxp(rng.standard_normal(shape)))
+
+
+def textbook_snap(v) -> tuple[np.ndarray, int]:
+    """The Newton-Schulz iteration X <- X (3 - X* X) / 2 forming X* X at every step, and its step count."""
+    x = xprec.asxp(v)
+    eye = np.eye(x.shape[1], dtype=xprec.CDTYPE)
+    for step in range(xprec.POLAR_STEPS):
+        g = x.conj().T @ x
+        if float(np.abs(g - eye).max()) <= 16 * xprec.EPS:
+            return x, step
+        x = x @ (xprec.CDTYPE(3) * eye - g) / xprec.CDTYPE(2)
+    return x, xprec.POLAR_STEPS
+
+
+def perturbed_unitary(n: int, size: float, rng) -> np.ndarray:
+    """A random unitary plus a perturbation of spectral norm ``size``."""
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    p = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return q + size * p / np.linalg.norm(p, 2)
+
+
+@pytest.fixture
+def dots(monkeypatch):
+    """Counts of np.dot calls by result dtype."""
+    counts = collections.Counter()
+    dot = np.dot
+
+    def counting(a, b, *args):
+        counts[np.result_type(a, b)] += 1
+        return dot(a, b, *args)
+
+    monkeypatch.setattr(np, "dot", counting)
+    return counts
+
+
+class TestDotPremise:
+    """np.dot forms the extended products of xprec with the sums of ``@``, bit for bit."""
+
+    @pytest.mark.parametrize("n", [1, 2, 9, 65])
+    def test_gram_of_a_conjugate_transposed_view(self, n, rng):
+        x = random_xp(rng, (n, n))
+        assert np.array_equal(np.dot(x.conj().T, x), x.conj().T @ x)
+
+    @pytest.mark.parametrize("n", [1, 2, 9, 65])
+    def test_stacked_matvec(self, n, rng):
+        m, x = random_xp(rng, (n, n)), random_xp(rng, (17, n))
+        assert np.array_equal(np.dot(x, m.T), (m @ x[..., None])[..., 0])
+        assert np.array_equal(np.dot(x, m[0]), x @ m[0])
 
 
 class TestSolve:
@@ -75,6 +132,22 @@ class TestNearestUnitary:
         snapped = xprec.nearest_unitary(block)
         assert unitary_defect(snapped) <= 1e-18
         assert float(np.abs(snapped - xprec.asxp(block)).max()) <= 1e-15
+
+
+class TestSnap:
+    """The snap forms one extended Gram product and tracks the defect of its complex128 steps."""
+
+    @pytest.mark.parametrize("n", [2, 9, 65])
+    @pytest.mark.parametrize("size", [1e-16, 1e-10, SNAP_DEFECT_MAX])
+    def test_defect_at_the_extended_floor(self, n, size, rng, dots):
+        block = perturbed_unitary(n, size, rng)
+        snapped = xprec.nearest_unitary(block)
+        assert dots[np.dtype(xprec.CDTYPE)] == 1
+        assert unitary_defect(snapped) <= 16 * xprec.EPS
+        old, old_steps = textbook_snap(block)
+        # each step is one complex128 product for D and two for the defect's update
+        assert dots[np.dtype(complex)] <= 3 * old_steps
+        assert float(np.abs(snapped - old).max()) <= 1e-18
 
 
 def backward_error(m, b, x) -> float:
