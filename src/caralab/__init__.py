@@ -27,7 +27,6 @@ from .errors import (
     NoConvergenceError,
     NotHermitianError,
     NotIsometricError,
-    PoleHitError,
     SingularCalculusError,
     SingularDenominatorError,
     SingularResolventError,
@@ -66,7 +65,6 @@ from .realization import (
 )
 from .scalar_family import (
     ScalarModelVector,
-    model_vector_bound,
     phi_y_directional_derivative,
     phi_y_eval,
     phi_y_model_residual,

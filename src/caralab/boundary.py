@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import BadApertureError, NoConvergenceError, UnconvergedError
 from .extrapolate import richardson_limit
-from .pencil import SINGULAR_RTOL
+from .pencil import SINGULAR_RTOL, _denominator, _rotated
 from .points import BoundaryPoint, as_points, direction_entry_time, modulus, require_admissible
 from .realization import GeneralizedRealization, RAY_EXPONENTS, RayLimit
 from .scalar_family import phi_y_model_components
@@ -355,9 +355,8 @@ def derivative_model(model: GeneralizedRealization, delta):
 def _spectral_derivative(model: GeneralizedRealization, deltas: np.ndarray) -> np.ndarray:
     """:func:`derivative_model` along a (K, 2) array of directions already found admissible."""
     ray = converged_ray(model)
-    a, b = (np.conj(as_points(model.tau)[0]) * deltas).T[..., None]
-    w = model.pencil.contraction.decomposition.weights
-    g = a * b / (a * (1.0 - w) + b * w)
+    a, b = (z[:, None] for z in _rotated(model.tau, deltas))
+    g = a * b / _denominator(a, b, model.pencil.contraction.decomposition.weights)
     return model.phi_at_tau() * np.sum(g * np.abs(ray.rotated) ** 2, axis=1)
 
 
@@ -473,23 +472,6 @@ def standard_model_components(model: GeneralizedRealization, points: np.ndarray,
     inner = (w > 0.0) & (w < 1.0)
     w1[:, inner], w2[:, inner] = phi_y_model_components(w[inner], model.tau, points)
     return w1 * v, w2 * v, v, phi
-
-
-def standard_identity_defect(points: np.ndarray, u1: np.ndarray, u2: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """Defects of 1 - conj(phi(mu)) phi(lam) = sum_j (1 - conj(mu_j) lam_j) < u_j(lam), u_j(mu) >.
-
-    ``points`` holds K points lam followed by K points mu, and u1, u2, phi
-    are taken there (:func:`standard_model_components`); one defect per
-    pair.  Inner products are invariant under the eigenbasis rotation, so
-    they are taken there.
-    """
-    k = len(points) // 2
-    pl, pm = points[:k], points[k:]
-    lhs = 1.0 - np.conj(phi[k:]) * phi[:k]
-    rhs = (1.0 - np.conj(pm[:, 0]) * pl[:, 0]) * np.sum(np.conj(u1[k:]) * u1[:k], axis=1) + (
-        1.0 - np.conj(pm[:, 1]) * pl[:, 1]
-    ) * np.sum(np.conj(u2[k:]) * u2[:k], axis=1)
-    return np.abs(lhs - rhs)
 
 
 # -- Julia quotient along the ray ----------------------------------------

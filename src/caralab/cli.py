@@ -333,11 +333,18 @@ def tolerance(text: str) -> float:
     return value
 
 
+#: largest value of a count option (--pairs, --samples, suite --count); a larger
+#: one exits 2 at parse time, before it asks for arrays no machine can hold
+COUNT_MAX = 100_000
+
+
 def count(text: str) -> int:
-    """The value of a count option: an integer >= 1, else argparse exits 2."""
+    """The value of a count option: an integer in 1..COUNT_MAX, else argparse exits 2."""
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"{text!r} is not an integer >= 1")
+    if value > COUNT_MAX:
+        raise argparse.ArgumentTypeError(f"{text!r} exceeds the count limit {COUNT_MAX}")
     return value
 
 

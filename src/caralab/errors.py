@@ -29,10 +29,6 @@ class SingularCalculusError(CaralabError):
     """A scalar function of the functional calculus is undefined at an eigenvalue."""
 
 
-class PoleHitError(CaralabError):
-    """Evaluation requested on the zero set of a denominator."""
-
-
 class DegenerateParameterError(CaralabError):
     """Parameter value for which the requested formula degenerates."""
 

@@ -15,9 +15,12 @@ with a = conj(tau1) delta1 and b = conj(tau2) delta2.  Since I_Y is a
 function of Y, writing Y = U diag(w) U* gives I_Y(lam) = U diag(s) U* with
 s_i = phi_{w_i}(lam), the scalar family at the eigenvalues; the batched
 kernel :func:`i_y_diagonal` evaluates s at many points at once and is the
-route every caller takes.  :func:`i_y_spectral_form` is that kernel's
-full-matrix view, and :func:`i_y_eval`, a stacked direct solve of the
-denominator operator, is its independent cross-oracle.
+route every caller takes.  It computes phi_w as 1 - ab/d at the offsets
+a = 1 - p and b = 1 - q, with d = a(1-w) + bw, and owns that one
+denominator and its one pole rule for the scalar family too.
+:func:`i_y_spectral_form` is that kernel's full-matrix view, and
+:func:`i_y_eval`, a stacked direct solve of the denominator operator, is
+its independent cross-oracle.
 """
 
 from __future__ import annotations
@@ -80,7 +83,7 @@ class OperatorPencil:
 
 def _singular(mag: np.ndarray, axis: int = -1) -> np.ndarray:
     """True where the smallest along ``axis`` is <= SINGULAR_RTOL times the largest (or 1)."""
-    return mag.min(axis=axis) <= SINGULAR_RTOL * np.maximum(mag.max(axis=axis), 1.0)
+    return mag.min(axis=axis, initial=np.inf) <= SINGULAR_RTOL * np.maximum(mag.max(axis=axis, initial=0.0), 1.0)
 
 
 def _certified(lower, upper):
@@ -93,12 +96,46 @@ def _certified(lower, upper):
     return lower > 2.0 * SINGULAR_RTOL * np.maximum(upper, 1.0)
 
 
-def _offsets(pencil: OperatorPencil, pts: np.ndarray):
-    """a = 1 - conj(tau1) lam1 and b = 1 - conj(tau2) lam2, shape (N,), and the TAU_SNAP mask."""
-    t1, t2 = pencil.tau
-    a = 1.0 - t1.conjugate() * pts[:, 0]
-    b = 1.0 - t2.conjugate() * pts[:, 1]
+def _rotated(tau, pts: np.ndarray):
+    """p = conj(tau1) lam1 and q = conj(tau2) lam2 of (N, 2) points, shape (N,) each."""
+    t1, t2 = tau
+    return t1.conjugate() * pts[:, 0], t2.conjugate() * pts[:, 1]
+
+
+def _offsets(tau, pts: np.ndarray):
+    """a = 1 - p and b = 1 - q of :func:`_rotated`, shape (N,), and the TAU_SNAP mask."""
+    p, q = _rotated(tau, pts)
+    a, b = 1.0 - p, 1.0 - q
     return a, b, (np.abs(a) < TAU_SNAP) & (np.abs(b) < TAU_SNAP)
+
+
+def _denominator(a, b, w):
+    """a (1-w) + b w, broadcast: phi_w's denominator; at Y's weights, the singular values of a(1-Y) + bY."""
+    return a * (1.0 - w) + b * w
+
+
+def _phi_denominators(tau, w: np.ndarray, pts: np.ndarray, snap: bool = True):
+    """Offsets a, b, the TAU_SNAP mask and the (n, N) denominators of phi_{w_i} at (N, 2) points.
+
+    A point whose column is singular by :func:`_singular` over the weight
+    axis raises SingularDenominatorError naming the first such point; with
+    ``snap``, points within TAU_SNAP of tau are exempt.  No weights, no pole.
+    """
+    a, b, at_tau = _offsets(tau, pts)
+    den = _denominator(a, b, w[:, None])
+    bad = np.flatnonzero(_singular(np.abs(den), axis=0) & ~(at_tau & snap))
+    if bad.size:
+        lam = tuple(complex(z) for z in pts[bad[0]])
+        raise SingularDenominatorError(f"pencil denominator singular at lam={lam!r}")
+    return a, b, at_tau, den
+
+
+def _phi_values(a, b, at_tau, den) -> np.ndarray:
+    """phi_{w_i}(lam) = 1 - ab / d_i from :func:`_phi_denominators`, shape (n, N); exact ones at tau."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rows = 1.0 - a * b / den
+    rows[:, at_tau] = 1.0
+    return rows
 
 
 def i_y_eval(pencil: OperatorPencil, lam) -> np.ndarray:
@@ -114,7 +151,7 @@ def i_y_eval(pencil: OperatorPencil, lam) -> np.ndarray:
     the stacked SVD that decides the rule; a cleared point cannot raise.
     """
     pts, single = as_points(lam)
-    a, b, at_tau = _offsets(pencil, pts)
+    a, b, at_tau = _offsets(pencil.tau, pts)
     eye = np.eye(pencil.dim, dtype=complex)
     out = np.repeat(eye[None], len(pts), axis=0)
     live = np.flatnonzero(~at_tau)
@@ -171,17 +208,7 @@ def _diagonal_rows(pencil: OperatorPencil, pts: np.ndarray) -> np.ndarray:
     The batched kernels work in this layout, where a reduction over the
     short eigen axis runs across whole rows of points.
     """
-    a, b, at_tau = _offsets(pencil, pts)
-    w = pencil.contraction.decomposition.weights[:, None]
-    den = a * (1.0 - w) + b * w
-    bad = np.flatnonzero(_singular(np.abs(den), axis=0) & ~at_tau)
-    if bad.size:
-        lam = tuple(complex(z) for z in pts[bad[0]])
-        raise SingularDenominatorError(f"pencil denominator singular at lam={lam!r}")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rows = 1.0 - a * b / den
-    rows[:, at_tau] = 1.0
-    return rows
+    return _phi_values(*_phi_denominators(pencil.tau, pencil.contraction.decomposition.weights, pts))
 
 
 def i_y_spectral_form(pencil: OperatorPencil, lam) -> np.ndarray:

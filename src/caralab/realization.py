@@ -447,17 +447,17 @@ def load_model(
 ) -> GeneralizedRealization:
     """Build a validated realization from a JSON document, path, or dict.
 
-    Fields of other types than :func:`dump_model` writes raise ValueError.
+    Fields of other types than :func:`dump_model` writes, or nesting too deep to parse, raise ValueError.
     """
-    if isinstance(doc, (str, Path)):
-        doc = json.loads(Path(doc).read_text())
     try:
+        if isinstance(doc, (str, Path)):
+            doc = json.loads(Path(doc).read_text())
         dim = _json_int(doc["dim"])
         (t1re, t1im), (t2re, t2im) = doc["tau"]
         tau = BoundaryPoint(complex(t1re, t1im), complex(t2re, t2im))
         y = matrix_from_json(doc["Y"])
         v = matrix_from_json(doc["V"])
-    except (TypeError, OverflowError) as exc:
+    except (TypeError, OverflowError, RecursionError) as exc:
         raise ValueError(f"malformed model document: {exc}") from exc
     if y.shape != (dim, dim):
         raise ValueError(f"Y has shape {y.shape}, expected {(dim, dim)}")

@@ -9,7 +9,9 @@ inner on the bidisk, equal to r along the radial ray (r tau1, r tau2), and
 for y strictly between 0 and 1 carrying a boundary singularity at tau whose
 directional derivative is genuinely nonlinear.  Each member has an explicit
 two-dimensional model vector, the scalar building block of the
-operator-valued theory.
+operator-valued theory.  phi_y is the pencil I_Y at Y = [[y]], computed by
+the pencil's kernel as 1 - ab/d at the offsets a = 1 - p and b = 1 - q,
+with d = a(1-y) + by and the pencil's one pole rule.
 """
 
 from __future__ import annotations
@@ -19,11 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateParameterError, PoleHitError
+from .errors import DegenerateParameterError
+from .pencil import _denominator, _phi_denominators, _phi_values, _rotated
 from .points import as_points, require_admissible
-
-#: denominators smaller than this are treated as poles (boundary zero set)
-POLE_TOL = 1e-14
 
 
 def _check_y(y: float) -> float:
@@ -43,46 +43,32 @@ def _check_interior(y: float) -> float:
     return y
 
 
-def _pq(tau, points: np.ndarray):
-    """The rotated coordinates p = conj(tau1) lam1, q = conj(tau2) lam2 of (N, 2) points."""
-    t1, t2 = tau
-    return t1.conjugate() * points[:, 0], t2.conjugate() * points[:, 1]
-
-
-def _denominator(y, p, q):
-    den = (1.0 - y) * (1.0 - p) + y * (1.0 - q)
-    small = abs(den) < POLE_TOL
-    if small.any():
-        raise PoleHitError(f"denominator vanishes: |den| = {float(np.min(abs(den))):.3e}")
-    return den
-
-
 def phi_y_eval(y: float, tau, lam):
     """Evaluate phi_y at a point of the closed bidisk; an (N, 2) array of points gives an array.
 
-    The endpoint parameters y = 0, 1 reduce to the coordinate monomials
-    conj(tau2) lam2 and conj(tau1) lam1 and are short-circuited exactly.
+    The value is the pencil's kernel at the one weight y: a pole raises
+    SingularDenominatorError by the SINGULAR_RTOL rule, and points within
+    TAU_SNAP of tau give exactly 1.  The endpoint parameters y = 0, 1
+    reduce to the coordinate monomials conj(tau2) lam2 and conj(tau1) lam1
+    and are short-circuited exactly.
     """
     y = _check_y(y)
     points, single = as_points(lam)
-    p, q = _pq(tau, points)
-    if y == 1.0:
-        value = p
-    elif y == 0.0:
-        value = q
+    if y in (0.0, 1.0):
+        p, q = _rotated(tau, points)
+        value = p if y == 1.0 else q
     else:
-        value = _value(y, p, q, _denominator(y, p, q))
+        value = _phi_values(*_phi_denominators(tau, np.array([y]), points))[0]
     return complex(value[0]) if single else value
 
 
-def _value(y, p, q, den):
-    """phi_y at the rotated coordinates p, q, given its denominator."""
-    return (y * p * (1.0 - q) + (1.0 - y) * q * (1.0 - p)) / den
+def _components(ys: np.ndarray, tau, points: np.ndarray):
+    """u1 = sqrt(y) b/d and u2 = sqrt(1-y) a/d, (len(ys), N), and the kernel's (a, b, at_tau, d).
 
-
-def _components(y, p, q, den):
-    """The model components u1, u2 of phi_y at the rotated coordinates p, q, given its denominator."""
-    return np.sqrt(y) * (1.0 - q) / den, np.sqrt(1.0 - y) * (1.0 - p) / den
+    The model vector has no limit at tau, so the pole rule exempts no point.
+    """
+    a, b, at_tau, den = _phi_denominators(tau, ys, points, snap=False)
+    return np.sqrt(ys)[:, None] * b / den, np.sqrt(1.0 - ys)[:, None] * a / den, (a, b, at_tau, den)
 
 
 @dataclass(frozen=True)
@@ -90,10 +76,9 @@ class ScalarModelVector:
     """Two-dimensional model vector of phi_y at a point of the bidisk.
 
     ``u1``/``u2`` are the components in the standard basis.  ``coef_plus``
-    = sqrt(y(1-y)) (p - q) / den is the component along the unit vector
-    (sqrt(1-y), -sqrt(y)); it vanishes on the diagonal p = q and is the
-    quantity the nontangential bound controls.  The component along
-    (sqrt(y), sqrt(1-y)) is identically 1.
+    = sqrt(y(1-y)) (b - a) / den is the component along the unit vector
+    (sqrt(1-y), -sqrt(y)); it vanishes on the diagonal p = q and has no
+    limit at tau.  The component along (sqrt(y), sqrt(1-y)) is identically 1.
     """
 
     u1: complex
@@ -112,10 +97,8 @@ def phi_y_model_vector(y: float, tau, lam) -> ScalarModelVector:
     """Model vector u_{y, lam} for y strictly inside (0, 1); an (N, 2) array of points gives array fields."""
     y = _check_interior(y)
     points, single = as_points(lam)
-    p, q = _pq(tau, points)
-    den = _denominator(y, p, q)
-    u1, u2 = _components(y, p, q, den)
-    coef_plus = math.sqrt(y * (1.0 - y)) * (p - q) / den
+    u1, u2, (a, b, _, den) = _components(np.array([y]), tau, points)
+    u1, u2, coef_plus = u1[0], u2[0], math.sqrt(y * (1.0 - y)) * (b - a) / den[0]
     if single:
         u1, u2, coef_plus = complex(u1[0]), complex(u2[0]), complex(coef_plus[0])
     return ScalarModelVector(u1, u2, coef_plus)
@@ -128,34 +111,40 @@ def phi_y_model_components(ys, tau, lam) -> tuple[np.ndarray, np.ndarray]:
     parameter, each rounded as :func:`phi_y_model_vector` rounds it; one
     point gives two (len(ys),) arrays.
     """
-    ys = np.asarray(ys, dtype=float)
     points, single = as_points(lam)
-    p, q = (z[:, None] for z in _pq(tau, points))
-    u1, u2 = _components(ys, p, q, _denominator(ys, p, q))
-    return (u1[0], u2[0]) if single else (u1, u2)
+    u1, u2, _ = _components(np.asarray(ys, dtype=float), tau, points)
+    return (u1[:, 0], u2[:, 0]) if single else (u1.T, u2.T)
+
+
+def standard_identity_defect(points: np.ndarray, u1: np.ndarray, u2: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """Defects of 1 - conj(phi(mu)) phi(lam) = sum_j (1 - conj(mu_j) lam_j) < u_j(lam), u_j(mu) >.
+
+    ``points`` holds K points lam followed by K points mu, and u1, u2 (one
+    row per point) and phi are taken there; one defect per pair.  The
+    inner products run over the columns, so any orthonormal basis serves.
+    """
+    k = len(points) // 2
+    pl, pm = points[:k], points[k:]
+    lhs = 1.0 - np.conj(phi[k:]) * phi[:k]
+    rhs = (1.0 - np.conj(pm[:, 0]) * pl[:, 0]) * np.sum(np.conj(u1[k:]) * u1[:k], axis=1) + (
+        1.0 - np.conj(pm[:, 1]) * pl[:, 1]
+    ) * np.sum(np.conj(u2[k:]) * u2[:k], axis=1)
+    return np.abs(lhs - rhs)
 
 
 def phi_y_model_residual(y: float, tau, lam, mu):
     """Absolute defect of the two-variable model identity at a pair of points.
 
-    The identity equates 1 - conj(phi(mu)) phi(lam) with the weighted inner
-    products of the model vectors; it is algebraic, so the residual is
-    rounding noise.  (N, 2) arrays lam and mu give one residual per pair.
-    The N points lam and the N points mu are evaluated together, as one
-    (2N, 2) array; a pole reports the smallest |den| over both.
+    :func:`standard_identity_defect` on the components; the identity is
+    algebraic, so the residual is rounding noise.  (N, 2) arrays lam and mu
+    give one residual per pair, evaluated together as one (2N, 2) array; a
+    pole, tau included, raises SingularDenominatorError naming the first.
     """
     y = _check_interior(y)
     (pl, one_lam), (pm, one_mu) = as_points(lam), as_points(mu)
-    pl, pm = np.broadcast_arrays(pl, pm)
-    k = len(pl)
-    p, q = _pq(tau, np.concatenate([pl, pm]))
-    den = _denominator(y, p, q)
-    phi = _value(y, p, q, den)
-    u1, u2 = _components(y, p, q, den)
-    lhs = 1.0 - phi[k:].conjugate() * phi[:k]
-    gram = 1.0 - pm.conjugate() * pl
-    rhs = gram[:, 0] * u1[:k] * u1[k:].conjugate() + gram[:, 1] * u2[:k] * u2[k:].conjugate()
-    residual = abs(lhs - rhs)
+    points = np.concatenate(np.broadcast_arrays(pl, pm))
+    u1, u2, kernel = _components(np.array([y]), tau, points)
+    residual = standard_identity_defect(points, u1.T, u2.T, _phi_values(*kernel)[0])
     return float(residual[0]) if one_lam and one_mu else residual
 
 
@@ -171,11 +160,6 @@ def phi_y_directional_derivative(y: float, tau, delta):
     y = _check_y(y)
     d, single = as_points(delta)
     require_admissible(tau, d)
-    a, b = _pq(tau, d)
-    value = a * b / (a * (1.0 - y) + b * y)
+    a, b = _rotated(tau, d)
+    value = a * b / _denominator(a, b, y)
     return complex(value[0]) if single else value
-
-
-def model_vector_bound(y: float, aperture: float) -> float:
-    """Nontangential bound on ||u_{y, lam}|| over an aperture-c region."""
-    return 2.0 * aperture * math.sqrt(y * (1.0 - y)) + 1.0

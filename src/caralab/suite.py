@@ -30,7 +30,6 @@ from .boundary import (
     julia_quotient_ray,
     probe_derivatives,
     probe_scan,
-    standard_identity_defect,
     standard_model_components,
 )
 from .errors import CaralabError
@@ -45,6 +44,7 @@ from .pencil import (
 )
 from .points import BoundaryPoint
 from .realization import GeneralizedRealization, model_identity_defect, random_colligation
+from .scalar_family import standard_identity_defect
 
 #: exactly representable boundary points cycled through by the generator;
 #: ray arithmetic at these points is exact in floating point

@@ -42,12 +42,12 @@ from caralab.boundary import (
     boundary_probe,
     probe_fd_limits,
     probe_scan,
-    standard_identity_defect,
     standard_model_components,
 )
 from caralab.extrapolate import richardson_limit
 from caralab.points import require_admissible
 from caralab.realization import Colligation
+from caralab.scalar_family import standard_identity_defect
 from caralab.suite import SUITE_TAUS
 from conftest import TAU_11, TAUS, disk_point, scalar_model
 

@@ -531,6 +531,18 @@ class TestMalformedModel:
         assert main([command, str(path)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("where", ["top", "Y"])
+    @pytest.mark.parametrize("command", MODEL_COMMANDS)
+    def test_arrays_nested_too_deeply_to_parse_exit_2(self, capsys, tmp_path, where, command):
+        # 100,000 levels, some 200 KB: json.loads raises RecursionError on it
+        deep = "[" * 100_000 + "]" * 100_000
+        text = deep if where == "top" else json.dumps(dict(SWAP_DOC, Y=None)).replace("null", deep)
+        path = tmp_path / "m.json"
+        path.write_text(text)
+        assert main([command, str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: malformed model document: maximum recursion depth exceeded")
+
     def test_swap_document_is_valid(self, capsys, tmp_path):
         path = tmp_path / "m.json"
         path.write_text(json.dumps(SWAP_DOC))
@@ -687,6 +699,25 @@ class TestParser:
         out, err = capsys.readouterr()
         assert out == "" and not report.exists()
         assert err.endswith(f"caralab {command}: error: argument {flag}: '{value}' is not an integer >= 1\n")
+
+    @pytest.mark.parametrize("command, flag", COUNT_OPTIONS)
+    def test_count_above_the_limit_exits_2_before_the_handler(self, capsys, monkeypatch, command, flag):
+        # refused at parse time, before anything is allocated; the limit itself is not run
+        from caralab import cli
+
+        calls = []
+        monkeypatch.setattr(cli, f"cmd_{command}", lambda args: calls.append(args) or 0)
+        args = {"family": ["--y", "0.5"], "verify": ["m.json"], "suite": []}[command]
+        for value in (cli.COUNT_MAX + 1, 10_000_000_000):
+            with pytest.raises(SystemExit) as exc:
+                main([command, *args, f"{flag}={value}"])
+            assert exc.value.code == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err.endswith(f"caralab {command}: error: argument {flag}: '{value}' exceeds the count limit {cli.COUNT_MAX}\n")
+        assert calls == []
+        # the defaults lie below the limit
+        assert getattr(build_parser().parse_args([command, *args]), flag[2:]) <= cli.COUNT_MAX
 
     @pytest.mark.parametrize(
         "argv",

@@ -328,7 +328,7 @@ class TestCertifiedGuard:
         m = a[:, None, None] * (np.eye(dim) - y.matrix) + b[:, None, None] * y.matrix
         assert not pencil._singular(np.linalg.svd(m[certified], compute_uv=False)).any()
         # away from tau and the singular set, every point is certified
-        a, b, _ = pencil._offsets(OperatorPencil(y, TAU_11), pencil.sample_bidisk_batch(rng, 200))
+        a, b, _ = pencil._offsets(TAU_11, pencil.sample_bidisk_batch(rng, 200))
         assert pencil._denominator_certified(a, b, y.excursion + pencil.SPECTRUM_PAD).all()
 
     def test_certificate_rule_leaves_nan_bounds_to_the_svd(self):

@@ -1,6 +1,7 @@
 import cmath
 import collections
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,20 +11,28 @@ from hypothesis import strategies as st
 from caralab import (
     DegenerateParameterError,
     InadmissibleDirectionError,
-    PoleHitError,
+    OperatorPencil,
+    SingularDenominatorError,
     build_grid,
     derivative_model,
-    model_vector_bound,
+    i_y_diagonal,
     phi_y_directional_derivative,
     phi_y_eval,
     phi_y_model_residual,
     phi_y_model_vector,
+    validate_positive_contraction,
 )
-from caralab import scalar_family
+from caralab import pencil
 from caralab.pencil import sample_bidisk_pairs
+from caralab.scalar_family import phi_y_model_components
 from conftest import TAU_11, TAUS, disk_point, scalar_model
 
 YS = tuple(k / 10.0 for k in range(1, 10))
+
+
+def naming(lam) -> str:
+    """The pattern of an error message that names the point lam."""
+    return re.escape(f"at lam={tuple(complex(z) for z in lam)!r}")
 
 
 def disk_complex(max_modulus=0.999):
@@ -45,8 +54,8 @@ class TestEval:
 
     def test_endpoint_monomials(self, rng):
         for tau in TAUS:
-            for _ in range(25):
-                lam = disk_point(rng)
+            # tau itself included: the monomials are exact there, not snapped to 1
+            for lam in [disk_point(rng) for _ in range(25)] + [(tau.tau1, tau.tau2)]:
                 # exactly the monomials, rounded as NumPy's complex product rounds them
                 lam1, lam2 = np.array([lam[0]]), np.array([lam[1]])
                 assert phi_y_eval(1.0, tau, lam) == (tau.tau1.conjugate() * lam1)[0]
@@ -74,12 +83,105 @@ class TestEval:
         assert kept > 100
 
     def test_pole_on_boundary(self):
-        with pytest.raises(PoleHitError):
-            phi_y_eval(0.5, TAU_11, (1.0 + 0j, 1.0 + 0j))
+        # on the closed bidisk the denominator a(1-y) + by vanishes only at
+        # tau, where the kernel gives exactly 1; outside it, it vanishes at
+        # y = 1/4 where b = -3a, which raises naming the point
+        pole = (0.75, 1.75)
+        with pytest.raises(SingularDenominatorError, match=naming(pole)):
+            phi_y_eval(0.25, TAU_11, pole)
+        assert phi_y_eval(0.5, TAU_11, (1.0 + 0j, 1.0 + 0j)) == 1.0
 
     def test_parameter_range_checked(self):
         with pytest.raises(ValueError):
             phi_y_eval(1.5, TAU_11, (0, 0))
+
+
+def pencil_of(y: float, tau=TAU_11) -> OperatorPencil:
+    """The pencil over Y = [[y]], whose kernel entry is phi_y."""
+    return OperatorPencil(validate_positive_contraction([[y]]), tau)
+
+
+def outcome(evaluate):
+    """The values of ``evaluate()``, or the message of the SingularDenominatorError it raises."""
+    try:
+        return np.asarray(evaluate(), dtype=complex).ravel().tolist()
+    except SingularDenominatorError as exc:
+        return str(exc)
+
+
+class TestOnePoleRule:
+    """phi_y is the pencil's kernel at Y = [[y]]: one denominator, one pole rule, the same values."""
+
+    def test_a_denominator_between_the_two_old_floors_raises(self):
+        # a = -1/2, b = 1/2 - 1e-13: |d| = 5e-14 lies in (1e-14, 1e-13], singular by SINGULAR_RTOL
+        lam = (1.5, 0.5 + 1e-13)
+        for evaluate in (lambda: phi_y_eval(0.5, TAU_11, lam), lambda: i_y_diagonal(pencil_of(0.5), np.array([lam]))):
+            with pytest.raises(SingularDenominatorError, match=naming(lam)):
+                evaluate()
+
+    @pytest.mark.parametrize("y", [0.25, 0.5, 0.7])
+    def test_phi_and_the_pencil_raise_at_the_same_points(self, y, rng):
+        # points near the pole set a(1-y) + by = 0 at relative offsets 1e-16 to
+        # 1e-11, which straddle the rule, plus tau and interior points
+        a = rng.uniform(-1.0, 1.0, 200) + 1j * rng.uniform(-1.0, 1.0, 200)
+        eps = 10.0 ** rng.uniform(-16, -11, 200) * np.exp(2j * np.pi * rng.uniform(size=200))
+        b = -a * (1.0 - y) / y + eps
+        points = [(1.0 - x, 1.0 - z) for x, z in zip(a.tolist(), b.tolist())]
+        points += [(1.0, 1.0), disk_point(rng), disk_point(rng)]
+        pen = pencil_of(y)
+        seen = set()
+        for lam in points:
+            phi = outcome(lambda: phi_y_eval(y, TAU_11, lam))
+            kernel = outcome(lambda: i_y_diagonal(pen, np.array([lam], dtype=complex)))
+            assert phi == kernel, lam
+            seen.add(isinstance(phi, str))
+        assert seen == {True, False}
+
+    def test_the_error_names_the_first_singular_point(self, rng):
+        # the second and fifth points are singular (|d| = 5e-14 and an exact zero)
+        first, second = (1.5, 0.5 + 1e-13), (1.25, 0.75)
+        pts = np.array([disk_point(rng), first, (1.0, 1.0), disk_point(rng), second], dtype=complex)
+        for evaluate in (lambda: phi_y_eval(0.5, TAU_11, pts), lambda: i_y_diagonal(pencil_of(0.5), pts)):
+            with pytest.raises(SingularDenominatorError, match=naming(first)):
+                evaluate()
+        with pytest.raises(SingularDenominatorError, match=naming(first)):
+            phi_y_model_components([0.5, 0.3], TAU_11, pts)
+
+    def test_no_parameters_give_empty_components(self, rng):
+        # the suite passes no parameters for a model without interior weights
+        pts = np.array([disk_point(rng), (1.0, 1.0), disk_point(rng)], dtype=complex)
+        u1, u2 = phi_y_model_components(np.array([]), TAU_11, pts)
+        assert u1.shape == u2.shape == (3, 0)
+        u1, u2 = phi_y_model_components([], TAU_11, (1.0, 1.0))
+        assert u1.shape == u2.shape == (0,)
+
+
+class TestContractAtTau:
+    """phi_y extends to exactly 1 at tau; its model vector has no limit there."""
+
+    @pytest.mark.parametrize("tau", TAUS)
+    def test_value_is_exactly_one(self, tau, rng):
+        at = (tau.tau1, tau.tau2)
+        pts = np.array([disk_point(rng), at, disk_point(rng)], dtype=complex)
+        for y in YS:
+            assert phi_y_eval(y, tau, at) == 1.0
+            assert phi_y_eval(y, tau, pts)[1] == 1.0
+            assert i_y_diagonal(pencil_of(y, tau), pts)[1, 0] == 1.0
+
+    @pytest.mark.parametrize("tau", TAUS)
+    def test_model_vector_raises_naming_tau(self, tau, rng):
+        at = (tau.tau1, tau.tau2)
+        pts = np.array([disk_point(rng), at], dtype=complex)
+        calls = (
+            lambda: phi_y_model_vector(0.3, tau, at),
+            lambda: phi_y_model_vector(0.3, tau, pts),
+            lambda: phi_y_model_components([0.3, 0.6], tau, pts),
+            lambda: phi_y_model_residual(0.3, tau, pts, pts[::-1]),
+            lambda: phi_y_model_residual(0.3, tau, disk_point(rng), at),
+        )
+        for call in calls:
+            with pytest.raises(SingularDenominatorError, match=naming(at)):
+                call()
 
 
 class TestModelVector:
@@ -130,7 +232,8 @@ class TestModelVector:
         for tau in TAUS:
             grid = build_grid(tau, aperture, depth=14)
             for y in (0.1, 0.5, 0.9):
-                bound = model_vector_bound(y, aperture)
+                # the nontangential bound on ||u_{y, lam}|| over an aperture-c region
+                bound = 2.0 * aperture * math.sqrt(y * (1.0 - y)) + 1.0
                 for pt in grid.coords.reshape(-1, 2).tolist():
                     assert phi_y_model_vector(y, tau, pt).norm <= bound + 1e-12
 
@@ -151,20 +254,22 @@ class TestModelIdentity:
             assert abs(lhs - rhs) <= 1e-10
 
     def test_one_family_evaluation_for_lam_and_mu(self, monkeypatch, rng):
+        # the pencil's offsets and denominator, once for all 2N points
         counts = collections.Counter()
-        for name in ("_pq", "_denominator"):
-            kernel = getattr(scalar_family, name)
+        for name in ("_offsets", "_denominator"):
+            kernel = getattr(pencil, name)
             monkeypatch.setattr(
-                scalar_family, name, lambda *args, kernel=kernel, name=name: counts.update([name]) or kernel(*args)
+                pencil, name, lambda *args, kernel=kernel, name=name: counts.update([name]) or kernel(*args)
             )
         phi_y_model_residual(0.3, TAUS[2], disk_point(rng), disk_point(rng))
-        assert counts == {"_pq": 1, "_denominator": 1}
+        assert counts == {"_offsets": 1, "_denominator": 1}
         lam, mu = sample_bidisk_pairs(rng, 7)
         assert phi_y_model_residual(0.3, TAUS[2], lam, mu).shape == (7,)
-        assert counts == {"_pq": 2, "_denominator": 2}
+        assert counts == {"_offsets": 2, "_denominator": 2}
 
     def test_pole_at_mu(self):
-        with pytest.raises(PoleHitError, match=r"\|den\| = 0\.000e\+00"):
+        # mu = tau: the model vector has no limit there, so the pole rule names it
+        with pytest.raises(SingularDenominatorError, match=naming((1, 1))):
             phi_y_model_residual(0.5, TAU_11, (0, 0), (1, 1))
 
     @settings(max_examples=150, deadline=None)
@@ -256,7 +361,7 @@ class TestBoundedWithoutContinuity:
         assert gap > 0.1
 
     def test_yet_bounded_on_both_families(self):
-        bound = model_vector_bound(0.5, 2.0)
+        bound = 2.0 * 2.0 * math.sqrt(0.5 * (1.0 - 0.5)) + 1.0
         for k in range(1, 20):
             t = 2.0**-k
             for lam in [(1 - t, 1 - t), (1 - t, 1 - t / 2)]:

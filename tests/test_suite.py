@@ -15,6 +15,7 @@ from caralab import (
     boundary,
     build_grid,
     points,
+    scalar_family,
     suite,
 )
 from caralab.cli import EXIT_RESIDUAL, main
@@ -239,7 +240,7 @@ def test_batched_checks_equal_the_public_routes(monkeypatch):
         assert worst["schur_bound"] == np.abs(model.phi(scan)).max()
         std = np.concatenate([std_lam, std_mu])
         u1, u2, _, phi = boundary.standard_model_components(model, std, model.evaluate(std))
-        residual = boundary.standard_identity_defect(std, u1, u2, phi)
+        residual = scalar_family.standard_identity_defect(std, u1, u2, phi)
         assert same_bits(seen["standard_identity_defect"][record.index], residual)
         assert worst["standard_model_identity"] == residual.max()
         coords = grid.coords.reshape(-1, 2)
