@@ -27,7 +27,6 @@ from .errors import (
     NoConvergenceError,
     NotHermitianError,
     NotIsometricError,
-    SingularCalculusError,
     SingularDenominatorError,
     SingularResolventError,
     SpectrumOutOfRangeError,
@@ -36,7 +35,6 @@ from .errors import (
 from .hermitian import (
     PositiveContraction,
     SpectralDecomposition,
-    apply_calculus,
     hermitian_defect,
     matrix_from_json,
     matrix_to_json,
@@ -64,11 +62,9 @@ from .realization import (
     validate_colligation,
 )
 from .scalar_family import (
-    ScalarModelVector,
     phi_y_directional_derivative,
     phi_y_eval,
     phi_y_model_residual,
-    phi_y_model_vector,
 )
 
 __version__ = "0.1.0"

@@ -25,10 +25,6 @@ class SpectrumOutOfRangeError(CaralabError):
         self.eigenvalue = eigenvalue
 
 
-class SingularCalculusError(CaralabError):
-    """A scalar function of the functional calculus is undefined at an eigenvalue."""
-
-
 class DegenerateParameterError(CaralabError):
     """Parameter value for which the requested formula degenerates."""
 

@@ -1,27 +1,21 @@
 """Dense complex Hermitian linear algebra.
 
 Spectral decompositions with eigenvalue clustering, positive-contraction
-validation and spectral functional calculus.  A decomposition is held as
-the eigenbasis U alone, with the snapped eigenvalue of each column;
-eigenprojectors and functions of the matrix are built from U's columns
+validation and the JSON matrix schema.  A decomposition is held as the
+eigenbasis U alone, with the snapped eigenvalue of each column;
+eigenprojectors and matrices U diag(values) U* are built from U's columns
 when asked for.
 """
 
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    NoConvergenceError,
-    NotHermitianError,
-    SingularCalculusError,
-    SpectrumOutOfRangeError,
-)
+from .errors import NoConvergenceError, NotHermitianError, SpectrumOutOfRangeError
 
 #: default eigenvalue clustering / snapping tolerance
 DEFAULT_EIGTOL = 1e-9
@@ -56,15 +50,22 @@ def _json_int(value) -> int:
     return operator.index(value)
 
 
-def matrix_from_json(doc: dict) -> np.ndarray:
-    """Parse the JSON matrix schema produced by :func:`matrix_to_json`."""
+def _json_numbers(values, field: str) -> np.ndarray:
+    """A JSON list of numbers (int or float, not bool) as a float array, else ValueError naming the field."""
+    if type(values) is not list or not set(map(type, values)) <= {int, float}:
+        raise ValueError(f"{field} must be a list of numbers (int or float)")
+    return np.array(values, dtype=float)
+
+
+def matrix_from_json(doc: dict, name: str = "matrix") -> np.ndarray:
+    """Parse the JSON matrix schema produced by :func:`matrix_to_json`; errors name its lists as name.re and name.im."""
     rows, cols = _json_int(doc["rows"]), _json_int(doc["cols"])
     if rows <= 0 or cols <= 0:
         raise ValueError("matrix dimensions must be positive")
-    re = np.asarray(doc["re"], dtype=float)
+    re = _json_numbers(doc["re"], f"{name}.re")
     # zeros shaped like re, not rows * cols: a huge declared size must fail
     # the count check below, not the allocation
-    im = np.asarray(doc["im"], dtype=float) if "im" in doc else np.zeros_like(re)
+    im = _json_numbers(doc["im"], f"{name}.im") if "im" in doc else np.zeros_like(re)
     if re.size != rows * cols or im.size != rows * cols:
         raise ValueError("entry count does not match rows * cols")
     return as_complex_matrix((re + 1j * im).reshape(rows, cols))
@@ -238,26 +239,6 @@ def validate_positive_contraction(
             # snapping already absorbed excursions within eigtol
             raise SpectrumOutOfRangeError(w)
     return PositiveContraction(herm, dec)
-
-
-def apply_calculus(y: PositiveContraction, f: Callable[[float], complex]) -> np.ndarray:
-    """Evaluate f on the spectrum of a positive contraction: U diag(f(w)) U*.
-
-    f is called once per distinct eigenvalue.  Raises SingularCalculusError
-    when f is undefined or non-finite at an eigenvalue (a pole of the
-    calculus).
-    """
-    dec = y.decomposition
-    values = np.empty(dec.weights.size, dtype=complex)
-    for w in dec.eigenvalues:
-        try:
-            value = complex(f(w))
-        except ZeroDivisionError as exc:
-            raise SingularCalculusError(f"function undefined at eigenvalue {w!r}") from exc
-        if not (math.isfinite(value.real) and math.isfinite(value.imag)):
-            raise SingularCalculusError(f"function non-finite at eigenvalue {w!r}")
-        values[dec.weights == w] = value
-    return dec.compose(values)
 
 
 def random_positive_contraction(

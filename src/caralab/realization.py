@@ -46,6 +46,7 @@ from .errors import NotIsometricError, SingularResolventError
 from .hermitian import (
     DEFAULT_EIGTOL,
     _json_int,
+    _json_numbers,
     matrix_from_json,
     matrix_to_json,
     opnorm,
@@ -453,10 +454,10 @@ def load_model(
         if isinstance(doc, (str, Path)):
             doc = json.loads(Path(doc).read_text())
         dim = _json_int(doc["dim"])
-        (t1re, t1im), (t2re, t2im) = doc["tau"]
+        (t1re, t1im), (t2re, t2im) = (_json_numbers(pair, f"tau[{k}]") for k, pair in enumerate(doc["tau"]))
         tau = BoundaryPoint(complex(t1re, t1im), complex(t2re, t2im))
-        y = matrix_from_json(doc["Y"])
-        v = matrix_from_json(doc["V"])
+        y = matrix_from_json(doc["Y"], "Y")
+        v = matrix_from_json(doc["V"], "V")
     except (TypeError, OverflowError, RecursionError) as exc:
         raise ValueError(f"malformed model document: {exc}") from exc
     if y.shape != (dim, dim):

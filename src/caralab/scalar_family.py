@@ -16,9 +16,6 @@ with d = a(1-y) + by and the pencil's one pole rule.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DegenerateParameterError
@@ -71,45 +68,15 @@ def _components(ys: np.ndarray, tau, points: np.ndarray):
     return np.sqrt(ys)[:, None] * b / den, np.sqrt(1.0 - ys)[:, None] * a / den, (a, b, at_tau, den)
 
 
-@dataclass(frozen=True)
-class ScalarModelVector:
-    """Two-dimensional model vector of phi_y at a point of the bidisk.
-
-    ``u1``/``u2`` are the components in the standard basis.  ``coef_plus``
-    = sqrt(y(1-y)) (b - a) / den is the component along the unit vector
-    (sqrt(1-y), -sqrt(y)); it vanishes on the diagonal p = q and has no
-    limit at tau.  The component along (sqrt(y), sqrt(1-y)) is identically 1.
-    """
-
-    u1: complex
-    u2: complex
-    coef_plus: complex
-
-    @property
-    def norm(self):
-        """||u||; one norm per point for array fields."""
-        if np.ndim(self.u1):
-            return np.hypot(np.abs(self.u1), np.abs(self.u2))
-        return float(math.hypot(abs(self.u1), abs(self.u2)))
-
-
-def phi_y_model_vector(y: float, tau, lam) -> ScalarModelVector:
-    """Model vector u_{y, lam} for y strictly inside (0, 1); an (N, 2) array of points gives array fields."""
-    y = _check_interior(y)
-    points, single = as_points(lam)
-    u1, u2, (a, b, _, den) = _components(np.array([y]), tau, points)
-    u1, u2, coef_plus = u1[0], u2[0], math.sqrt(y * (1.0 - y)) * (b - a) / den[0]
-    if single:
-        u1, u2, coef_plus = complex(u1[0]), complex(u2[0]), complex(coef_plus[0])
-    return ScalarModelVector(u1, u2, coef_plus)
-
-
 def phi_y_model_components(ys, tau, lam) -> tuple[np.ndarray, np.ndarray]:
     """Components u1, u2 of the model vectors of phi_y for an array of y in (0, 1).
 
     An (N, 2) array of points gives two (N, len(ys)) arrays, one column per
-    parameter, each rounded as :func:`phi_y_model_vector` rounds it; one
-    point gives two (len(ys),) arrays.
+    parameter, each bit for bit that of a one-parameter call; one point
+    gives two (len(ys),) arrays.  Along the unit vector (sqrt(y), sqrt(1-y))
+    the model vector's component is identically 1.  Along (sqrt(1-y), -sqrt(y))
+    it is sqrt(1-y) u1 - sqrt(y) u2 = sqrt(y(1-y)) (b - a) / d, which vanishes
+    on the diagonal p = q and has no limit at tau.
     """
     points, single = as_points(lam)
     u1, u2, _ = _components(np.asarray(ys, dtype=float), tau, points)

@@ -66,6 +66,20 @@ def desk_model(rng: np.random.Generator) -> GeneralizedRealization:
     return GeneralizedRealization(OperatorPencil(y, TAU_11), random_colligation(dim, rng))
 
 
+def reference_calculus(y, f):
+    """f(Y) as the sum of f(w) times the eigenprojector P_w, one Hermitian
+    U_w U_w* per distinct weight: the reference that the eigenbasis
+    formulas (`SpectralDecomposition.compose`, the pencil's kernel) are
+    compared against."""
+    dec = y.decomposition
+    total = np.zeros((y.dim, y.dim), dtype=complex)
+    for w in dec.eigenvalues:
+        cols = dec.eigenvectors[:, dec.weights == w]
+        p = cols @ cols.conj().T
+        total += complex(f(w)) * (p + p.conj().T) / 2
+    return total
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(1234)

@@ -11,7 +11,6 @@ from caralab import (
     NoConvergenceError,
     OperatorPencil,
     UnconvergedError,
-    apply_calculus,
     build_grid,
     cara_quotients,
     classify_model,
@@ -49,7 +48,7 @@ from caralab.points import require_admissible
 from caralab.realization import Colligation
 from caralab.scalar_family import standard_identity_defect
 from caralab.suite import SUITE_TAUS
-from conftest import TAU_11, TAUS, disk_point, scalar_model
+from conftest import TAU_11, TAUS, disk_point, reference_calculus, scalar_model
 
 HOUSEHOLDER = [[0.6, 0.8], [0.8, -0.6]]  # phi(0,0) = -3/5, v_tau = 2
 
@@ -539,7 +538,7 @@ class TestDerivativeModel:
         y = m.pencil.contraction
         for delta in default_directions(TAU_11, 5):
             a, b = delta
-            interior = apply_calculus(
+            interior = reference_calculus(
                 y, lambda t: 0.0 if t in (0.0, 1.0) else a * b / (a * (1 - t) + b * t)
             )
             expect = phi_tau * (
@@ -847,7 +846,7 @@ class TestClassify:
         def one(delta):
             a = TAUS[1].tau1.conjugate() * delta[0]
             b = TAUS[1].tau2.conjugate() * delta[1]
-            g = apply_calculus(m.pencil.contraction, lambda t: a * b / (a * (1.0 - t) + b * t))
+            g = reference_calculus(m.pencil.contraction, lambda t: a * b / (a * (1.0 - t) + b * t))
             return phi_tau * np.vdot(v, g @ v)
 
         def derivative(deltas):

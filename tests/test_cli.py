@@ -1,6 +1,8 @@
 import argparse
 import collections
+import contextlib
 import copy
+import io
 import json
 import os
 import subprocess
@@ -26,7 +28,7 @@ from caralab import (
 )
 from caralab import xprec
 from caralab.boundary import DEFAULT_APERTURE, DEFAULT_CLASS_TOL, DEFAULT_DEPTH
-from caralab.cli import build_parser, main
+from caralab.cli import COUNT_MAX, build_parser, main
 from caralab.realization import RAY_EXPONENTS
 from caralab.suite import SUITE_TAUS, SuiteConfig
 from conftest import TAU_11, left_null_model
@@ -548,6 +550,35 @@ class TestMalformedModel:
         path.write_text(json.dumps(SWAP_DOC))
         assert main(["classify", str(path)]) == 0
 
+    @pytest.mark.parametrize(
+        "doc, field",
+        [
+            (dict(SWAP_DOC, Y=dict(SWAP_DOC["Y"], re=[True])), "Y.re"),
+            (dict(SWAP_DOC, Y=dict(SWAP_DOC["Y"], re=["0.5"])), "Y.re"),
+            (dict(SWAP_DOC, Y=dict(SWAP_DOC["Y"], re=0.5)), "Y.re"),
+            (dict(SWAP_DOC, tau=[[True, False], [1.0, 0.0]]), "tau[0]"),
+            (dict(SWAP_DOC, V=dict(SWAP_DOC["V"], im=[0.0, False, 0.0, 0.0])), "V.im"),
+        ],
+        ids=["re-bool", "re-string", "re-bare-number", "tau-bool", "im-bool"],
+    )
+    @pytest.mark.parametrize("command", MODEL_COMMANDS)
+    def test_a_number_of_another_type_exits_2_naming_its_field(self, capsys, tmp_path, doc, field, command):
+        # converted, each would load as a model: true as 1.0, "0.5" as 0.5, a bare 0.5 as [0.5]
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(doc))
+        assert main([command, str(path)]) == 2
+        assert capsys.readouterr() == ("", f"error: {field} must be a list of numbers (int or float)\n")
+
+    def test_integers_are_numbers(self, capsys, tmp_path):
+        ints = dict(SWAP_DOC, tau=[[1, 0], [1, 0]], V=dict(SWAP_DOC["V"], re=[0, 1, 1, 0], im=[0, 0, 0, 0]))
+        reports = []
+        for doc in (SWAP_DOC, ints):
+            path = tmp_path / "m.json"
+            path.write_text(json.dumps(doc))
+            reports.append(run(capsys, ["classify", str(path)]))
+        assert reports[0][0] == 0
+        assert reports[1] == reports[0]
+
 
 #: JSON values a model field may be mistyped as
 _json_values = st.recursive(
@@ -814,3 +845,74 @@ class TestDispatch:
         assert main(["derivative", shear_spec]) == 3
         assert main(["derivative", swap_spec, "--delta", "1,1"]) == 2
         assert main(["classify", swap_spec, "--aperture", "0.5"]) == 2
+
+
+#: option values at the edges: empty, not finite, zero, negative, extreme, the count limit and one above
+EDGES = ["", "nan", "inf", "-inf", "0", "-1", "1e308", "1e-308", str(COUNT_MAX), str(COUNT_MAX + 1)]
+
+
+def _values(*usual: str):
+    """One of an option's usual values or, as often, an edge value."""
+    return st.sampled_from(usual) | st.sampled_from(EDGES)
+
+
+#: comma-separated lists of 1 to 4 parts, as --tau, --tau-angles, --delta and --ray-exponents take
+_parts = st.lists(_values("0.5", "-1", "-2", "1", "4", "20", "x"), min_size=1, max_size=4).map(",".join)
+
+#: count values that the parser refuses before anything is allocated
+REFUSED_COUNTS = ["", "nan", "inf", "0", "-1", "1e308", str(COUNT_MAX + 1), "10000000000"]
+
+#: the values drawn for each option; --out and --csv name files under the fuzz directory
+OPTION_VALUES = {
+    "--y": _values("0.5", "1", "0.25"),
+    "--tau": _parts,
+    "--tau-angles": _parts,
+    "--delta": _parts,
+    "--ray-exponents": _parts,
+    "--pairs": st.sampled_from(["1", "50"]) | st.sampled_from(REFUSED_COUNTS),
+    "--samples": st.sampled_from(["1", "50"]) | st.sampled_from(REFUSED_COUNTS),
+    "--count": st.sampled_from(["1", "2"]) | st.sampled_from(REFUSED_COUNTS),
+    "--seed": _values("3"),
+    "--eigtol": _values("1e-9"),
+    "--isotol": _values("1e-9"),
+    "--residual-tol": _values("1e-9"),
+    "--class-tol": _values("1e-3"),
+    "--aperture": _values("1", "2"),
+    "--depth": _values("3", "24"),
+    "--out": st.sampled_from(["", "out.json", "missing/out.json", "dir"]),
+    "--csv": st.sampled_from(["", "base", "missing/base", "dir"]),
+}
+
+
+@pytest.fixture(scope="module")
+def argv_dir(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("argv")
+    (directory / "dir").mkdir()
+    (directory / "model.json").write_text(json.dumps(SWAP_DOC))
+    return directory
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_OPTIONS))
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_any_argv_gets_a_documented_exit_code(argv_dir, command, data):
+    options = COMMAND_OPTIONS[command] - {"model"}
+    flags = data.draw(st.lists(st.sampled_from(sorted(options)), unique=True, max_size=5))
+    if command == "family" and "--y" not in flags and data.draw(st.integers(0, 4)):
+        flags.append("--y")  # the required option, left out in one draw of five
+    if command == "suite" and "--count" not in flags:
+        flags.append("--count")  # the default runs 50 models
+    argv = [command, str(argv_dir / "model.json")] if "model" in COMMAND_OPTIONS[command] else [command]
+    for flag in flags:
+        for value in data.draw(st.lists(OPTION_VALUES[flag], min_size=1, max_size=2 if flag == "--delta" else 1)):
+            if flag in ("--out", "--csv") and value:
+                value = str(argv_dir / value)
+            argv.append(f"{flag}={value}")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # the parser's refusals
+            code = exc.code
+    assert code in EXIT_CODES, (argv, err.getvalue())
+    assert "Traceback" not in out.getvalue() + err.getvalue()

@@ -9,10 +9,8 @@ from caralab import hermitian
 from caralab.hermitian import max_opnorm
 from caralab import (
     NotHermitianError,
-    SingularCalculusError,
     SpectralDecomposition,
     SpectrumOutOfRangeError,
-    apply_calculus,
     hermitian_defect,
     matrix_from_json,
     matrix_to_json,
@@ -217,36 +215,6 @@ class TestPositiveContraction:
     def test_random_spectrum_clamped(self, rng):
         y = random_positive_contraction(6, rng)
         assert all(0.0 <= w <= 1.0 for w in y.eigenvalues)
-
-
-class TestApplyCalculus:
-    def test_identity_function_returns_y(self, rng):
-        y = random_positive_contraction(5, rng)
-        assert opnorm(apply_calculus(y, lambda t: t) - y.matrix) <= 1e-10
-
-    def test_constant_one_returns_identity(self, rng):
-        y = random_positive_contraction(4, rng)
-        assert opnorm(apply_calculus(y, lambda t: 1.0) - np.eye(4)) <= 1e-12
-
-    def test_square_on_diagonal(self):
-        y = validate_positive_contraction(np.diag([0.25, 0.75]))
-        out = apply_calculus(y, lambda t: t**2)
-        assert np.allclose(out, np.diag([0.0625, 0.5625]), atol=1e-14)
-
-    def test_multiplicative_on_polynomials(self, rng):
-        y = random_positive_contraction(6, rng)
-        cf = rng.standard_normal(3)
-        cg = rng.standard_normal(3)
-        f = lambda t: cf[0] + cf[1] * t + cf[2] * t**2  # noqa: E731
-        g = lambda t: cg[0] + cg[1] * t + cg[2] * t**2  # noqa: E731
-        lhs = apply_calculus(y, lambda t: f(t) * g(t))
-        rhs = apply_calculus(y, f) @ apply_calculus(y, g)
-        assert opnorm(lhs - rhs) <= 1e-10
-
-    def test_pole_at_eigenvalue_raises(self):
-        y = validate_positive_contraction(np.diag([0.0, 0.5]))
-        with pytest.raises(SingularCalculusError):
-            apply_calculus(y, lambda t: 1.0 / t)
 
 
 def kernel_projectors(y):

@@ -9,7 +9,6 @@ from caralab import (
     OperatorPencil,
     SingularDenominatorError,
     SingularResolventError,
-    apply_calculus,
     i_y_eval,
     random_colligation,
     random_positive_contraction,
@@ -25,7 +24,7 @@ from caralab.pencil import (
     sample_bidisk_pairs,
 )
 from caralab.suite import SuiteConfig, generate_model
-from conftest import TAU_11, TAUS, disk_point, random_model
+from conftest import TAU_11, TAUS, disk_point, random_model, reference_calculus
 
 #: relative agreement between the kernel and the direct solves
 KERNEL_RTOL = 1e-12
@@ -85,19 +84,6 @@ def test_direct_solve_batch_stacks_the_one_point_values(rng):
         i_y_eval(pen, np.array([(0.5, 0.5), (1.0, 0.0)]))
 
 
-def reference_calculus(y, f):
-    """f(Y) as the sum of f(w) times the eigenprojector P_w, one Hermitian
-    U_w U_w* per distinct weight: how functions of Y were formed when the
-    decomposition stored its projectors."""
-    dec = y.decomposition
-    total = np.zeros((y.dim, y.dim), dtype=complex)
-    for w in dec.eigenvalues:
-        cols = dec.eigenvectors[:, dec.weights == w]
-        p = cols @ cols.conj().T
-        total += complex(f(w)) * (p + p.conj().T) / 2
-    return total
-
-
 @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 6, 7, 8, 64])
 def test_eigenbasis_formulas_match_projector_sums(dim, rng):
     tau = TAUS[dim % len(TAUS)]
@@ -107,7 +93,7 @@ def test_eigenbasis_formulas_match_projector_sums(dim, rng):
     y = random_positive_contraction(dim, rng, eigenvalues=vals)
     model = GeneralizedRealization(OperatorPencil(y, tau), random_colligation(dim, rng))
     f = lambda t: np.exp(2j * t) / (1.5 - t)  # noqa: E731
-    assert relative_gap(apply_calculus(y, f), reference_calculus(y, f)) <= KERNEL_RTOL
+    assert relative_gap(y.decomposition.compose(f(y.decomposition.weights)), reference_calculus(y, f)) <= KERNEL_RTOL
     v = model.v_at_tau().value
     eye = np.eye(dim)
     for d1, d2 in default_directions(tau, 4):

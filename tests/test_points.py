@@ -14,7 +14,6 @@ from caralab import (
     phi_y_directional_derivative,
     phi_y_eval,
     phi_y_model_residual,
-    phi_y_model_vector,
     points,
     random_colligation,
     random_positive_contraction,
@@ -212,7 +211,6 @@ def _rule_cases():
         "i_y_spectral_form": lambda p: i_y_spectral_form(model.pencil, p),
         "satisfies_aperture": lambda p: satisfies_aperture(tau, p, 2.0),
         "phi_y_eval": lambda p: phi_y_eval(0.3, tau, p),
-        "phi_y_model_vector": lambda p: phi_y_model_vector(0.3, tau, p).u1,
         "phi_y_model_components": lambda p: phi_y_model_components([0.3, 0.6], tau, p)[1],
         "phi_y_model_residual": pairwise(lambda lam, mu: phi_y_model_residual(0.3, tau, lam, mu)),
     }

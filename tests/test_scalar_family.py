@@ -19,7 +19,6 @@ from caralab import (
     phi_y_directional_derivative,
     phi_y_eval,
     phi_y_model_residual,
-    phi_y_model_vector,
     validate_positive_contraction,
 )
 from caralab import pencil
@@ -28,6 +27,15 @@ from caralab.scalar_family import phi_y_model_components
 from conftest import TAU_11, TAUS, disk_point, scalar_model
 
 YS = tuple(k / 10.0 for k in range(1, 10))
+
+
+def model_vector(y: float, tau, lam):
+    """u1, u2, the norm ||u|| and the coefficient along (sqrt(1-y), -sqrt(y)) of phi_y's model vector.
+
+    One point gives 0-d arrays, an (N, 2) array gives one entry per point.
+    """
+    u1, u2 = (u[..., 0] for u in phi_y_model_components([y], tau, lam))
+    return u1, u2, np.hypot(np.abs(u1), np.abs(u2)), math.sqrt(1.0 - y) * u1 - math.sqrt(y) * u2
 
 
 def naming(lam) -> str:
@@ -173,8 +181,7 @@ class TestContractAtTau:
         at = (tau.tau1, tau.tau2)
         pts = np.array([disk_point(rng), at], dtype=complex)
         calls = (
-            lambda: phi_y_model_vector(0.3, tau, at),
-            lambda: phi_y_model_vector(0.3, tau, pts),
+            lambda: phi_y_model_components([0.3], tau, at),
             lambda: phi_y_model_components([0.3, 0.6], tau, pts),
             lambda: phi_y_model_residual(0.3, tau, pts, pts[::-1]),
             lambda: phi_y_model_residual(0.3, tau, disk_point(rng), at),
@@ -186,46 +193,50 @@ class TestContractAtTau:
 
 class TestModelVector:
     def test_center_value(self):
-        u = phi_y_model_vector(0.5, TAU_11, (0, 0))
+        u1, u2, norm, _ = model_vector(0.5, TAU_11, (0, 0))
         s = math.sqrt(0.5)
-        assert u.u1 == pytest.approx(s, abs=1e-15)
-        assert u.u2 == pytest.approx(s, abs=1e-15)
-        assert u.norm == pytest.approx(1.0, abs=1e-15)
+        assert u1 == pytest.approx(s, abs=1e-15)
+        assert u2 == pytest.approx(s, abs=1e-15)
+        assert norm == pytest.approx(1.0, abs=1e-15)
 
     def test_constant_along_diagonal(self):
         s = math.sqrt(0.5)
         for r in (0.1, 0.5, 0.9):
-            u = phi_y_model_vector(0.5, TAU_11, (r, r))
-            assert u.u1 == pytest.approx(s, abs=1e-14)
-            assert u.u2 == pytest.approx(s, abs=1e-14)
+            u1, u2, _, coef_plus = model_vector(0.5, TAU_11, (r, r))
+            assert u1 == pytest.approx(s, abs=1e-14)
+            assert u2 == pytest.approx(s, abs=1e-14)
             # rotated description: the varying coefficient dies on the diagonal
-            assert abs(u.coef_plus) <= 1e-14
+            assert abs(coef_plus) <= 1e-14
 
     @pytest.mark.parametrize("tau", TAUS)
     def test_rotation_reconstructs_standard_form(self, tau, rng):
         for y in (0.2, 0.5, 0.8):
             for _ in range(20):
-                u = phi_y_model_vector(y, tau, disk_point(rng))
+                lam = disk_point(rng)
+                u1, u2, _, coef_plus = model_vector(y, tau, lam)
                 # coordinates in the orthonormal basis (sqrt(1-y), -sqrt(y)), (sqrt(y), sqrt(1-y))
                 sy, sy1 = math.sqrt(y), math.sqrt(1.0 - y)
-                assert abs(sy1 * u.u1 - sy * u.u2 - u.coef_plus) <= 1e-12
-                assert abs(sy * u.u1 + sy1 * u.u2 - 1.0) <= 1e-12
+                a, b = 1.0 - tau.tau1.conjugate() * lam[0], 1.0 - tau.tau2.conjugate() * lam[1]
+                assert abs(sy * sy1 * (b - a) / (a * (1.0 - y) + b * y) - coef_plus) <= 1e-12
+                assert abs(sy * u1 + sy1 * u2 - 1.0) <= 1e-12
 
     @pytest.mark.parametrize("tau", TAUS)
     def test_array_of_points_matches_one_point_calls(self, tau, rng):
+        # bit for bit: each column is its one-parameter call, each row its one-point call
         points = [disk_point(rng), disk_point(rng)]
-        batch = phi_y_model_vector(0.3, tau, np.array([tuple(p) for p in points]))
-        singles = [phi_y_model_vector(0.3, tau, p) for p in points]
-        assert batch.norm.shape == (2,)
-        # np.hypot and math.hypot may differ in the last bit
-        for norm, one in zip(batch.norm.tolist(), singles):
-            assert type(one.norm) is float
-            assert norm == pytest.approx(one.norm, rel=1e-15, abs=0.0)
+        batch = phi_y_model_components([0.3, 0.6], tau, np.array([tuple(p) for p in points]))
+        assert batch[0].shape == batch[1].shape == (2, 2)
+        for k, y in enumerate((0.3, 0.6)):
+            for column, one in zip(batch, phi_y_model_components([y], tau, np.array(points))):
+                np.testing.assert_array_equal(column[:, k], one[:, 0])
+        for row, p in enumerate(points):
+            for components, one in zip(batch, phi_y_model_components([0.3, 0.6], tau, p)):
+                np.testing.assert_array_equal(components[row], one)
 
     def test_endpoints_degenerate(self):
         for y in (0.0, 1.0):
             with pytest.raises(DegenerateParameterError):
-                phi_y_model_vector(y, TAU_11, (0, 0))
+                phi_y_model_residual(y, TAU_11, (0, 0), (0, 0))
 
     @pytest.mark.parametrize("aperture", [1.0, 2.0, 5.0])
     def test_nontangential_norm_bound(self, aperture):
@@ -234,8 +245,8 @@ class TestModelVector:
             for y in (0.1, 0.5, 0.9):
                 # the nontangential bound on ||u_{y, lam}|| over an aperture-c region
                 bound = 2.0 * aperture * math.sqrt(y * (1.0 - y)) + 1.0
-                for pt in grid.coords.reshape(-1, 2).tolist():
-                    assert phi_y_model_vector(y, tau, pt).norm <= bound + 1e-12
+                _, _, norms, _ = model_vector(y, tau, grid.coords.reshape(-1, 2))
+                assert np.all(norms <= bound + 1e-12)
 
 
 class TestModelIdentity:
@@ -245,12 +256,12 @@ class TestModelIdentity:
     def test_diagonal_specialization(self, rng):
         for _ in range(50):
             lam = disk_point(rng)
-            u = phi_y_model_vector(0.4, TAUS[1], lam)
+            u1, u2, _, _ = model_vector(0.4, TAUS[1], lam)
             phi = phi_y_eval(0.4, TAUS[1], lam)
             lhs = 1.0 - abs(phi) ** 2
-            rhs = (1.0 - abs(lam[0]) ** 2) * abs(u.u1) ** 2 + (
+            rhs = (1.0 - abs(lam[0]) ** 2) * abs(u1) ** 2 + (
                 1.0 - abs(lam[1]) ** 2
-            ) * abs(u.u2) ** 2
+            ) * abs(u2) ** 2
             assert abs(lhs - rhs) <= 1e-10
 
     def test_one_family_evaluation_for_lam_and_mu(self, monkeypatch, rng):
@@ -349,10 +360,8 @@ class TestBoundedWithoutContinuity:
         diag_coefs, skew_coefs = [], []
         for k in range(6, 20):
             t = 2.0**-k
-            diag_coefs.append(phi_y_model_vector(y, TAU_11, (1 - t, 1 - t)).coef_plus)
-            skew_coefs.append(
-                phi_y_model_vector(y, TAU_11, (1 - t, 1 - t / 2)).coef_plus
-            )
+            diag_coefs.append(model_vector(y, TAU_11, (1 - t, 1 - t))[3])
+            skew_coefs.append(model_vector(y, TAU_11, (1 - t, 1 - t / 2))[3])
         assert abs(diag_coefs[-1]) <= 1e-12
         assert skew_coefs[-1] == pytest.approx(-1.0 / 3.0, abs=1e-6)
         # each family converges on its own, but to different vectors
@@ -365,4 +374,4 @@ class TestBoundedWithoutContinuity:
         for k in range(1, 20):
             t = 2.0**-k
             for lam in [(1 - t, 1 - t), (1 - t, 1 - t / 2)]:
-                assert phi_y_model_vector(0.5, TAU_11, lam).norm <= bound
+                assert model_vector(0.5, TAU_11, lam)[2] <= bound
