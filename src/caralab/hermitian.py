@@ -43,11 +43,14 @@ def matrix_to_json(a) -> dict:
     }
 
 
-def _json_int(value) -> int:
-    """An integer field of a JSON document; a float or a bool raises TypeError."""
-    if isinstance(value, bool):
-        raise TypeError(f"expected an integer, got {value!r}")
-    return operator.index(value)
+def _json_int(value, field: str) -> int:
+    """An integer field of a JSON document; anything else (a float, a bool) raises TypeError naming the field."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise TypeError(f"{field} must be an integer, got {value!r}")
 
 
 def _json_numbers(values, field: str) -> np.ndarray:
@@ -58,16 +61,18 @@ def _json_numbers(values, field: str) -> np.ndarray:
 
 
 def matrix_from_json(doc: dict, name: str = "matrix") -> np.ndarray:
-    """Parse the JSON matrix schema produced by :func:`matrix_to_json`; errors name its lists as name.re and name.im."""
-    rows, cols = _json_int(doc["rows"]), _json_int(doc["cols"])
+    """Parse the JSON matrix schema of :func:`matrix_to_json`; errors name its fields (name.rows, name.re, ...)."""
+    rows, cols = _json_int(doc["rows"], f"{name}.rows"), _json_int(doc["cols"], f"{name}.cols")
     if rows <= 0 or cols <= 0:
-        raise ValueError("matrix dimensions must be positive")
+        raise ValueError(f"{name}.rows and {name}.cols must be positive, got {rows} and {cols}")
     re = _json_numbers(doc["re"], f"{name}.re")
     # zeros shaped like re, not rows * cols: a huge declared size must fail
     # the count check below, not the allocation
     im = _json_numbers(doc["im"], f"{name}.im") if "im" in doc else np.zeros_like(re)
     if re.size != rows * cols or im.size != rows * cols:
-        raise ValueError("entry count does not match rows * cols")
+        raise ValueError(
+            f"{name}.re and {name}.im must hold rows * cols = {rows * cols} entries, got {re.size} and {im.size}"
+        )
     return as_complex_matrix((re + 1j * im).reshape(rows, cols))
 
 

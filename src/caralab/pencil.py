@@ -25,6 +25,10 @@ its independent cross-oracle.
 
 from __future__ import annotations
 
+import contextvars
+import os
+import threading
+
 import numpy as np
 
 from .errors import SingularDenominatorError
@@ -58,12 +62,65 @@ def stack_chunks(count: int, entries_per_point: int):
     complex arrays in a scalar loop, which rounds differently from its
     vector loop, and every point must get the same bits in any stack.
     """
-    step = max(2, STACK_ENTRIES // max(1, entries_per_point))
+    step = _stack_step(entries_per_point)
     starts = list(range(0, count, step))
     if len(starts) > 1 and count - starts[-1] == 1:
         starts.pop()
     for start, stop in zip(starts, starts[1:] + [count]):
         yield slice(start, stop)
+
+
+def _stack_step(entries_per_point: int) -> int:
+    """Points in a whole stack of :func:`stack_chunks`."""
+    return max(2, STACK_ENTRIES // max(1, entries_per_point))
+
+
+def _stack_workers() -> int:
+    """CPUs this process may run on: its affinity mask where the platform has one."""
+    if hasattr(os, "process_cpu_count"):  # Python 3.13
+        return os.process_cpu_count() or 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _run_stacks(work, count: int, entries_per_point: int) -> None:
+    """Call work(chunk) on every slice of stack_chunks(count, entries_per_point).
+
+    A call that fills at least two whole stacks runs on W threads, W the
+    CPUs of the process's affinity mask (``taskset`` restricts it): the
+    stacks form W contiguous runs, the calling thread works through the
+    first and W - 1 threads started here the others, each in a copy of the
+    caller's context (so ``np.errstate`` applies), and all are joined
+    before this returns.  Smaller calls run in order on the calling thread.
+    ``work`` must write only the rows of its own chunk, so every point gets
+    the same bits on any number of threads.  A run stops at its first
+    failing stack; the error of the first failing stack in input order is
+    raised.
+    """
+    chunks = list(stack_chunks(count, entries_per_point))
+    workers = min(_stack_workers(), len(chunks)) if count >= 2 * _stack_step(entries_per_point) else 1
+    bounds = [len(chunks) * i // workers for i in range(workers + 1)]
+    errors = [None] * workers
+
+    def run(i):
+        try:
+            for chunk in chunks[bounds[i] : bounds[i + 1]]:
+                work(chunk)
+        except BaseException as exc:
+            errors[i] = exc
+
+    threads = [
+        threading.Thread(target=contextvars.copy_context().run, args=(run, i)) for i in range(1, workers)
+    ]
+    for thread in threads:
+        thread.start()
+    run(0)
+    for thread in threads:
+        thread.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
 
 
 class OperatorPencil:

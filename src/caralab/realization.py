@@ -28,7 +28,9 @@ In double precision everything is evaluated in the eigenbasis U of Y,
 where the pencil is diagonal: with A' = U*AU, B' = U*B and C' = CU the
 model vector is v = U v' with v' = (1 - A' diag(s))^{-1} B', and
 phi = D + C' diag(s) v'.  The systems of all points are solved by stacked
-LAPACK solves.
+LAPACK solves; a call that fills at least two whole stacks solves them on
+every CPU of the process's affinity mask (``taskset`` restricts it), with
+the same bits on any number of threads.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ from .hermitian import (
     opnorm,
     validate_positive_contraction,
 )
-from .pencil import OperatorPencil, _certified, _diagonal_rows, _singular, stack_chunks
+from .pencil import OperatorPencil, _certified, _diagonal_rows, _run_stacks, _singular, stack_chunks
 from .points import BoundaryPoint, as_points
 
 #: default isometry tolerance for colligation validation
@@ -248,6 +250,12 @@ class GeneralizedRealization:
         stack's phi sum.  STACK_ENTRIES bounds the stacks, not the
         outputs s and v'.  Every point's arithmetic, the sum over the eigen
         axis in phi included, is the same whatever the stack size.
+
+        A call of at least two whole stacks (2,048 points at n = 8, 32 at
+        n = 64) runs its stacks on as many threads as the process's
+        affinity mask has CPUs (:func:`pencil._run_stacks`; ``taskset``
+        restricts it), each stack writing only its own rows of v' and phi,
+        so every point gets the same bits on any number of threads.
         """
         pts = np.asarray(points, dtype=complex)
         count = len(pts)
@@ -262,13 +270,16 @@ class GeneralizedRealization:
         del rows
         v = np.empty_like(s)
         phi = np.empty(len(pts), dtype=complex)
-        for chunk in stack_chunks(len(pts), n * n):
+
+        def solve(chunk):
             block = s[chunk]
             rhs = np.broadcast_to(self._b[:, None], (len(block), n, 1))
             v[chunk] = np.linalg.solve(self._resolvents(block), rhs)[..., 0]
             terms = (block * v[chunk] * self._c).T
             # the eigen axis is summed in one fixed order, whatever the stack
             phi[chunk] = np.add.accumulate(terms, axis=0)[-1]
+
+        _run_stacks(solve, len(pts), n * n)
         phi += self.colligation.d
         return s[:count], v[:count], phi[:count]
 
@@ -453,7 +464,7 @@ def load_model(
     try:
         if isinstance(doc, (str, Path)):
             doc = json.loads(Path(doc).read_text())
-        dim = _json_int(doc["dim"])
+        dim = _json_int(doc["dim"], "dim")
         (t1re, t1im), (t2re, t2im) = (_json_numbers(pair, f"tau[{k}]") for k, pair in enumerate(doc["tau"]))
         tau = BoundaryPoint(complex(t1re, t1im), complex(t2re, t2im))
         y = matrix_from_json(doc["Y"], "Y")

@@ -511,20 +511,11 @@ class TestMalformedModel:
         "doc",
         [
             dict(SWAP_DOC, tau=5),
-            dict(SWAP_DOC, dim=None),
             dict(SWAP_DOC, Y=[[0.5]]),
             [SWAP_DOC],
             dict(SWAP_DOC, tau=[["a", "b"], [1, 0]]),
-            dict(SWAP_DOC, dim=float("inf")),
-            dict(SWAP_DOC, Y={"rows": 10**5, "cols": 10**5, "re": [0.5]}),
-            dict(SWAP_DOC, dim=1.7),
-            dict(SWAP_DOC, dim=True),
-            dict(SWAP_DOC, Y=dict(SWAP_DOC["Y"], rows=1.5)),
         ],
-        ids=[
-            "tau-int", "dim-null", "Y-rows", "list", "tau-strings", "dim-inf", "Y-huge",
-            "dim-float", "dim-bool", "Y-rows-float",
-        ],
+        ids=["tau-int", "Y-rows", "list", "tau-strings"],
     )
     @pytest.mark.parametrize("command", MODEL_COMMANDS)
     def test_mistyped_field_exits_2(self, capsys, tmp_path, doc, command):
@@ -568,6 +559,34 @@ class TestMalformedModel:
         path.write_text(json.dumps(doc))
         assert main([command, str(path)]) == 2
         assert capsys.readouterr() == ("", f"error: {field} must be a list of numbers (int or float)\n")
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            (dict(SWAP_DOC, dim=None), "malformed model document: dim must be an integer, got None"),
+            (dict(SWAP_DOC, dim=float("inf")), "malformed model document: dim must be an integer, got inf"),
+            (dict(SWAP_DOC, dim=1.7), "malformed model document: dim must be an integer, got 1.7"),
+            (dict(SWAP_DOC, dim=True), "malformed model document: dim must be an integer, got True"),
+            (dict(SWAP_DOC, Y=dict(SWAP_DOC["Y"], rows=1.5)), "malformed model document: Y.rows must be an integer, got 1.5"),
+            (dict(SWAP_DOC, V=dict(SWAP_DOC["V"], cols="2")), "malformed model document: V.cols must be an integer, got '2'"),
+            (dict(SWAP_DOC, Y=dict(SWAP_DOC["Y"], rows=0)), "Y.rows and Y.cols must be positive, got 0 and 1"),
+            (
+                dict(SWAP_DOC, Y={"rows": 10**5, "cols": 10**5, "re": [0.5]}),
+                "Y.re and Y.im must hold rows * cols = 10000000000 entries, got 1 and 1",
+            ),
+            (dict(SWAP_DOC, V=dict(SWAP_DOC["V"], im=[0.0])), "V.re and V.im must hold rows * cols = 4 entries, got 4 and 1"),
+        ],
+        ids=[
+            "dim-null", "dim-inf", "dim-float", "dim-bool", "Y-rows-float", "V-cols-string", "Y-rows-zero", "Y-huge",
+            "V-im-short",
+        ],
+    )
+    @pytest.mark.parametrize("command", MODEL_COMMANDS)
+    def test_a_malformed_size_exits_2_naming_its_field(self, capsys, tmp_path, doc, message, command):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(doc))
+        assert main([command, str(path)]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
     def test_integers_are_numbers(self, capsys, tmp_path):
         ints = dict(SWAP_DOC, tau=[[1, 0], [1, 0]], V=dict(SWAP_DOC["V"], re=[0, 1, 1, 0], im=[0, 0, 0, 0]))

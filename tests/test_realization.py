@@ -1,10 +1,12 @@
 import json
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
-from caralab import pencil, realization
+from caralab import cli, pencil, realization
 from caralab import (
     Colligation,
     GeneralizedRealization,
@@ -429,3 +431,120 @@ class TestOncePerCall:
         with pytest.raises(error):
             model.evaluate(pts)
         assert solves == []
+
+
+class TestThreadedStacks:
+    """A call that fills two whole stacks runs them on the process's CPUs, with the same bits on any number."""
+
+    @staticmethod
+    def thread_starts(monkeypatch):
+        starts = []
+        start = threading.Thread.start
+
+        def counted(self):
+            starts.append(self)
+            return start(self)
+
+        monkeypatch.setattr(threading.Thread, "start", counted)
+        return starts
+
+    @staticmethod
+    def on_workers(monkeypatch, workers, call):
+        monkeypatch.setattr(pencil, "_stack_workers", lambda: workers)
+        return call()
+
+    @pytest.mark.parametrize("workers", [2, 8])
+    @pytest.mark.parametrize("dim", [64, 8, 24])
+    def test_evaluate_same_bits_on_one_and_more_threads(self, monkeypatch, dim, workers):
+        rng = np.random.default_rng(dim)
+        model = desk_model(rng) if dim == 64 else random_model(dim, TAUS[1], rng)
+        # the desk model's 800 identity points; two whole default stacks at dims 8 and 24, and a lone last point
+        count = 800 if dim == 64 else 2 * (pencil.STACK_ENTRIES // dim**2) + 1
+        pts = sample_bidisk_batch(np.random.default_rng(5), count)
+        starts = self.thread_starts(monkeypatch)
+        interval = sys.getswitchinterval()
+        for entries in (dim**2, pencil.STACK_ENTRIES, 7 * dim**2):
+            monkeypatch.setattr(pencil, "STACK_ENTRIES", entries)
+            serial = self.on_workers(monkeypatch, 1, lambda: model.evaluate(pts))
+            started = len(starts)
+            # more threads than CPUs, handing the interpreter lock over as often as it can
+            sys.setswitchinterval(1e-6)
+            try:
+                split = self.on_workers(monkeypatch, workers, lambda: model.evaluate(pts))
+            finally:
+                sys.setswitchinterval(interval)
+            assert len(starts) > started
+            for a, b in zip(serial, split):
+                assert np.array_equal(a, b)
+
+    def test_cli_reports_same_bytes_on_one_and_two_threads(self, monkeypatch, tmp_path):
+        path = tmp_path / "desk.json"
+        path.write_text(json.dumps(dump_model(desk_model(np.random.default_rng(64)))))
+        starts = self.thread_starts(monkeypatch)
+        for command in ("verify", "classify", "derivative"):
+            reports = []
+            for workers in (1, 2):
+                out = tmp_path / f"{command}-{workers}.json"
+                code = self.on_workers(monkeypatch, workers, lambda: cli.main([command, str(path), "--out", str(out)]))
+                assert code == 0
+                reports.append(out.read_bytes())
+            assert reports[0] == reports[1]
+        assert starts
+
+    def test_suite_sized_call_stays_on_the_calling_thread(self, monkeypatch):
+        # a suite model's one call at n = 8: 1,024 + 255 points, short of two whole stacks
+        model = random_model(8, TAUS[2], np.random.default_rng(8))
+        starts = self.thread_starts(monkeypatch)
+        monkeypatch.setattr(pencil, "_stack_workers", lambda: 2)
+        model.evaluate(sample_bidisk_batch(np.random.default_rng(5), 1279))
+        assert starts == []
+        model.evaluate(sample_bidisk_batch(np.random.default_rng(5), 2048))
+        assert len(starts) == 1
+
+    def test_workers_run_in_the_callers_context(self, monkeypatch):
+        monkeypatch.setattr(pencil, "_stack_workers", lambda: 3)
+        seen = {}
+
+        def work(chunk):
+            seen[chunk.start] = (np.geterr()["divide"], threading.current_thread())
+
+        with np.errstate(divide="raise"):
+            pencil._run_stacks(work, 12, pencil.STACK_ENTRIES // 2)
+        assert sorted(seen) == [0, 2, 4, 6, 8, 10]
+        assert {mode for mode, _ in seen.values()} == {"raise"}
+        assert len({thread for _, thread in seen.values()}) == 3
+
+    @pytest.mark.parametrize(
+        "workers, failing, first",
+        [(2, [30, 10], 10), (2, [40], 40), (2, [3], 3), (2, [], None), (3, [45, 20, 5], 5), (3, [45, 20], 20)],
+    )
+    def test_worker_error_is_the_first_failing_stack_in_input_order(self, monkeypatch, workers, failing, first):
+        # the desk identity call, 50 stacks of 16 points: runs of 25 + 25 (or 16 + 17 + 17) stacks
+        model = desk_model(np.random.default_rng(64))
+        pts = sample_bidisk_batch(np.random.default_rng(5), 800)
+        solve = np.linalg.solve
+        order = []
+
+        def recording(a, b):
+            order.append(a[0].tobytes())
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", recording)
+        self.on_workers(monkeypatch, 1, lambda: model.evaluate(pts))
+        stack_of = {key: i for i, key in enumerate(order)}
+        assert len(stack_of) == 50
+
+        def failing_solve(a, b):
+            i = stack_of[a[0].tobytes()]
+            if i in failing:
+                raise np.linalg.LinAlgError(f"stack {i}")
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", failing_solve)
+        threads = threading.active_count()
+        if first is None:
+            self.on_workers(monkeypatch, workers, lambda: model.evaluate(pts))
+        else:
+            with pytest.raises(np.linalg.LinAlgError, match=rf"^stack {first}$"):
+                self.on_workers(monkeypatch, workers, lambda: model.evaluate(pts))
+        assert threading.active_count() == threads
